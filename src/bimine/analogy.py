@@ -3,7 +3,11 @@
 An analogy A:B::C:D over sentences requires dist(A,B) = dist(C,D) and
 dist(A,C) = dist(B,D) under word-level Levenshtein distance (each word one
 symbol), plus a character-occurrence constraint: the per-character count
-difference between A and B must equal the one between C and D.
+difference between A and B must equal the one between C and D.  That is the
+count-vector condition of Lepage & Denoual (2005, "Purest ever example-based
+machine translation"); it sorts sentence pairs into exact classes, so the
+search indexes pairs by their character delta instead of testing every pair
+of pairs.
 
 Each analogy pair contributes a rewriting model: the common token prefix
 and suffix of the two source sentences together with the common prefix and
@@ -24,6 +28,7 @@ from .corpus_io import ArticlePair, BiSentence, BitextCorpus, segment_sentences,
 from .lexicon import TranslationLexicon, gloss_translate
 
 Tokens = tuple[str, ...]
+CharDelta = tuple[tuple[str, int], ...]
 
 
 @dataclass(frozen=True)
@@ -103,20 +108,25 @@ def _levenshtein_capped(s1: Sequence[str], s2: Sequence[str], cap: int) -> int |
     return prev[-1] if prev[-1] <= cap else None
 
 
+def char_delta(a: Counter, b: Counter) -> CharDelta:
+    """Nonzero items of the per-character count difference a - b, sorted."""
+    return tuple(sorted((ch, a[ch] - b[ch]) for ch in a.keys() | b.keys()
+                        if a[ch] != b[ch]))
+
+
 def char_profile_check(a: str, b: str, c: str, d: str) -> bool:
     """True iff every character changes count from A to B exactly as from C to D."""
-    delta_ab = Counter(a)
-    delta_ab.subtract(Counter(b))
-    delta_cd = Counter(c)
-    delta_cd.subtract(Counter(d))
-    for ch in set(delta_ab) | set(delta_cd):
-        if delta_ab.get(ch, 0) != delta_cd.get(ch, 0):
-            return False
-    return True
+    return char_delta(Counter(a), Counter(b)) == char_delta(Counter(c), Counter(d))
 
 
-def _profile_tokens(a: Tokens, b: Tokens, c: Tokens, d: Tokens) -> bool:
-    return char_profile_check(" ".join(a), " ".join(b), " ".join(c), " ".join(d))
+def token_bag_bound(bag1: Counter, bag2: Counter) -> int:
+    """Lower bound on word_levenshtein of two sentences given their token bags.
+
+    An alignment matches at most the multiset intersection of the tokens, and
+    every unmatched token of the longer sentence costs one edit.
+    """
+    shared = sum(min(k, bag2[tok]) for tok, k in bag1.items() if tok in bag2)
+    return max(bag1.total(), bag2.total()) - shared
 
 
 # ---------------------------------------------------------------------------
@@ -136,14 +146,32 @@ def canonical_arrangement(quad: tuple[Tokens, Tokens, Tokens, Tokens],
     return min(tuple(quad[i] for i in perm) for perm in _SYMMETRIES)
 
 
-def find_analogies(sentences: Sequence[Sequence[str]], max_distance: int = 4,
-                   prune: bool = True) -> list[AnalogyQuadruple]:
+class SizeGuardError(ValueError):
+    """An analogy search was refused because its input exceeds the size guard."""
+
+
+def check_size_guard(n_sentences: int, guard: int) -> None:
+    """Refuse a search over more than ``guard`` sentences (the pair pass is
+    quadratic in the sentence count)."""
+    if n_sentences > guard:
+        raise SizeGuardError(
+            f"analogy search over {n_sentences} sentences exceeds the size "
+            f"guard ({guard}); raise the guard to override")
+
+
+def find_analogies(sentences: Sequence[Sequence[str]],
+                   max_distance: int = 4) -> list[AnalogyQuadruple]:
     """All analogies among distinct sentences with both distances <= max_distance.
 
     Duplicate sentences are collapsed before the search (an analogy needs four
-    distinct sentences).  ``prune`` applies length bucketing: token sequences
-    whose length difference exceeds max_distance cannot be within distance
-    and are skipped; the result set is provably unchanged.
+    distinct sentences).  The pair pass computes the word distance of every
+    pair that survives two lower bounds, the length difference and
+    ``token_bag_bound``; both are exact filters.  Each pair (x, y) with x < y
+    within distance goes to the bucket of its distance and ``char_delta``.
+    The character-occurrence condition of Lepage & Denoual (2005) then holds
+    exactly for A:B::C:D between two pairs of one bucket, and for A:B::D:C
+    between a pair of bucket (d, delta) and one of bucket (d, -delta), so
+    only those combinations are tested for the cross distances.
     """
     uniq: list[Tokens] = []
     first_index: dict[Tokens, int] = {}
@@ -152,48 +180,61 @@ def find_analogies(sentences: Sequence[Sequence[str]], max_distance: int = 4,
         if key not in first_index:
             first_index[key] = idx
             uniq.append(key)
-    order = sorted(range(len(uniq)), key=lambda k: uniq[k])
+    profiles = [Counter(" ".join(s)) for s in uniq]
+    bags = [Counter(s) for s in uniq]
 
-    # all unordered pairs within distance, bucketed by distance
+    # all unordered pairs within distance, bucketed by (distance, char delta);
+    # sweeping by length visits only pairs within the length bound
+    by_length = sorted(range(len(uniq)), key=lambda k: len(uniq[k]))
     dist: dict[tuple[int, int], int] = {}
-    buckets: dict[int, list[tuple[int, int]]] = {}
-    for pos1 in range(len(order)):
-        u = order[pos1]
-        for pos2 in range(pos1 + 1, len(order)):
-            v = order[pos2]
-            if prune and abs(len(uniq[u]) - len(uniq[v])) > max_distance:
+    buckets: dict[tuple[int, CharDelta], list[tuple[int, int]]] = {}
+    for pos1, u in enumerate(by_length):
+        for v in by_length[pos1 + 1:]:
+            if len(uniq[v]) - len(uniq[u]) > max_distance:
+                break
+            if token_bag_bound(bags[u], bags[v]) > max_distance:
                 continue
             d = _levenshtein_capped(uniq[u], uniq[v], max_distance)
             if d is None:
                 continue
+            x, y = (u, v) if uniq[u] < uniq[v] else (v, u)
             dist[(min(u, v), max(u, v))] = d
-            buckets.setdefault(d, []).append((u, v) if uniq[u] < uniq[v] else (v, u))
+            buckets.setdefault((d, char_delta(profiles[x], profiles[y])),
+                               []).append((x, y))
 
     def cross(u: int, v: int) -> int | None:
         return dist.get((min(u, v), max(u, v)))
 
     found: dict[tuple[Tokens, Tokens, Tokens, Tokens], AnalogyQuadruple] = {}
-    for d_pair, pairs in buckets.items():
+
+    def consider(a: int, b: int, c: int, d: int) -> None:
+        if len({a, b, c, d}) < 4:
+            return
+        d_ac = cross(a, c)
+        if d_ac is None or d_ac != cross(b, d):
+            return
+        canon = canonical_arrangement((uniq[a], uniq[b], uniq[c], uniq[d]))
+        if canon in found:
+            return
+        ca, cb, cc, cd = canon
+        found[canon] = AnalogyQuadruple(
+            a=ca, b=cb, c=cc, d=cd,
+            d_ab=word_levenshtein(ca, cb), d_cd=word_levenshtein(cc, cd),
+            d_ac=word_levenshtein(ca, cc), d_bd=word_levenshtein(cb, cd),
+            indices=tuple(first_index[t] for t in canon),
+        )
+
+    for (d_pair, delta), pairs in buckets.items():
         for (x1, y1), (x2, y2) in itertools.combinations(pairs, 2):
-            if len({x1, y1, x2, y2}) < 4:
-                continue
-            for a, b, c, d in ((x1, y1, x2, y2), (x1, y1, y2, x2)):
-                d_ac = cross(a, c)
-                if d_ac is None or d_ac != cross(b, d):
-                    continue
-                ta, tb, tc, td = uniq[a], uniq[b], uniq[c], uniq[d]
-                if not _profile_tokens(ta, tb, tc, td):
-                    continue
-                canon = canonical_arrangement((ta, tb, tc, td))
-                if canon in found:
-                    continue
-                ca, cb, cc, cd = canon
-                found[canon] = AnalogyQuadruple(
-                    a=ca, b=cb, c=cc, d=cd,
-                    d_ab=word_levenshtein(ca, cb), d_cd=word_levenshtein(cc, cd),
-                    d_ac=word_levenshtein(ca, cc), d_bd=word_levenshtein(cb, cd),
-                    indices=tuple(first_index[t] for t in canon),
-                )
+            consider(x1, y1, x2, y2)
+        mirror = tuple(sorted((ch, -n) for ch, n in delta))
+        if mirror == delta:  # the empty delta is its own mirror
+            for (x1, y1), (x2, y2) in itertools.combinations(pairs, 2):
+                consider(x1, y1, y2, x2)
+        elif delta < mirror:  # visit each mirrored bucket pair once
+            for (x1, y1), (x2, y2) in itertools.product(
+                    pairs, buckets.get((d_pair, mirror), ())):
+                consider(x1, y1, y2, x2)
     return [found[key] for key in sorted(found)]
 
 

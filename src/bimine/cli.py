@@ -111,10 +111,10 @@ def _cmd_merge_bidi(args) -> int:
 def _cmd_analogy_find(args) -> int:
     seed = corpus_io.read_bitext(args.seed)
     sentences = [corpus_io.tokenize(p.src, lowercase=True) for p in seed.pairs]
-    if len(sentences) > args.size_guard:
-        _log(f"error: {len(sentences)} sentences exceed --size-guard "
-             f"{args.size_guard}; quadruple search is O(n^2) pairs and beyond "
-             f"desk scale on full dumps")
+    try:
+        analogy_mod.check_size_guard(len(sentences), args.size_guard)
+    except analogy_mod.SizeGuardError as exc:
+        _log(f"error: {exc}")
         return 2
     quads = analogy_mod.find_analogies(sentences, args.max_dist)
     analogy_mod.write_quadruples(args.out, quads)

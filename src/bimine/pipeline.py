@@ -222,7 +222,8 @@ def _stage_mine(config: PipelineConfig) -> None:
     model = classifier_mod.load_model(_require(config, config.path("classifier.json")))
     lex = lexicon_mod.read_lexicon(_require(config, config.path("lexicon.tsv")),
                                    config.src_lang, config.tgt_lang)
-    threshold = float(params.get("threshold") or model.threshold)
+    threshold = params.get("threshold")
+    threshold = model.threshold if threshold is None else float(threshold)
     corpus, log = miner.mine_corpus(
         corpus_io.read_article_store(store_path), model, lex,
         gap_cost=float(params["gap_cost"]), threshold=threshold,
@@ -285,11 +286,10 @@ def _stage_analogy(config: PipelineConfig) -> None:
     lex = lexicon_mod.read_lexicon(_require(config, config.path("lexicon.tsv")),
                                    config.src_lang, config.tgt_lang)
     sentences = [corpus_io.tokenize(p.src, lowercase=True) for p in seed.pairs]
-    guard = int(params["size_guard"])
-    if len(sentences) > guard:
-        raise PipelineError(
-            f"analogy search over {len(sentences)} sentences exceeds the size "
-            f"guard ({guard}); raise config.analogy.size_guard to override")
+    try:
+        analogy_mod.check_size_guard(len(sentences), int(params["size_guard"]))
+    except analogy_mod.SizeGuardError as exc:
+        raise PipelineError(str(exc)) from exc
     quads = analogy_mod.find_analogies(sentences, int(params["max_distance"]))
     models = analogy_mod.models_from_quadruples(
         quads, seed, check_target_side=bool(params.get("check_target")))

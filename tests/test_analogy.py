@@ -1,15 +1,20 @@
+import hashlib
 import itertools
+import json
 import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bimine.analogy import (
     AnalogyQuadruple,
+    SizeGuardError,
     apply_model,
     canonical_arrangement,
+    char_delta,
     char_profile_check,
+    check_size_guard,
     extract_rewriting_model,
     find_analogies,
     find_analogy_clusters,
@@ -17,6 +22,7 @@ from bimine.analogy import (
     models_from_quadruples,
     read_models,
     read_quadruples,
+    token_bag_bound,
     word_levenshtein,
     write_models,
     write_quadruples,
@@ -157,6 +163,11 @@ def test_profile_counted_false():
     assert not char_profile_check("aa", "a", "b", "b")
 
 
+def test_char_delta_signed_nonzero_items():
+    assert char_delta(Counter("aab"), Counter("abc")) == (("a", 1), ("c", -1))
+    assert char_delta(Counter("ab"), Counter("ba")) == ()
+
+
 # ---------------------------------------------------------------------------
 # analogy search
 
@@ -207,14 +218,49 @@ def test_search_equals_brute_force_enumeration():
         assert fast == slow, f"trial {trial}"
 
 
-def test_pruned_equals_unpruned_on_200_sentences():
-    rng = random.Random(33)
-    sentences = _structured_corpus(rng, 200)
-    pruned = find_analogies(sentences, 4, prune=True)
-    unpruned = find_analogies(sentences, 4, prune=False)
-    assert [(q.a, q.b, q.c, q.d) for q in pruned] == \
-        [(q.a, q.b, q.c, q.d) for q in unpruned]
-    assert pruned  # the structured corpus must actually contain analogies
+# sha256 of the (a, b, c, d) list the exhaustive pair-of-pairs search
+# returned for this corpus; the indexed search must reproduce it
+_STRUCTURED_200_SHA256 = \
+    "1996633e8f193ab38b2e76c899d4473ecda05627f047f8a09e25607220ec0508"
+
+
+def test_200_structured_sentences_pinned_digest():
+    sentences = _structured_corpus(random.Random(33), 200)
+    quads = find_analogies(sentences, 4)
+    assert len(quads) == 35  # the structured corpus must contain analogies
+    blob = json.dumps([[q.a, q.b, q.c, q.d] for q in quads], ensure_ascii=False)
+    assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == _STRUCTURED_200_SHA256
+
+
+# overlapping characters give zero deltas (ab/ba), mirrored deltas and
+# A:B::D:C arrangements
+_OVERLAP_VOCAB = ["a", "b", "ab", "ba", "c", "ca"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(_OVERLAP_VOCAB), min_size=1, max_size=5),
+                max_size=12),
+       st.integers(min_value=0, max_value=5))
+# four anagrams: A:B::D:C inside the zero-delta bucket in both pairings
+@example([["a", "b", "c"], ["a", "c", "b"], ["b", "a", "c"], ["b", "c", "a"]], 2)
+# A:B::D:C only between mirrored nonzero-delta buckets
+@example([["b"], ["ab", "ba"], ["ab"], ["ab", "b"]], 2)
+def test_search_equals_brute_force_property(sentences, max_distance):
+    fast = [(q.a, q.b, q.c, q.d) for q in find_analogies(sentences, max_distance)]
+    assert fast == sorted(brute_force_analogies(sentences, max_distance))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(["a", "b", "c", "ab"]), max_size=8),
+       st.lists(st.sampled_from(["a", "b", "c", "ab"]), max_size=8))
+def test_token_bag_bound_never_exceeds_distance(s1, s2):
+    assert token_bag_bound(Counter(s1), Counter(s2)) <= word_levenshtein(s1, s2)
+
+
+def test_size_guard():
+    check_size_guard(10, 10)
+    with pytest.raises(SizeGuardError, match="11 sentences exceeds the size guard"):
+        check_size_guard(11, 10)
 
 
 def test_duplicates_collapsed_before_search():

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from bimine import miner
 from bimine.cli import main
 from bimine.corpus_io import read_bitext, write_bitext
 from bimine.pipeline import PipelineConfig, PipelineError, run_pipeline
@@ -164,6 +165,22 @@ def test_analogy_size_guard(tmp_path, capsys):
     assert "guard" in capsys.readouterr().err
 
 
+def test_analogy_size_guard_same_message_in_pipeline(world, tmp_path, capsys):
+    config_path, _ = _pipeline_config(tmp_path, world)
+    config = PipelineConfig.from_json(config_path)
+    config.analogy["size_guard"] = 10
+    run_pipeline(config, ["ingest", "lexicon"])
+    message = ("analogy search over 400 sentences exceeds the size guard (10); "
+               "raise the guard to override")
+    with pytest.raises(PipelineError) as info:
+        run_pipeline(config, ["analogy"])
+    assert str(info.value) == message
+    capsys.readouterr()
+    assert main(["analogy", "find", "--seed", config.seed_corpus,
+                 "--size-guard", "10", "--out", str(tmp_path / "q.jsonl")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_eval_score_and_compare(tmp_path, capsys):
     hyp = tmp_path / "hyp.txt"
     ref = tmp_path / "ref.txt"
@@ -264,6 +281,26 @@ def test_pipeline_stage_subset(world, tmp_path):
     assert not (workdir / "classifier.json").exists()
     run_pipeline(config, ["classifier", "mine", "merge"])
     assert (workdir / "mined.tsv").exists()
+
+
+def test_pipeline_mining_threshold_zero_is_kept(world, tmp_path, monkeypatch):
+    config_path, _ = _pipeline_config(tmp_path, world, bidirectional=False)
+    config = PipelineConfig.from_json(config_path)
+    config.classifier["threshold"] = 0.7
+    run_pipeline(config, ["ingest", "lexicon", "classifier"])
+    used = []
+    real_mine_corpus = miner.mine_corpus
+
+    def spy(*args, **kwargs):
+        used.append(kwargs["threshold"])
+        return real_mine_corpus(*args, **kwargs)
+
+    monkeypatch.setattr(miner, "mine_corpus", spy)
+    for configured in (0, None, 0.25):
+        config.mining["threshold"] = configured
+        run_pipeline(config, ["mine"])
+    # only an absent or null threshold falls back to the model's
+    assert used == [0.0, 0.7, 0.25]
 
 
 def test_pipeline_rejects_unknown_stage(world, tmp_path):
