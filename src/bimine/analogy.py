@@ -146,6 +146,21 @@ def canonical_arrangement(quad: tuple[Tokens, Tokens, Tokens, Tokens],
     return min(tuple(quad[i] for i in perm) for perm in _SYMMETRIES)
 
 
+# Largest seed, in sentences, the analogy search takes by default.  The pair
+# pass is quadratic in the sentence count and the number of quadruples grows
+# faster still.  find_analogies(_structured_corpus(Random(5), n), 4) from
+# tests/test_analogy.py on a 2-vCPU host with CPython 3.11:
+#      n     seconds   peak RSS
+#    300       0.35      45 MB
+#    600       1.24      60 MB
+#   1200       3.66     109 MB
+#   2400      15.5      314 MB
+#   3600      44.9      608 MB
+#   4800      80.3     1107 MB
+# At the guard the search takes about a minute.
+DEFAULT_SIZE_GUARD = 4000
+
+
 class SizeGuardError(ValueError):
     """An analogy search was refused because its input exceeds the size guard."""
 
@@ -236,35 +251,6 @@ def find_analogies(sentences: Sequence[Sequence[str]],
                     pairs, buckets.get((d_pair, mirror), ())):
                 consider(x1, y1, y2, x2)
     return [found[key] for key in sorted(found)]
-
-
-def find_analogy_clusters(quadruples: Sequence[AnalogyQuadruple], order: int = 2,
-                          ) -> list[list[tuple[Tokens, Tokens]]]:
-    """Group analogies into clusters of sentence pairs.
-
-    order=2 returns each quadruple as its own two-pair cluster.  For
-    order >= 3, a cluster is a set of ``order`` pairs every two of which
-    form an analogy (the closed-chain condition); this search is expensive
-    and disabled by default in the CLI.
-    """
-    if order < 2:
-        raise ValueError("cluster order must be >= 2")
-    pair_key = lambda x, y: (x, y) if x <= y else (y, x)
-    if order == 2:
-        return [[pair_key(q.a, q.b), pair_key(q.c, q.d)] for q in quadruples]
-
-    edges: set[tuple[tuple[Tokens, Tokens], tuple[Tokens, Tokens]]] = set()
-    nodes: set[tuple[Tokens, Tokens]] = set()
-    for q in quadruples:
-        p1, p2 = pair_key(q.a, q.b), pair_key(q.c, q.d)
-        nodes.update((p1, p2))
-        edges.add((min(p1, p2), max(p1, p2)))
-    clusters = []
-    for combo in itertools.combinations(sorted(nodes), order):
-        if all((min(p, q), max(p, q)) in edges
-               for p, q in itertools.combinations(combo, 2)):
-            clusters.append(list(combo))
-    return clusters
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .corpus_io import BitextCorpus, tokenize
+from .corpus_io import BitextCorpus, tokenize, write_json
 from .lexicon import TranslationLexicon
 
 FEATURE_NAMES = ("len_ratio", "char_ratio", "cov_st", "cov_ts", "num_overlap")
@@ -282,9 +282,7 @@ def save_model(path, model: SimilarityModel) -> None:
         "direction": list(model.direction),
         "lexicon_checksum": model.lexicon_checksum,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_model(path) -> SimilarityModel:

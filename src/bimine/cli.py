@@ -13,10 +13,9 @@ import json
 import sys
 
 from . import analogy as analogy_mod
-from . import classifier as classifier_mod
-from . import corpus_io, filtering, metrics, miner
-from . import lexicon as lexicon_mod
-from .pipeline import PipelineConfig, PipelineError, run_pipeline
+from . import corpus_io, metrics, pipeline
+# imported by name: replacing bimine.cli.run_pipeline hooks `bimine pipeline`
+from .pipeline import run_pipeline
 
 
 def _log(message: str) -> None:
@@ -27,14 +26,9 @@ def _log(message: str) -> None:
 # command handlers
 
 def _cmd_ingest(args) -> int:
-    src = corpus_io.read_article_dump(args.src_dump)
-    tgt = corpus_io.read_article_dump(args.tgt_dump)
-    links = corpus_io.read_links(args.links)
-    src = {t: corpus_io.clean_document(b) for t, b in src.items()}
-    tgt = {t: corpus_io.clean_document(b) for t, b in tgt.items()}
-    pairs = corpus_io.pair_articles(src, tgt, links, args.src_lang, args.tgt_lang)
-    corpus_io.write_article_store(args.out, pairs)
-    _log(f"wrote {len(pairs)} article pairs to {args.out}")
+    counts = pipeline.ingest(args.src_dump, args.tgt_dump, args.links, args.out,
+                             args.src_lang, args.tgt_lang)
+    _log(f"wrote {counts['article_pairs']} article pairs to {args.out}")
     return 0
 
 
@@ -62,115 +56,75 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_lexicon_train(args) -> int:
-    seed = corpus_io.read_bitext(args.seed)
-    lex = lexicon_mod.train_lexicon(seed, args.iters, args.prune_below)
-    lexicon_mod.write_lexicon(args.out, lex)
-    _log(f"trained lexicon with {len(lex)} source entries -> {args.out}")
+    counts = pipeline.train_lexicon(args.seed, args.out, args.iters, args.prune_below)
+    _log(f"trained lexicon with {counts['entries']} source entries -> {args.out}")
     return 0
 
 
 def _cmd_classifier_train(args) -> int:
-    seed = corpus_io.read_bitext(args.seed, args.src_lang, args.tgt_lang)
-    lex = lexicon_mod.read_lexicon(args.lexicon, args.src_lang, args.tgt_lang)
-    model = classifier_mod.train_model(
-        seed, lex, neg_per_pos=args.neg_per_pos, epochs=args.epochs,
+    pipeline.train_classifier(
+        args.seed, args.lexicon, args.out, args.src_lang, args.tgt_lang,
+        neg_per_pos=args.neg_per_pos, epochs=args.epochs,
         learning_rate=args.learning_rate, margin_reg=args.margin_reg,
-        seed_rng=args.seed_rng)
-    model.threshold = args.threshold
-    classifier_mod.save_model(args.out, model)
+        seed_rng=args.seed_rng, threshold=args.threshold)
     _log(f"trained classifier -> {args.out}")
     return 0
 
 
 def _cmd_mine(args) -> int:
-    model = classifier_mod.load_model(args.model)
-    lex = lexicon_mod.read_lexicon(args.lexicon, *model.direction)
-    corpus, log = miner.mine_corpus(
-        corpus_io.read_article_store(args.store), model, lex,
-        gap_cost=args.gap_cost, threshold=args.threshold, workers=args.workers)
-    corpus_io.write_bitext(args.out, corpus)
-    if args.log:
-        with open(args.log, "w", encoding="utf-8") as fh:
-            for entry in log:
-                fh.write(json.dumps(entry, sort_keys=True) + "\n")
-    _log(f"mined {len(corpus.pairs)} pairs from {len(log)} articles -> {args.out}")
+    counts = pipeline.mine(args.store, args.model, args.lexicon, args.out,
+                           gap_cost=args.gap_cost, threshold=args.threshold,
+                           log=args.log)
+    _log(f"mined {counts['mined']} pairs from {counts['articles']} articles -> {args.out}")
     return 0
 
 
 def _cmd_merge_bidi(args) -> int:
-    fwd = corpus_io.read_bitext(args.fwd)
-    rev = corpus_io.read_bitext(args.rev, flip=not args.already_oriented)
-    merged, stats = miner.merge_bidirectional(fwd, rev)
-    corpus_io.write_bitext(args.out, merged)
-    miner.write_overlap_stats(args.stats, stats)
-    _log(f"merged {len(merged.pairs)} pairs; recognized {stats.recognized}, "
-         f"overlapping {stats.overlapping}, newly obtained {stats.newly_obtained}")
+    counts = pipeline.merge(args.fwd, args.rev, args.out, args.stats)
+    _log(f"merged {counts['merged']} pairs; recognized {counts['recognized']}, "
+         f"overlapping {counts['overlapping']}, "
+         f"newly obtained {counts['newly_obtained']}")
     return 0
 
 
 def _cmd_analogy_find(args) -> int:
-    seed = corpus_io.read_bitext(args.seed)
-    sentences = [corpus_io.tokenize(p.src, lowercase=True) for p in seed.pairs]
     try:
-        analogy_mod.check_size_guard(len(sentences), args.size_guard)
+        quads = pipeline.analogy_find(args.seed, args.max_dist, args.size_guard)
     except analogy_mod.SizeGuardError as exc:
         _log(f"error: {exc}")
         return 2
-    quads = analogy_mod.find_analogies(sentences, args.max_dist)
     analogy_mod.write_quadruples(args.out, quads)
     _log(f"found {len(quads)} analogy quadruples -> {args.out}")
     return 0
 
 
 def _cmd_analogy_models(args) -> int:
-    seed = corpus_io.read_bitext(args.seed)
-    quads = analogy_mod.read_quadruples(args.quads)
-    models = analogy_mod.models_from_quadruples(
-        quads, seed, check_target_side=args.check_target)
-    analogy_mod.write_models(args.out, models)
+    models = pipeline.analogy_models(analogy_mod.read_quadruples(args.quads),
+                                     args.seed, args.out, args.check_target)
     _log(f"extracted {len(models)} rewriting models -> {args.out}")
     return 0
 
 
 def _cmd_analogy_generate(args) -> int:
-    models = analogy_mod.read_models(args.models)
-    lex = lexicon_mod.read_lexicon(args.lexicon)
-    quasi = analogy_mod.generate_corpus(
-        models, corpus_io.read_article_store(args.store), lex,
-        allow_unknown=args.allow_unknown)
-    corpus = corpus_io.BitextCorpus([e.pair for e in quasi.entries],
-                                    quasi.src_lang, quasi.tgt_lang)
-    corpus_io.write_bitext(args.out, corpus)
-    _log(f"generated {len(corpus.pairs)} quasi-parallel pairs "
-         f"({quasi.report()['confirmed']} confirmed) -> {args.out}")
+    counts = pipeline.analogy_generate(analogy_mod.read_models(args.models), args.store,
+                                       args.lexicon, args.out, args.allow_unknown)
+    _log(f"generated {counts['generated']} quasi-parallel pairs "
+         f"({counts['confirmed']} confirmed) -> {args.out}")
     return 0
 
 
 def _cmd_filter_trivial(args) -> int:
-    corpus = corpus_io.read_bitext(args.infile)
-    kept, report = filtering.remove_trivial(corpus, args.min_chars)
-    corpus_io.write_bitext(args.out, kept)
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    _log(f"kept {report.kept_count} of {report.input_count} pairs -> {args.out}")
+    report = pipeline.filter_bitext(args.infile, args.out, args.report,
+                                    min_chars=args.min_chars)
+    _log(f"kept {report['kept_count']} of {report['input_count']} pairs -> {args.out}")
     return 0
 
 
 def _cmd_filter_cascade(args) -> int:
-    corpus = corpus_io.read_bitext(args.infile)
-    lex = lexicon_mod.read_lexicon(args.lexicon)
-    cascade = (filtering.read_cascade_config(args.config)
-               if args.config else filtering.CascadeConfig())
-    kept, rejected, report = filtering.filter_corpus(
-        corpus, filtering.make_gloss_translator(lex), cascade)
-    corpus_io.write_bitext(args.kept, kept)
-    corpus_io.write_bitext(args.rejected, rejected)
-    with open(args.report, "w", encoding="utf-8") as fh:
-        json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _log(f"kept {report.kept_count}, rejected {report.rejected_count} "
+    report = pipeline.filter_bitext(args.infile, args.kept, args.report,
+                                    lexicon=args.lexicon, cascade=args.config,
+                                    rejected=args.rejected)
+    _log(f"kept {report['kept_count']}, rejected {report['rejected_count']} "
          f"-> {args.kept} / {args.rejected}")
     return 0
 
@@ -195,19 +149,9 @@ def _read_eval_pairs(hyp_path, ref_paths) -> list[metrics.EvalPair]:
     return pairs
 
 
-def _score(pairs: list[metrics.EvalPair], metric: str) -> float:
-    if metric == "bleu":
-        return metrics.bleu(pairs)
-    if metric == "nist":
-        return metrics.nist(pairs)
-    if metric == "ter":
-        return metrics.corpus_ter(pairs)
-    return metrics.corpus_meteor(pairs)
-
-
 def _cmd_eval_score(args) -> int:
     pairs = _read_eval_pairs(args.hyp, args.ref)
-    score = _score(pairs, args.metric)
+    score = pipeline.score(pairs, args.metric)
     if args.json:
         print(json.dumps({"metric": args.metric, "score": score,
                           "score_x100": score * 100.0, "segments": len(pairs)},
@@ -221,14 +165,14 @@ def _cmd_eval_compare(args) -> int:
     pairs_a = _read_eval_pairs(args.hyp_a, args.ref)
     pairs_b = _read_eval_pairs(args.hyp_b, args.ref)
     result = metrics.bootstrap_diff(
-        pairs_a, pairs_b, lambda c: _score(list(c), args.metric),
+        pairs_a, pairs_b, lambda c: pipeline.score(list(c), args.metric),
         n_resamples=args.resamples, seed=args.seed)
     print(json.dumps({"metric": args.metric, **result.as_dict()}, sort_keys=True))
     return 0
 
 
 def _cmd_pipeline(args) -> int:
-    config = PipelineConfig.from_json(args.config)
+    config = pipeline.PipelineConfig.from_json(args.config)
     stages = args.stages.split(",") if args.stages else None
     run_pipeline(config, stages)
     return 0
@@ -295,9 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--store", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--lexicon", required=True)
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=float,
+                   help="default: the threshold stored in the model")
     p.add_argument("--gap-cost", type=float, default=0.4)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True)
     p.add_argument("--log")
     p.set_defaults(func=_cmd_mine)
@@ -307,8 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rev", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--stats", required=True)
-    p.add_argument("--already-oriented", action="store_true",
-                   help="do not flip the reverse corpus columns on load")
     p.set_defaults(func=_cmd_merge_bidi)
 
     p = sub.add_parser("analogy", help="analogy detection and generation")
@@ -316,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = ana_sub.add_parser("find", help="find analogy quadruples in a seed corpus")
     p.add_argument("--seed", required=True)
     p.add_argument("--max-dist", type=int, default=4)
-    p.add_argument("--size-guard", type=int, default=50000)
+    p.add_argument("--size-guard", type=int, default=analogy_mod.DEFAULT_SIZE_GUARD)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_analogy_find)
     p = ana_sub.add_parser("models", help="extract rewriting models from quadruples")
@@ -356,16 +298,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = eval_sub.add_parser("score", help="score one system")
     p.add_argument("--hyp", required=True)
     p.add_argument("--ref", action="append", required=True)
-    p.add_argument("--metric", choices=("bleu", "nist", "ter", "meteor"),
-                   default="bleu")
+    p.add_argument("--metric", choices=tuple(pipeline.METRICS), default="bleu")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_eval_score)
     p = eval_sub.add_parser("compare", help="bootstrap comparison of two systems")
     p.add_argument("--hyp-a", required=True)
     p.add_argument("--hyp-b", required=True)
     p.add_argument("--ref", action="append", required=True)
-    p.add_argument("--metric", choices=("bleu", "nist", "ter", "meteor"),
-                   default="bleu")
+    p.add_argument("--metric", choices=tuple(pipeline.METRICS), default="bleu")
     p.add_argument("--resamples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_eval_compare)
@@ -387,7 +327,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, PipelineError, OSError) as exc:
+    except (ValueError, pipeline.PipelineError, OSError) as exc:
         _log(f"error: {exc}")
         return 1
 

@@ -107,10 +107,12 @@ def clean_document(raw: str) -> str:
     """Strip markup tags and drop table/reference/figure blocks from text.
 
     Runs the rule pipeline to a fixpoint, so the function is idempotent by
-    construction (each rewriting pass strictly shrinks the text).
+    construction.  The loop ends: every rule replaces its match with shorter
+    text, and after the first pass the text is whitespace-normalised, so
+    every later pass that changes the text shrinks it.
     """
     text = raw
-    for _ in range(16):
+    while True:
         prev = text
         for pattern, repl in _CLEAN_STEPS:
             text = pattern.sub(repl, text)
@@ -356,9 +358,19 @@ def read_bitext(path, src_lang: str = "", tgt_lang: str = "",
             src, tgt = cols[0], cols[1]
             if flip:
                 src, tgt = tgt, src
-            score = float(cols[2]) if len(cols) > 2 else 1.0
+            try:
+                score = float(cols[2]) if len(cols) > 2 else 1.0
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: bad score column: {exc}") from None
             pairs.append(BiSentence(src=src, tgt=tgt, score=score))
     return BitextCorpus(pairs, src_lang, tgt_lang)
+
+
+def write_json(path, doc) -> None:
+    """Write a JSON report: two-space indent, sorted keys, final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def write_article_store(path, pairs: Iterable[ArticlePair]) -> None:
@@ -406,7 +418,10 @@ def read_article_dump(path) -> dict[str, str]:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            rec = json.loads(line)
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}: line {lineno}: not valid JSON: {exc}") from None
             if "title" not in rec or "text" not in rec:
                 raise ValueError(f"{path}: line {lineno}: need 'title' and 'text'")
             articles[rec["title"]] = rec["text"]

@@ -110,11 +110,6 @@ def _finalize(table: dict[str, dict[str, float]], prune_below: float,
     return TranslationLexicon(entries=entries, src_lang=src_lang, tgt_lang=tgt_lang)
 
 
-def lookup(lex: TranslationLexicon, word: str, k: int = 5) -> list[tuple[str, float]]:
-    """Top-k translations of ``word`` by descending probability; [] if unknown."""
-    return lex.entries.get(word, [])[:k]
-
-
 def _passthrough(token: str) -> bool:
     return not any(ch.isalpha() for ch in token)
 

@@ -1,22 +1,19 @@
 """Mining orchestration over an article-pair store.
 
-Loads the similarity model and lexicon once, fans article pairs out to a
-worker pool, and reduces results in article-id order so output is identical
-for any worker count.  Also merges forward- and reverse-direction mining
-runs and reports their overlap statistics.
+Mines a stream of article pairs with one similarity model and lexicon and
+orders the results by article id.  Also merges forward- and
+reverse-direction mining runs and reports their overlap statistics.
 """
 
 from __future__ import annotations
 
-import json
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable
 
 from .aligner import align, threshold_filter
 from .classifier import SimilarityModel, similarity
-from .corpus_io import ArticlePair, BiSentence, BitextCorpus, segment_sentences
+from .corpus_io import ArticlePair, BiSentence, BitextCorpus, segment_sentences, write_json
 from .lexicon import TranslationLexicon
 
 _WS = re.compile(r"\s+")
@@ -72,27 +69,13 @@ def mine_pair(pair: ArticlePair, model: SimilarityModel,
 
 def mine_corpus(store: Iterable[ArticlePair], model: SimilarityModel,
                 lex: TranslationLexicon, gap_cost: float = 0.4,
-                threshold: float = 0.5, workers: int = 1,
-                ) -> tuple[BitextCorpus, list[dict]]:
-    """Mine every article pair in the store with a shared read-only model.
+                threshold: float = 0.5) -> tuple[BitextCorpus, list[dict]]:
+    """Mine every article pair of a streamed store with one model and lexicon.
 
     Returns the mined corpus ordered by article id plus a per-article log.
-    Output is identical for any worker count.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    articles = list(store)
-
-    def work(pair: ArticlePair) -> tuple[int, list[BiSentence]]:
-        return pair.id, mine_pair(pair, model, lex, gap_cost, threshold)
-
-    if workers == 1:
-        outcomes = [work(pair) for pair in articles]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(work, articles))
-
-    outcomes.sort(key=lambda item: item[0])
+    outcomes = sorted(((pair.id, mine_pair(pair, model, lex, gap_cost, threshold))
+                       for pair in store), key=lambda item: item[0])
     pairs: list[BiSentence] = []
     log = []
     for article_id, mined in outcomes:
@@ -141,6 +124,4 @@ def merge_bidirectional(fwd: BitextCorpus, rev: BitextCorpus,
 
 
 def write_overlap_stats(path, stats: OverlapStats) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(stats.as_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, stats.as_dict())

@@ -1,14 +1,18 @@
 """End-to-end pipeline: ingest -> lexicon -> classifier -> mine -> merge ->
 analogy -> filter -> eval.
 
-Every stage reads its inputs from the work directory (or configured paths),
-writes its artifact plus a JSON run manifest (inputs, checksums, parameters,
-counts), and is deterministic given the config seeds: re-running with
-identical inputs reproduces identical artifacts byte for byte.
+Each step is one function that reads its inputs from explicit paths,
+computes, writes its artifacts and returns its counts; the CLI subcommands
+call the same functions.  A stage resolves its paths in the work directory
+(or configured paths), calls its step once per mining direction and writes a
+JSON run manifest (inputs, checksums, parameters, counts).  Stages are
+deterministic given the config seeds: re-running with identical inputs
+reproduces identical artifacts byte for byte.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import sys
@@ -55,9 +59,10 @@ class PipelineConfig:
         "neg_per_pos": 3, "epochs": 30, "learning_rate": 0.1,
         "margin_reg": 1e-4, "seed": 13, "threshold": 0.5})
     mining: dict = field(default_factory=lambda: {
-        "threshold": 0.5, "gap_cost": 0.4, "workers": 1, "bidirectional": False})
+        "threshold": 0.5, "gap_cost": 0.4, "bidirectional": False})
     analogy: dict = field(default_factory=lambda: {
-        "max_distance": 4, "size_guard": 50000, "allow_unknown": False,
+        "max_distance": 4, "size_guard": analogy_mod.DEFAULT_SIZE_GUARD,
+        "allow_unknown": False,
         "check_target": False})
     filter: dict = field(default_factory=lambda: {"min_chars": 10, "cascade": ""})
     eval: dict = field(default_factory=lambda: {
@@ -79,6 +84,11 @@ class PipelineConfig:
                 getattr(config, key).update(value)
             else:
                 setattr(config, key, value)
+        # mining runs in one process; older configs carry workers = 1
+        if config.mining.get("workers", 1) != 1:
+            raise PipelineError(
+                f"{path}: mining.workers = {config.mining['workers']!r} is not "
+                f"supported; mining runs in one process (drop the key or set 1)")
         return config
 
     def path(self, artifact: str) -> Path:
@@ -105,9 +115,7 @@ def _write_manifest(config: PipelineConfig, stage: str, params: dict,
         "outputs": {p.name: _sha256(p) for p in outputs},
         "counts": counts,
     }
-    with open(config.path(f"manifest.{stage}.json"), "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    corpus_io.write_json(config.path(f"manifest.{stage}.json"), doc)
 
 
 def _require(config: PipelineConfig, path: Path) -> Path:
@@ -123,6 +131,169 @@ def _log(message: str) -> None:
 
 
 # ---------------------------------------------------------------------------
+# steps, shared with the CLI.  Library calls go through module attributes
+# (corpus_io.read_bitext, miner.mine_corpus, ...) so a replaced attribute is
+# the one called.
+
+def ingest(src_dump, tgt_dump, links, out, src_lang: str, tgt_lang: str) -> dict:
+    """Clean two article dumps, pair them by the links file, write the store."""
+    src = corpus_io.read_article_dump(src_dump)
+    tgt = corpus_io.read_article_dump(tgt_dump)
+    link_list = corpus_io.read_links(links)
+    pairs = corpus_io.pair_articles(
+        {t: corpus_io.clean_document(b) for t, b in src.items()},
+        {t: corpus_io.clean_document(b) for t, b in tgt.items()},
+        link_list, src_lang, tgt_lang)
+    corpus_io.write_article_store(out, pairs)
+    return {"article_pairs": len(pairs)}
+
+
+def train_lexicon(seed, out, iterations: int, prune_below: float,
+                  flip: bool = False) -> dict:
+    """Train the EM lexicon on a seed bitext and write it; ``flip`` trains
+    the reverse direction (target to source)."""
+    lex = lexicon_mod.train_lexicon(corpus_io.read_bitext(seed, flip=flip),
+                                    iterations, prune_below)
+    lexicon_mod.write_lexicon(out, lex)
+    return {"entries": len(lex)}
+
+
+def train_classifier(seed, lexicon, out, src_lang: str, tgt_lang: str, *,
+                     neg_per_pos: int, epochs: int, learning_rate: float,
+                     margin_reg: float, seed_rng: int, threshold: float,
+                     flip: bool = False) -> dict:
+    """Train the similarity classifier for ``src_lang -> tgt_lang`` and write
+    it with its mining threshold; ``flip`` reads the seed columns swapped."""
+    model = classifier_mod.train_model(
+        corpus_io.read_bitext(seed, src_lang, tgt_lang, flip=flip),
+        lexicon_mod.read_lexicon(lexicon, src_lang, tgt_lang),
+        neg_per_pos=neg_per_pos, epochs=epochs, learning_rate=learning_rate,
+        margin_reg=margin_reg, seed_rng=seed_rng)
+    model.threshold = threshold
+    classifier_mod.save_model(out, model)
+    return {}
+
+
+def mine(store, model, lexicon, out, *, gap_cost: float,
+         threshold: float | None = None, log=None, flip: bool = False) -> dict:
+    """Mine parallel sentences from an article-pair store and write them.
+
+    A ``threshold`` of None means the one stored in the model.  ``flip``
+    mines the reverse direction, reading each stored pair target side first.
+    ``log`` gets one JSON line per article.
+    """
+    sim_model = classifier_mod.load_model(model)
+    lex = lexicon_mod.read_lexicon(lexicon, *sim_model.direction)
+    articles = corpus_io.read_article_store(store)
+    if flip:
+        articles = (corpus_io.ArticlePair(p.id, p.tgt, p.src) for p in articles)
+    corpus, article_log = miner.mine_corpus(
+        articles, sim_model, lex, gap_cost=gap_cost,
+        threshold=sim_model.threshold if threshold is None else float(threshold))
+    corpus_io.write_bitext(out, corpus)
+    if log:
+        with open(log, "w", encoding="utf-8") as fh:
+            for entry in article_log:
+                fh.write(json.dumps(entry, sort_keys=True) + "\n")
+    return {"articles": len(article_log), "mined": len(corpus.pairs)}
+
+
+def merge(fwd, rev, out, stats) -> dict:
+    """Merge forward and reverse mining output and write the overlap stats.
+
+    The reverse file is flipped on load into (src, tgt) order; ``rev`` None
+    merges the forward run alone.
+    """
+    merged, overlap = miner.merge_bidirectional(
+        corpus_io.read_bitext(fwd),
+        corpus_io.read_bitext(rev, flip=True) if rev else corpus_io.BitextCorpus())
+    corpus_io.write_bitext(out, merged)
+    miner.write_overlap_stats(stats, overlap)
+    return {"merged": len(merged.pairs), **overlap.as_dict()}
+
+
+def analogy_find(seed, max_distance: int, size_guard: int,
+                 ) -> list[analogy_mod.AnalogyQuadruple]:
+    """Search the source side of a seed bitext for analogies.
+
+    Returns the quadruples rather than writing them: the pipeline hands them
+    to ``analogy_models`` in memory.  Raises ``SizeGuardError`` for a seed of
+    more than ``size_guard`` sentences.
+    """
+    sentences = [corpus_io.tokenize(p.src, lowercase=True)
+                 for p in corpus_io.read_bitext(seed).pairs]
+    analogy_mod.check_size_guard(len(sentences), size_guard)
+    return analogy_mod.find_analogies(sentences, max_distance)
+
+
+def analogy_models(quads, seed, out, check_target: bool,
+                   ) -> list[analogy_mod.RewritingModel]:
+    """Extract rewriting models from analogy quadruples of the seed and write
+    them; returns them for ``analogy_generate``."""
+    models = analogy_mod.models_from_quadruples(
+        quads, corpus_io.read_bitext(seed), check_target_side=check_target)
+    analogy_mod.write_models(out, models)
+    return models
+
+
+def analogy_generate(models, store, lexicon, out, allow_unknown: bool) -> dict:
+    """Apply rewriting models to the store's source sentences and write the
+    quasi-parallel pairs; returns the generated and confirmed counts."""
+    if not models:
+        corpus_io.write_bitext(out, corpus_io.BitextCorpus())
+        return {"generated": 0, "confirmed": 0}
+    quasi = analogy_mod.generate_corpus(
+        models, corpus_io.read_article_store(store),
+        lexicon_mod.read_lexicon(lexicon), allow_unknown=allow_unknown)
+    corpus_io.write_bitext(out, corpus_io.BitextCorpus([e.pair for e in quasi.entries]))
+    return quasi.report()
+
+
+def filter_bitext(infile, kept, report=None, *, min_chars: int | None = None,
+                  lexicon=None, cascade=None, rejected=None) -> dict:
+    """Filter a bitext file and write the kept pairs.
+
+    Runs the trivial pass when ``min_chars`` is given, then the
+    translation-similarity cascade when ``lexicon`` is given, with the rules
+    of the ``cascade`` config file or the built-in ones.  Writes the pairs
+    the cascade rejects to ``rejected`` and the report of both passes to
+    ``report`` when those are given; returns that report as a dict.
+    """
+    corpus = corpus_io.read_bitext(infile)
+    result = filtering.FilterReport(input_count=len(corpus.pairs))
+    passes = []
+    if min_chars is not None:
+        corpus, trivial = filtering.remove_trivial(corpus, min_chars)
+        passes.append(trivial)
+    if lexicon is not None:
+        rules = (filtering.read_cascade_config(cascade) if cascade
+                 else filtering.CascadeConfig())
+        translator = filtering.make_gloss_translator(lexicon_mod.read_lexicon(lexicon))
+        corpus, dropped, cascaded = filtering.filter_corpus(corpus, translator, rules)
+        passes.append(cascaded)
+        if rejected:
+            corpus_io.write_bitext(rejected, dropped)
+    result.kept_count = len(corpus.pairs)
+    for done in passes:  # the two passes reject for different reasons
+        result.rejected_count += done.rejected_count
+        result.rejections.update(done.rejections)
+    corpus_io.write_bitext(kept, corpus)
+    if report:
+        corpus_io.write_json(report, result.as_dict())
+    return result.as_dict()
+
+
+# metric name -> scorer in bimine.metrics, looked up when called
+METRICS = {"bleu": "bleu", "nist": "nist", "ter": "corpus_ter",
+           "meteor": "corpus_meteor"}
+
+
+def score(pairs: list[metrics.EvalPair], metric: str) -> float:
+    """Corpus-level score of ``pairs`` under the metric named in METRICS."""
+    return getattr(metrics, METRICS[metric])(pairs)
+
+
+# ---------------------------------------------------------------------------
 # stages
 
 def _stage_ingest(config: PipelineConfig) -> None:
@@ -132,243 +303,128 @@ def _stage_ingest(config: PipelineConfig) -> None:
             raise PipelineError(f"ingest stage needs config.ingest.{key}")
         if not Path(spec[key]).exists():
             raise PipelineError(f"ingest input {spec[key]} does not exist")
-    src_dump = corpus_io.read_article_dump(spec["src_dump"])
-    tgt_dump = corpus_io.read_article_dump(spec["tgt_dump"])
-    links = corpus_io.read_links(spec["links"])
-    src_clean = {t: corpus_io.clean_document(b) for t, b in src_dump.items()}
-    tgt_clean = {t: corpus_io.clean_document(b) for t, b in tgt_dump.items()}
-    pairs = corpus_io.pair_articles(src_clean, tgt_clean, links,
-                                    config.src_lang, config.tgt_lang)
+    inputs = [Path(spec[key]) for key in ("src_dump", "tgt_dump", "links")]
     out = config.store_path()
-    corpus_io.write_article_store(out, pairs)
-    _write_manifest(config, "ingest", spec,
-                    [Path(spec["src_dump"]), Path(spec["tgt_dump"]), Path(spec["links"])],
-                    [out], {"article_pairs": len(pairs)})
-    _log(f"ingest: {len(pairs)} article pairs -> {out}")
+    counts = ingest(*inputs, out, config.src_lang, config.tgt_lang)
+    _write_manifest(config, "ingest", spec, inputs, [out], counts)
+    _log(f"ingest: {counts['article_pairs']} article pairs -> {out}")
 
 
-def _load_seed(config: PipelineConfig) -> corpus_io.BitextCorpus:
+def _seed_path(config: PipelineConfig) -> Path:
     if not config.seed_corpus:
         raise PipelineError("config.seed_corpus is not set")
     path = Path(config.seed_corpus)
     if not path.exists():
         raise PipelineError(f"seed corpus {path} does not exist")
-    return corpus_io.read_bitext(path, config.src_lang, config.tgt_lang)
+    return path
 
 
 def _stage_lexicon(config: PipelineConfig) -> None:
-    seed = _load_seed(config)
+    seed = _seed_path(config)
     params = config.lexicon
-    lex = lexicon_mod.train_lexicon(seed, int(params["iterations"]),
-                                    float(params["prune_below"]))
-    out = config.path("lexicon.tsv")
-    lexicon_mod.write_lexicon(out, lex)
-    outputs = [out]
-    counts = {"entries": len(lex)}
+    train = functools.partial(train_lexicon, seed, iterations=int(params["iterations"]),
+                              prune_below=float(params["prune_below"]))
+    outputs = [config.path("lexicon.tsv")]
+    counts = train(outputs[0])
     if config.mining.get("bidirectional"):
-        flipped = corpus_io.BitextCorpus(
-            [corpus_io.BiSentence(p.tgt, p.src, p.score) for p in seed.pairs],
-            config.tgt_lang, config.src_lang)
-        rev = lexicon_mod.train_lexicon(flipped, int(params["iterations"]),
-                                        float(params["prune_below"]))
-        rev_out = config.path("lexicon.rev.tsv")
-        lexicon_mod.write_lexicon(rev_out, rev)
-        outputs.append(rev_out)
-        counts["entries_rev"] = len(rev)
-    _write_manifest(config, "lexicon", params, [Path(config.seed_corpus)],
-                    outputs, counts)
-    _log(f"lexicon: {counts} -> {out}")
+        outputs.append(config.path("lexicon.rev.tsv"))
+        counts["entries_rev"] = train(outputs[1], flip=True)["entries"]
+    _write_manifest(config, "lexicon", params, [seed], outputs, counts)
+    _log(f"lexicon: {counts} -> {outputs[0]}")
 
 
 def _stage_classifier(config: PipelineConfig) -> None:
-    seed = _load_seed(config)
+    seed = _seed_path(config)
     params = config.classifier
-    lex = lexicon_mod.read_lexicon(_require(config, config.path("lexicon.tsv")),
-                                   config.src_lang, config.tgt_lang)
-
-    def train(corpus, lexicon):
-        model = classifier_mod.train_model(
-            corpus, lexicon,
-            neg_per_pos=int(params["neg_per_pos"]),
-            epochs=int(params["epochs"]),
-            learning_rate=float(params["learning_rate"]),
-            margin_reg=float(params["margin_reg"]),
-            seed_rng=int(params["seed"]))
-        model.threshold = float(params["threshold"])
-        return model
-
-    out = config.path("classifier.json")
-    classifier_mod.save_model(out, train(seed, lex))
-    outputs = [out]
+    train = functools.partial(
+        train_classifier, seed,
+        neg_per_pos=int(params["neg_per_pos"]), epochs=int(params["epochs"]),
+        learning_rate=float(params["learning_rate"]),
+        margin_reg=float(params["margin_reg"]), seed_rng=int(params["seed"]),
+        threshold=float(params["threshold"]))
+    lexicon = _require(config, config.path("lexicon.tsv"))
+    outputs = [config.path("classifier.json")]
+    train(lexicon, outputs[0], config.src_lang, config.tgt_lang)
     if config.mining.get("bidirectional"):
-        rev_lex = lexicon_mod.read_lexicon(
-            _require(config, config.path("lexicon.rev.tsv")),
-            config.tgt_lang, config.src_lang)
-        flipped = corpus_io.BitextCorpus(
-            [corpus_io.BiSentence(p.tgt, p.src, p.score) for p in seed.pairs],
-            config.tgt_lang, config.src_lang)
-        rev_out = config.path("classifier.rev.json")
-        classifier_mod.save_model(rev_out, train(flipped, rev_lex))
-        outputs.append(rev_out)
-    _write_manifest(config, "classifier", params,
-                    [Path(config.seed_corpus), config.path("lexicon.tsv")],
-                    outputs, {})
-    _log(f"classifier: -> {out}")
+        outputs.append(config.path("classifier.rev.json"))
+        train(_require(config, config.path("lexicon.rev.tsv")), outputs[1],
+              config.tgt_lang, config.src_lang, flip=True)
+    _write_manifest(config, "classifier", params, [seed, lexicon], outputs, {})
+    _log(f"classifier: -> {outputs[0]}")
 
 
 def _stage_mine(config: PipelineConfig) -> None:
     params = config.mining
-    store_path = _require(config, config.store_path())
-    model = classifier_mod.load_model(_require(config, config.path("classifier.json")))
-    lex = lexicon_mod.read_lexicon(_require(config, config.path("lexicon.tsv")),
-                                   config.src_lang, config.tgt_lang)
-    threshold = params.get("threshold")
-    threshold = model.threshold if threshold is None else float(threshold)
-    corpus, log = miner.mine_corpus(
-        corpus_io.read_article_store(store_path), model, lex,
-        gap_cost=float(params["gap_cost"]), threshold=threshold,
-        workers=int(params["workers"]))
-    out = config.path("mined.fwd.tsv")
-    corpus_io.write_bitext(out, corpus)
-    outputs = [out]
-    counts = {"articles": len(log), "mined_fwd": len(corpus.pairs)}
+    store = _require(config, config.store_path())
+    run = functools.partial(mine, store, gap_cost=float(params["gap_cost"]),
+                            threshold=params.get("threshold"))
+    fwd_out, log = config.path("mined.fwd.tsv"), config.path("mine_log.jsonl")
+    fwd = run(_require(config, config.path("classifier.json")),
+              _require(config, config.path("lexicon.tsv")), fwd_out, log=log)
+    outputs = [fwd_out, log]
+    counts = {"articles": fwd["articles"], "mined_fwd": fwd["mined"]}
     if params.get("bidirectional"):
-        rev_model = classifier_mod.load_model(
-            _require(config, config.path("classifier.rev.json")))
-        rev_lex = lexicon_mod.read_lexicon(
-            _require(config, config.path("lexicon.rev.tsv")),
-            config.tgt_lang, config.src_lang)
-        flipped = (corpus_io.ArticlePair(p.id, p.tgt, p.src)
-                   for p in corpus_io.read_article_store(store_path))
-        rev_corpus, rev_log = miner.mine_corpus(
-            flipped, rev_model, rev_lex,
-            gap_cost=float(params["gap_cost"]), threshold=threshold,
-            workers=int(params["workers"]))
         rev_out = config.path("mined.rev.tsv")
-        corpus_io.write_bitext(rev_out, rev_corpus)
+        rev = run(_require(config, config.path("classifier.rev.json")),
+                  _require(config, config.path("lexicon.rev.tsv")), rev_out, flip=True)
         outputs.append(rev_out)
-        counts["mined_rev"] = len(rev_corpus.pairs)
-    log_path = config.path("mine_log.jsonl")
-    with open(log_path, "w", encoding="utf-8") as fh:
-        for entry in log:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
-    outputs.append(log_path)
-    _write_manifest(config, "mine", params, [store_path], outputs, counts)
+        counts["mined_rev"] = rev["mined"]
+    _write_manifest(config, "mine", params, [store], outputs, counts)
     _log(f"mine: {counts}")
 
 
 def _stage_merge(config: PipelineConfig) -> None:
-    fwd = corpus_io.read_bitext(_require(config, config.path("mined.fwd.tsv")),
-                                config.src_lang, config.tgt_lang)
-    out = config.path("mined.tsv")
-    stats_path = config.path("overlap_stats.json")
-    if config.mining.get("bidirectional"):
-        # reverse-direction output is flipped on load into (src, tgt) order
-        rev = corpus_io.read_bitext(_require(config, config.path("mined.rev.tsv")),
-                                    config.src_lang, config.tgt_lang, flip=True)
-        merged, stats = miner.merge_bidirectional(fwd, rev)
-        inputs = [config.path("mined.fwd.tsv"), config.path("mined.rev.tsv")]
-    else:
-        merged, stats = miner.merge_bidirectional(
-            fwd, corpus_io.BitextCorpus([], config.src_lang, config.tgt_lang))
-        inputs = [config.path("mined.fwd.tsv")]
-    corpus_io.write_bitext(out, merged)
-    miner.write_overlap_stats(stats_path, stats)
-    _write_manifest(config, "merge", {}, inputs, [out, stats_path],
-                    {"merged": len(merged.pairs), **stats.as_dict()})
-    _log(f"merge: {len(merged.pairs)} pairs, newly obtained {stats.newly_obtained}")
+    fwd = _require(config, config.path("mined.fwd.tsv"))
+    rev = (_require(config, config.path("mined.rev.tsv"))
+           if config.mining.get("bidirectional") else None)
+    out, stats = config.path("mined.tsv"), config.path("overlap_stats.json")
+    counts = merge(fwd, rev, out, stats)
+    _write_manifest(config, "merge", {}, [fwd] + ([rev] if rev else []),
+                    [out, stats], counts)
+    _log(f"merge: {counts['merged']} pairs, newly obtained {counts['newly_obtained']}")
 
 
 def _stage_analogy(config: PipelineConfig) -> None:
     params = config.analogy
-    seed = _load_seed(config)
-    store_path = _require(config, config.store_path())
-    lex = lexicon_mod.read_lexicon(_require(config, config.path("lexicon.tsv")),
-                                   config.src_lang, config.tgt_lang)
-    sentences = [corpus_io.tokenize(p.src, lowercase=True) for p in seed.pairs]
+    seed = _seed_path(config)
+    store = _require(config, config.store_path())
+    lexicon = _require(config, config.path("lexicon.tsv"))
     try:
-        analogy_mod.check_size_guard(len(sentences), int(params["size_guard"]))
+        quads = analogy_find(seed, int(params["max_distance"]), int(params["size_guard"]))
     except analogy_mod.SizeGuardError as exc:
         raise PipelineError(str(exc)) from exc
-    quads = analogy_mod.find_analogies(sentences, int(params["max_distance"]))
-    models = analogy_mod.models_from_quadruples(
-        quads, seed, check_target_side=bool(params.get("check_target")))
     models_path = config.path("analogy_models.jsonl")
-    analogy_mod.write_models(models_path, models)
+    models = analogy_models(quads, seed, models_path, bool(params.get("check_target")))
     quasi_path = config.path("quasi.tsv")
+    counts = {"quadruples": len(quads), "models": len(models),
+              **analogy_generate(models, store, lexicon, quasi_path,
+                                 bool(params["allow_unknown"]))}
     report_path = config.path("quasi_report.json")
-    counts = {"quadruples": len(quads), "models": len(models)}
-    if models:
-        quasi = analogy_mod.generate_corpus(
-            models, corpus_io.read_article_store(store_path), lex,
-            allow_unknown=bool(params["allow_unknown"]))
-        corpus_io.write_bitext(
-            quasi_path,
-            corpus_io.BitextCorpus([e.pair for e in quasi.entries],
-                                   config.src_lang, config.tgt_lang))
-        counts.update(quasi.report())
-    else:
-        corpus_io.write_bitext(quasi_path, corpus_io.BitextCorpus([]))
-        counts.update({"generated": 0, "confirmed": 0})
-    with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(counts, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _write_manifest(config, "analogy", params,
-                    [Path(config.seed_corpus), store_path],
+    corpus_io.write_json(report_path, counts)
+    _write_manifest(config, "analogy", params, [seed, store],
                     [models_path, quasi_path, report_path], counts)
     _log(f"analogy: {counts}")
 
 
 def _stage_filter(config: PipelineConfig) -> None:
     params = config.filter
-    mined_path = _require(config, config.path("mined.tsv"))
-    lex = lexicon_mod.read_lexicon(_require(config, config.path("lexicon.tsv")),
-                                   config.src_lang, config.tgt_lang)
-    cascade = (filtering.read_cascade_config(params["cascade"])
-               if params.get("cascade") else filtering.CascadeConfig())
-    translator = filtering.make_gloss_translator(lex)
-
-    def run(corpus):
-        trivial_kept, trivial_report = filtering.remove_trivial(
-            corpus, int(params["min_chars"]))
-        kept, rejected, cascade_report = filtering.filter_corpus(
-            trivial_kept, translator, cascade)
-        report = filtering.FilterReport(
-            input_count=trivial_report.input_count,
-            kept_count=cascade_report.kept_count,
-            rejected_count=(trivial_report.rejected_count
-                            + cascade_report.rejected_count),
-            rejections={**trivial_report.rejections, **cascade_report.rejections})
-        return kept, rejected, report
-
-    corpus = corpus_io.read_bitext(mined_path, config.src_lang, config.tgt_lang)
-    kept, rejected, report = run(corpus)
-    kept_path = config.path("filtered.tsv")
-    rejected_path = config.path("rejected.tsv")
-    report_path = config.path("filter_report.json")
-    corpus_io.write_bitext(kept_path, kept)
-    corpus_io.write_bitext(rejected_path, rejected)
-    with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    outputs = [kept_path, rejected_path, report_path]
-    inputs = [mined_path]
-    counts = dict(report.as_dict())
-    quasi_path = config.path("quasi.tsv")
-    if quasi_path.exists():
-        q_kept, _, q_report = run(
-            corpus_io.read_bitext(quasi_path, config.src_lang, config.tgt_lang))
-        q_out = config.path("quasi_filtered.tsv")
-        corpus_io.write_bitext(q_out, q_kept)
-        q_report_path = config.path("quasi_filter_report.json")
-        with open(q_report_path, "w", encoding="utf-8") as fh:
-            json.dump(q_report.as_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        outputs += [q_out, q_report_path]
-        inputs.append(quasi_path)
-        counts["quasi"] = q_report.as_dict()
+    mined = _require(config, config.path("mined.tsv"))
+    run = functools.partial(filter_bitext, min_chars=int(params["min_chars"]),
+                            lexicon=_require(config, config.path("lexicon.tsv")),
+                            cascade=params.get("cascade"))
+    kept, report, rejected = (config.path(name) for name in
+                              ("filtered.tsv", "filter_report.json", "rejected.tsv"))
+    counts = run(mined, kept, report, rejected=rejected)
+    inputs, outputs = [mined], [kept, report, rejected]
+    quasi = config.path("quasi.tsv")
+    if quasi.exists():
+        q_kept = config.path("quasi_filtered.tsv")
+        q_report = config.path("quasi_filter_report.json")
+        counts["quasi"] = run(quasi, q_kept, q_report)
+        inputs.append(quasi)
+        outputs += [q_kept, q_report]
     _write_manifest(config, "filter", params, inputs, outputs, counts)
-    _log(f"filter: kept {report.kept_count} of {report.input_count}")
+    _log(f"filter: kept {counts['kept_count']} of {counts['input_count']}")
 
 
 def _stage_eval(config: PipelineConfig) -> None:
@@ -386,25 +442,17 @@ def _stage_eval(config: PipelineConfig) -> None:
             lex, corpus_io.tokenize(bs.src, lowercase=True)))
         ref = tuple(corpus_io.tokenize(bs.tgt, lowercase=True))
         pairs.append(metrics.EvalPair(hypothesis=hyp, references=(ref,)))
-    scores = {
-        "bleu": metrics.bleu(pairs),
-        "nist": metrics.nist(pairs),
-        "ter": metrics.corpus_ter(pairs),
-        "meteor": metrics.corpus_meteor(pairs),
-    }
+    scores = {name: score(pairs, name) for name in METRICS}
     report = {
         "test_pairs": len(pairs),
         "scores": scores,
         "scores_x100": {k: v * 100.0 for k, v in scores.items()},
     }
     out = config.path("eval_report.json")
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    corpus_io.write_json(out, report)
     _write_manifest(config, "eval", params, [filtered_path], [out],
                     {"test_pairs": len(pairs)})
     _log(f"eval: {scores}")
-
 
 _STAGE_FUNCS = {
     "ingest": _stage_ingest,

@@ -25,7 +25,7 @@ from bimine.analogy import (
 from bimine.classifier import train_model
 from bimine.corpus_io import BiSentence, BitextCorpus, write_bitext
 from bimine.filtering import CascadeConfig, filter_corpus, make_gloss_translator, remove_trivial
-from bimine.lexicon import TranslationLexicon, lookup, train_lexicon
+from bimine.lexicon import TranslationLexicon, train_lexicon
 from bimine.metrics import EvalPair, bleu, bootstrap_diff, meteor_lite, ter
 from bimine.metrics import _ter_edits
 from bimine.miner import OverlapStats, merge_bidirectional, mine_corpus
@@ -108,8 +108,7 @@ def test_criterion_02_alignment_invariants():
 def test_criterion_03_synthetic_mining_end_to_end(mining_fixture):
     _world, _corpus, lex, model, articles, truth = mining_fixture
     started = time.time()
-    mined, log = mine_corpus(articles, model, lex, gap_cost=0.4,
-                             threshold=0.5, workers=1)
+    mined, log = mine_corpus(articles, model, lex, gap_cost=0.4, threshold=0.5)
     elapsed = time.time() - started
     recovered = {(p.origin[0], p.origin[1], p.origin[2]) for p in mined.pairs}
     true_positives = len(recovered & truth)
@@ -326,7 +325,7 @@ def test_criterion_09_lexicon_em():
     das = train_lexicon(BitextCorpus([BiSentence("das haus", "the house"),
                                       BiSentence("das buch", "the book")]),
                         iterations=10)
-    assert lookup(das, "das", 1)[0][0] == "the"
+    assert das.entries["das"][0][0] == "the"
     _report(9, "EM log-likelihood non-decreasing on 100 random corpora; "
                "rows sum to 1 +/- 1e-9; argmax(das) = 'the'")
 
@@ -334,9 +333,9 @@ def test_criterion_09_lexicon_em():
 def test_criterion_10_determinism(mining_fixture, tmp_path):
     world, _corpus, lex, model, articles, _truth = mining_fixture
     blobs = []
-    for workers in (1, 8):
-        mined, _ = mine_corpus(articles[:60], model, lex, workers=workers)
-        path = tmp_path / f"mined-w{workers}.tsv"
+    for run in (1, 2):
+        mined, _ = mine_corpus(articles[:60], model, lex)
+        path = tmp_path / f"mined-{run}.tsv"
         write_bitext(path, mined)
         blobs.append(path.read_bytes())
     assert blobs[0] == blobs[1]
@@ -352,6 +351,6 @@ def test_criterion_10_determinism(mining_fixture, tmp_path):
     assert outputs[0].keys() == outputs[1].keys()
     different = [name for name in outputs[0] if outputs[0][name] != outputs[1][name]]
     assert different == []
-    _report(10, f"mine_corpus byte-identical for workers 1 and 8; "
+    _report(10, f"mine_corpus byte-identical across two runs; "
                 f"{len(outputs[0])} pipeline artifacts byte-identical across "
                 f"two runs")

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bimine.analogy import (
-    AnalogyQuadruple,
     SizeGuardError,
     apply_model,
     canonical_arrangement,
@@ -17,7 +16,6 @@ from bimine.analogy import (
     check_size_guard,
     extract_rewriting_model,
     find_analogies,
-    find_analogy_clusters,
     generate_corpus,
     models_from_quadruples,
     read_models,
@@ -275,66 +273,6 @@ def test_indices_point_at_first_occurrences():
     quad = quads[0]
     for side, idx in zip((quad.a, quad.b, quad.c, quad.d), quad.indices):
         assert texts[idx] == side
-
-
-# ---------------------------------------------------------------------------
-# clusters
-
-def _quad(a, b, c, d):
-    return AnalogyQuadruple(
-        a=tuple(a.split()), b=tuple(b.split()), c=tuple(c.split()),
-        d=tuple(d.split()), d_ab=1, d_cd=1, d_ac=1, d_bd=1)
-
-
-def test_clusters_order_two_one_per_quadruple():
-    quads = [_quad(*TEA_COFFEE), _quad("x a", "x b", "y a", "y b")]
-    clusters = find_analogy_clusters(quads, order=2)
-    assert len(clusters) == 2
-    assert all(len(c) == 2 for c in clusters)
-
-
-def test_clusters_order_three_closed_chain():
-    # A:B::C:D, C:D::E:F, E:F::A:B -> one cluster of three pairs
-    quads = [
-        _quad("a x", "a y", "b x", "b y"),
-        _quad("b x", "b y", "c x", "c y"),
-        _quad("c x", "c y", "a x", "a y"),
-    ]
-    clusters = find_analogy_clusters(quads, order=3)
-    assert len(clusters) == 1
-    assert len(clusters[0]) == 3
-
-
-def test_clusters_order_three_open_chain_empty():
-    quads = [
-        _quad("a x", "a y", "b x", "b y"),
-        _quad("b x", "b y", "c x", "c y"),
-    ]
-    assert find_analogy_clusters(quads, order=3) == []
-
-
-def test_clusters_order_three_typically_empty_on_random_sample():
-    # two template families and random filler: quadruples exist, but closed
-    # three-chains would need character-count coincidences and do not occur
-    rng = random.Random(44)
-    vocab = [f"{a}{b}" for a in ("ka", "to", "mi", "zu") for b in ("ra", "le", "ni")]
-    sentences = []
-    for _ in range(60):
-        kind = rng.random()
-        if kind < 0.2:
-            sentences.append(["ala", "ma"] + [rng.choice(_SLOT_WORDS)])
-        elif kind < 0.4:
-            sentences.append(["on", "widzi"] + [rng.choice(_SLOT_WORDS)])
-        else:
-            sentences.append([rng.choice(vocab) for _ in range(rng.randint(3, 7))])
-    quads = find_analogies(sentences, 4)
-    assert quads  # quadruples exist, but no closed three-chains among them
-    assert find_analogy_clusters(quads, order=3) == []
-
-
-def test_clusters_order_validation():
-    with pytest.raises(ValueError):
-        find_analogy_clusters([], order=1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 
-from bimine import miner
+from bimine import cli, metrics, miner, pipeline
 from bimine.cli import main
 from bimine.corpus_io import read_bitext, write_bitext
 from bimine.pipeline import PipelineConfig, PipelineError, run_pipeline
@@ -51,8 +52,7 @@ def workdir(tmp_path_factory, world):
                  "--epochs", "10"]) == 0
     mined_path = tmp_path / "mined.tsv"
     assert main(["mine", "--store", str(store), "--model", str(model_path),
-                 "--lexicon", str(lex_path), "--out", str(mined_path),
-                 "--workers", "2"]) == 0
+                 "--lexicon", str(lex_path), "--out", str(mined_path)]) == 0
     return tmp_path
 
 
@@ -68,6 +68,19 @@ def test_mine_produces_pairs(workdir):
     corpus = read_bitext(workdir / "mined.tsv")
     assert len(corpus.pairs) > 20
     assert all(0.0 <= p.score <= 1.0 for p in corpus.pairs)
+
+
+def test_mine_defaults_to_model_threshold(workdir, tmp_path):
+    model_path = tmp_path / "strict.json"
+    assert main(["classifier", "train", "--seed", str(workdir / "seed.tsv"),
+                 "--lexicon", str(workdir / "lexicon.tsv"), "--out", str(model_path),
+                 "--epochs", "10", "--threshold", "0.9"]) == 0
+    mined_path = tmp_path / "mined.tsv"
+    assert main(["mine", "--store", str(workdir / "store.jsonl"),
+                 "--model", str(model_path), "--lexicon", str(workdir / "lexicon.tsv"),
+                 "--out", str(mined_path)]) == 0
+    scores = [p.score for p in read_bitext(mined_path).pairs]
+    assert scores and min(scores) >= 0.9
 
 
 def test_sample_and_stats(workdir, capsys):
@@ -227,7 +240,7 @@ def _pipeline_config(tmp_path, world, bidirectional=True):
                    "links": str(links)},
         "lexicon": {"iterations": 5},
         "classifier": {"epochs": 10, "seed": 2},
-        "mining": {"workers": 2, "bidirectional": bidirectional},
+        "mining": {"bidirectional": bidirectional},
         "analogy": {"max_distance": 4},
         "eval": {"segments": 10, "per_segment": 2, "seed": 5},
     }), encoding="utf-8")
@@ -264,6 +277,76 @@ def test_pipeline_full_run_and_determinism(world, tmp_path):
         assert (workdir / name).read_bytes() == blob, name
     for name, blob in first_manifests.items():
         assert (workdir / name).read_bytes() == blob, name
+
+
+def test_cli_steps_write_the_pipeline_artifacts(world, tmp_path):
+    config_path, workdir = _pipeline_config(tmp_path, world)
+    run_pipeline(PipelineConfig.from_json(config_path),
+                 ["ingest", "lexicon", "classifier", "mine", "merge", "filter"])
+    doc = json.loads(config_path.read_text(encoding="utf-8"))
+    ingest, seed = doc["ingest"], doc["seed_corpus"]
+    out = tmp_path / "cli"
+    out.mkdir()
+    # the reverse direction runs on a flipped seed and a flipped store
+    rev_seed, rev_links = tmp_path / "seed.rev.tsv", tmp_path / "links.rev.tsv"
+    write_bitext(rev_seed, read_bitext(seed, flip=True), with_score=False)
+    links = Path(ingest["links"]).read_text(encoding="utf-8").splitlines()
+    rev_links.write_text("".join("\t".join(reversed(line.split("\t"))) + "\n"
+                                 for line in links), encoding="utf-8")
+    for suffix, (src_dump, tgt_dump, links, seed_path, src, tgt) in {
+            "": (ingest["src_dump"], ingest["tgt_dump"], ingest["links"], seed, "pl", "en"),
+            ".rev": (ingest["tgt_dump"], ingest["src_dump"], rev_links, rev_seed, "en", "pl"),
+    }.items():
+        store, lex = out / f"store{suffix}.jsonl", out / f"lexicon{suffix}.tsv"
+        model = out / f"classifier{suffix}.json"
+        mined = out / ("mined.rev.tsv" if suffix else "mined.fwd.tsv")
+        for argv in (
+                ["ingest", "--src-dump", src_dump, "--tgt-dump", tgt_dump,
+                 "--links", links, "--out", store, "--src-lang", src, "--tgt-lang", tgt],
+                ["lexicon", "train", "--seed", seed_path, "--iters", "5", "--out", lex],
+                ["classifier", "train", "--seed", seed_path, "--lexicon", lex,
+                 "--out", model, "--src-lang", src, "--tgt-lang", tgt,
+                 "--epochs", "10", "--seed-rng", "2"],
+                ["mine", "--store", store, "--model", model, "--lexicon", lex,
+                 "--out", mined]):
+            assert main([str(arg) for arg in argv]) == 0
+    for argv in (
+            ["merge-bidi", "--fwd", out / "mined.fwd.tsv", "--rev", out / "mined.rev.tsv",
+             "--out", out / "mined.tsv", "--stats", out / "overlap_stats.json"],
+            ["filter", "trivial", "--in", out / "mined.tsv", "--out", out / "trivial.tsv",
+             "--min-chars", "10"],
+            ["filter", "cascade", "--in", out / "trivial.tsv", "--lexicon", out / "lexicon.tsv",
+             "--kept", out / "filtered.tsv", "--rejected", out / "rejected.tsv",
+             "--report", out / "cascade_report.json"]):
+        assert main([str(arg) for arg in argv]) == 0
+    for name in ["store.jsonl", "lexicon.tsv", "lexicon.rev.tsv", "classifier.json",
+                 "classifier.rev.json", "mined.fwd.tsv", "mined.rev.tsv", "mined.tsv",
+                 "overlap_stats.json", "filtered.tsv", "rejected.tsv"]:
+        assert (out / name).read_bytes() == (workdir / name).read_bytes(), name
+
+
+def test_benchmark_hook_points(world, tmp_path, monkeypatch):
+    assert set(pipeline._STAGE_FUNCS) == set(pipeline.STAGES)
+    config_path, workdir = _pipeline_config(tmp_path, world, bidirectional=False)
+    run_pipeline(PipelineConfig.from_json(config_path),
+                 ["ingest", "lexicon", "classifier", "mine", "merge", "filter"])
+    hooked = []
+    monkeypatch.setattr(cli, "run_pipeline", lambda config, stages: hooked.append(stages))
+    assert main(["pipeline", "--config", str(config_path), "--stages", "eval"]) == 0
+    assert hooked == [["eval"]]
+    monkeypatch.setattr(metrics, "bleu", lambda corpus: 0.25)
+    run_pipeline(PipelineConfig.from_json(config_path), ["eval"])
+    report = json.loads((workdir / "eval_report.json").read_text(encoding="utf-8"))
+    assert report["scores"]["bleu"] == 0.25
+
+
+def test_pipeline_config_accepts_only_one_worker(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text('{"workdir": "x", "mining": {"workers": 1}}', encoding="utf-8")
+    assert PipelineConfig.from_json(path).mining["workers"] == 1
+    path.write_text('{"workdir": "x", "mining": {"workers": 4}}', encoding="utf-8")
+    with pytest.raises(PipelineError, match="mining.workers"):
+        PipelineConfig.from_json(path)
 
 
 def test_pipeline_missing_upstream_names_stage(world, tmp_path):

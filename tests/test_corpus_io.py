@@ -1,7 +1,8 @@
 import random
+import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bimine.corpus_io import (
     BiSentence,
@@ -9,6 +10,7 @@ from bimine.corpus_io import (
     clean_document,
     corpus_stats,
     pair_articles,
+    read_article_dump,
     read_article_store,
     read_bitext,
     sample_test_set,
@@ -142,6 +144,22 @@ def test_clean_empty():
 @settings(max_examples=200)
 @given(st.text(alphabet="ab <>{}|[]'=&;ref!-\n.", max_size=80))
 def test_clean_idempotent(text):
+    once = clean_document(text)
+    assert clean_document(once) == once
+
+
+# template and table blocks nested to any depth, with stray brackets inside
+_NESTED_MARKUP = st.lists(
+    st.tuples(st.sampled_from(["{{", "{|"]), st.text(alphabet="a |{}", max_size=3)),
+    max_size=40,
+).map(lambda levels: "x " + "".join(o + filler for o, filler in levels)
+      + "".join("}}" if o == "{{" else "|}" for o, _ in reversed(levels)) + " y")
+
+
+@settings(max_examples=200)
+@example("x " + "{{a " * 20 + "}}" * 20 + " y")
+@given(_NESTED_MARKUP)
+def test_clean_idempotent_on_nested_markup(text):
     once = clean_document(text)
     assert clean_document(once) == once
 
@@ -469,6 +487,20 @@ def test_bitext_flip_on_load(tmp_path):
     write_bitext(path, BitextCorpus([BiSentence("src", "tgt", 0.5)]))
     flipped = read_bitext(path, flip=True)
     assert (flipped.pairs[0].src, flipped.pairs[0].tgt) == ("tgt", "src")
+
+
+def test_bitext_bad_score_names_file_and_line(tmp_path):
+    path = tmp_path / "c.tsv"
+    path.write_text("a\tx\t0.5\nb\ty\tnot-a-score\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 2: "):
+        read_bitext(path)
+
+
+def test_article_dump_invalid_json_names_file_and_line(tmp_path):
+    path = tmp_path / "dump.jsonl"
+    path.write_text('{"title": "a", "text": "b"}\n{"title": \n', encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 2: "):
+        read_article_dump(path)
 
 
 def test_article_store_roundtrip(tmp_path):

@@ -7,7 +7,6 @@ from bimine.corpus_io import BiSentence, BitextCorpus
 from bimine.lexicon import (
     TranslationLexicon,
     gloss_translate,
-    lookup,
     read_lexicon,
     train_lexicon,
     write_lexicon,
@@ -67,7 +66,7 @@ def test_das_haus_argmax():
     seed = BitextCorpus([BiSentence("das haus", "the house"),
                          BiSentence("das buch", "the book")])
     lex = train_lexicon(seed, iterations=10)
-    assert lookup(lex, "das", 1)[0][0] == "the"
+    assert lex.entries["das"][0][0] == "the"
 
 
 def test_em_matches_naive_oracle():
@@ -138,17 +137,17 @@ def test_rows_normalized_after_pruning():
 
 def test_lookup_known_word():
     lex = train_lexicon(BitextCorpus([BiSentence("a", "x")]))
-    assert lookup(lex, "a", 1) == [("x", 1.0)]
+    assert lex.entries["a"][:1] == [("x", 1.0)]
 
 
 def test_lookup_unknown_word():
     lex = train_lexicon(BitextCorpus([BiSentence("a", "x")]))
-    assert lookup(lex, "qq", 3) == []
+    assert "qq" not in lex.entries
 
 
 def test_lookup_k_larger_than_entries():
     lex = train_lexicon(BitextCorpus([BiSentence("a b", "x y")]))
-    assert len(lookup(lex, "a", 50)) == 2
+    assert len(lex.entries["a"][:50]) == 2
 
 
 def test_gloss_paper_example():

@@ -8,7 +8,6 @@ from bimine.corpus_io import (
     BitextCorpus,
     Document,
     segment_sentences,
-    write_bitext,
 )
 from bimine.miner import OverlapStats, merge_bidirectional, mine_corpus, mine_pair
 
@@ -63,25 +62,10 @@ def test_mine_pair_recovers_planted_links(small_model, small_lexicon,
 # ---------------------------------------------------------------------------
 # mine_corpus
 
-def test_mine_corpus_worker_independence(small_model, small_lexicon,
-                                         small_articles, tmp_path):
-    articles, _ = small_articles
-    outputs = []
-    for workers in (1, 2, 8):
-        corpus, log = mine_corpus(articles, small_model, small_lexicon,
-                                  workers=workers)
-        path = tmp_path / f"mined{workers}.tsv"
-        write_bitext(path, corpus)
-        outputs.append(path.read_bytes())
-        assert len(log) == len(articles)
-    assert outputs[0] == outputs[1] == outputs[2]
-
-
 def test_mine_corpus_ordered_by_article_id(small_model, small_lexicon,
                                            small_articles):
     articles, _ = small_articles
-    corpus, log = mine_corpus(list(reversed(articles)), small_model,
-                              small_lexicon, workers=4)
+    corpus, log = mine_corpus(reversed(articles), small_model, small_lexicon)
     ids = [bs.origin[0] for bs in corpus.pairs]
     assert ids == sorted(ids)
     assert [entry["article_id"] for entry in log] == list(range(len(articles)))
@@ -90,11 +74,6 @@ def test_mine_corpus_ordered_by_article_id(small_model, small_lexicon,
 def test_mine_corpus_empty_store(small_model, small_lexicon):
     corpus, log = mine_corpus([], small_model, small_lexicon)
     assert corpus.pairs == [] and log == []
-
-
-def test_mine_corpus_worker_validation(small_model, small_lexicon):
-    with pytest.raises(ValueError):
-        mine_corpus([], small_model, small_lexicon, workers=0)
 
 
 def test_mine_corpus_euronews_scale(world, small_model, small_lexicon):
@@ -106,7 +85,7 @@ def test_mine_corpus_euronews_scale(world, small_model, small_lexicon):
     corpus = make_parallel(world, rng, 4498 * 3)
     articles, _ = make_articles(world, rng, corpus, n_articles=4498,
                                 sentences_per_article=3)
-    _, log = mine_corpus(articles, small_model, small_lexicon, workers=4)
+    _, log = mine_corpus(articles, small_model, small_lexicon)
     assert len(log) == 4498
     assert [entry["article_id"] for entry in log] == list(range(4498))
 
