@@ -27,6 +27,7 @@ class AlignmentResult:
     gaps_src: set[int] = field(default_factory=set)
     gaps_tgt: set[int] = field(default_factory=set)
     total_cost: float = 0.0
+    cells_scored: int = 0  # lattice cells whose similarity was computed
 
 
 class _SimCache:
@@ -92,6 +93,7 @@ def _backtrack(n: int, m: int, gap_cost: float, cache: _SimCache,
                 continue
         raise AssertionError("alignment backtrack lost the optimal path")
     result.links.reverse()
+    result.cells_scored = len(cache.cache)
     return result
 
 

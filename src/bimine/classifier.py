@@ -54,8 +54,61 @@ def _is_digit_token(token: str) -> bool:
     return any(ch.isdigit() for ch in token) and not any(ch.isalpha() for ch in token)
 
 
-def extract_features(src_tokens: Sequence[str], tgt_tokens: Sequence[str],
-                     lex: TranslationLexicon) -> FeatureVector:
+@dataclass(frozen=True, slots=True)
+class SourceRecord:
+    """The facts about one source sentence that its features need.
+
+    ``rows`` holds the lexicon row of each token the lexicon knows, in token
+    order; ``best`` maps each target token to its best translation
+    probability from any of the sentence's distinct tokens.
+    """
+
+    n_tokens: int
+    n_chars: int
+    rows: tuple[Sequence[tuple[str, float]], ...]
+    best: dict[str, float]
+    digits: frozenset[str]
+
+
+@dataclass(frozen=True, slots=True)
+class TargetRecord:
+    """The facts about one target sentence that its features need."""
+
+    tokens: tuple[str, ...]
+    n_tokens: int
+    n_chars: int
+    token_set: frozenset[str]
+    digits: frozenset[str]
+
+
+def _check_nonempty(tokens: Sequence[str]) -> None:
+    if not tokens:
+        raise ValueError("cannot extract features from an empty sentence")
+
+
+def source_record(tokens: Sequence[str], lex: TranslationLexicon) -> SourceRecord:
+    """Look up a source sentence's lexicon rows once, for all its pairings."""
+    _check_nonempty(tokens)
+    entries = lex.entries
+    rows = tuple(entries[s] for s in tokens if entries.get(s))
+    best: dict[str, float] = {}
+    for s in set(tokens):
+        for t, p in entries.get(s, ()):
+            if p > best.get(t, 0.0):
+                best[t] = p
+    return SourceRecord(len(tokens), sum(len(t) for t in tokens), rows, best,
+                        frozenset(t for t in tokens if _is_digit_token(t)))
+
+
+def target_record(tokens: Sequence[str]) -> TargetRecord:
+    """Collect a target sentence's token facts once, for all its pairings."""
+    _check_nonempty(tokens)
+    return TargetRecord(tuple(tokens), len(tokens), sum(len(t) for t in tokens),
+                        frozenset(tokens),
+                        frozenset(t for t in tokens if _is_digit_token(t)))
+
+
+def pair_features(src: SourceRecord, tgt: TargetRecord) -> FeatureVector:
     """Compute the five [0,1] features for a candidate sentence pair.
 
     Coverage source->target credits each source token with the summed
@@ -63,43 +116,42 @@ def extract_features(src_tokens: Sequence[str], tgt_tokens: Sequence[str],
     by normalization); target->source uses the best available probability
     per target token.
     """
-    if not src_tokens or not tgt_tokens:
-        raise ValueError("cannot extract features from an empty sentence")
-    n_src, n_tgt = len(src_tokens), len(tgt_tokens)
+    n_src, n_tgt = src.n_tokens, tgt.n_tokens
     len_ratio = min(n_src, n_tgt) / max(n_src, n_tgt)
-    c_src = sum(len(t) for t in src_tokens)
-    c_tgt = sum(len(t) for t in tgt_tokens)
+    c_src, c_tgt = src.n_chars, tgt.n_chars
     char_ratio = min(c_src, c_tgt) / max(c_src, c_tgt)
 
-    tgt_set = set(tgt_tokens)
+    # tokens without a lexicon row would add min(0.0, 1.0), which leaves
+    # the sum unchanged, so rows holds only the known tokens
+    tgt_set = tgt.token_set
     cov = 0.0
-    for s in src_tokens:
+    for row in src.rows:
         credit = 0.0
-        for t, p in lex.entries.get(s, ()):
+        for t, p in row:
             if t in tgt_set:
                 credit += p
         cov += min(credit, 1.0)
     cov_st = cov / n_src
 
-    src_set = set(src_tokens)
+    best = src.best
     cov = 0.0
-    for t in tgt_tokens:
-        best = 0.0
-        for s in src_set:
-            for tt, p in lex.entries.get(s, ()):
-                if tt == t and p > best:
-                    best = p
-        cov += best
+    for t in tgt.tokens:
+        cov += best.get(t, 0.0)
     cov_ts = cov / n_tgt
 
-    src_digits = {t for t in src_tokens if _is_digit_token(t)}
-    tgt_digits = {t for t in tgt_tokens if _is_digit_token(t)}
+    src_digits, tgt_digits = src.digits, tgt.digits
     if not src_digits and not tgt_digits:
         num_overlap = 1.0
     else:
         num_overlap = len(src_digits & tgt_digits) / len(src_digits | tgt_digits)
 
     return FeatureVector(len_ratio, char_ratio, cov_st, cov_ts, num_overlap)
+
+
+def extract_features(src_tokens: Sequence[str], tgt_tokens: Sequence[str],
+                     lex: TranslationLexicon) -> FeatureVector:
+    """``pair_features`` of one token-list pair."""
+    return pair_features(source_record(src_tokens, lex), target_record(tgt_tokens))
 
 
 def calibrate(raw_margins: Sequence[tuple[float, int]]) -> tuple[float, float]:
@@ -180,10 +232,9 @@ def _sigmoid_ab(margin: float, a: float, b: float) -> float:
     return min(max(p, 1e-15), 1.0 - 1e-15)
 
 
-def similarity(model: SimilarityModel, src_tokens: Sequence[str],
-               tgt_tokens: Sequence[str], lex: TranslationLexicon) -> float:
+def similarity(model: SimilarityModel, src: SourceRecord, tgt: TargetRecord) -> float:
     """Calibrated likelihood in (0, 1) that the pair is a mutual translation."""
-    features = extract_features(src_tokens, tgt_tokens, lex)
+    features = pair_features(src, tgt)
     return _sigmoid_ab(model.margin(features), model.platt_a, model.platt_b)
 
 
@@ -209,10 +260,14 @@ def train_model(seed: BitextCorpus, lex: TranslationLexicon,
                  for p in seed.pairs]
     tokenized = [(s, t) for s, t in tokenized if s and t]
     n = len(tokenized)
+    # a source meets its own and its negative targets in one iteration, so
+    # only the target records are kept for the whole loop
+    targets = [target_record(t) for _, t in tokenized]
 
     examples: list[tuple[tuple[float, ...], int]] = []
-    for i, (src, tgt) in enumerate(tokenized):
-        examples.append((extract_features(src, tgt, lex).as_tuple(), 1))
+    for i, (src_tokens, _) in enumerate(tokenized):
+        src = source_record(src_tokens, lex)
+        examples.append((pair_features(src, targets[i]).as_tuple(), 1))
         adjacent = i + 1 if i + 1 < n else i - 1
         neg_targets = [adjacent]
         while len(neg_targets) < neg_per_pos:
@@ -220,7 +275,7 @@ def train_model(seed: BitextCorpus, lex: TranslationLexicon,
             if j != i:
                 neg_targets.append(j)
         for j in neg_targets:
-            examples.append((extract_features(src, tokenized[j][1], lex).as_tuple(), -1))
+            examples.append((pair_features(src, targets[j]).as_tuple(), -1))
 
     rng.shuffle(examples)
     n_held = max(1, len(examples) // 10)

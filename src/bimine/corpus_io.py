@@ -169,7 +169,7 @@ def tokenize(text: str, lowercase: bool = False,
 # ---------------------------------------------------------------------------
 # sentence segmentation
 
-_TERMINATORS = ".!?"
+_TERMINATOR_RE = re.compile(r"[.!?]")
 _CLOSERS = "\"'”’)]«»"
 
 
@@ -180,48 +180,49 @@ def segment_sentences(doc_body: str,
     Rule-based: a terminator (. ! ?) followed by whitespace and an uppercase
     letter or digit ends a sentence, except after a listed abbreviation or a
     single uppercase initial.  Joining the sentence texts and collapsing
-    whitespace reproduces the input.
+    whitespace reproduces the input.  Each terminator looks only at its own
+    word and the whitespace after it, so the cost is linear in the length.
     """
     abbrevs = DEFAULT_ABBREVIATIONS if abbreviations is None else abbreviations
     text = doc_body
     sentences: list[Sentence] = []
     start = 0
-    i = 0
     n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in _TERMINATORS:
-            end = i + 1
-            while end < n and text[end] in _CLOSERS:
-                end += 1
-            if _is_boundary(text, i, end, abbrevs):
-                _push(sentences, text[start:end])
-                start = end
-                i = end
-                continue
-        i += 1
+    for match in _TERMINATOR_RE.finditer(text):
+        term = match.start()
+        end = term + 1
+        while end < n and text[end] in _CLOSERS:
+            end += 1
+        if _is_boundary(text, term, end, abbrevs):
+            _push(sentences, text[start:end])
+            start = end
     _push(sentences, text[start:])
     return sentences
 
 
 def _is_boundary(text: str, term: int, end: int, abbrevs: frozenset[str]) -> bool:
-    if end >= len(text):
+    n = len(text)
+    if end >= n:
         return True
     if not text[end].isspace():
         return False
-    follow = text[end:].lstrip()
-    if not follow:
+    follow = end + 1
+    while follow < n and text[follow].isspace():
+        follow += 1
+    if follow == n:
         return True
-    if not (follow[0].isupper() or follow[0].isdigit()):
+    if not (text[follow].isupper() or text[follow].isdigit()):
         return False
     if text[term] == ".":
-        word = re.search(r"(\S+)$", text[: term + 1])
-        if word:
-            w = word.group(1)
-            if w in abbrevs or w.lower() in abbrevs:
-                return False
-            if len(w) == 2 and w[0].isupper() and w[1] == ".":
-                return False  # initials like "J."
+        # the word ending at the terminator: back to the previous whitespace
+        first = term
+        while first > 0 and not text[first - 1].isspace():
+            first -= 1
+        w = text[first:term + 1]
+        if w in abbrevs or w.lower() in abbrevs:
+            return False
+        if len(w) == 2 and w[0].isupper() and w[1] == ".":
+            return False  # initials like "J."
     return True
 
 

@@ -22,7 +22,7 @@ class TranslationLexicon:
     src_lang: str = ""
     tgt_lang: str = ""
     # log-likelihood of the parameters entering each EM round, oldest first;
-    # diagnostic only, not serialized
+    # the lexicon stage records it in its manifest, the lexicon file does not
     iteration_log_likelihood: list[float] = field(default_factory=list)
 
     def __len__(self) -> int:

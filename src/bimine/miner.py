@@ -7,12 +7,13 @@ reverse-direction mining runs and reports their overlap statistics.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Iterable
 
 from .aligner import align, threshold_filter
-from .classifier import SimilarityModel, similarity
+from .classifier import SimilarityModel, similarity, source_record, target_record
 from .corpus_io import ArticlePair, BiSentence, BitextCorpus, segment_sentences, write_json
 from .lexicon import TranslationLexicon
 
@@ -48,8 +49,12 @@ class OverlapStats:
 
 def mine_pair(pair: ArticlePair, model: SimilarityModel,
               lex: TranslationLexicon, gap_cost: float = 0.4,
-              threshold: float = 0.5) -> list[BiSentence]:
-    """Segment both articles, align, and keep links above the threshold."""
+              threshold: float = 0.5) -> tuple[list[BiSentence], dict]:
+    """Segment both articles, align, and keep links above the threshold.
+
+    Returns the kept pairs and the article's work counts: ``lattice_cells``
+    (source times target sentences) and ``cells_scored`` (similarity calls).
+    """
     if model.direction != (pair.src.lang, pair.tgt.lang):
         raise ValueError(
             f"model direction {model.direction} does not match article pair "
@@ -57,14 +62,15 @@ def mine_pair(pair: ArticlePair, model: SimilarityModel,
     src = segment_sentences(pair.src.body)
     tgt = segment_sentences(pair.tgt.body)
     if not src or not tgt:
-        return []
-
-    def sim(a, b) -> float:
-        return similarity(model, a.tokens, b.tokens, lex)
-
-    result = align(src, tgt, sim, gap_cost)
+        return [], {"lattice_cells": 0, "cells_scored": 0}
+    # each sentence's feature facts are computed once, not once per cell
+    result = align([source_record(s.tokens, lex) for s in src],
+                   [target_record(t.tokens) for t in tgt],
+                   functools.partial(similarity, model), gap_cost)
     direction = f"{pair.src.lang}-{pair.tgt.lang}"
-    return threshold_filter(result, threshold, src, tgt, pair.id, direction)
+    mined = threshold_filter(result, threshold, src, tgt, pair.id, direction)
+    return mined, {"lattice_cells": len(src) * len(tgt),
+                   "cells_scored": result.cells_scored}
 
 
 def mine_corpus(store: Iterable[ArticlePair], model: SimilarityModel,
@@ -72,15 +78,16 @@ def mine_corpus(store: Iterable[ArticlePair], model: SimilarityModel,
                 threshold: float = 0.5) -> tuple[BitextCorpus, list[dict]]:
     """Mine every article pair of a streamed store with one model and lexicon.
 
-    Returns the mined corpus ordered by article id plus a per-article log.
+    Returns the mined corpus ordered by article id plus a per-article log of
+    the mined count and the work counts of ``mine_pair``.
     """
-    outcomes = sorted(((pair.id, mine_pair(pair, model, lex, gap_cost, threshold))
+    outcomes = sorted(((pair.id, *mine_pair(pair, model, lex, gap_cost, threshold))
                        for pair in store), key=lambda item: item[0])
     pairs: list[BiSentence] = []
     log = []
-    for article_id, mined in outcomes:
+    for article_id, mined, work in outcomes:
         pairs.extend(mined)
-        log.append({"article_id": article_id, "mined": len(mined)})
+        log.append({"article_id": article_id, "mined": len(mined), **work})
     corpus = BitextCorpus(pairs, model.direction[0], model.direction[1])
     return corpus, log
 

@@ -155,7 +155,8 @@ def train_lexicon(seed, out, iterations: int, prune_below: float,
     lex = lexicon_mod.train_lexicon(corpus_io.read_bitext(seed, flip=flip),
                                     iterations, prune_below)
     lexicon_mod.write_lexicon(out, lex)
-    return {"entries": len(lex)}
+    return {"entries": len(lex),
+            "iteration_log_likelihood": lex.iteration_log_likelihood}
 
 
 def train_classifier(seed, lexicon, out, src_lang: str, tgt_lang: str, *,
@@ -174,13 +175,17 @@ def train_classifier(seed, lexicon, out, src_lang: str, tgt_lang: str, *,
     return {}
 
 
+_MINE_WORK = ("lattice_cells", "cells_scored")
+
+
 def mine(store, model, lexicon, out, *, gap_cost: float,
          threshold: float | None = None, log=None, flip: bool = False) -> dict:
     """Mine parallel sentences from an article-pair store and write them.
 
     A ``threshold`` of None means the one stored in the model.  ``flip``
     mines the reverse direction, reading each stored pair target side first.
-    ``log`` gets one JSON line per article.
+    ``log`` gets one JSON line per article.  The counts sum the articles'
+    lattice cells and the cells whose similarity was computed.
     """
     sim_model = classifier_mod.load_model(model)
     lex = lexicon_mod.read_lexicon(lexicon, *sim_model.direction)
@@ -195,7 +200,8 @@ def mine(store, model, lexicon, out, *, gap_cost: float,
         with open(log, "w", encoding="utf-8") as fh:
             for entry in article_log:
                 fh.write(json.dumps(entry, sort_keys=True) + "\n")
-    return {"articles": len(article_log), "mined": len(corpus.pairs)}
+    return {"articles": len(article_log), "mined": len(corpus.pairs),
+            **{key: sum(entry[key] for entry in article_log) for key in _MINE_WORK}}
 
 
 def merge(fwd, rev, out, stats) -> dict:
@@ -328,7 +334,8 @@ def _stage_lexicon(config: PipelineConfig) -> None:
     counts = train(outputs[0])
     if config.mining.get("bidirectional"):
         outputs.append(config.path("lexicon.rev.tsv"))
-        counts["entries_rev"] = train(outputs[1], flip=True)["entries"]
+        rev = train(outputs[1], flip=True)
+        counts.update({f"{key}_rev": value for key, value in rev.items()})
     _write_manifest(config, "lexicon", params, [seed], outputs, counts)
     _log(f"lexicon: {counts} -> {outputs[0]}")
 
@@ -362,13 +369,14 @@ def _stage_mine(config: PipelineConfig) -> None:
     fwd = run(_require(config, config.path("classifier.json")),
               _require(config, config.path("lexicon.tsv")), fwd_out, log=log)
     outputs = [fwd_out, log]
-    counts = {"articles": fwd["articles"], "mined_fwd": fwd["mined"]}
+    counts = {"articles": fwd["articles"],
+              **{f"{key}_fwd": fwd[key] for key in ("mined", *_MINE_WORK)}}
     if params.get("bidirectional"):
         rev_out = config.path("mined.rev.tsv")
         rev = run(_require(config, config.path("classifier.rev.json")),
                   _require(config, config.path("lexicon.rev.tsv")), rev_out, flip=True)
         outputs.append(rev_out)
-        counts["mined_rev"] = rev["mined"]
+        counts.update({f"{key}_rev": rev[key] for key in ("mined", *_MINE_WORK)})
     _write_manifest(config, "mine", params, [store], outputs, counts)
     _log(f"mine: {counts}")
 

@@ -6,6 +6,7 @@ brute-force enumerations, breadth-first shift search); tolerances are fixed
 here and nowhere else.
 """
 
+import hashlib
 import itertools
 import json
 import random
@@ -121,6 +122,20 @@ def test_criterion_03_synthetic_mining_end_to_end(mining_fixture):
     _report(3, f"mining 200 articles: precision {precision:.3f} (>= 0.9), "
                f"recall {recall:.3f} (>= 0.8), {elapsed:.1f}s single worker "
                f"(< 120s)")
+
+
+# sha256 of the criterion-3 mined corpus (text, score, provenance) that
+# per-pair feature extraction produced; per-sentence records must reproduce it
+_CRITERION_03_SHA256 = "8f6ea29d317b5f7ce6b0a0ff05d37af578d6d23fc5c0ce40a5fdbec42de521e1"
+
+
+def test_criterion_03_mined_output_pinned_digest(mining_fixture):
+    _world, _corpus, lex, model, articles, _truth = mining_fixture
+    mined, _ = mine_corpus(articles, model, lex, gap_cost=0.4, threshold=0.5)
+    assert len(mined.pairs) == 3963
+    blob = json.dumps([[p.src, p.tgt, p.score, list(p.origin)] for p in mined.pairs],
+                      ensure_ascii=False)
+    assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == _CRITERION_03_SHA256
 
 
 def test_criterion_04_bidirectional_merge_arithmetic():

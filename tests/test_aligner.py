@@ -141,9 +141,12 @@ def test_similarity_memoized_once_per_node():
         calls[(a, b)] = calls.get((a, b), 0) + 1
         return 0.5
 
-    align(list(range(8)), list(range(8)), counting_sim, 0.4)
+    result = align(list(range(8)), list(range(8)), counting_sim, 0.4)
     assert all(count == 1 for count in calls.values())
     assert len(calls) <= 64
+    assert result.cells_scored == len(calls)
+    assert align_bruteforce(list(range(8)), list(range(8)), counting_sim,
+                            0.4).cells_scored == 64
 
 
 def test_astar_explores_less_than_full_lattice():

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bimine.classifier import (
     FEATURE_NAMES,
@@ -10,8 +11,11 @@ from bimine.classifier import (
     calibrate,
     extract_features,
     load_model,
+    pair_features,
     save_model,
     similarity,
+    source_record,
+    target_record,
     train_model,
 )
 from bimine.corpus_io import BiSentence, BitextCorpus
@@ -76,6 +80,75 @@ def test_features_bounded():
         fv = extract_features(src, tgt, lex)
         for value in fv.as_tuple():
             assert 0.0 <= value <= 1.0
+
+
+def _reference_features(src_tokens, tgt_tokens, lex):
+    # the earlier per-pair formula, which rescans the lexicon for every pair
+    def digits(tokens):
+        return {t for t in tokens if any(c.isdigit() for c in t)
+                and not any(c.isalpha() for c in t)}
+
+    n_src, n_tgt = len(src_tokens), len(tgt_tokens)
+    c_src = sum(len(t) for t in src_tokens)
+    c_tgt = sum(len(t) for t in tgt_tokens)
+    tgt_set = set(tgt_tokens)
+    cov = 0.0
+    for s in src_tokens:
+        credit = 0.0
+        for t, p in lex.entries.get(s, ()):
+            if t in tgt_set:
+                credit += p
+        cov += min(credit, 1.0)
+    cov_st = cov / n_src
+    cov = 0.0
+    for t in tgt_tokens:
+        best = 0.0
+        for s in set(src_tokens):
+            for tt, p in lex.entries.get(s, ()):
+                if tt == t and p > best:
+                    best = p
+        cov += best
+    cov_ts = cov / n_tgt
+    src_digits, tgt_digits = digits(src_tokens), digits(tgt_tokens)
+    num_overlap = (1.0 if not src_digits and not tgt_digits else
+                   len(src_digits & tgt_digits) / len(src_digits | tgt_digits))
+    return (min(n_src, n_tgt) / max(n_src, n_tgt), min(c_src, c_tgt) / max(c_src, c_tgt),
+            cov_st, cov_ts, num_overlap)
+
+
+# source words the lexicon may or may not know, digit tokens, punctuation
+_SRC_VOCAB = ["ka", "to", "mi", "zu", "pro", "7", "1920", "x1", "."]
+_TGT_VOCAB = ["ben", "dor", "fil", "gan", "7", "1920", "1921", ".", "x1"]
+# rows need not sum to 1 and may repeat a target, so min(credit, 1) and the
+# best-probability rule both matter
+_LEXICONS = st.dictionaries(
+    st.sampled_from(_SRC_VOCAB),
+    st.lists(st.tuples(st.sampled_from(_TGT_VOCAB),
+                       st.floats(min_value=0.0, max_value=1.0)), max_size=5),
+    max_size=len(_SRC_VOCAB))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_LEXICONS,
+       st.lists(st.sampled_from(_SRC_VOCAB), min_size=1, max_size=8),
+       st.lists(st.sampled_from(_TGT_VOCAB), min_size=1, max_size=8))
+def test_features_equal_reference_formula_bit_for_bit(entries, src, tgt):
+    lex = TranslationLexicon(entries=entries)
+    got = extract_features(src, tgt, lex).as_tuple()
+    assert [x.hex() for x in got] == [x.hex() for x in _reference_features(src, tgt, lex)]
+
+
+def test_records_reused_across_pairings(small_lexicon, small_seed_corpus):
+    from bimine.corpus_io import tokenize
+
+    sentences = [(tokenize(p.src, lowercase=True), tokenize(p.tgt, lowercase=True))
+                 for p in small_seed_corpus.pairs[:30]]
+    sources = [source_record(s, small_lexicon) for s, _ in sentences]
+    targets = [target_record(t) for _, t in sentences]
+    for i, (src, _) in enumerate(sentences):
+        for j, (_, tgt) in enumerate(sentences):
+            assert pair_features(sources[i], targets[j]) == \
+                FeatureVector(*_reference_features(src, tgt, small_lexicon))
 
 
 # ---------------------------------------------------------------------------
@@ -209,9 +282,10 @@ def test_similarity_separates_fixture_pairs(small_model, small_lexicon,
         src = tokenize(pair.src, lowercase=True)
         true_tgt = tokenize(pair.tgt, lowercase=True)
         other = tokenize(pairs[(i + 7) % len(pairs)].tgt, lowercase=True)
-        if similarity(small_model, src, true_tgt, small_lexicon) > small_model.threshold:
+        src_rec = source_record(src, small_lexicon)
+        if similarity(small_model, src_rec, target_record(true_tgt)) > small_model.threshold:
             good += 1
-        if similarity(small_model, src, other, small_lexicon) < small_model.threshold:
+        if similarity(small_model, src_rec, target_record(other)) < small_model.threshold:
             bad += 1
     assert good >= 45
     assert bad >= 45
@@ -223,7 +297,8 @@ def test_similarity_strictly_inside_unit_interval(small_model, small_lexicon):
     for _ in range(300):
         src = [rng.choice(vocab) for _ in range(rng.randint(1, 7))]
         tgt = [rng.choice(vocab) for _ in range(rng.randint(1, 7))]
-        score = similarity(small_model, src, tgt, small_lexicon)
+        score = similarity(small_model, source_record(src, small_lexicon),
+                           target_record(tgt))
         assert 0.0 < score < 1.0
 
 
@@ -253,8 +328,9 @@ def test_model_roundtrip_identical_scores(tmp_path, small_model, small_lexicon):
     for _ in range(1000):
         src = [rng.choice(vocab) for _ in range(rng.randint(1, 6))]
         tgt = [rng.choice(vocab) for _ in range(rng.randint(1, 6))]
-        assert similarity(back, src, tgt, small_lexicon) == \
-            similarity(small_model, src, tgt, small_lexicon)
+        src_rec, tgt_rec = source_record(src, small_lexicon), target_record(tgt)
+        assert similarity(back, src_rec, tgt_rec) == \
+            similarity(small_model, src_rec, tgt_rec)
 
 
 def test_load_rejects_wrong_version(tmp_path):

@@ -270,6 +270,20 @@ def test_pipeline_full_run_and_determinism(world, tmp_path):
     # gloss translation of mined pairs scores far above chance
     assert report["scores"]["bleu"] > 0.1
 
+    lexicon_counts = json.loads(
+        (workdir / "manifest.lexicon.json").read_text(encoding="utf-8"))["counts"]
+    for suffix in ("", "_rev"):
+        assert len(lexicon_counts[f"iteration_log_likelihood{suffix}"]) == 5
+    mine_counts = json.loads(
+        (workdir / "manifest.mine.json").read_text(encoding="utf-8"))["counts"]
+    with open(workdir / "mine_log.jsonl", encoding="utf-8") as fh:
+        log = [json.loads(line) for line in fh]
+    for key in ("lattice_cells", "cells_scored"):
+        assert mine_counts[f"{key}_fwd"] == sum(entry[key] for entry in log)
+    for suffix in ("_fwd", "_rev"):
+        scored, cells = mine_counts[f"cells_scored{suffix}"], mine_counts[f"lattice_cells{suffix}"]
+        assert 0 < scored <= cells
+
     first = {name: (workdir / name).read_bytes() for name in ARTIFACTS}
     first_manifests = {m: (workdir / m).read_bytes() for m in manifests}
     assert main(["pipeline", "--config", str(config_path)]) == 0

@@ -1,10 +1,12 @@
 import random
 import re
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bimine.corpus_io import (
+    DEFAULT_ABBREVIATIONS,
     BiSentence,
     BitextCorpus,
     clean_document,
@@ -210,6 +212,76 @@ def test_segment_preserves_content(parts):
     body = " ".join(parts)
     joined = " ".join(s.text for s in segment_sentences(body))
     assert " ".join(joined.split()) == " ".join(body.split())
+
+
+# reference segmenter: the earlier implementation, which copies the rest of
+# the text and regex-scans everything before each terminator (quadratic)
+
+def _reference_boundary(text, term, end, abbrevs):
+    if end >= len(text):
+        return True
+    if not text[end].isspace():
+        return False
+    follow = text[end:].lstrip()
+    if not follow:
+        return True
+    if not (follow[0].isupper() or follow[0].isdigit()):
+        return False
+    if text[term] == ".":
+        word = re.search(r"(\S+)$", text[: term + 1])
+        if word:
+            w = word.group(1)
+            if w in abbrevs or w.lower() in abbrevs:
+                return False
+            if len(w) == 2 and w[0].isupper() and w[1] == ".":
+                return False
+    return True
+
+
+def _reference_segment(text):
+    spans, start, i = [], 0, 0
+    while i < len(text):
+        if text[i] in ".!?":
+            end = i + 1
+            while end < len(text) and text[end] in "\"'”’)]«»":
+                end += 1
+            if _reference_boundary(text, i, end, DEFAULT_ABBREVIATIONS):
+                spans.append(text[start:end])
+                start = i = end
+                continue
+        i += 1
+    spans.append(text[start:])
+    stripped = [span.strip() for span in spans if span.strip()]
+    return [(s, tuple(tokenize(s, lowercase=True)), k) for k, s in enumerate(stripped)]
+
+
+# terminators, closers, abbreviations, initials, digits, letters and
+# whitespace that str.isspace() accepts but a plain " " test would miss
+_SEGMENT_PIECES = [".", "!", "?", '"', "'", "”", "’", ")", "]", "«", "»",
+                   "Dr.", "dr.", "ok.", "U.S.", "e.g.", "J.", "j.", "Ab.",
+                   "a", "Ab", "z", "Z", "Ł", "7", "42", " ", "  ", "\n", "\t",
+                   "\xa0", " ", "　", "\x1c"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(_SEGMENT_PIECES), max_size=40).map("".join))
+@example("Dr. Smith arrived. He left.")
+@example("'.   \xa0 ”")
+def test_segment_equals_reference_segmenter(text):
+    # Sentence instances from two module copies never compare equal, so
+    # compare field tuples
+    got = [(s.text, s.tokens, s.index) for s in segment_sentences(text)]
+    assert got == _reference_segment(text)
+
+
+def test_segment_long_document_is_linear():
+    # 1000 sentences, each ending in an abbreviation check; the earlier
+    # implementation took seconds here
+    body = "Dr. Nowak met J. Smith at 5 p.m. in the U.S. Then they left. " * 1000
+    started = time.perf_counter()
+    sentences = segment_sentences(body)
+    assert time.perf_counter() - started < 1.0
+    assert len(sentences) == 1000
 
 
 # ---------------------------------------------------------------------------

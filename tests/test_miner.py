@@ -1,7 +1,7 @@
 import pytest
 
 from bimine.aligner import align, threshold_filter
-from bimine.classifier import similarity
+from bimine.classifier import similarity, source_record, target_record
 from bimine.corpus_io import (
     ArticlePair,
     BiSentence,
@@ -28,20 +28,24 @@ def test_mine_pair_language_mismatch(small_model, small_lexicon):
 
 
 def test_mine_pair_empty_article(small_model, small_lexicon):
-    assert mine_pair(_pair(0, "", "Something here."), small_model, small_lexicon) == []
+    assert mine_pair(_pair(0, "", "Something here."), small_model, small_lexicon) == \
+        ([], {"lattice_cells": 0, "cells_scored": 0})
 
 
 def test_mine_pair_equals_composed_stages(small_model, small_lexicon,
                                           small_articles):
     articles, _truth = small_articles
     pair = articles[0]
-    mined = mine_pair(pair, small_model, small_lexicon, 0.4, 0.5)
+    mined, work = mine_pair(pair, small_model, small_lexicon, 0.4, 0.5)
     src = segment_sentences(pair.src.body)
     tgt = segment_sentences(pair.tgt.body)
-    sim = lambda a, b: similarity(small_model, a.tokens, b.tokens, small_lexicon)
-    expected = threshold_filter(align(src, tgt, sim, 0.4), 0.5, src, tgt,
-                                pair.id, "pl-en")
+    sim = lambda a, b: similarity(small_model, source_record(a.tokens, small_lexicon),
+                                  target_record(b.tokens))
+    result = align(src, tgt, sim, 0.4)
+    expected = threshold_filter(result, 0.5, src, tgt, pair.id, "pl-en")
     assert mined == expected
+    assert work == {"lattice_cells": len(src) * len(tgt),
+                    "cells_scored": result.cells_scored}
 
 
 def test_mine_pair_recovers_planted_links(small_model, small_lexicon,
@@ -50,7 +54,7 @@ def test_mine_pair_recovers_planted_links(small_model, small_lexicon,
     recovered = set()
     emitted = 0
     for pair in articles:
-        for bs in mine_pair(pair, small_model, small_lexicon, 0.4, 0.5):
+        for bs in mine_pair(pair, small_model, small_lexicon, 0.4, 0.5)[0]:
             emitted += 1
             article_id, i, j, _ = bs.origin
             recovered.add((article_id, i, j))
@@ -69,6 +73,28 @@ def test_mine_corpus_ordered_by_article_id(small_model, small_lexicon,
     ids = [bs.origin[0] for bs in corpus.pairs]
     assert ids == sorted(ids)
     assert [entry["article_id"] for entry in log] == list(range(len(articles)))
+
+
+def test_mine_corpus_logs_work_counts(small_model, small_lexicon, small_articles,
+                                      monkeypatch):
+    # the scorer is looked up as bimine.miner.similarity and called once per
+    # scored cell; the log reports those cells per article
+    import bimine.miner as miner_mod
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return similarity(*args)
+
+    monkeypatch.setattr(miner_mod, "similarity", counting)
+    articles, _ = small_articles
+    _, log = mine_corpus(articles[:10], small_model, small_lexicon)
+    for entry, pair in zip(log, articles):
+        n = len(segment_sentences(pair.src.body))
+        m = len(segment_sentences(pair.tgt.body))
+        assert entry["lattice_cells"] == n * m
+        assert 0 < entry["cells_scored"] <= n * m
+    assert sum(entry["cells_scored"] for entry in log) == len(calls)
 
 
 def test_mine_corpus_empty_store(small_model, small_lexicon):
