@@ -28,6 +28,7 @@ class AlignmentResult:
     gaps_tgt: set[int] = field(default_factory=set)
     total_cost: float = 0.0
     cells_scored: int = 0  # lattice cells whose similarity was computed
+    pops: int = 0  # A* heap pops, stale entries included; 0 from align_bruteforce
 
 
 class _SimCache:
@@ -122,8 +123,10 @@ def align(src: Sequence, tgt: Sequence, sim: Callable[[object, object], float],
     heap: list[tuple[float, int, float, int, int]] = [(heuristic(0, 0), 0, 0.0, 0, 0)]
     counter = 1
     bound: float | None = None
+    pops = 0
     while heap:
         f, _, g, i, j = heapq.heappop(heap)
+        pops += 1
         if g > dist.get((i, j), g):
             continue  # superseded by a cheaper path
         if bound is not None and f > bound:
@@ -146,7 +149,9 @@ def align(src: Sequence, tgt: Sequence, sim: Callable[[object, object], float],
                 heapq.heappush(
                     heap, (tentative + heuristic(ni, nj), counter, tentative, ni, nj))
                 counter += 1
-    return _backtrack(n, m, gap_cost, cache, lambda i, j: dist.get((i, j)))
+    result = _backtrack(n, m, gap_cost, cache, lambda i, j: dist.get((i, j)))
+    result.pops = pops
+    return result
 
 
 def align_bruteforce(src: Sequence, tgt: Sequence,

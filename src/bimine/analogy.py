@@ -25,6 +25,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .corpus_io import ArticlePair, BiSentence, BitextCorpus, segment_sentences, tokenize
+from .editdistance import levenshtein, token_bag_bound
 from .lexicon import TranslationLexicon, gloss_translate
 
 Tokens = tuple[str, ...]
@@ -76,36 +77,16 @@ class QuasiParallelCorpus:
 # ---------------------------------------------------------------------------
 # distances and constraints
 
-def word_levenshtein(s1: Sequence[str], s2: Sequence[str]) -> int:
-    """Minimal insert/delete/substitute count treating each token as a symbol."""
-    if len(s1) < len(s2):
-        s1, s2 = s2, s1
-    prev = list(range(len(s2) + 1))
-    for i, a in enumerate(s1, 1):
-        cur = [i]
-        for j, b in enumerate(s2, 1):
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (a != b)))
-        prev = cur
-    return prev[-1]
+# minimal insert/delete/substitute count treating each token as a symbol
+word_levenshtein = levenshtein
 
 
 def _levenshtein_capped(s1: Sequence[str], s2: Sequence[str], cap: int) -> int | None:
-    """word_levenshtein with early abandon; None when the distance exceeds cap."""
+    """word_levenshtein, or None when the distance exceeds cap."""
     if abs(len(s1) - len(s2)) > cap:
         return None
-    prev = list(range(len(s2) + 1))
-    for i, a in enumerate(s1, 1):
-        cur = [i]
-        row_min = i
-        for j, b in enumerate(s2, 1):
-            d = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (a != b))
-            cur.append(d)
-            if d < row_min:
-                row_min = d
-        if row_min > cap:
-            return None
-        prev = cur
-    return prev[-1] if prev[-1] <= cap else None
+    d = levenshtein(s1, s2)
+    return d if d <= cap else None
 
 
 def char_delta(a: Counter, b: Counter) -> CharDelta:
@@ -117,16 +98,6 @@ def char_delta(a: Counter, b: Counter) -> CharDelta:
 def char_profile_check(a: str, b: str, c: str, d: str) -> bool:
     """True iff every character changes count from A to B exactly as from C to D."""
     return char_delta(Counter(a), Counter(b)) == char_delta(Counter(c), Counter(d))
-
-
-def token_bag_bound(bag1: Counter, bag2: Counter) -> int:
-    """Lower bound on word_levenshtein of two sentences given their token bags.
-
-    An alignment matches at most the multiset intersection of the tokens, and
-    every unmatched token of the longer sentence costs one edit.
-    """
-    shared = sum(min(k, bag2[tok]) for tok, k in bag1.items() if tok in bag2)
-    return max(bag1.total(), bag2.total()) - shared
 
 
 # ---------------------------------------------------------------------------

@@ -77,7 +77,7 @@ def _cmd_mine(args) -> int:
                            log=args.log)
     _log(f"mined {counts['mined']} pairs from {counts['articles']} articles "
          f"({counts['cells_scored']} of {counts['lattice_cells']} lattice cells "
-         f"scored) -> {args.out}")
+         f"scored, {counts['pops']} A* pops) -> {args.out}")
     return 0
 
 

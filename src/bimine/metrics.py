@@ -17,6 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
+from .editdistance import Pattern, token_bag_bound
 from .filtering import DEFAULT_STEM_RULES, StemRules, stem
 
 Tokens = tuple[str, ...]
@@ -143,18 +144,6 @@ def nist(corpus: Sequence[EvalPair], max_n: int = 5) -> float:
 # ---------------------------------------------------------------------------
 # TER
 
-def _edit_distance(a: Sequence[str], b: Sequence[str]) -> int:
-    if len(a) < len(b):
-        a, b = b, a
-    prev = list(range(len(b) + 1))
-    for i, x in enumerate(a, 1):
-        cur = [i]
-        for j, y in enumerate(b, 1):
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (x != y)))
-        prev = cur
-    return prev[-1]
-
-
 _MAX_SHIFT_LEN = 10
 
 # inputs this small are solved exactly; greedy shift search can lose the
@@ -162,16 +151,22 @@ _MAX_SHIFT_LEN = 10
 _EXACT_TER_LIMIT = 6
 
 
+def _phrases(tokens: Tokens) -> set[Tokens]:
+    """Every phrase of ``tokens`` that a shift may move (at most
+    _MAX_SHIFT_LEN tokens)."""
+    return {tokens[i:j] for i in range(len(tokens))
+            for j in range(i + 1, min(len(tokens), i + _MAX_SHIFT_LEN) + 1)}
+
+
 def _exact_ter_edits(hypothesis: Sequence[str], reference: Sequence[str]) -> int:
     """Minimum of shifts plus edit distance over every shift sequence.
 
     Breadth-first over reachable token orders; only viable for short inputs.
     """
-    ref = tuple(reference)
-    ref_phrases = {ref[i:j] for i in range(len(ref))
-                   for j in range(i + 1, min(len(ref), i + _MAX_SHIFT_LEN) + 1)}
+    pattern = Pattern(reference)
+    ref_phrases = _phrases(tuple(reference))
     start = tuple(hypothesis)
-    best = _edit_distance(start, ref)
+    best = pattern.distance(start)
     seen = {start}
     frontier = [start]
     shifts = 0
@@ -192,12 +187,50 @@ def _exact_ter_edits(hypothesis: Sequence[str], reference: Sequence[str]) -> int
                         if candidate in seen:
                             continue
                         seen.add(candidate)
-                        distance = _edit_distance(candidate, ref)
+                        distance = pattern.distance(candidate)
                         if shifts + distance < best:
                             best = shifts + distance
                         next_frontier.append(candidate)
         frontier = next_frontier
     return best
+
+
+def _best_shift(current: Tokens, pattern: Pattern, ref_phrases: set[Tokens],
+                distance: int, floor: int) -> tuple[int, Tokens | None]:
+    """The first shift of ``current``, in (start, length, destination) order,
+    to the lowest edit distance below ``distance``; (distance, None) if none.
+
+    A candidate agrees with ``current`` up to the smaller of the phrase's
+    start and its destination, so it is scored from the kernel state kept
+    for that prefix.  The search stops at ``floor``, which no order of the
+    tokens goes below.
+    """
+    feed = pattern.feed
+    prefix_states = [pattern.start]
+    for token in current:
+        prefix_states.append(feed(prefix_states[-1], (token,)))
+    best_distance, best_state = distance, None
+    n = len(current)
+    for start in range(n):
+        for length in range(1, min(_MAX_SHIFT_LEN, n - start) + 1):
+            end = start + length
+            phrase = current[start:end]
+            if phrase not in ref_phrases:
+                continue
+            for pos in range(n - length + 1):
+                if pos < start:  # the phrase moves left, before current[pos]
+                    tail = phrase + current[pos:start] + current[end:]
+                    d = feed(prefix_states[pos], tail)[2]
+                elif pos > start:  # right, after current[pos + length - 1]
+                    tail = current[end:pos + length] + phrase + current[pos + length:]
+                    d = feed(prefix_states[start], tail)[2]
+                else:
+                    continue
+                if d < best_distance:
+                    best_distance, best_state = d, current[:min(start, pos)] + tail
+                    if d == floor:
+                        return best_distance, best_state
+    return best_distance, best_state
 
 
 def _ter_edits(hypothesis: Sequence[str], reference: Sequence[str]) -> int:
@@ -208,34 +241,18 @@ def _ter_edits(hypothesis: Sequence[str], reference: Sequence[str]) -> int:
     """
     if len(hypothesis) <= _EXACT_TER_LIMIT and len(reference) <= _EXACT_TER_LIMIT:
         return _exact_ter_edits(hypothesis, reference)
-    current = list(hypothesis)
-    ref = list(reference)
-    ref_phrases = {tuple(ref[k:k + length])
-                   for length in range(1, min(_MAX_SHIFT_LEN, len(ref)) + 1)
-                   for k in range(len(ref) - length + 1)}
+    current = tuple(hypothesis)
+    pattern = Pattern(reference)
+    ref_phrases = _phrases(tuple(reference))
+    # every order of the hypothesis tokens is at least this far from the reference
+    floor = token_bag_bound(Counter(current), Counter(reference))
     shifts = 0
-    distance = _edit_distance(current, ref)
-    while distance > 0:
-        best_distance = distance
-        best_state: list[str] | None = None
-        for start in range(len(current)):
-            for length in range(1, min(_MAX_SHIFT_LEN, len(current) - start) + 1):
-                phrase = tuple(current[start:start + length])
-                if phrase not in ref_phrases:
-                    continue
-                removed = current[:start] + current[start + length:]
-                for pos in range(len(removed) + 1):
-                    if pos == start:
-                        continue
-                    candidate = removed[:pos] + list(phrase) + removed[pos:]
-                    d = _edit_distance(candidate, ref)
-                    if d < best_distance:
-                        best_distance = d
-                        best_state = candidate
-        if best_state is None:
+    distance = pattern.distance(current)
+    while distance > floor:
+        distance, shifted = _best_shift(current, pattern, ref_phrases, distance, floor)
+        if shifted is None:
             break
-        current = best_state
-        distance = best_distance
+        current = shifted
         shifts += 1
     return shifts + distance
 

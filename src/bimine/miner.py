@@ -53,7 +53,8 @@ def mine_pair(pair: ArticlePair, model: SimilarityModel,
     """Segment both articles, align, and keep links above the threshold.
 
     Returns the kept pairs and the article's work counts: ``lattice_cells``
-    (source times target sentences) and ``cells_scored`` (similarity calls).
+    (source times target sentences), ``cells_scored`` (similarity calls) and
+    ``pops`` (A* heap pops).
     """
     if model.direction != (pair.src.lang, pair.tgt.lang):
         raise ValueError(
@@ -62,7 +63,7 @@ def mine_pair(pair: ArticlePair, model: SimilarityModel,
     src = segment_sentences(pair.src.body)
     tgt = segment_sentences(pair.tgt.body)
     if not src or not tgt:
-        return [], {"lattice_cells": 0, "cells_scored": 0}
+        return [], {"lattice_cells": 0, "cells_scored": 0, "pops": 0}
     # each sentence's feature facts are computed once, not once per cell
     result = align([source_record(s.tokens, lex) for s in src],
                    [target_record(t.tokens) for t in tgt],
@@ -70,7 +71,7 @@ def mine_pair(pair: ArticlePair, model: SimilarityModel,
     direction = f"{pair.src.lang}-{pair.tgt.lang}"
     mined = threshold_filter(result, threshold, src, tgt, pair.id, direction)
     return mined, {"lattice_cells": len(src) * len(tgt),
-                   "cells_scored": result.cells_scored}
+                   "cells_scored": result.cells_scored, "pops": result.pops}
 
 
 def mine_corpus(store: Iterable[ArticlePair], model: SimilarityModel,

@@ -175,7 +175,7 @@ def train_classifier(seed, lexicon, out, src_lang: str, tgt_lang: str, *,
     return {}
 
 
-_MINE_WORK = ("lattice_cells", "cells_scored")
+_MINE_WORK = ("lattice_cells", "cells_scored", "pops")
 
 
 def mine(store, model, lexicon, out, *, gap_cost: float,
@@ -185,7 +185,8 @@ def mine(store, model, lexicon, out, *, gap_cost: float,
     A ``threshold`` of None means the one stored in the model.  ``flip``
     mines the reverse direction, reading each stored pair target side first.
     ``log`` gets one JSON line per article.  The counts sum the articles'
-    lattice cells and the cells whose similarity was computed.
+    lattice cells, the cells whose similarity was computed and the A* heap
+    pops.
     """
     sim_model = classifier_mod.load_model(model)
     lex = lexicon_mod.read_lexicon(lexicon, *sim_model.direction)

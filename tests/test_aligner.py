@@ -145,8 +145,10 @@ def test_similarity_memoized_once_per_node():
     assert all(count == 1 for count in calls.values())
     assert len(calls) <= 64
     assert result.cells_scored == len(calls)
-    assert align_bruteforce(list(range(8)), list(range(8)), counting_sim,
-                            0.4).cells_scored == 64
+    assert result.pops >= 9  # the diagonal, goal included
+    oracle = align_bruteforce(list(range(8)), list(range(8)), counting_sim, 0.4)
+    assert oracle.cells_scored == 64
+    assert oracle.pops == 0  # no queue
 
 
 def test_astar_explores_less_than_full_lattice():

@@ -2,10 +2,12 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bimine.metrics import (
     BootstrapResult,
     EvalPair,
+    _ter_edits,
     bleu,
     bootstrap_diff,
     corpus_meteor,
@@ -69,6 +71,42 @@ def exhaustive_ter_edits(hyp, ref):
                 next_frontier.append(shifted)
         frontier = next_frontier
     return best
+
+
+def greedy_ter_edits(hyp, ref):
+    """The greedy shift search scored by a full DP per candidate: each step
+    takes the first candidate, in (start, length, destination) order, of the
+    lowest distance, if that is below the current distance."""
+    current = list(hyp)
+    ref = list(ref)
+    ref_phrases = {tuple(ref[k:k + length])
+                   for length in range(1, min(10, len(ref)) + 1)
+                   for k in range(len(ref) - length + 1)}
+    shifts = 0
+    distance = _edit_distance(current, ref)
+    while distance > 0:
+        best_distance = distance
+        best_state = None
+        for start in range(len(current)):
+            for length in range(1, min(10, len(current) - start) + 1):
+                phrase = tuple(current[start:start + length])
+                if phrase not in ref_phrases:
+                    continue
+                removed = current[:start] + current[start + length:]
+                for pos in range(len(removed) + 1):
+                    if pos == start:
+                        continue
+                    candidate = removed[:pos] + list(phrase) + removed[pos:]
+                    d = _edit_distance(candidate, ref)
+                    if d < best_distance:
+                        best_distance = d
+                        best_state = candidate
+        if best_state is None:
+            break
+        current = best_state
+        distance = best_distance
+        shifts += 1
+    return shifts + distance
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +235,54 @@ def test_ter_matches_exhaustive_oracle_small():
         mine = ter(hyp, [ref])
         oracle = exhaustive_ter_edits(hyp, ref) / len(ref)
         assert mine == pytest.approx(oracle), (hyp, ref)
+
+
+_SMALL_VOCAB_TOKENS = st.integers(2, 5).flatmap(
+    lambda v: st.lists(st.sampled_from("abcde"[:v]), min_size=7, max_size=16))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_SMALL_VOCAB_TOKENS, _SMALL_VOCAB_TOKENS)
+# several shifts tie for the best distance; the first one is taken
+@example(list("adbdedca"), list("ecacbdba"))
+@example(list("dedbadcbe"), list("acebcdebd"))
+def test_greedy_ter_equals_reference_search(hyp, ref):
+    # inputs over six tokens take the greedy branch; small vocabularies make
+    # equal-gain shifts common, so the tie-breaking order is exercised
+    assert _ter_edits(hyp, ref) == greedy_ter_edits(hyp, ref)
+
+
+def _seeded_ter_corpus(n_pairs=300):
+    """Hypotheses made from their references by moved blocks, substitutions
+    and deletions; a third of the pairs carry a second reference."""
+    rng = random.Random(2006)
+    vocab = [f"w{k}" for k in range(12)]
+    corpus = []
+    for _ in range(n_pairs):
+        refs = []
+        for _ in range(1 + (rng.random() < 1 / 3)):
+            refs.append(tuple(rng.choice(vocab) for _ in range(rng.randint(1, 16))))
+        hyp = list(refs[0])
+        for _ in range(rng.randint(0, 3)):
+            if not hyp:
+                break
+            i = rng.randrange(len(hyp))
+            j = rng.randint(i + 1, min(len(hyp), i + 4))
+            block, rest = hyp[i:j], hyp[:i] + hyp[j:]
+            k = rng.randint(0, len(rest))
+            hyp = rest[:k] + block + rest[k:]
+            op = rng.random()
+            if op < 0.3:
+                hyp[rng.randrange(len(hyp))] = rng.choice(vocab)
+            elif op < 0.5 and len(hyp) > 1:
+                del hyp[rng.randrange(len(hyp))]
+        corpus.append(EvalPair(hypothesis=tuple(hyp), references=tuple(refs)))
+    return corpus
+
+
+def test_corpus_ter_pinned_on_seeded_corpus():
+    # computed with the per-candidate DP shift search
+    assert float.hex(corpus_ter(_seeded_ter_corpus())) == "0x1.767ca0aabbd8fp-3"
 
 
 def test_ter_shifts_never_hurt():

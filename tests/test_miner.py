@@ -29,7 +29,7 @@ def test_mine_pair_language_mismatch(small_model, small_lexicon):
 
 def test_mine_pair_empty_article(small_model, small_lexicon):
     assert mine_pair(_pair(0, "", "Something here."), small_model, small_lexicon) == \
-        ([], {"lattice_cells": 0, "cells_scored": 0})
+        ([], {"lattice_cells": 0, "cells_scored": 0, "pops": 0})
 
 
 def test_mine_pair_equals_composed_stages(small_model, small_lexicon,
@@ -45,7 +45,7 @@ def test_mine_pair_equals_composed_stages(small_model, small_lexicon,
     expected = threshold_filter(result, 0.5, src, tgt, pair.id, "pl-en")
     assert mined == expected
     assert work == {"lattice_cells": len(src) * len(tgt),
-                    "cells_scored": result.cells_scored}
+                    "cells_scored": result.cells_scored, "pops": result.pops}
 
 
 def test_mine_pair_recovers_planted_links(small_model, small_lexicon,
@@ -78,15 +78,24 @@ def test_mine_corpus_ordered_by_article_id(small_model, small_lexicon,
 def test_mine_corpus_logs_work_counts(small_model, small_lexicon, small_articles,
                                       monkeypatch):
     # the scorer is looked up as bimine.miner.similarity and called once per
-    # scored cell; the log reports those cells per article
+    # scored cell, and A* pops its queue with heapq.heappop; the log reports
+    # both per article
+    import heapq
     import bimine.miner as miner_mod
     calls = []
+    pops = []
 
     def counting(*args):
         calls.append(args)
         return similarity(*args)
 
+    def counting_pop(heap):
+        pops.append(len(heap))
+        return real_pop(heap)
+
+    real_pop = heapq.heappop
     monkeypatch.setattr(miner_mod, "similarity", counting)
+    monkeypatch.setattr(heapq, "heappop", counting_pop)
     articles, _ = small_articles
     _, log = mine_corpus(articles[:10], small_model, small_lexicon)
     for entry, pair in zip(log, articles):
@@ -94,7 +103,10 @@ def test_mine_corpus_logs_work_counts(small_model, small_lexicon, small_articles
         m = len(segment_sentences(pair.tgt.body))
         assert entry["lattice_cells"] == n * m
         assert 0 < entry["cells_scored"] <= n * m
+        # every node on an optimal path, the goal included, is popped
+        assert entry["pops"] > max(n, m)
     assert sum(entry["cells_scored"] for entry in log) == len(calls)
+    assert sum(entry["pops"] for entry in log) == len(pops)
 
 
 def test_mine_corpus_empty_store(small_model, small_lexicon):
