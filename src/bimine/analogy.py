@@ -19,14 +19,14 @@ the variable middle.
 from __future__ import annotations
 
 import itertools
-import json
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
-from .corpus_io import ArticlePair, BiSentence, BitextCorpus, segment_sentences, tokenize
+from .corpus_io import (ArticlePair, BiSentence, BitextCorpus, iter_jsonl,
+                        segment_sentences, tokenize, write_jsonl)
 from .editdistance import levenshtein, token_bag_bound
-from .lexicon import TranslationLexicon, gloss_translate
+from .lexicon import UNKNOWN, TranslationLexicon, gloss_translate
 
 Tokens = tuple[str, ...]
 CharDelta = tuple[tuple[str, int], ...]
@@ -64,8 +64,6 @@ class QuasiParallelEntry:
 @dataclass
 class QuasiParallelCorpus:
     entries: list[QuasiParallelEntry]
-    src_lang: str = ""
-    tgt_lang: str = ""
 
     def report(self) -> dict:
         return {
@@ -295,8 +293,7 @@ def models_from_quadruples(quadruples: Sequence[AnalogyQuadruple],
             p1 = seed.pairs[i1]
             p2 = seed.pairs[i2]
             model = extract_rewriting_model(
-                (tokenize(p1.src, lowercase=True), tokenize(p1.tgt, lowercase=True)),
-                (tokenize(p2.src, lowercase=True), tokenize(p2.tgt, lowercase=True)))
+                (tokenize(p1.src), tokenize(p1.tgt)), (tokenize(p2.src), tokenize(p2.tgt)))
             if model is None:
                 continue
             key = (model.src_prefix, model.src_suffix,
@@ -313,15 +310,14 @@ def _target_side_holds(quad: AnalogyQuadruple, seed: BitextCorpus) -> bool:
     for idx in quad.indices:
         if not 0 <= idx < len(seed.pairs):
             return False
-        targets.append(tokenize(seed.pairs[idx].tgt, lowercase=True))
+        targets.append(tokenize(seed.pairs[idx].tgt))
     ta, tb, tc, td = targets
     return (word_levenshtein(ta, tb) == word_levenshtein(tc, td)
             and word_levenshtein(ta, tc) == word_levenshtein(tb, td))
 
 
 def apply_model(model: RewritingModel, sentence: Sequence[str],
-                lex: TranslationLexicon, allow_unknown: bool = False,
-                unknown_marker: str = "unknown") -> BiSentence | None:
+                lex: TranslationLexicon, allow_unknown: bool = False) -> BiSentence | None:
     """Apply a rewriting model to a sentence carrying its prefix and suffix.
 
     The variable middle is gloss-translated; with ``allow_unknown`` false a
@@ -337,8 +333,8 @@ def apply_model(model: RewritingModel, sentence: Sequence[str],
     if ls and tokens[-ls:] != model.src_suffix:
         return None
     middle = tokens[lp:len(tokens) - ls]
-    glossed = gloss_translate(lex, middle, unknown_marker=unknown_marker)
-    unknown = sum(1 for t in glossed if t == unknown_marker)
+    glossed = gloss_translate(lex, middle)
+    unknown = sum(1 for t in glossed if t == UNKNOWN)
     if unknown and not allow_unknown:
         return None
     out = model.tgt_prefix + tuple(glossed) + model.tgt_suffix
@@ -371,9 +367,7 @@ def generate_corpus(models: Sequence[RewritingModel],
             open_prefix.append((model_id, model))
 
     entries: list[QuasiParallelEntry] = []
-    src_lang = tgt_lang = ""
     for article in articles:
-        src_lang, tgt_lang = article.src.lang, article.tgt.lang
         tgt_texts = {" ".join(s.tokens) for s in segment_sentences(article.tgt.body)}
         for sent in segment_sentences(article.src.body):
             if not sent.tokens:
@@ -389,72 +383,69 @@ def generate_corpus(models: Sequence[RewritingModel],
                     pair=made, model_id=model_id,
                     confirmed=made.tgt in tgt_texts,
                 ))
-    return QuasiParallelCorpus(entries, src_lang, tgt_lang)
+    return QuasiParallelCorpus(entries)
 
 
 # ---------------------------------------------------------------------------
 # quadruple file format: JSON lines
 
 def write_quadruples(path, quadruples: Sequence[AnalogyQuadruple]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for q in quadruples:
-            fh.write(json.dumps({
-                "a": list(q.a), "b": list(q.b), "c": list(q.c), "d": list(q.d),
-                "d_ab": q.d_ab, "d_cd": q.d_cd, "d_ac": q.d_ac, "d_bd": q.d_bd,
-                "indices": list(q.indices),
-            }, ensure_ascii=False, sort_keys=True) + "\n")
+    write_jsonl(path, ({
+        "a": list(q.a), "b": list(q.b), "c": list(q.c), "d": list(q.d),
+        "d_ab": q.d_ab, "d_cd": q.d_cd, "d_ac": q.d_ac, "d_bd": q.d_bd,
+        "indices": list(q.indices),
+    } for q in quadruples))
+
+
+def _tokens(value) -> Tokens:
+    if not isinstance(value, list) or not all(isinstance(t, str) for t in value):
+        raise ValueError(f"expected a list of tokens, got {value!r}")
+    return tuple(value)
+
+
+def _quadruple(rec: dict) -> AnalogyQuadruple:
+    indices = tuple(int(i) for i in rec["indices"])
+    if len(indices) != 4:
+        raise ValueError(f"expected 4 indices, got {len(indices)}")
+    return AnalogyQuadruple(
+        a=_tokens(rec["a"]), b=_tokens(rec["b"]), c=_tokens(rec["c"]), d=_tokens(rec["d"]),
+        d_ab=int(rec["d_ab"]), d_cd=int(rec["d_cd"]),
+        d_ac=int(rec["d_ac"]), d_bd=int(rec["d_bd"]),
+        indices=indices,
+    )
 
 
 def read_quadruples(path) -> list[AnalogyQuadruple]:
-    quads = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            quads.append(AnalogyQuadruple(
-                a=tuple(rec["a"]), b=tuple(rec["b"]),
-                c=tuple(rec["c"]), d=tuple(rec["d"]),
-                d_ab=rec["d_ab"], d_cd=rec["d_cd"],
-                d_ac=rec["d_ac"], d_bd=rec["d_bd"],
-                indices=tuple(rec["indices"]),
-            ))
-    return quads
+    return list(iter_jsonl(path, _quadruple))
 
 
 # ---------------------------------------------------------------------------
 # model file format: JSON lines, one model per line
 
 def write_models(path, models: Sequence[RewritingModel]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for model_id, m in enumerate(models):
-            fh.write(json.dumps({
-                "id": model_id,
-                "src_prefix": list(m.src_prefix),
-                "src_suffix": list(m.src_suffix),
-                "tgt_prefix": list(m.tgt_prefix),
-                "tgt_suffix": list(m.tgt_suffix),
-                "support": [[list(side) for side in pair] for pair in m.support],
-            }, ensure_ascii=False, sort_keys=True) + "\n")
+    write_jsonl(path, ({
+        "id": model_id,
+        "src_prefix": list(m.src_prefix),
+        "src_suffix": list(m.src_suffix),
+        "tgt_prefix": list(m.tgt_prefix),
+        "tgt_suffix": list(m.tgt_suffix),
+        "support": [[list(side) for side in pair] for pair in m.support],
+    } for model_id, m in enumerate(models)))
+
+
+def _model(rec: dict) -> RewritingModel:
+    support = rec["support"]
+    if not (isinstance(support, list) and len(support) == 2
+            and all(isinstance(pair, list) and len(pair) == 2 for pair in support)):
+        raise ValueError(f"support must be two [source, target] pairs, got {support!r}")
+    return RewritingModel(
+        src_prefix=_tokens(rec["src_prefix"]),
+        src_suffix=_tokens(rec["src_suffix"]),
+        tgt_prefix=_tokens(rec["tgt_prefix"]),
+        tgt_suffix=_tokens(rec["tgt_suffix"]),
+        support=tuple((_tokens(src), _tokens(tgt)) for src, tgt in support),
+    )
 
 
 def read_models(path) -> list[RewritingModel]:
-    models = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            support = tuple(
-                (tuple(pair[0]), tuple(pair[1])) for pair in rec.get("support", [])
-            )
-            if len(support) != 2:
-                support = (((), ()), ((), ()))
-            models.append(RewritingModel(
-                src_prefix=tuple(rec["src_prefix"]),
-                src_suffix=tuple(rec["src_suffix"]),
-                tgt_prefix=tuple(rec["tgt_prefix"]),
-                tgt_suffix=tuple(rec["tgt_suffix"]),
-                support=support,
-            ))
-    return models
+    return list(iter_jsonl(path, _model))

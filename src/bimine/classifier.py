@@ -23,19 +23,6 @@ FEATURE_NAMES = ("len_ratio", "char_ratio", "cov_st", "cov_ts", "num_overlap")
 FORMAT_VERSION = 1
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    len_ratio: float
-    char_ratio: float
-    cov_st: float
-    cov_ts: float
-    num_overlap: float
-
-    def as_tuple(self) -> tuple[float, ...]:
-        return (self.len_ratio, self.char_ratio, self.cov_st,
-                self.cov_ts, self.num_overlap)
-
-
 @dataclass
 class SimilarityModel:
     weights: list[float]
@@ -46,8 +33,9 @@ class SimilarityModel:
     threshold: float = 0.5
     lexicon_checksum: str = ""
 
-    def margin(self, features: FeatureVector) -> float:
-        return sum(w * x for w, x in zip(self.weights, features.as_tuple())) + self.bias
+    def margin(self, features: Sequence[float]) -> float:
+        """``w . x + b`` of a feature tuple in FEATURE_NAMES order."""
+        return sum(w * x for w, x in zip(self.weights, features)) + self.bias
 
 
 def _is_digit_token(token: str) -> bool:
@@ -108,8 +96,9 @@ def target_record(tokens: Sequence[str]) -> TargetRecord:
                         frozenset(t for t in tokens if _is_digit_token(t)))
 
 
-def pair_features(src: SourceRecord, tgt: TargetRecord) -> FeatureVector:
-    """Compute the five [0,1] features for a candidate sentence pair.
+def pair_features(src: SourceRecord, tgt: TargetRecord) -> tuple[float, ...]:
+    """Compute the five [0,1] features for a candidate sentence pair, in
+    FEATURE_NAMES order.
 
     Coverage source->target credits each source token with the summed
     probability of its lexicon translations present in the target (at most 1
@@ -145,13 +134,7 @@ def pair_features(src: SourceRecord, tgt: TargetRecord) -> FeatureVector:
     else:
         num_overlap = len(src_digits & tgt_digits) / len(src_digits | tgt_digits)
 
-    return FeatureVector(len_ratio, char_ratio, cov_st, cov_ts, num_overlap)
-
-
-def extract_features(src_tokens: Sequence[str], tgt_tokens: Sequence[str],
-                     lex: TranslationLexicon) -> FeatureVector:
-    """``pair_features`` of one token-list pair."""
-    return pair_features(source_record(src_tokens, lex), target_record(tgt_tokens))
+    return (len_ratio, char_ratio, cov_st, cov_ts, num_overlap)
 
 
 def calibrate(raw_margins: Sequence[tuple[float, int]]) -> tuple[float, float]:
@@ -256,8 +239,7 @@ def train_model(seed: BitextCorpus, lex: TranslationLexicon,
         raise ValueError(f"need at least 100 seed pairs, got {len(seed.pairs)}")
 
     rng = random.Random(seed_rng)
-    tokenized = [(tokenize(p.src, lowercase=True), tokenize(p.tgt, lowercase=True))
-                 for p in seed.pairs]
+    tokenized = [(tokenize(p.src), tokenize(p.tgt)) for p in seed.pairs]
     tokenized = [(s, t) for s, t in tokenized if s and t]
     n = len(tokenized)
     # a source meets its own and its negative targets in one iteration, so
@@ -267,7 +249,7 @@ def train_model(seed: BitextCorpus, lex: TranslationLexicon,
     examples: list[tuple[tuple[float, ...], int]] = []
     for i, (src_tokens, _) in enumerate(tokenized):
         src = source_record(src_tokens, lex)
-        examples.append((pair_features(src, targets[i]).as_tuple(), 1))
+        examples.append((pair_features(src, targets[i]), 1))
         adjacent = i + 1 if i + 1 < n else i - 1
         neg_targets = [adjacent]
         while len(neg_targets) < neg_per_pos:
@@ -275,7 +257,7 @@ def train_model(seed: BitextCorpus, lex: TranslationLexicon,
             if j != i:
                 neg_targets.append(j)
         for j in neg_targets:
-            examples.append((pair_features(src, targets[j]).as_tuple(), -1))
+            examples.append((pair_features(src, targets[j]), -1))
 
     rng.shuffle(examples)
     n_held = max(1, len(examples) // 10)
@@ -341,19 +323,31 @@ def save_model(path, model: SimilarityModel) -> None:
 
 
 def load_model(path) -> SimilarityModel:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported model format {doc.get('format_version')!r}")
-    if doc.get("feature_names") != list(FEATURE_NAMES):
-        raise ValueError(f"{path}: model features {doc.get('feature_names')} "
-                         f"do not match {list(FEATURE_NAMES)}")
-    return SimilarityModel(
-        weights=[float(w) for w in doc["weights"]],
-        bias=float(doc["bias"]),
-        platt_a=float(doc["platt_a"]),
-        platt_b=float(doc["platt_b"]),
-        direction=(doc["direction"][0], doc["direction"][1]),
-        threshold=float(doc["threshold"]),
-        lexicon_checksum=doc.get("lexicon_checksum", ""),
-    )
+    """Read a model file; a malformed one raises ValueError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError("a model file holds one JSON object")
+        if doc.get("format_version") != FORMAT_VERSION:
+            raise ValueError(f"unsupported model format {doc.get('format_version')!r}")
+        if doc.get("feature_names") != list(FEATURE_NAMES):
+            raise ValueError(f"model features {doc.get('feature_names')} "
+                             f"do not match {list(FEATURE_NAMES)}")
+        weights = [float(w) for w in doc["weights"]]
+        if len(weights) != len(FEATURE_NAMES):
+            raise ValueError(f"{len(weights)} weights for {len(FEATURE_NAMES)} features")
+        src_lang, tgt_lang = doc["direction"]
+        return SimilarityModel(
+            weights=weights,
+            bias=float(doc["bias"]),
+            platt_a=float(doc["platt_a"]),
+            platt_b=float(doc["platt_b"]),
+            direction=(src_lang, tgt_lang),
+            threshold=float(doc["threshold"]),
+            lexicon_checksum=doc["lexicon_checksum"],
+        )
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None

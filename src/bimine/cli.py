@@ -143,11 +143,9 @@ def _read_eval_pairs(hyp_path, ref_paths) -> list[metrics.EvalPair]:
             raise ValueError("hypothesis and reference files differ in length")
     pairs = []
     for i, hyp in enumerate(hyp_lines):
-        refs = tuple(tuple(corpus_io.tokenize(col[i], lowercase=True))
-                     for col in ref_columns)
-        pairs.append(metrics.EvalPair(
-            hypothesis=tuple(corpus_io.tokenize(hyp, lowercase=True)),
-            references=refs))
+        refs = tuple(tuple(corpus_io.tokenize(col[i])) for col in ref_columns)
+        pairs.append(metrics.EvalPair(hypothesis=tuple(corpus_io.tokenize(hyp)),
+                                      references=refs))
     return pairs
 
 

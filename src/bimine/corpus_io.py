@@ -103,6 +103,11 @@ _ENTITIES = [
 _WS = re.compile(r"\s+")
 
 
+def normalize_space(text: str) -> str:
+    """Collapse every whitespace run to one space and strip both ends."""
+    return _WS.sub(" ", text).strip()
+
+
 def clean_document(raw: str) -> str:
     """Strip markup tags and drop table/reference/figure blocks from text.
 
@@ -118,7 +123,7 @@ def clean_document(raw: str) -> str:
             text = pattern.sub(repl, text)
         for entity, char in _ENTITIES:
             text = text.replace(entity, char)
-        text = _WS.sub(" ", text).strip()
+        text = normalize_space(text)
         if text == prev:
             break
     return text
@@ -140,30 +145,21 @@ DEFAULT_ABBREVIATIONS = frozenset({
 _WORD = r"[^\W\d_]+(?:['’-][^\W\d_]+)*"
 _NUMBER = r"\d+(?:[.,]\d+)*"
 
-
-def _token_pattern(abbreviations: frozenset[str]) -> re.Pattern[str]:
-    abbrevs = sorted(abbreviations, key=len, reverse=True)
-    alternation = "|".join(re.escape(a) for a in abbrevs)
-    parts = [alternation] if alternation else []
-    parts += [_NUMBER, _WORD, r"\S"]
-    return re.compile("|".join(parts))
+# listed abbreviations first, longest first, so "U.S." beats the word "U"
+_TOKEN_RE = re.compile("|".join(
+    [*(re.escape(a) for a in sorted(DEFAULT_ABBREVIATIONS, key=len, reverse=True)),
+     _NUMBER, _WORD, r"\S"]))
 
 
-_DEFAULT_TOKEN_RE = _token_pattern(DEFAULT_ABBREVIATIONS)
-
-
-def tokenize(text: str, lowercase: bool = False,
-             abbreviations: frozenset[str] | None = None) -> list[str]:
-    """Split text into tokens: words, numbers, and punctuation as own tokens.
+def tokenize(text: str) -> list[str]:
+    """Split text into lowercased tokens: words, numbers, and punctuation as
+    own tokens.
 
     Abbreviations from the exception list keep their internal/trailing
-    periods ("U.S." stays one token).
+    periods: "U.S." gives the one token "u.s.".  Tokens are matched on the
+    original text and lowercased afterwards.
     """
-    pattern = _DEFAULT_TOKEN_RE if abbreviations is None else _token_pattern(abbreviations)
-    tokens = pattern.findall(text)
-    if lowercase:
-        tokens = [t.lower() for t in tokens]
-    return tokens
+    return [t.lower() for t in _TOKEN_RE.findall(text)]
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +169,7 @@ _TERMINATOR_RE = re.compile(r"[.!?]")
 _CLOSERS = "\"'”’)]«»"
 
 
-def segment_sentences(doc_body: str,
-                      abbreviations: frozenset[str] | None = None) -> list[Sentence]:
+def segment_sentences(doc_body: str) -> list[Sentence]:
     """Split cleaned text into sentences.
 
     Rule-based: a terminator (. ! ?) followed by whitespace and an uppercase
@@ -183,7 +178,6 @@ def segment_sentences(doc_body: str,
     whitespace reproduces the input.  Each terminator looks only at its own
     word and the whitespace after it, so the cost is linear in the length.
     """
-    abbrevs = DEFAULT_ABBREVIATIONS if abbreviations is None else abbreviations
     text = doc_body
     sentences: list[Sentence] = []
     start = 0
@@ -193,14 +187,14 @@ def segment_sentences(doc_body: str,
         end = term + 1
         while end < n and text[end] in _CLOSERS:
             end += 1
-        if _is_boundary(text, term, end, abbrevs):
+        if _is_boundary(text, term, end):
             _push(sentences, text[start:end])
             start = end
     _push(sentences, text[start:])
     return sentences
 
 
-def _is_boundary(text: str, term: int, end: int, abbrevs: frozenset[str]) -> bool:
+def _is_boundary(text: str, term: int, end: int) -> bool:
     n = len(text)
     if end >= n:
         return True
@@ -219,7 +213,7 @@ def _is_boundary(text: str, term: int, end: int, abbrevs: frozenset[str]) -> boo
         while first > 0 and not text[first - 1].isspace():
             first -= 1
         w = text[first:term + 1]
-        if w in abbrevs or w.lower() in abbrevs:
+        if w in DEFAULT_ABBREVIATIONS or w.lower() in DEFAULT_ABBREVIATIONS:
             return False
         if len(w) == 2 and w[0].isupper() and w[1] == ".":
             return False  # initials like "J."
@@ -231,7 +225,7 @@ def _push(sentences: list[Sentence], span: str) -> None:
     if stripped:
         sentences.append(Sentence(
             text=stripped,
-            tokens=tuple(tokenize(stripped, lowercase=True)),
+            tokens=tuple(tokenize(stripped)),
             index=len(sentences),
         ))
 
@@ -316,7 +310,7 @@ def corpus_stats(corpus: BitextCorpus) -> dict:
         nbytes = 0
         for pair in corpus.pairs:
             text = getter(pair)
-            toks = tokenize(text, lowercase=True)
+            toks = tokenize(text)
             tokens += len(toks)
             unique.update(toks)
             nbytes += len(text.encode("utf-8"))
@@ -335,13 +329,10 @@ def _flatten(text: str) -> str:
     return text.replace("\t", " ").replace("\n", " ").replace("\r", " ")
 
 
-def write_bitext(path, corpus: BitextCorpus, with_score: bool = True) -> None:
+def write_bitext(path, corpus: BitextCorpus) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for pair in corpus.pairs:
-            if with_score:
-                fh.write(f"{_flatten(pair.src)}\t{_flatten(pair.tgt)}\t{pair.score:.6f}\n")
-            else:
-                fh.write(f"{_flatten(pair.src)}\t{_flatten(pair.tgt)}\n")
+            fh.write(f"{_flatten(pair.src)}\t{_flatten(pair.tgt)}\t{pair.score:.6f}\n")
 
 
 def read_bitext(path, src_lang: str = "", tgt_lang: str = "",
@@ -374,59 +365,58 @@ def write_json(path, doc) -> None:
         fh.write("\n")
 
 
-def write_article_store(path, pairs: Iterable[ArticlePair]) -> None:
+def write_jsonl(path, records: Iterable[dict]) -> None:
+    """One JSON object per line: sorted keys, non-ASCII characters as is."""
     with open(path, "w", encoding="utf-8") as fh:
-        for pair in pairs:
-            fh.write(json.dumps({
-                "id": pair.id,
-                "src_lang": pair.src.lang,
-                "tgt_lang": pair.tgt.lang,
-                "src_title": pair.src.title,
-                "tgt_title": pair.tgt.title,
-                "src_text": pair.src.body,
-                "tgt_text": pair.tgt.body,
-            }, ensure_ascii=False, sort_keys=True) + "\n")
+        for rec in records:
+            fh.write(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
 
 
-_STORE_FIELDS = ("id", "src_lang", "tgt_lang", "src_title", "tgt_title",
-                 "src_text", "tgt_text")
-
-
-def read_article_store(path) -> Iterator[ArticlePair]:
+def iter_jsonl(path, build) -> Iterator:
+    """``build(record)`` of each JSON line, blank lines skipped, read lazily.
+    A line that is not JSON, or whose record ``build`` rejects with
+    KeyError, TypeError or ValueError, raises ValueError naming the file and
+    the line."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: record at line {lineno} is not valid JSON: {exc}")
-            missing = [f for f in _STORE_FIELDS if f not in rec]
-            if missing:
-                raise ValueError(
-                    f"{path}: record at line {lineno} missing fields {missing}")
-            yield ArticlePair(
-                id=int(rec["id"]),
-                src=Document(rec["src_lang"], rec["src_title"], rec["src_text"]),
-                tgt=Document(rec["tgt_lang"], rec["tgt_title"], rec["tgt_text"]),
-            )
+                item = build(json.loads(line))
+            except KeyError as exc:
+                raise ValueError(f"{path}: line {lineno}: missing field {exc}") from None
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+            yield item
+
+
+def write_article_store(path, pairs: Iterable[ArticlePair]) -> None:
+    write_jsonl(path, ({
+        "id": pair.id,
+        "src_lang": pair.src.lang,
+        "tgt_lang": pair.tgt.lang,
+        "src_title": pair.src.title,
+        "tgt_title": pair.tgt.title,
+        "src_text": pair.src.body,
+        "tgt_text": pair.tgt.body,
+    } for pair in pairs))
+
+
+def _article_pair(rec: dict) -> ArticlePair:
+    return ArticlePair(
+        id=int(rec["id"]),
+        src=Document(rec["src_lang"], rec["src_title"], rec["src_text"]),
+        tgt=Document(rec["tgt_lang"], rec["tgt_title"], rec["tgt_text"]),
+    )
+
+
+def read_article_store(path) -> Iterator[ArticlePair]:
+    return iter_jsonl(path, _article_pair)
 
 
 def read_article_dump(path) -> dict[str, str]:
     """Read a JSONL article dump into a title -> text mapping."""
-    articles: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: line {lineno}: not valid JSON: {exc}") from None
-            if "title" not in rec or "text" not in rec:
-                raise ValueError(f"{path}: line {lineno}: need 'title' and 'text'")
-            articles[rec["title"]] = rec["text"]
-    return articles
+    return dict(iter_jsonl(path, lambda rec: (rec["title"], rec["text"])))
 
 
 def read_links(path) -> list[tuple[str, str]]:

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import itertools
 import json
-import re
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
-from .corpus_io import BiSentence, BitextCorpus, tokenize
+from .corpus_io import BiSentence, BitextCorpus, normalize_space, tokenize
 from .lexicon import TranslationLexicon, gloss_translate
 
 StemRules = Sequence[tuple[str, str]]
@@ -34,8 +33,6 @@ to for with and or not as by from but so if then there here he she they we
 you i his her their our your my me him them us do does did have has had
 will would can could may might shall should
 """.split())
-
-_WS = re.compile(r"\s+")
 
 
 @dataclass
@@ -91,7 +88,7 @@ def remove_trivial(corpus: BitextCorpus, min_chars: int = 10,
     kept: list[BiSentence] = []
     seen: set[tuple[str, str]] = set()
     for pair in corpus.pairs:
-        key = (_WS.sub(" ", pair.src).strip(), _WS.sub(" ", pair.tgt).strip())
+        key = (normalize_space(pair.src), normalize_space(pair.tgt))
         if key in seen:
             report.reject("duplicate")
             continue
@@ -157,14 +154,18 @@ def similarity_stem(a_tokens: Sequence[str], b_tokens: Sequence[str],
     return _dice(a, b)
 
 
-def _variants(tokens: Sequence[str], synonyms: Mapping[str, frozenset[str]],
-              limit: int = 64) -> list[tuple[str, ...]]:
+# most synonym-substituted variants generated per sentence
+_VARIANT_LIMIT = 64
+
+
+def _variants(tokens: Sequence[str],
+              synonyms: Mapping[str, frozenset[str]]) -> list[tuple[str, ...]]:
     options = []
     for token in tokens:
         low = token.lower()
         subs = sorted(set(synonyms.get(low, ())) - {low})
         options.append([low] + subs)
-    return list(itertools.islice(itertools.product(*options), limit))
+    return list(itertools.islice(itertools.product(*options), _VARIANT_LIMIT))
 
 
 def similarity_synonym(a_tokens: Sequence[str], b_tokens: Sequence[str],
@@ -207,7 +208,7 @@ def _stage_score(name: str, a: Sequence[str], b: Sequence[str],
 
 def make_gloss_translator(lex: TranslationLexicon) -> Callable[[str], str]:
     def translator(text: str) -> str:
-        return " ".join(gloss_translate(lex, tokenize(text, lowercase=True)))
+        return " ".join(gloss_translate(lex, tokenize(text)))
     return translator
 
 
@@ -232,8 +233,8 @@ def filter_corpus(corpus: BitextCorpus, translator: Callable[[str], str],
             rejected.append(pair)
             report.reject("translator-error")
             continue
-        trans_tokens = tokenize(translation, lowercase=True)
-        tgt_tokens = tokenize(pair.tgt, lowercase=True)
+        trans_tokens = tokenize(translation)
+        tgt_tokens = tokenize(pair.tgt)
         verdict = None
         for name, accept, reject in cascade.stages:
             score = _stage_score(name, trans_tokens, tgt_tokens, cascade)
@@ -287,12 +288,20 @@ def read_synonyms(path) -> dict[str, frozenset[str]]:
 
 def read_cascade_config(path) -> CascadeConfig:
     """Cascade JSON; lexical resources either inline or as file paths
-    (``stop_words_file``, ``synonyms_file``) relative to the config."""
+    (``stop_words_file``, ``synonyms_file``) relative to the config.  A
+    malformed config raises ValueError naming the file."""
     from pathlib import Path
 
-    base = Path(path).parent
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            return _cascade_config(json.load(fh), Path(path).parent)
+        except KeyError as exc:
+            raise ValueError(f"{path}: missing field {exc}") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def _cascade_config(doc: dict, base) -> CascadeConfig:
     config = CascadeConfig()
     if "stages" in doc:
         config.stages = [(s["fn"], float(s["accept"]), float(s["reject"]))

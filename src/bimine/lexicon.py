@@ -32,8 +32,8 @@ class TranslationLexicon:
 def _token_pairs(seed: BitextCorpus) -> list[tuple[list[str], list[str]]]:
     pairs = []
     for bs in seed.pairs:
-        src = tokenize(bs.src, lowercase=True)
-        tgt = tokenize(bs.tgt, lowercase=True)
+        src = tokenize(bs.src)
+        tgt = tokenize(bs.tgt)
         if src and tgt:
             pairs.append((src, tgt))
     return pairs
@@ -110,17 +110,19 @@ def _finalize(table: dict[str, dict[str, float]], prune_below: float,
     return TranslationLexicon(entries=entries, src_lang=src_lang, tgt_lang=tgt_lang)
 
 
+# what gloss_translate emits for a token the lexicon does not know
+UNKNOWN = "unknown"
+
+
 def _passthrough(token: str) -> bool:
     return not any(ch.isalpha() for ch in token)
 
 
-def gloss_translate(lex: TranslationLexicon, tokens: Sequence[str],
-                    unknown_marker: str = "unknown") -> list[str]:
+def gloss_translate(lex: TranslationLexicon, tokens: Sequence[str]) -> list[str]:
     """Word-by-word translation: argmax entry per token.
 
     Punctuation and digit tokens pass through untouched; tokens without a
-    lexicon entry become ``unknown_marker``.  Output length equals input
-    length.
+    lexicon entry become ``UNKNOWN``.  Output length equals input length.
     """
     out = []
     for token in tokens:
@@ -128,7 +130,7 @@ def gloss_translate(lex: TranslationLexicon, tokens: Sequence[str],
             out.append(token)
             continue
         entry = lex.entries.get(token)
-        out.append(entry[0][0] if entry else unknown_marker)
+        out.append(entry[0][0] if entry else UNKNOWN)
     return out
 
 
@@ -150,7 +152,11 @@ def read_lexicon(path, src_lang: str = "", tgt_lang: str = "") -> TranslationLex
             cols = line.split("\t")
             if len(cols) != 3:
                 raise ValueError(f"{path}: line {lineno}: expected 3 columns")
-            entries.setdefault(cols[0], []).append((cols[1], float(cols[2])))
+            try:
+                prob = float(cols[2])
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: bad probability: {exc}") from None
+            entries.setdefault(cols[0], []).append((cols[1], prob))
     for s in entries:
         entries[s].sort(key=lambda tp: (-tp[1], tp[0]))
     return TranslationLexicon(entries=entries, src_lang=src_lang, tgt_lang=tgt_lang)

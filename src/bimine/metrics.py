@@ -37,6 +37,19 @@ def _ngrams(tokens: Sequence[str], n: int) -> Counter:
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
 
 
+def _clipped(pair: EvalPair, n: int) -> list[tuple[tuple[str, ...], int, int]]:
+    """Each hypothesis n-gram with its count and that count clipped to the
+    largest count of the n-gram in any one reference, in first-seen order."""
+    hyp_counts = _ngrams(pair.hypothesis, n)
+    if not hyp_counts:
+        return []
+    ref_max: Counter = Counter()
+    for ref in pair.references:
+        ref_max |= _ngrams(ref, n)
+    return [(ngram, count, min(count, ref_max[ngram]))
+            for ngram, count in hyp_counts.items()]
+
+
 # ---------------------------------------------------------------------------
 # BLEU
 
@@ -58,16 +71,8 @@ def bleu(corpus: Sequence[EvalPair], max_n: int = 4) -> float:
         hyp_len += len(hyp)
         ref_len += _closest_ref_len(len(hyp), pair.references)
         for n in range(1, max_n + 1):
-            hyp_counts = _ngrams(hyp, n)
-            if not hyp_counts:
-                continue
-            ref_max: Counter = Counter()
-            for ref in pair.references:
-                for ngram, count in _ngrams(ref, n).items():
-                    if count > ref_max[ngram]:
-                        ref_max[ngram] = count
-            for ngram, count in hyp_counts.items():
-                correct[n - 1] += min(count, ref_max.get(ngram, 0))
+            for _ngram, count, clipped in _clipped(pair, n):
+                correct[n - 1] += clipped
                 total[n - 1] += count
     if hyp_len == 0 or any(c == 0 or t == 0 for c, t in zip(correct, total)):
         return 0.0
@@ -120,17 +125,8 @@ def nist(corpus: Sequence[EvalPair], max_n: int = 5) -> float:
         hyp_len += len(hyp)
         ref_len += sum(len(r) for r in pair.references) / len(pair.references)
         for n in range(1, max_n + 1):
-            hyp_counts = _ngrams(hyp, n)
-            if not hyp_counts:
-                continue
-            ref_max: Counter = Counter()
-            for ref in pair.references:
-                for ngram, count in _ngrams(ref, n).items():
-                    if count > ref_max[ngram]:
-                        ref_max[ngram] = count
-            for ngram, count in hyp_counts.items():
+            for ngram, count, matched in _clipped(pair, n):
                 emitted[n - 1] += count
-                matched = min(count, ref_max.get(ngram, 0))
                 if matched:
                     gained[n - 1] += matched * info(ngram)
     if hyp_len == 0:
@@ -257,16 +253,25 @@ def _ter_edits(hypothesis: Sequence[str], reference: Sequence[str]) -> int:
     return shifts + distance
 
 
+def _best_reference(hypothesis: Sequence[str],
+                    references: Sequence[Sequence[str]]) -> tuple[int, int]:
+    """(edits, length) of the non-empty reference with the lowest edit rate;
+    the shorter reference wins a tie."""
+    usable = [r for r in references if len(r) > 0]
+    if not usable:
+        raise ValueError("TER needs at least one non-empty reference")
+    return min(((_ter_edits(hypothesis, ref), len(ref)) for ref in usable),
+               key=lambda el: (el[0] / el[1], el[1]))
+
+
 def ter(hypothesis: Sequence[str], references: Sequence[Sequence[str]]) -> float:
     """Translation error rate: edits over reference length, best reference.
 
     Edits are insertions, deletions, substitutions and phrase shifts, each
     shift costing one edit.
     """
-    usable = [list(r) for r in references if len(r) > 0]
-    if not usable:
-        raise ValueError("TER needs at least one non-empty reference")
-    return min(_ter_edits(hypothesis, ref) / len(ref) for ref in usable)
+    edits, length = _best_reference(hypothesis, references)
+    return edits / length
 
 
 def corpus_ter(corpus: Sequence[EvalPair]) -> float:
@@ -276,12 +281,7 @@ def corpus_ter(corpus: Sequence[EvalPair]) -> float:
     total_edits = 0
     total_len = 0
     for pair in corpus:
-        usable = [list(r) for r in pair.references if len(r) > 0]
-        if not usable:
-            raise ValueError("TER needs at least one non-empty reference")
-        edits, length = min(
-            ((_ter_edits(pair.hypothesis, ref), len(ref)) for ref in usable),
-            key=lambda el: (el[0] / el[1], el[1]))
+        edits, length = _best_reference(pair.hypothesis, pair.references)
         total_edits += edits
         total_len += length
     return total_edits / total_len

@@ -8,21 +8,14 @@ reverse-direction mining runs and reports their overlap statistics.
 from __future__ import annotations
 
 import functools
-import re
 from dataclasses import dataclass
 from typing import Iterable
 
 from .aligner import align, threshold_filter
 from .classifier import SimilarityModel, similarity, source_record, target_record
-from .corpus_io import ArticlePair, BiSentence, BitextCorpus, segment_sentences, write_json
+from .corpus_io import (ArticlePair, BiSentence, BitextCorpus, normalize_space,
+                        segment_sentences, write_json)
 from .lexicon import TranslationLexicon
-
-_WS = re.compile(r"\s+")
-
-
-def _normalize(text: str) -> str:
-    return _WS.sub(" ", text).strip()
-
 
 @dataclass(frozen=True)
 class OverlapStats:
@@ -109,7 +102,7 @@ def merge_bidirectional(fwd: BitextCorpus, rev: BitextCorpus,
 
     merged: dict[tuple[str, str], BiSentence] = {}
     for pair in fwd.pairs:
-        key = (_normalize(pair.src), _normalize(pair.tgt))
+        key = (normalize_space(pair.src), normalize_space(pair.tgt))
         kept = merged.get(key)
         if kept is None or pair.score > kept.score:
             merged[key] = pair
@@ -117,7 +110,7 @@ def merge_bidirectional(fwd: BitextCorpus, rev: BitextCorpus,
 
     rev_keys = set()
     for pair in rev.pairs:
-        key = (_normalize(pair.src), _normalize(pair.tgt))
+        key = (normalize_space(pair.src), normalize_space(pair.tgt))
         rev_keys.add(key)
         kept = merged.get(key)
         if kept is None or pair.score > kept.score:

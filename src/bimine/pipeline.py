@@ -46,6 +46,11 @@ class PipelineError(RuntimeError):
     pass
 
 
+# section keys that have no default: the ingest inputs, and mining.workers,
+# which older configs carry as 1
+_SECTION_KEYS = {"ingest": ("src_dump", "tgt_dump", "links"), "mining": ("workers",)}
+
+
 @dataclass
 class PipelineConfig:
     workdir: str
@@ -80,10 +85,17 @@ class PipelineConfig:
             raise PipelineError(f"{path}: config needs 'workdir'")
         config = cls(workdir=doc["workdir"])
         for key, value in doc.items():
-            if isinstance(getattr(config, key), dict):
-                getattr(config, key).update(value)
-            else:
+            section = getattr(config, key)
+            if not isinstance(section, dict):
                 setattr(config, key, value)
+                continue
+            if not isinstance(value, dict):
+                raise PipelineError(f"{path}: config section {key!r} must be an object")
+            unknown = set(value) - set(section) - set(_SECTION_KEYS.get(key, ()))
+            if unknown:
+                raise PipelineError(
+                    f"{path}: unknown keys {sorted(unknown)} in config section {key!r}")
+            section.update(value)
         # mining runs in one process; older configs carry workers = 1
         if config.mining.get("workers", 1) != 1:
             raise PipelineError(
@@ -182,14 +194,17 @@ def mine(store, model, lexicon, out, *, gap_cost: float,
          threshold: float | None = None, log=None, flip: bool = False) -> dict:
     """Mine parallel sentences from an article-pair store and write them.
 
-    A ``threshold`` of None means the one stored in the model.  ``flip``
-    mines the reverse direction, reading each stored pair target side first.
-    ``log`` gets one JSON line per article.  The counts sum the articles'
-    lattice cells, the cells whose similarity was computed and the A* heap
-    pops.
+    The lexicon must be the one the model was trained with; the model
+    stores its checksum.  A ``threshold`` of None means the one stored in
+    the model.  ``flip`` mines the reverse direction, reading each stored
+    pair target side first.  ``log`` gets one JSON line per article.  The
+    counts sum the articles' lattice cells, the cells whose similarity was
+    computed and the A* heap pops.
     """
     sim_model = classifier_mod.load_model(model)
     lex = lexicon_mod.read_lexicon(lexicon, *sim_model.direction)
+    if classifier_mod.lexicon_checksum(lex) != sim_model.lexicon_checksum:
+        raise ValueError(f"lexicon {lexicon} is not the one model {model} was trained with")
     articles = corpus_io.read_article_store(store)
     if flip:
         articles = (corpus_io.ArticlePair(p.id, p.tgt, p.src) for p in articles)
@@ -198,9 +213,7 @@ def mine(store, model, lexicon, out, *, gap_cost: float,
         threshold=sim_model.threshold if threshold is None else float(threshold))
     corpus_io.write_bitext(out, corpus)
     if log:
-        with open(log, "w", encoding="utf-8") as fh:
-            for entry in article_log:
-                fh.write(json.dumps(entry, sort_keys=True) + "\n")
+        corpus_io.write_jsonl(log, article_log)
     return {"articles": len(article_log), "mined": len(corpus.pairs),
             **{key: sum(entry[key] for entry in article_log) for key in _MINE_WORK}}
 
@@ -227,8 +240,7 @@ def analogy_find(seed, max_distance: int, size_guard: int,
     to ``analogy_models`` in memory.  Raises ``SizeGuardError`` for a seed of
     more than ``size_guard`` sentences.
     """
-    sentences = [corpus_io.tokenize(p.src, lowercase=True)
-                 for p in corpus_io.read_bitext(seed).pairs]
+    sentences = [corpus_io.tokenize(p.src) for p in corpus_io.read_bitext(seed).pairs]
     analogy_mod.check_size_guard(len(sentences), size_guard)
     return analogy_mod.find_analogies(sentences, max_distance)
 
@@ -447,9 +459,8 @@ def _stage_eval(config: PipelineConfig) -> None:
         int(params["seed"]))
     pairs = []
     for bs in test.pairs:
-        hyp = tuple(lexicon_mod.gloss_translate(
-            lex, corpus_io.tokenize(bs.src, lowercase=True)))
-        ref = tuple(corpus_io.tokenize(bs.tgt, lowercase=True))
+        hyp = tuple(lexicon_mod.gloss_translate(lex, corpus_io.tokenize(bs.src)))
+        ref = tuple(corpus_io.tokenize(bs.tgt))
         pairs.append(metrics.EvalPair(hypothesis=hyp, references=(ref,)))
     scores = {name: score(pairs, name) for name in METRICS}
     report = {

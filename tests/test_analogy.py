@@ -479,3 +479,37 @@ def test_model_file_roundtrip(tmp_path):
     path = tmp_path / "models.jsonl"
     write_models(path, [model])
     assert read_models(path) == [model]
+
+
+def _write_lines(path, records):
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+
+
+def test_read_quadruples_names_file_and_line(tmp_path):
+    quads = find_analogies([s.split() for s in TEA_COFFEE], 4)
+    path = tmp_path / "quads.jsonl"
+    write_quadruples(path, quads[:1])
+    good = json.loads(path.read_text(encoding="utf-8"))
+    broken = {k: v for k, v in good.items() if k != "c"}
+    for record, detail in ((broken, "missing field 'c'"),
+                           ({**good, "a": "tea"}, "list of tokens"),
+                           ({**good, "indices": [0, 1]}, "4 indices")):
+        _write_lines(path, [good, record])
+        with pytest.raises(ValueError, match=f"quads.jsonl: line 2: .*{detail}"):
+            read_quadruples(path)
+
+
+def test_read_models_names_file_and_line(tmp_path):
+    path = tmp_path / "models.jsonl"
+    write_models(path, [extract_rewriting_model(*BLANKET)])
+    good = json.loads(path.read_text(encoding="utf-8"))
+    # a support of the wrong shape is an error, not a model with empty support
+    for record, detail in (({**good, "support": "junk"}, "support"),
+                           ({**good, "support": good["support"][:1]}, "support"),
+                           ({**good, "support": [["a", "b"], ["c", "d"]]}, "list of tokens"),
+                           ({k: v for k, v in good.items() if k != "support"},
+                            "missing field 'support'"),
+                           ({**good, "tgt_suffix": None}, "list of tokens")):
+        _write_lines(path, [good, record])
+        with pytest.raises(ValueError, match=f"models.jsonl: line 2: .*{detail}"):
+            read_models(path)

@@ -1,15 +1,15 @@
+import json
 import math
 import random
+from collections import namedtuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bimine.classifier import (
     FEATURE_NAMES,
-    FeatureVector,
     SimilarityModel,
     calibrate,
-    extract_features,
     load_model,
     pair_features,
     save_model,
@@ -27,12 +27,21 @@ def _lex(mapping):
         entries={s: [(t, 1.0)] for s, t in mapping.items()})
 
 
+# the feature tuple with named fields, for readable assertions
+Features = namedtuple("Features", FEATURE_NAMES)
+
+
+def _features(src_tokens, tgt_tokens, lex):
+    return Features(*pair_features(source_record(src_tokens, lex),
+                                   target_record(tgt_tokens)))
+
+
 # ---------------------------------------------------------------------------
 # features
 
 def test_perfect_pair_features():
     lex = _lex({"ala": "ala", "ma": "ma", "kota": "kota"})
-    fv = extract_features(["ala", "ma", "kota"], ["ala", "ma", "kota"], lex)
+    fv = _features(["ala", "ma", "kota"], ["ala", "ma", "kota"], lex)
     assert fv.len_ratio == 1.0
     assert fv.cov_st == 1.0
     assert fv.cov_ts == 1.0
@@ -40,31 +49,31 @@ def test_perfect_pair_features():
 
 
 def test_disjoint_tokens_empty_lexicon():
-    fv = extract_features(["a", "b"], ["x", "y"], _lex({}))
+    fv = _features(["a", "b"], ["x", "y"], _lex({}))
     assert fv.cov_st == 0.0
     assert fv.cov_ts == 0.0
 
 
 def test_len_ratio_half():
     lex = _lex({})
-    fv = extract_features(["a"] * 4, ["x"] * 8, lex)
+    fv = _features(["a"] * 4, ["x"] * 8, lex)
     assert fv.len_ratio == 0.5
 
 
 def test_empty_side_errors():
     with pytest.raises(ValueError):
-        extract_features([], ["x"], _lex({}))
+        _features([], ["x"], _lex({}))
     with pytest.raises(ValueError):
-        extract_features(["a"], [], _lex({}))
+        _features(["a"], [], _lex({}))
 
 
 def test_digit_overlap():
     lex = _lex({})
-    fv = extract_features(["w", "1920"], ["v", "1920"], lex)
+    fv = _features(["w", "1920"], ["v", "1920"], lex)
     assert fv.num_overlap == 1.0
-    fv = extract_features(["w", "1920"], ["v", "1921"], lex)
+    fv = _features(["w", "1920"], ["v", "1921"], lex)
     assert fv.num_overlap == 0.0
-    fv = extract_features(["w"], ["v"], lex)
+    fv = _features(["w"], ["v"], lex)
     assert fv.num_overlap == 1.0
 
 
@@ -77,8 +86,8 @@ def test_features_bounded():
         src = [rng.choice(vocab) for _ in range(rng.randint(1, 6))]
         tgt = [rng.choice(["x", "y", "z", "7", "."])
                for _ in range(rng.randint(1, 6))]
-        fv = extract_features(src, tgt, lex)
-        for value in fv.as_tuple():
+        fv = _features(src, tgt, lex)
+        for value in fv:
             assert 0.0 <= value <= 1.0
 
 
@@ -134,21 +143,20 @@ _LEXICONS = st.dictionaries(
        st.lists(st.sampled_from(_TGT_VOCAB), min_size=1, max_size=8))
 def test_features_equal_reference_formula_bit_for_bit(entries, src, tgt):
     lex = TranslationLexicon(entries=entries)
-    got = extract_features(src, tgt, lex).as_tuple()
+    got = _features(src, tgt, lex)
     assert [x.hex() for x in got] == [x.hex() for x in _reference_features(src, tgt, lex)]
 
 
 def test_records_reused_across_pairings(small_lexicon, small_seed_corpus):
     from bimine.corpus_io import tokenize
 
-    sentences = [(tokenize(p.src, lowercase=True), tokenize(p.tgt, lowercase=True))
-                 for p in small_seed_corpus.pairs[:30]]
+    sentences = [(tokenize(p.src), tokenize(p.tgt)) for p in small_seed_corpus.pairs[:30]]
     sources = [source_record(s, small_lexicon) for s, _ in sentences]
     targets = [target_record(t) for _, t in sentences]
     for i, (src, _) in enumerate(sentences):
         for j, (_, tgt) in enumerate(sentences):
             assert pair_features(sources[i], targets[j]) == \
-                FeatureVector(*_reference_features(src, tgt, small_lexicon))
+                _reference_features(src, tgt, small_lexicon)
 
 
 # ---------------------------------------------------------------------------
@@ -236,15 +244,15 @@ def test_train_accuracy_on_separable_fixture():
     examples = []
     tokenized = [(p.src.split(), p.tgt.split()) for p in corpus.pairs]
     for i, (src, tgt) in enumerate(tokenized):
-        examples.append((extract_features(src, tgt, lex).as_tuple(), 1))
+        examples.append((_features(src, tgt, lex), 1))
         j = rng.randrange(len(tokenized))
         if j != i:
             examples.append(
-                (extract_features(src, tokenized[j][1], lex).as_tuple(), -1))
+                (_features(src, tokenized[j][1], lex), -1))
     assert _perceptron_separable(examples)
     correct = sum(
         1 for x, y in examples
-        if (model.margin(FeatureVector(*x)) >= 0) == (y > 0))
+        if (model.margin(x) >= 0) == (y > 0))
     assert correct / len(examples) >= 0.95
 
 
@@ -279,9 +287,9 @@ def test_similarity_separates_fixture_pairs(small_model, small_lexicon,
     pairs = small_seed_corpus.pairs[:50]
     good = bad = 0
     for i, pair in enumerate(pairs):
-        src = tokenize(pair.src, lowercase=True)
-        true_tgt = tokenize(pair.tgt, lowercase=True)
-        other = tokenize(pairs[(i + 7) % len(pairs)].tgt, lowercase=True)
+        src = tokenize(pair.src)
+        true_tgt = tokenize(pair.tgt)
+        other = tokenize(pairs[(i + 7) % len(pairs)].tgt)
         src_rec = source_record(src, small_lexicon)
         if similarity(small_model, src_rec, target_record(true_tgt)) > small_model.threshold:
             good += 1
@@ -306,10 +314,10 @@ def test_similarity_monotone_in_coverage(small_model):
     # higher source coverage never lowers the score when its weight is positive
     cov_weight = small_model.weights[FEATURE_NAMES.index("cov_st")]
     assert cov_weight > 0
-    base = FeatureVector(1.0, 1.0, 0.2, 0.5, 1.0)
+    base = Features(1.0, 1.0, 0.2, 0.5, 1.0)
     scores = []
     for cov in [0.2, 0.5, 0.8, 1.0]:
-        fv = FeatureVector(1.0, 1.0, cov, 0.5, 1.0)
+        fv = Features(1.0, 1.0, cov, 0.5, 1.0)
         margin = small_model.margin(fv)
         scores.append(1.0 / (1.0 + math.exp(
             small_model.platt_a * margin + small_model.platt_b)))
@@ -342,3 +350,21 @@ def test_load_rejects_wrong_version(tmp_path):
 
 def test_model_direction_recorded(small_model):
     assert small_model.direction == ("pl", "en")
+
+
+def test_load_rejects_malformed_model_naming_the_file(tmp_path, small_model):
+    path = tmp_path / "model.json"
+    save_model(path, small_model)
+    good = json.loads(path.read_text(encoding="utf-8"))
+    for doc, detail in (({k: v for k, v in good.items() if k != "weights"},
+                         "missing field 'weights'"),
+                        ({**good, "weights": good["weights"][:3]}, "3 weights"),
+                        ({**good, "bias": "high"}, "float"),
+                        ({**good, "direction": ["pl"]}, "unpack"),
+                        (["not", "an", "object"], "one JSON object")):
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ValueError, match=f"model.json: .*{detail}"):
+            load_model(path)
+    path.write_text("{", encoding="utf-8")
+    with pytest.raises(ValueError, match="model.json: Expecting"):
+        load_model(path)

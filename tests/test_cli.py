@@ -38,8 +38,7 @@ def workdir(tmp_path_factory, world):
     tmp_path = tmp_path_factory.mktemp("cli")
     src_dump, tgt_dump, links = _write_dumps(tmp_path, world)
     seed_path = tmp_path / "seed.tsv"
-    write_bitext(seed_path, make_parallel(world, random.Random(72), 400),
-                 with_score=False)
+    write_bitext(seed_path, make_parallel(world, random.Random(72), 400))
     store = tmp_path / "store.jsonl"
     assert main(["ingest", "--src-dump", str(src_dump), "--tgt-dump", str(tgt_dump),
                  "--links", str(links), "--out", str(store)]) == 0
@@ -228,7 +227,7 @@ def test_eval_rejects_mismatched_files(tmp_path, capsys):
 def _pipeline_config(tmp_path, world, bidirectional=True):
     rng = random.Random(81)
     seed_path = tmp_path / "seed.tsv"
-    write_bitext(seed_path, make_parallel(world, rng, 400), with_score=False)
+    write_bitext(seed_path, make_parallel(world, rng, 400))
     src_dump, tgt_dump, links = _write_dumps(tmp_path, world, n_articles=8)
     config_path = tmp_path / "config.json"
     workdir = tmp_path / "out"
@@ -304,7 +303,7 @@ def test_cli_steps_write_the_pipeline_artifacts(world, tmp_path):
     out.mkdir()
     # the reverse direction runs on a flipped seed and a flipped store
     rev_seed, rev_links = tmp_path / "seed.rev.tsv", tmp_path / "links.rev.tsv"
-    write_bitext(rev_seed, read_bitext(seed, flip=True), with_score=False)
+    write_bitext(rev_seed, read_bitext(seed, flip=True))
     links = Path(ingest["links"]).read_text(encoding="utf-8").splitlines()
     rev_links.write_text("".join("\t".join(reversed(line.split("\t"))) + "\n"
                                  for line in links), encoding="utf-8")
@@ -413,6 +412,14 @@ def test_pipeline_config_rejects_unknown_keys(tmp_path):
     path.write_text('{"workdir": "x", "nonsense": 1}', encoding="utf-8")
     with pytest.raises(PipelineError, match="nonsense"):
         PipelineConfig.from_json(path)
+    # a misspelt key inside a section must not fall back to the default
+    path.write_text('{"workdir": "x", "mining": {"treshold": 0.3}}', encoding="utf-8")
+    with pytest.raises(PipelineError, match=r"c\.json: unknown keys \['treshold'\] "
+                                            r"in config section 'mining'"):
+        PipelineConfig.from_json(path)
+    path.write_text('{"workdir": "x", "eval": 5}', encoding="utf-8")
+    with pytest.raises(PipelineError, match="section 'eval' must be an object"):
+        PipelineConfig.from_json(path)
 
 
 def test_pipeline_cli_failure_exit_code(world, tmp_path, capsys):
@@ -420,3 +427,42 @@ def test_pipeline_cli_failure_exit_code(world, tmp_path, capsys):
     assert main(["pipeline", "--config", str(config_path),
                  "--stages", "eval"]) == 1
     assert "run stage" in capsys.readouterr().err
+
+
+def test_pipeline_config_accepts_every_documented_key(tmp_path):
+    defaults = PipelineConfig(workdir="x")
+    doc = {"workdir": "x", "store": "s.jsonl",
+           "ingest": {"src_dump": "a", "tgt_dump": "b", "links": "c"}}
+    for section in ("lexicon", "classifier", "mining", "analogy", "filter", "eval"):
+        doc[section] = dict(getattr(defaults, section))
+    doc["mining"].update(workers=1, threshold=None)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    config = PipelineConfig.from_json(path)
+    assert config.mining["threshold"] is None
+    assert config.ingest["links"] == "c"
+
+
+def test_mine_rejects_a_lexicon_the_model_was_not_trained_with(world, tmp_path, capsys):
+    config_path, workdir = _pipeline_config(tmp_path, world)
+    run_pipeline(PipelineConfig.from_json(config_path), ["ingest", "lexicon", "classifier"])
+    argv = ["mine", "--store", workdir / "store.jsonl", "--model", workdir / "classifier.json",
+            "--out", tmp_path / "mined.tsv"]
+    capsys.readouterr()
+    assert main([str(a) for a in argv + ["--lexicon", workdir / "lexicon.rev.tsv"]]) == 1
+    err = capsys.readouterr().err
+    assert "lexicon.rev.tsv" in err and "classifier.json" in err
+    assert not (tmp_path / "mined.tsv").exists()
+    assert main([str(a) for a in argv + ["--lexicon", workdir / "lexicon.tsv"]]) == 0
+
+
+def test_analogy_models_reports_a_malformed_quadruple_file(tmp_path, capsys):
+    seed = tmp_path / "seed.tsv"
+    seed.write_text("a b\tx y\n", encoding="utf-8")
+    quads = tmp_path / "quads.jsonl"
+    record = {"a": ["a"], "b": ["b"], "d": ["d"], "d_ab": 1, "d_cd": 1, "d_ac": 1,
+              "d_bd": 1, "indices": [0, 1, 2, 3]}
+    quads.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    assert main(["analogy", "models", "--seed", str(seed), "--quads", str(quads),
+                 "--out", str(tmp_path / "models.jsonl")]) == 1
+    assert "quads.jsonl: line 1: missing field 'c'" in capsys.readouterr().err

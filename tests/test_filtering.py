@@ -314,3 +314,14 @@ def test_cascade_config_file(tmp_path):
     assert config.stop_words == {"the"}
     assert config.synonyms == {"big": frozenset({"large"})}
     assert config.stem_rules == [("s", "")]
+
+
+def test_cascade_config_errors_name_the_file(tmp_path):
+    path = tmp_path / "cascade.json"
+    for text, detail in (('{"stages": [{"accept": 0.9, "reject": 0.1}]}', "missing field 'fn'"),
+                         ('{"stages": [{"fn": "fast", "accept": "x", "reject": 0}]}', "float"),
+                         ('{"stages": [{"fn": "slow", "accept": 1, "reject": 0}]}', "slow"),
+                         ('{"stages": ', "Expecting value")):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"cascade.json: .*{detail}"):
+            read_cascade_config(path)

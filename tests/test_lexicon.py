@@ -197,3 +197,10 @@ def test_lexicon_file_sorted(tmp_path, small_lexicon):
     lines = path.read_text(encoding="utf-8").splitlines()
     sources = [line.split("\t")[0] for line in lines]
     assert sources == sorted(sources)
+
+
+def test_read_lexicon_names_file_and_line(tmp_path):
+    path = tmp_path / "lex.tsv"
+    path.write_text("kot\tcat\t1\npies\tdog\tmany\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="lex.tsv: line 2: bad probability"):
+        read_lexicon(path)
