@@ -168,7 +168,8 @@ def find_analogies(sentences: Sequence[Sequence[str]],
     bags = [Counter(s) for s in uniq]
 
     # all unordered pairs within distance, bucketed by (distance, char delta);
-    # sweeping by length visits only pairs within the length bound
+    # sweeping by length visits only pairs within the length bound, and v
+    # is the longer of the two
     by_length = sorted(range(len(uniq)), key=lambda k: len(uniq[k]))
     dist: dict[tuple[int, int], int] = {}
     buckets: dict[tuple[int, CharDelta], list[tuple[int, int]]] = {}
@@ -176,7 +177,7 @@ def find_analogies(sentences: Sequence[Sequence[str]],
         for v in by_length[pos1 + 1:]:
             if len(uniq[v]) - len(uniq[u]) > max_distance:
                 break
-            if token_bag_bound(bags[u], bags[v]) > max_distance:
+            if token_bag_bound(bags[u], bags[v], len(uniq[v])) > max_distance:
                 continue
             d = _levenshtein_capped(uniq[u], uniq[v], max_distance)
             if d is None:

@@ -12,7 +12,7 @@ import hashlib
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .corpus_io import BitextCorpus, tokenize, write_json
@@ -32,6 +32,9 @@ class SimilarityModel:
     direction: tuple[str, str]
     threshold: float = 0.5
     lexicon_checksum: str = ""
+    # examples, held-out examples and hinge updates of the training run; the
+    # classifier stage records them in its manifest, the model file does not
+    training_counts: dict[str, int] = field(default_factory=dict)
 
     def margin(self, features: Sequence[float]) -> float:
         """``w . x + b`` of a feature tuple in FEATURE_NAMES order."""
@@ -221,6 +224,51 @@ def similarity(model: SimilarityModel, src: SourceRecord, tgt: TargetRecord) -> 
     return _sigmoid_ab(model.margin(features), model.platt_a, model.platt_b)
 
 
+def _fit_hinge(training: Sequence[tuple[tuple[float, ...], int]], rng: random.Random,
+               epochs: int, learning_rate: float, margin_reg: float,
+               ) -> tuple[list[float], float, int]:
+    """SGD on the L2-regularized hinge loss over (features, label) examples,
+    visited in an ``rng`` order per epoch.  Returns the weights, the bias and
+    the number of hinge updates.
+
+    The five weights live in locals.  The products group as in
+    ``w -= eta * margin_reg * w`` and ``w += eta * y * x``, and the margin is
+    a sum() over the same terms as ``SimilarityModel.margin``; CPython 3.12
+    made sum() of floats compensated, so a chain of + would change bits.
+    """
+    xs = [x for x, _ in training]
+    ys = [y for _, y in training]
+    w0 = w1 = w2 = w3 = w4 = 0.0
+    bias = 0.0
+    step = 0
+    hinge_updates = 0
+    for _ in range(epochs):
+        order = list(range(len(training)))
+        rng.shuffle(order)
+        for idx in order:
+            step += 1
+            eta = learning_rate / (1.0 + margin_reg * learning_rate * step)
+            x0, x1, x2, x3, x4 = xs[idx]
+            y = ys[idx]
+            margin = sum((w0 * x0, w1 * x1, w2 * x2, w3 * x3, w4 * x4)) + bias
+            shrink = eta * margin_reg
+            w0 -= shrink * w0
+            w1 -= shrink * w1
+            w2 -= shrink * w2
+            w3 -= shrink * w3
+            w4 -= shrink * w4
+            if y * margin < 1.0:
+                g = eta * y
+                w0 += g * x0
+                w1 += g * x1
+                w2 += g * x2
+                w3 += g * x3
+                w4 += g * x4
+                bias += g
+                hinge_updates += 1
+    return [w0, w1, w2, w3, w4], bias, hinge_updates
+
+
 def train_model(seed: BitextCorpus, lex: TranslationLexicon,
                 neg_per_pos: int = 3, epochs: int = 30,
                 learning_rate: float = 0.1, margin_reg: float = 1e-4,
@@ -264,24 +312,8 @@ def train_model(seed: BitextCorpus, lex: TranslationLexicon,
     held_out = examples[:n_held]
     training = examples[n_held:]
 
-    dim = len(FEATURE_NAMES)
-    weights = [0.0] * dim
-    bias = 0.0
-    step = 0
-    for _ in range(epochs):
-        order = list(range(len(training)))
-        rng.shuffle(order)
-        for idx in order:
-            step += 1
-            eta = learning_rate / (1.0 + margin_reg * learning_rate * step)
-            x, y = training[idx]
-            margin = sum(w * xi for w, xi in zip(weights, x)) + bias
-            for d in range(dim):
-                weights[d] -= eta * margin_reg * weights[d]
-            if y * margin < 1.0:
-                for d in range(dim):
-                    weights[d] += eta * y * x[d]
-                bias += eta * y
+    weights, bias, hinge_updates = _fit_hinge(training, rng, epochs,
+                                              learning_rate, margin_reg)
     raw = [(sum(w * xi for w, xi in zip(weights, x)) + bias, y) for x, y in held_out]
     if len({y for _, y in raw}) < 2:
         # tiny held-out split missed one class; calibrate on training margins
@@ -296,6 +328,8 @@ def train_model(seed: BitextCorpus, lex: TranslationLexicon,
         weights=weights, bias=bias, platt_a=platt_a, platt_b=platt_b,
         direction=(seed.src_lang, seed.tgt_lang),
         lexicon_checksum=lexicon_checksum(lex),
+        training_counts={"examples": len(examples), "held_out": n_held,
+                         "hinge_updates": hinge_updates},
     )
 
 

@@ -57,17 +57,19 @@ def _cmd_stats(args) -> int:
 
 def _cmd_lexicon_train(args) -> int:
     counts = pipeline.train_lexicon(args.seed, args.out, args.iters, args.prune_below)
-    _log(f"trained lexicon with {counts['entries']} source entries -> {args.out}")
+    _log(f"trained lexicon with {counts['entries']} source entries "
+         f"({counts['cells']} EM cells) -> {args.out}")
     return 0
 
 
 def _cmd_classifier_train(args) -> int:
-    pipeline.train_classifier(
+    counts = pipeline.train_classifier(
         args.seed, args.lexicon, args.out, args.src_lang, args.tgt_lang,
         neg_per_pos=args.neg_per_pos, epochs=args.epochs,
         learning_rate=args.learning_rate, margin_reg=args.margin_reg,
         seed_rng=args.seed_rng, threshold=args.threshold)
-    _log(f"trained classifier -> {args.out}")
+    _log(f"trained classifier on {counts['examples']} examples "
+         f"({counts['hinge_updates']} hinge updates) -> {args.out}")
     return 0
 
 

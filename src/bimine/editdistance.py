@@ -73,12 +73,12 @@ def levenshtein(a: Sequence[str], b: Sequence[str]) -> int:
     return Pattern(b).distance(a)
 
 
-def token_bag_bound(bag1: Counter, bag2: Counter) -> int:
+def token_bag_bound(bag1: Counter, bag2: Counter, longer: int) -> int:
     """Lower bound on the Levenshtein distance of two sequences given their
-    token bags.
+    token bags and ``longer``, the length of the longer sequence.
 
     An alignment matches at most the multiset intersection of the tokens, and
     every unmatched token of the longer sequence costs one edit.
     """
     shared = sum(min(k, bag2[tok]) for tok, k in bag1.items() if tok in bag2)
-    return max(bag1.total(), bag2.total()) - shared
+    return longer - shared

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .corpus_io import BitextCorpus, tokenize
 
@@ -24,19 +24,20 @@ class TranslationLexicon:
     # log-likelihood of the parameters entering each EM round, oldest first;
     # the lexicon stage records it in its manifest, the lexicon file does not
     iteration_log_likelihood: list[float] = field(default_factory=list)
+    # co-occurring (source, target) cells each EM round updates
+    cells: int = 0
 
     def __len__(self) -> int:
         return len(self.entries)
 
 
-def _token_pairs(seed: BitextCorpus) -> list[tuple[list[str], list[str]]]:
-    pairs = []
+def _token_pairs(seed: BitextCorpus) -> Iterator[tuple[list[str], list[str]]]:
+    """The tokenized pairs with tokens on both sides, one at a time."""
     for bs in seed.pairs:
         src = tokenize(bs.src)
         tgt = tokenize(bs.tgt)
         if src and tgt:
-            pairs.append((src, tgt))
-    return pairs
+            yield src, tgt
 
 
 def train_lexicon(seed: BitextCorpus, iterations: int = 10,
@@ -52,46 +53,74 @@ def train_lexicon(seed: BitextCorpus, iterations: int = 10,
         raise ValueError("iterations must be >= 1")
     if not seed.pairs:
         raise ValueError("seed corpus is empty")
-    pairs = _token_pairs(seed)
-    if not pairs:
-        raise ValueError("seed corpus has no pair with tokens on both sides")
 
-    # uniform init over co-occurring (source, target) pairs
-    cooc: dict[str, dict[str, float]] = {}
-    for src, tgt in pairs:
+    # number each co-occurring (source, target) cell once, in the (pair, t,
+    # s) order in which an EM round adds to the counts; a row is numbered
+    # when its source token is first seen
+    row_ids: dict[str, int] = {}
+    row_cells: list[dict[str, int]] = []  # row -> {target: cell}
+    cell_row: list[int] = []
+    cell_target: list[str] = []
+    # per pair: log of the source length, the source length n and one flat
+    # tuple holding, per target token, the cells of the n source tokens
+    # (repeated tokens repeat their cell).  One tuple per target token
+    # instead would park thousands of small tuples on CPython's tuple free
+    # lists after training, memory the later stages cannot reuse.
+    plan = []
+    for src, tgt in _token_pairs(seed):
+        rows = []
         for s in src:
-            row = cooc.setdefault(s, {})
-            for t in tgt:
-                row.setdefault(t, 0.0)
-    table: dict[str, dict[str, float]] = {}
-    for s, row in cooc.items():
-        u = 1.0 / len(row)
-        table[s] = {t: u for t in row}
+            r = row_ids.get(s)
+            if r is None:
+                r = row_ids[s] = len(row_cells)
+                row_cells.append({})
+            rows.append(r)
+        cells = []
+        for t in tgt:
+            for r in rows:
+                cell = row_cells[r].get(t)
+                if cell is None:
+                    cell = row_cells[r][t] = len(cell_row)
+                    cell_row.append(r)
+                    cell_target.append(t)
+                cells.append(cell)
+        plan.append((math.log(len(src)), len(src), tuple(cells)))
+    if not plan:
+        raise ValueError("seed corpus has no pair with tokens on both sides")
+    sources = list(row_ids)
+    # uniform init over each source's co-occurring targets
+    table = [1.0 / len(row_cells[r]) for r in cell_row]
+    del row_ids, row_cells
 
+    log = math.log
     likelihoods = []
     for _ in range(iterations):
-        counts: dict[str, dict[str, float]] = {s: {} for s in table}
-        totals: dict[str, float] = {s: 0.0 for s in table}
+        counts = [0.0] * len(table)
+        totals = [0.0] * len(sources)
         ll = 0.0
-        for src, tgt in pairs:
-            log_len = math.log(len(src))
-            for t in tgt:
+        for log_len, n, pair_cells in plan:
+            for k in range(0, len(pair_cells), n):
+                cells = pair_cells[k:k + n]
                 z = 0.0
-                for s in src:
-                    z += table[s][t]
-                ll += math.log(z) - log_len
-                for s in src:
-                    frac = table[s][t] / z
-                    row = counts[s]
-                    row[t] = row.get(t, 0.0) + frac
-                    totals[s] += frac
+                for c in cells:
+                    z += table[c]
+                ll += log(z) - log_len
+                for c in cells:
+                    frac = table[c] / z
+                    counts[c] += frac
+                    totals[cell_row[c]] += frac
         likelihoods.append(ll)
-        for s, row in counts.items():
-            total = totals[s]
-            table[s] = {t: c / total for t, c in row.items()}
+        table = [c / totals[r] for c, r in zip(counts, cell_row)]
 
-    lex = _finalize(table, prune_below, seed.src_lang, seed.tgt_lang)
+    # _finalize sums each row in order, so rows keep the source order and
+    # each row its cell order
+    rows_out: list[dict[str, float]] = [{} for _ in sources]
+    for p, r, t in zip(table, cell_row, cell_target):
+        rows_out[r][t] = p
+    lex = _finalize(dict(zip(sources, rows_out)), prune_below,
+                    seed.src_lang, seed.tgt_lang)
     lex.iteration_log_likelihood = likelihoods
+    lex.cells = len(table)
     return lex
 
 

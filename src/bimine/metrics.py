@@ -241,7 +241,8 @@ def _ter_edits(hypothesis: Sequence[str], reference: Sequence[str]) -> int:
     pattern = Pattern(reference)
     ref_phrases = _phrases(tuple(reference))
     # every order of the hypothesis tokens is at least this far from the reference
-    floor = token_bag_bound(Counter(current), Counter(reference))
+    floor = token_bag_bound(Counter(current), Counter(reference),
+                            max(len(current), len(reference)))
     shifts = 0
     distance = pattern.distance(current)
     while distance > floor:

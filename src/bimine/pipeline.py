@@ -76,17 +76,26 @@ class PipelineConfig:
     @classmethod
     def from_json(cls, path) -> "PipelineConfig":
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise PipelineError(f"{path}: {exc}") from None
+        if not isinstance(doc, dict):
+            raise PipelineError(f"{path}: a config file holds one JSON object")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(doc) - known
         if unknown:
             raise PipelineError(f"{path}: unknown config keys {sorted(unknown)}")
         if "workdir" not in doc:
             raise PipelineError(f"{path}: config needs 'workdir'")
-        config = cls(workdir=doc["workdir"])
+        config = cls(workdir="")
         for key, value in doc.items():
             section = getattr(config, key)
             if not isinstance(section, dict):
+                if not isinstance(value, str):
+                    raise PipelineError(
+                        f"{path}: config key {key!r} must be a string, "
+                        f"not {type(value).__name__}")
                 setattr(config, key, value)
                 continue
             if not isinstance(value, dict):
@@ -167,7 +176,7 @@ def train_lexicon(seed, out, iterations: int, prune_below: float,
     lex = lexicon_mod.train_lexicon(corpus_io.read_bitext(seed, flip=flip),
                                     iterations, prune_below)
     lexicon_mod.write_lexicon(out, lex)
-    return {"entries": len(lex),
+    return {"entries": len(lex), "cells": lex.cells,
             "iteration_log_likelihood": lex.iteration_log_likelihood}
 
 
@@ -176,7 +185,8 @@ def train_classifier(seed, lexicon, out, src_lang: str, tgt_lang: str, *,
                      margin_reg: float, seed_rng: int, threshold: float,
                      flip: bool = False) -> dict:
     """Train the similarity classifier for ``src_lang -> tgt_lang`` and write
-    it with its mining threshold; ``flip`` reads the seed columns swapped."""
+    it with its mining threshold; ``flip`` reads the seed columns swapped.
+    Returns the training counts."""
     model = classifier_mod.train_model(
         corpus_io.read_bitext(seed, src_lang, tgt_lang, flip=flip),
         lexicon_mod.read_lexicon(lexicon, src_lang, tgt_lang),
@@ -184,7 +194,7 @@ def train_classifier(seed, lexicon, out, src_lang: str, tgt_lang: str, *,
         margin_reg=margin_reg, seed_rng=seed_rng)
     model.threshold = threshold
     classifier_mod.save_model(out, model)
-    return {}
+    return model.training_counts
 
 
 _MINE_WORK = ("lattice_cells", "cells_scored", "pops")
@@ -364,13 +374,14 @@ def _stage_classifier(config: PipelineConfig) -> None:
         threshold=float(params["threshold"]))
     lexicon = _require(config, config.path("lexicon.tsv"))
     outputs = [config.path("classifier.json")]
-    train(lexicon, outputs[0], config.src_lang, config.tgt_lang)
+    counts = train(lexicon, outputs[0], config.src_lang, config.tgt_lang)
     if config.mining.get("bidirectional"):
         outputs.append(config.path("classifier.rev.json"))
-        train(_require(config, config.path("lexicon.rev.tsv")), outputs[1],
-              config.tgt_lang, config.src_lang, flip=True)
-    _write_manifest(config, "classifier", params, [seed, lexicon], outputs, {})
-    _log(f"classifier: -> {outputs[0]}")
+        rev = train(_require(config, config.path("lexicon.rev.tsv")), outputs[1],
+                    config.tgt_lang, config.src_lang, flip=True)
+        counts.update({f"{key}_rev": value for key, value in rev.items()})
+    _write_manifest(config, "classifier", params, [seed, lexicon], outputs, counts)
+    _log(f"classifier: {counts} -> {outputs[0]}")
 
 
 def _stage_mine(config: PipelineConfig) -> None:

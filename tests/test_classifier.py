@@ -6,6 +6,7 @@ from collections import namedtuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bimine import classifier
 from bimine.classifier import (
     FEATURE_NAMES,
     SimilarityModel,
@@ -263,6 +264,71 @@ def test_train_deterministic():
     assert m1.weights == m2.weights
     assert m1.bias == m2.bias
     assert (m1.platt_a, m1.platt_b) == (m2.platt_a, m2.platt_b)
+
+
+def list_weights_sgd(training, rng, epochs, learning_rate, margin_reg):
+    """The earlier SGD loop over a weight list, kept as the bit-exact
+    reference for ``classifier._fit_hinge``."""
+    dim = len(FEATURE_NAMES)
+    weights = [0.0] * dim
+    bias = 0.0
+    step = 0
+    for _ in range(epochs):
+        order = list(range(len(training)))
+        rng.shuffle(order)
+        for idx in order:
+            step += 1
+            eta = learning_rate / (1.0 + margin_reg * learning_rate * step)
+            x, y = training[idx]
+            margin = sum(w * xi for w, xi in zip(weights, x)) + bias
+            for d in range(dim):
+                weights[d] -= eta * margin_reg * weights[d]
+            if y * margin < 1.0:
+                for d in range(dim):
+                    weights[d] += eta * y * x[d]
+                bias += eta * y
+    return weights, bias
+
+
+_EXAMPLES = st.lists(
+    st.tuples(st.tuples(*[st.floats(min_value=0.0, max_value=1.0)] * len(FEATURE_NAMES)),
+              st.sampled_from([1, -1])),
+    min_size=1, max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_EXAMPLES, st.integers(min_value=1, max_value=8),
+       st.sampled_from([0.1, 0.5, 1.0]), st.sampled_from([1e-4, 1e-2, 0.3]))
+def test_fit_hinge_equals_list_loop_bit_for_bit(training, epochs, learning_rate, margin_reg):
+    rng, reference_rng = random.Random(11), random.Random(11)
+    weights, bias, _ = classifier._fit_hinge(training, rng, epochs, learning_rate, margin_reg)
+    ref_weights, ref_bias = list_weights_sgd(training, reference_rng, epochs,
+                                             learning_rate, margin_reg)
+    assert [w.hex() for w in weights + [bias]] == [w.hex() for w in ref_weights + [ref_bias]]
+    # the same draws were taken from both generators
+    assert rng.random() == reference_rng.random()
+
+
+def test_fit_hinge_counts_the_updates():
+    # with a zero margin every example is inside the hinge on the first
+    # visit; a label-consistent pair then moves out of it
+    training = [((1.0, 0.0, 0.0, 0.0, 0.0), 1), ((0.0, 1.0, 0.0, 0.0, 0.0), -1)]
+    _, _, updates = classifier._fit_hinge(training, random.Random(0), 1, 0.1, 1e-4)
+    assert updates == 2
+    _, _, updates = classifier._fit_hinge(training, random.Random(0), 200, 1.0, 1e-4)
+    assert 2 <= updates < 400
+
+
+def test_seeded_model_weights_pinned(small_model):
+    # float.hex of the 600-pair fixture's model (CPython 3.11, x86-64)
+    assert [w.hex() for w in small_model.weights] == [
+        "0x1.068c53ca1db97p+1", "0x1.4199534011f6fp-4", "0x1.21009f59c3152p+2",
+        "0x1.016d986e9ea47p+2", "-0x1.c96eec2855dffp+1"]
+    assert small_model.bias.hex() == "-0x1.14e1cd716b57bp+2"
+    counts = small_model.training_counts
+    assert counts["examples"] == 4 * 600
+    assert counts["held_out"] == 240
+    assert 0 < counts["hinge_updates"] <= 12 * (counts["examples"] - counts["held_out"])
 
 
 def test_train_neg_per_pos_zero_error():

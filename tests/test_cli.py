@@ -271,8 +271,14 @@ def test_pipeline_full_run_and_determinism(world, tmp_path):
 
     lexicon_counts = json.loads(
         (workdir / "manifest.lexicon.json").read_text(encoding="utf-8"))["counts"]
+    classifier_counts = json.loads(
+        (workdir / "manifest.classifier.json").read_text(encoding="utf-8"))["counts"]
     for suffix in ("", "_rev"):
         assert len(lexicon_counts[f"iteration_log_likelihood{suffix}"]) == 5
+        assert lexicon_counts[f"cells{suffix}"] >= lexicon_counts[f"entries{suffix}"]
+        examples = classifier_counts[f"examples{suffix}"]
+        assert classifier_counts[f"held_out{suffix}"] == examples // 10
+        assert 0 < classifier_counts[f"hinge_updates{suffix}"] <= 10 * examples
     mine_counts = json.loads(
         (workdir / "manifest.mine.json").read_text(encoding="utf-8"))["counts"]
     with open(workdir / "mine_log.jsonl", encoding="utf-8") as fh:
@@ -420,6 +426,21 @@ def test_pipeline_config_rejects_unknown_keys(tmp_path):
     path.write_text('{"workdir": "x", "eval": 5}', encoding="utf-8")
     with pytest.raises(PipelineError, match="section 'eval' must be an object"):
         PipelineConfig.from_json(path)
+
+
+@pytest.mark.parametrize("text, detail", [
+    ('{"workdir": "x",', "Expecting property name"),
+    ('{"workdir": 5}', "config key 'workdir' must be a string, not int"),
+    ('{"workdir": "x", "store": ["s.jsonl"]}', "config key 'store' must be a string"),
+    ('["workdir"]', "one JSON object"),
+])
+def test_pipeline_cli_names_the_file_of_a_bad_config(tmp_path, capsys, text, detail):
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["pipeline", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"{path}: " in err and detail in err
+    assert "Traceback" not in err
 
 
 def test_pipeline_cli_failure_exit_code(world, tmp_path, capsys):
