@@ -7,6 +7,12 @@ with A* (admissible, consistent heuristic), evaluating the expensive
 similarity function only on visited nodes; ``align_bruteforce`` fills the
 full dynamic-programming table and is kept as the exact oracle.
 
+A caller may also pass ``can_match(i, j)``, a cheap predicate that is False
+only where ``sim(i, j)`` is provably below ``match_floor(gap_cost)``.  Such
+a match edge costs more than the two gaps around it by more than any float
+rounding, so no optimal path uses it and dropping it leaves every DP value
+unchanged; ``align`` never scores those cells.
+
 Both entry points share the cost arithmetic and the backtracking rule
 (prefer match, then source gap, then target gap), so they return identical
 costs and identical link sets.
@@ -29,29 +35,41 @@ class AlignmentResult:
     total_cost: float = 0.0
     cells_scored: int = 0  # lattice cells whose similarity was computed
     pops: int = 0  # A* heap pops, stale entries included; 0 from align_bruteforce
+    cells_pruned: int = 0  # match edges dropped because can_match ruled them out
 
 
-class _SimCache:
-    """Memoizes the pair scorer; at most one evaluation per lattice node."""
+def match_floor(gap_cost: float) -> float:
+    """The similarity below which a match edge may be dropped: it then costs
+    more than two gaps by a margin (1e-9) far above the rounding of any
+    path cost."""
+    return 1.0 - 2.0 * gap_cost - 1e-9
 
-    def __init__(self, src: Sequence, tgt: Sequence,
-                 sim: Callable[[object, object], float]):
-        self.src = src
-        self.tgt = tgt
-        self.sim = sim
-        self.cache: dict[tuple[int, int], float] = {}
 
-    def score(self, i: int, j: int) -> float:
-        key = (i, j)
-        value = self.cache.get(key)
-        if value is None:
-            value = self.sim(self.src[i], self.tgt[j])
-            value = 0.0 if value < 0.0 else (1.0 if value > 1.0 else value)
-            self.cache[key] = value
+_UNSEEN = object()
+
+
+def _scorer(src: Sequence, tgt: Sequence, sim: Callable[[object, object], float],
+            can_match: Callable[[int, int], bool] | None):
+    """A memoized ``score(i, j)``: the clamped similarity of cell (i, j),
+    computed at most once, or None for a cell ``can_match`` rules out, which
+    is never scored.  Also returns the memo, cell ``i * len(tgt) + j`` to
+    its score or None."""
+    m = len(tgt)
+    memo: dict[int, float | None] = {}
+
+    def score(i: int, j: int) -> float | None:
+        cell = i * m + j
+        value = memo.get(cell, _UNSEEN)
+        if value is _UNSEEN:
+            if can_match is not None and not can_match(i, j):
+                value = None
+            else:
+                value = sim(src[i], tgt[j])
+                value = 0.0 if value < 0.0 else (1.0 if value > 1.0 else value)
+            memo[cell] = value
         return value
 
-    def match_cost(self, i: int, j: int) -> float:
-        return 1.0 - self.score(i, j)
+    return score, memo
 
 
 def _check_gap_cost(gap_cost: float) -> None:
@@ -59,13 +77,16 @@ def _check_gap_cost(gap_cost: float) -> None:
         raise ValueError(f"gap_cost must be in (0, 0.5], got {gap_cost}")
 
 
-def _backtrack(n: int, m: int, gap_cost: float, cache: _SimCache,
+def _backtrack(n: int, m: int, gap_cost: float,
+               score: Callable[[int, int], float | None], memo: dict,
                cost_at: Callable[[int, int], float | None]) -> AlignmentResult:
     """Walk back from (n, m) along an optimal path.
 
     At each node the predecessor is chosen by priority match > src-gap >
     tgt-gap among moves whose cost adds up exactly; both align variants feed
-    the same float values in here, which makes their outputs identical.
+    the same float values in here, which makes their outputs identical.  A
+    pruned match edge costs more than the src-gap path to the same node, so
+    skipping it never changes the choice.
     """
     total = cost_at(n, m)
     if total is None:
@@ -76,10 +97,12 @@ def _backtrack(n: int, m: int, gap_cost: float, cache: _SimCache,
         here = cost_at(i, j)
         if i > 0 and j > 0:
             prev = cost_at(i - 1, j - 1)
-            if prev is not None and prev + cache.match_cost(i - 1, j - 1) == here:
-                result.links.append((i - 1, j - 1, cache.score(i - 1, j - 1)))
-                i, j = i - 1, j - 1
-                continue
+            if prev is not None:
+                value = score(i - 1, j - 1)
+                if value is not None and prev + (1.0 - value) == here:
+                    result.links.append((i - 1, j - 1, value))
+                    i, j = i - 1, j - 1
+                    continue
         if i > 0:
             prev = cost_at(i - 1, j)
             if prev is not None and prev + gap_cost == here:
@@ -94,12 +117,14 @@ def _backtrack(n: int, m: int, gap_cost: float, cache: _SimCache,
                 continue
         raise AssertionError("alignment backtrack lost the optimal path")
     result.links.reverse()
-    result.cells_scored = len(cache.cache)
+    result.cells_pruned = sum(1 for value in memo.values() if value is None)
+    result.cells_scored = len(memo) - result.cells_pruned
     return result
 
 
 def align(src: Sequence, tgt: Sequence, sim: Callable[[object, object], float],
-          gap_cost: float = 0.4) -> AlignmentResult:
+          gap_cost: float = 0.4,
+          can_match: Callable[[int, int], bool] | None = None) -> AlignmentResult:
     """A* search for the minimum-cost monotone alignment.
 
     The heuristic ``h(i, j) = |(N - i) - (M - j)| * gap_cost`` counts the
@@ -111,45 +136,69 @@ def align(src: Sequence, tgt: Sequence, sim: Callable[[object, object], float],
     margin.  At that point every node a backtrack can visit holds exactly
     the cost the full dynamic program would compute, so results match
     ``align_bruteforce`` bit for bit.
+
+    ``can_match(i, j)`` may return False only when ``sim(src[i], tgt[j])``
+    is below ``match_floor(gap_cost)``.  The search then skips that match
+    edge without scoring the cell.  The detour through (i + 1, j) costs two
+    gaps, strictly less even after rounding, so the edge is on no optimal
+    path and every node keeps its DP cost: links, gaps and total cost stay
+    those of the full lattice.
+
+    Node (i, j) is numbered ``i * (M + 1) + j``; the heap holds
+    ``(f, push counter, g, node)``.
     """
     _check_gap_cost(gap_cost)
     n, m = len(src), len(tgt)
-    cache = _SimCache(src, tgt, sim)
+    width = m + 1
+    goal = n * width + m
+    score, memo = _scorer(src, tgt, sim, can_match)
+    heappush, heappop = heapq.heappush, heapq.heappop
 
-    def heuristic(i: int, j: int) -> float:
-        return abs((n - i) - (m - j)) * gap_cost
-
-    dist: dict[tuple[int, int], float] = {(0, 0): 0.0}
-    heap: list[tuple[float, int, float, int, int]] = [(heuristic(0, 0), 0, 0.0, 0, 0)]
+    dist: dict[int, float] = {0: 0.0}
+    heap: list[tuple[float, int, float, int]] = [(abs(n - m) * gap_cost, 0, 0.0, 0)]
     counter = 1
     bound: float | None = None
     pops = 0
     while heap:
-        f, _, g, i, j = heapq.heappop(heap)
+        f, _, g, node = heappop(heap)
         pops += 1
-        if g > dist.get((i, j), g):
+        if g > dist[node]:
             continue  # superseded by a cheaper path
         if bound is not None and f > bound:
             break
-        if (i, j) == (n, m):
+        if node == goal:
             bound = g + 1e-9 * (1.0 + g)
             continue
-        moves = []
-        if i < n and j < m:
-            moves.append((i + 1, j + 1, cache.match_cost(i, j)))
+        i, j = divmod(node, width)
+        skew = (n - i) - (m - j)  # the heuristic is abs(skew) * gap_cost
         if i < n:
-            moves.append((i + 1, j, gap_cost))
-        if j < m:
-            moves.append((i, j + 1, gap_cost))
-        for ni, nj, cost in moves:
-            tentative = g + cost
-            known = dist.get((ni, nj))
+            if j < m:
+                value = score(i, j)
+                if value is not None:
+                    tentative = g + (1.0 - value)
+                    known = dist.get(node + width + 1)
+                    if known is None or tentative < known:
+                        dist[node + width + 1] = tentative
+                        heappush(heap, (tentative + abs(skew) * gap_cost, counter,
+                                        tentative, node + width + 1))
+                        counter += 1
+            tentative = g + gap_cost
+            known = dist.get(node + width)
             if known is None or tentative < known:
-                dist[(ni, nj)] = tentative
-                heapq.heappush(
-                    heap, (tentative + heuristic(ni, nj), counter, tentative, ni, nj))
+                dist[node + width] = tentative
+                heappush(heap, (tentative + abs(skew - 1) * gap_cost, counter,
+                                tentative, node + width))
                 counter += 1
-    result = _backtrack(n, m, gap_cost, cache, lambda i, j: dist.get((i, j)))
+        if j < m:
+            tentative = g + gap_cost
+            known = dist.get(node + 1)
+            if known is None or tentative < known:
+                dist[node + 1] = tentative
+                heappush(heap, (tentative + abs(skew + 1) * gap_cost, counter,
+                                tentative, node + 1))
+                counter += 1
+    result = _backtrack(n, m, gap_cost, score, memo,
+                        lambda i, j: dist.get(i * width + j))
     result.pops = pops
     return result
 
@@ -162,7 +211,7 @@ def align_bruteforce(src: Sequence, tgt: Sequence,
     n, m = len(src), len(tgt)
     if n * m > 10_000:
         raise ValueError(f"brute-force guard: {n} x {m} lattice exceeds 10000 cells")
-    cache = _SimCache(src, tgt, sim)
+    score, memo = _scorer(src, tgt, sim, None)
 
     table = [[0.0] * (m + 1) for _ in range(n + 1)]
     for i in range(1, n + 1):
@@ -172,11 +221,11 @@ def align_bruteforce(src: Sequence, tgt: Sequence,
     for i in range(1, n + 1):
         row, above = table[i], table[i - 1]
         for j in range(1, m + 1):
-            row[j] = min(above[j - 1] + cache.match_cost(i - 1, j - 1),
+            row[j] = min(above[j - 1] + (1.0 - score(i - 1, j - 1)),
                          above[j] + gap_cost,
                          row[j - 1] + gap_cost)
 
-    return _backtrack(n, m, gap_cost, cache, lambda i, j: table[i][j])
+    return _backtrack(n, m, gap_cost, score, memo, lambda i, j: table[i][j])
 
 
 def threshold_filter(result: AlignmentResult, threshold: float,

@@ -12,8 +12,9 @@ import hashlib
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .corpus_io import BitextCorpus, tokenize, write_json
 from .lexicon import TranslationLexicon
@@ -224,6 +225,93 @@ def similarity(model: SimilarityModel, src: SourceRecord, tgt: TargetRecord) -> 
     return _sigmoid_ab(model.margin(features), model.platt_a, model.platt_b)
 
 
+# match_filter's split of translation probabilities: a target reached with at
+# least this probability is strong and gets a bit; weaker ones are summed
+_STRONG = 0.1
+
+
+def match_filter(model: SimilarityModel, sources: Sequence[SourceRecord],
+                 targets: Sequence[TargetRecord], floor: float,
+                 ) -> Callable[[int, int], bool] | None:
+    """A cheap ``can_match(i, j)`` for one article: False only when
+    ``similarity(model, sources[i], targets[j]) < floor`` is proven.
+
+    ``len_ratio``, ``char_ratio`` and ``num_overlap`` enter exactly.  Each
+    source sentence gets a bitmask ``S`` of its strong targets (``p >=
+    _STRONG``), the largest summed strong probability ``mass`` of one target
+    over its rows, the largest best probability ``hi`` of one strong target
+    and its summed weak row mass ``weak``; each target sentence gets a
+    bitmask ``T`` of its tokens and the largest multiplicity ``mult`` of
+    one token.  With ``k = popcount(S & T)``, ``cov_st <= (k * mass +
+    weak) / n_src`` and ``cov_ts <= k * mult * hi / n_tgt + _STRONG``; a
+    coverage weight that is not positive counts as 0.  The
+    margin bound is compared with the margin at which the Platt sigmoid
+    reaches ``floor``, less a slack for rounding; ``platt_a < 0`` makes
+    that sigmoid decreasing in the margin.  Returns None when nothing can
+    be proven (``floor`` at most the sigmoid's 1e-15 clamp, or a model with
+    ``platt_a >= 0``).
+    """
+    floor -= 1e-12  # far more than the sigmoid's rounding of a score
+    if not 1e-15 < floor < 1.0 or model.platt_a >= 0:
+        return None
+    w_len, w_char, w_st, w_ts, w_num = model.weights
+    # a coverage bound raises the margin bound only through a positive weight
+    w_st, w_ts = max(w_st, 0.0), max(w_ts, 0.0)
+    # p < floor  <=>  a * margin + b > log((1 - floor) / floor)  <=>  margin < limit
+    limit = (math.log((1.0 - floor) / floor) - model.platt_b) / model.platt_a
+    limit -= model.bias + 1e-9 * (1.0 + abs(limit) + abs(model.bias)
+                                  + sum(abs(w) for w in model.weights))
+
+    bits: dict[str, int] = {}
+    tgt_facts = []
+    for tgt in targets:
+        mask = 0
+        for token in tgt.token_set:
+            bit = bits.get(token)
+            if bit is None:
+                bit = bits[token] = 1 << len(bits)
+            mask |= bit
+        mult = max(Counter(tgt.tokens).values())
+        tgt_facts.append((tgt.n_tokens, tgt.n_chars, mask, w_ts * mult / tgt.n_tokens,
+                          tgt.digits))
+
+    src_facts = []
+    for src in sources:
+        mass: dict[str, float] = {}
+        weak = 0.0
+        for row in src.rows:
+            for t, p in row:
+                if p >= _STRONG:
+                    mass[t] = mass.get(t, 0.0) + min(p, 1.0)
+                elif p > 0.0:
+                    weak += p
+        mask, top, hi = 0, 0.0, 0.0
+        for t, total in mass.items():
+            bit = bits.get(t)
+            if bit is not None:
+                mask |= bit
+                top = max(top, total)
+                hi = max(hi, src.best[t])
+        n = src.n_tokens
+        src_facts.append((n, src.n_chars, mask, w_st * top / n,
+                          w_st * weak / n + w_ts * _STRONG, hi, src.digits))
+
+    def can_match(i: int, j: int) -> bool:
+        n_src, c_src, s_mask, st_k, base, hi, s_digits = src_facts[i]
+        n_tgt, c_tgt, t_mask, ts_k, t_digits = tgt_facts[j]
+        k = (s_mask & t_mask).bit_count()
+        if s_digits or t_digits:
+            num_overlap = len(s_digits & t_digits) / len(s_digits | t_digits)
+        else:
+            num_overlap = 1.0
+        bound = (w_len * (n_src / n_tgt if n_src < n_tgt else n_tgt / n_src)
+                 + w_char * (c_src / c_tgt if c_src < c_tgt else c_tgt / c_src)
+                 + k * (st_k + ts_k * hi) + base + w_num * num_overlap)
+        return bound >= limit
+
+    return can_match
+
+
 def _fit_hinge(training: Sequence[tuple[tuple[float, ...], int]], rng: random.Random,
                epochs: int, learning_rate: float, margin_reg: float,
                ) -> tuple[list[float], float, int]:
@@ -357,7 +445,8 @@ def save_model(path, model: SimilarityModel) -> None:
 
 
 def load_model(path) -> SimilarityModel:
-    """Read a model file; a malformed one raises ValueError naming the file."""
+    """Read a model file; a malformed one, or one whose Platt slope is not
+    negative, raises ValueError naming the file."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -372,6 +461,10 @@ def load_model(path) -> SimilarityModel:
         if len(weights) != len(FEATURE_NAMES):
             raise ValueError(f"{len(weights)} weights for {len(FEATURE_NAMES)} features")
         src_lang, tgt_lang = doc["direction"]
+        if not float(doc["platt_a"]) < 0:
+            # training refuses such a model, and the mining bound needs the
+            # calibrated score to fall as the margin falls
+            raise ValueError(f"platt_a must be negative, got {doc['platt_a']!r}")
         return SimilarityModel(
             weights=weights,
             bias=float(doc["bias"]),

@@ -1,8 +1,9 @@
 """Mining orchestration over an article-pair store.
 
-Mines a stream of article pairs with one similarity model and lexicon and
-orders the results by article id.  Also merges forward- and
-reverse-direction mining runs and reports their overlap statistics.
+Mines a stream of article pairs with one similarity model and lexicon, and
+optionally the reverse direction in the same pass, and orders the results by
+article id.  Also merges forward- and reverse-direction mining runs and
+reports their overlap statistics.
 """
 
 from __future__ import annotations
@@ -11,10 +12,11 @@ import functools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .aligner import align, threshold_filter
-from .classifier import SimilarityModel, similarity, source_record, target_record
-from .corpus_io import (ArticlePair, BiSentence, BitextCorpus, normalize_space,
-                        segment_sentences, write_json)
+from .aligner import align, match_floor, threshold_filter
+from .classifier import (SimilarityModel, match_filter, similarity, source_record,
+                         target_record)
+from .corpus_io import (ArticlePair, BiSentence, BitextCorpus, Sentence,
+                        normalize_space, segment_sentences, write_json)
 from .lexicon import TranslationLexicon
 
 @dataclass(frozen=True)
@@ -40,50 +42,77 @@ class OverlapStats:
         }
 
 
-def mine_pair(pair: ArticlePair, model: SimilarityModel,
-              lex: TranslationLexicon, gap_cost: float = 0.4,
+def mine_pair(pair: ArticlePair, src: list[Sentence], tgt: list[Sentence],
+              model: SimilarityModel, lex: TranslationLexicon, gap_cost: float = 0.4,
               threshold: float = 0.5) -> tuple[list[BiSentence], dict]:
-    """Segment both articles, align, and keep links above the threshold.
+    """Align the segmented sentences ``src`` and ``tgt`` of an article pair
+    and keep the links scoring at least the threshold.
 
+    The aligner skips the match edges that ``match_filter`` proves useless.
     Returns the kept pairs and the article's work counts: ``lattice_cells``
-    (source times target sentences), ``cells_scored`` (similarity calls) and
-    ``pops`` (A* heap pops).
+    (source times target sentences), ``cells_scored`` (similarity calls),
+    ``pops`` (A* heap pops) and ``cells_pruned`` (match edges skipped
+    unscored).
     """
     if model.direction != (pair.src.lang, pair.tgt.lang):
         raise ValueError(
             f"model direction {model.direction} does not match article pair "
             f"languages ({pair.src.lang}, {pair.tgt.lang})")
-    src = segment_sentences(pair.src.body)
-    tgt = segment_sentences(pair.tgt.body)
     if not src or not tgt:
-        return [], {"lattice_cells": 0, "cells_scored": 0, "pops": 0}
+        return [], {"lattice_cells": 0, "cells_scored": 0, "pops": 0, "cells_pruned": 0}
     # each sentence's feature facts are computed once, not once per cell
-    result = align([source_record(s.tokens, lex) for s in src],
-                   [target_record(t.tokens) for t in tgt],
-                   functools.partial(similarity, model), gap_cost)
+    sources = [source_record(s.tokens, lex) for s in src]
+    targets = [target_record(t.tokens) for t in tgt]
+    result = align(sources, targets, functools.partial(similarity, model), gap_cost,
+                   match_filter(model, sources, targets, match_floor(gap_cost)))
     direction = f"{pair.src.lang}-{pair.tgt.lang}"
     mined = threshold_filter(result, threshold, src, tgt, pair.id, direction)
     return mined, {"lattice_cells": len(src) * len(tgt),
-                   "cells_scored": result.cells_scored, "pops": result.pops}
+                   "cells_scored": result.cells_scored, "pops": result.pops,
+                   "cells_pruned": result.cells_pruned}
 
 
-def mine_corpus(store: Iterable[ArticlePair], model: SimilarityModel,
-                lex: TranslationLexicon, gap_cost: float = 0.4,
-                threshold: float = 0.5) -> tuple[BitextCorpus, list[dict]]:
-    """Mine every article pair of a streamed store with one model and lexicon.
-
-    Returns the mined corpus ordered by article id plus a per-article log of
-    the mined count and the work counts of ``mine_pair``.
-    """
-    outcomes = sorted(((pair.id, *mine_pair(pair, model, lex, gap_cost, threshold))
-                       for pair in store), key=lambda item: item[0])
+def _collect(outcomes: list[tuple[int, list[BiSentence], dict]],
+             model: SimilarityModel) -> tuple[BitextCorpus, list[dict]]:
+    """One direction's (article id, mined, work) outcomes as the corpus
+    ordered by article id and the per-article log."""
+    outcomes.sort(key=lambda item: item[0])
     pairs: list[BiSentence] = []
     log = []
     for article_id, mined, work in outcomes:
         pairs.extend(mined)
         log.append({"article_id": article_id, "mined": len(mined), **work})
-    corpus = BitextCorpus(pairs, model.direction[0], model.direction[1])
-    return corpus, log
+    return BitextCorpus(pairs, model.direction[0], model.direction[1]), log
+
+
+def mine_corpus(store: Iterable[ArticlePair], model: SimilarityModel,
+                lex: TranslationLexicon, gap_cost: float = 0.4,
+                threshold: float = 0.5,
+                reverse: tuple[SimilarityModel, TranslationLexicon, float] | None = None,
+                ) -> tuple:
+    """Mine every article pair of a streamed store with one model and lexicon.
+
+    Returns the mined corpus ordered by article id plus a per-article log of
+    the mined count and the work counts of ``mine_pair``.  Each article is
+    segmented here, once.  ``reverse``, a
+    (model, lexicon, threshold) triple, also mines each pair target side
+    first in the same pass, from the same sentences; the reverse corpus and
+    log then follow in the returned tuple.
+    """
+    fwd: list[tuple[int, list[BiSentence], dict]] = []
+    rev: list[tuple[int, list[BiSentence], dict]] = []
+    for pair in store:
+        src = segment_sentences(pair.src.body)
+        tgt = segment_sentences(pair.tgt.body)
+        fwd.append((pair.id, *mine_pair(pair, src, tgt, model, lex, gap_cost, threshold)))
+        if reverse is not None:
+            rev_model, rev_lex, rev_threshold = reverse
+            rev.append((pair.id, *mine_pair(ArticlePair(pair.id, pair.tgt, pair.src),
+                                            tgt, src, rev_model, rev_lex, gap_cost,
+                                            rev_threshold)))
+    if reverse is None:
+        return _collect(fwd, model)
+    return (*_collect(fwd, model), *_collect(rev, reverse[0]))
 
 
 def merge_bidirectional(fwd: BitextCorpus, rev: BitextCorpus,

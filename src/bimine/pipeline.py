@@ -46,9 +46,25 @@ class PipelineError(RuntimeError):
     pass
 
 
-# section keys that have no default: the ingest inputs, and mining.workers,
-# which older configs carry as 1
-_SECTION_KEYS = {"ingest": ("src_dump", "tgt_dump", "links"), "mining": ("workers",)}
+# section keys that have no default, with a value of their type: the ingest
+# inputs, and mining.workers, which older configs carry as 1
+_SECTION_KEYS = {"ingest": {"src_dump": "", "tgt_dump": "", "links": ""},
+                 "mining": {"workers": 1}}
+
+_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
+
+
+def _check_type(path, section: str, key: str, value, default) -> None:
+    """A section value must have its default's type; an int passes for a
+    float, a bool passes only for a bool, and mining.threshold may be null."""
+    if value is None and (section, key) == ("mining", "threshold"):
+        return
+    expected = type(default)
+    accepted = (int, float) if expected is float else expected
+    if isinstance(value, bool) != (expected is bool) or not isinstance(value, accepted):
+        raise PipelineError(
+            f"{path}: config key {section}.{key} must be "
+            f"{_TYPE_NAMES[expected]}, not {type(value).__name__}")
 
 
 @dataclass
@@ -100,10 +116,13 @@ class PipelineConfig:
                 continue
             if not isinstance(value, dict):
                 raise PipelineError(f"{path}: config section {key!r} must be an object")
-            unknown = set(value) - set(section) - set(_SECTION_KEYS.get(key, ()))
+            defaults = {**_SECTION_KEYS.get(key, {}), **section}
+            unknown = set(value) - set(defaults)
             if unknown:
                 raise PipelineError(
                     f"{path}: unknown keys {sorted(unknown)} in config section {key!r}")
+            for name, item in value.items():
+                _check_type(path, key, name, item, defaults[name])
             section.update(value)
         # mining runs in one process; older configs carry workers = 1
         if config.mining.get("workers", 1) != 1:
@@ -197,35 +216,48 @@ def train_classifier(seed, lexicon, out, src_lang: str, tgt_lang: str, *,
     return model.training_counts
 
 
-_MINE_WORK = ("lattice_cells", "cells_scored", "pops")
+_MINE_WORK = ("lattice_cells", "cells_scored", "pops", "cells_pruned")
 
 
-def mine(store, model, lexicon, out, *, gap_cost: float,
-         threshold: float | None = None, log=None, flip: bool = False) -> dict:
-    """Mine parallel sentences from an article-pair store and write them.
+def mine(store, directions, *, gap_cost: float, threshold: float | None = None,
+         log=None) -> list[dict]:
+    """Mine parallel sentences from an article-pair store, one pass for all
+    directions, and write them.
 
-    The lexicon must be the one the model was trained with; the model
-    stores its checksum.  A ``threshold`` of None means the one stored in
-    the model.  ``flip`` mines the reverse direction, reading each stored
-    pair target side first.  ``log`` gets one JSON line per article.  The
-    counts sum the articles' lattice cells, the cells whose similarity was
-    computed and the A* heap pops.
+    ``directions`` lists one or two (model, lexicon, out) triples.  The
+    first mines each stored pair as it is; a second one mines it target side
+    first, from the same segmented sentences.  Each lexicon must be the one
+    its model was trained with; the model stores its checksum.  A
+    ``threshold`` of None means the one stored in each model.  ``log`` gets
+    one JSON line per article of the first direction.  Returns each
+    direction's counts: articles, mined pairs, and the sums over the
+    articles of the lattice cells, the cells whose similarity was computed,
+    the A* heap pops and the match edges skipped unscored.
     """
-    sim_model = classifier_mod.load_model(model)
-    lex = lexicon_mod.read_lexicon(lexicon, *sim_model.direction)
-    if classifier_mod.lexicon_checksum(lex) != sim_model.lexicon_checksum:
-        raise ValueError(f"lexicon {lexicon} is not the one model {model} was trained with")
-    articles = corpus_io.read_article_store(store)
-    if flip:
-        articles = (corpus_io.ArticlePair(p.id, p.tgt, p.src) for p in articles)
-    corpus, article_log = miner.mine_corpus(
-        articles, sim_model, lex, gap_cost=gap_cost,
-        threshold=sim_model.threshold if threshold is None else float(threshold))
-    corpus_io.write_bitext(out, corpus)
+    if not 1 <= len(directions) <= 2:
+        raise ValueError(f"mine takes one or two directions, got {len(directions)}")
+    runs = []
+    for model, lexicon, _out in directions:
+        sim_model = classifier_mod.load_model(model)
+        lex = lexicon_mod.read_lexicon(lexicon, *sim_model.direction)
+        if classifier_mod.lexicon_checksum(lex) != sim_model.lexicon_checksum:
+            raise ValueError(f"lexicon {lexicon} is not the one model {model} was trained with")
+        runs.append((sim_model, lex,
+                     sim_model.threshold if threshold is None else float(threshold)))
+    model, lex, fwd_threshold = runs[0]
+    results = miner.mine_corpus(
+        corpus_io.read_article_store(store), model, lex, gap_cost=gap_cost,
+        threshold=fwd_threshold, reverse=runs[1] if len(runs) > 1 else None)
     if log:
-        corpus_io.write_jsonl(log, article_log)
-    return {"articles": len(article_log), "mined": len(corpus.pairs),
-            **{key: sum(entry[key] for entry in article_log) for key in _MINE_WORK}}
+        corpus_io.write_jsonl(log, results[1])
+    counts = []
+    for (_model, _lexicon, out), corpus, article_log in zip(
+            directions, results[::2], results[1::2]):
+        corpus_io.write_bitext(out, corpus)
+        counts.append({"articles": len(article_log), "mined": len(corpus.pairs),
+                       **{key: sum(entry[key] for entry in article_log)
+                          for key in _MINE_WORK}})
+    return counts
 
 
 def merge(fwd, rev, out, stats) -> dict:
@@ -387,20 +419,19 @@ def _stage_classifier(config: PipelineConfig) -> None:
 def _stage_mine(config: PipelineConfig) -> None:
     params = config.mining
     store = _require(config, config.store_path())
-    run = functools.partial(mine, store, gap_cost=float(params["gap_cost"]),
-                            threshold=params.get("threshold"))
     fwd_out, log = config.path("mined.fwd.tsv"), config.path("mine_log.jsonl")
-    fwd = run(_require(config, config.path("classifier.json")),
-              _require(config, config.path("lexicon.tsv")), fwd_out, log=log)
-    outputs = [fwd_out, log]
-    counts = {"articles": fwd["articles"],
-              **{f"{key}_fwd": fwd[key] for key in ("mined", *_MINE_WORK)}}
+    directions = [(_require(config, config.path("classifier.json")),
+                   _require(config, config.path("lexicon.tsv")), fwd_out)]
     if params.get("bidirectional"):
-        rev_out = config.path("mined.rev.tsv")
-        rev = run(_require(config, config.path("classifier.rev.json")),
-                  _require(config, config.path("lexicon.rev.tsv")), rev_out, flip=True)
-        outputs.append(rev_out)
-        counts.update({f"{key}_rev": rev[key] for key in ("mined", *_MINE_WORK)})
+        directions.append((_require(config, config.path("classifier.rev.json")),
+                           _require(config, config.path("lexicon.rev.tsv")),
+                           config.path("mined.rev.tsv")))
+    done = mine(store, directions, gap_cost=float(params["gap_cost"]),
+                threshold=params.get("threshold"), log=log)
+    counts = {"articles": done[0]["articles"]}
+    for suffix, direction in zip(("_fwd", "_rev"), done):
+        counts.update({f"{key}{suffix}": direction[key] for key in ("mined", *_MINE_WORK)})
+    outputs = [fwd_out, log] + [out for _model, _lexicon, out in directions[1:]]
     _write_manifest(config, "mine", params, [store], outputs, counts)
     _log(f"mine: {counts}")
 

@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bimine.aligner import AlignmentResult, align, align_bruteforce, threshold_filter
+from bimine.aligner import (AlignmentResult, align, align_bruteforce, match_floor,
+                            threshold_filter)
 from bimine.corpus_io import Sentence
 
 
@@ -174,6 +175,67 @@ def test_oracle_equality_property(n, m, seed):
     slow = align_bruteforce(list(range(n)), list(range(m)), sim, gap)
     assert fast.total_cost == slow.total_cost
     assert fast.links == slow.links
+
+
+# ---------------------------------------------------------------------------
+# match edges skipped by can_match
+
+def _pruned_align(n, m, sim, gap, upper):
+    """align with can_match built from ``upper``, an upper bound of ``sim``;
+    the scorer raises on a cell the predicate rules out."""
+    floor = match_floor(gap)
+
+    def guarded(a, b):
+        if upper[a][b] < floor:
+            raise AssertionError(f"scored the pruned cell {(a, b)}")
+        return sim(a, b)
+
+    return align(list(range(n)), list(range(m)), guarded, gap,
+                 lambda i, j: upper[i][j] >= floor)
+
+
+def test_pruned_align_equals_bruteforce_on_acceptance_instances():
+    from test_acceptance import _random_alignments
+
+    rng = random.Random(17)
+    pruned = 0
+    for n, m, sim, gap in _random_alignments():
+        # a bound that is sometimes exact and sometimes loose by up to 0.3
+        upper = [[sim(a, b) + rng.choice((0.0, 0.3 * rng.random())) for b in range(m)]
+                 for a in range(n)]
+        fast = _pruned_align(n, m, sim, gap, upper)
+        slow = align_bruteforce(list(range(n)), list(range(m)), sim, gap)
+        assert fast.total_cost == slow.total_cost
+        assert fast.links == slow.links
+        assert fast.gaps_src == slow.gaps_src
+        assert fast.gaps_tgt == slow.gaps_tgt
+        assert fast.cells_scored + fast.cells_pruned <= n * m
+        pruned += fast.cells_pruned
+    assert pruned > 5_000
+
+
+# scores at and just below the pruning floor of gap costs 0.2 and 0.4, where a
+# match and two gaps tie or nearly tie
+_EDGE_SCORES = [0.0, 0.2, 0.2 - 1e-9, 0.2 - 2e-9, 0.6, 0.6 - 2e-9, 0.9, 1.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 7), st.integers(0, 7), st.sampled_from([0.2, 0.4]),
+       st.data())
+def test_pruned_align_equals_bruteforce_at_the_floor(n, m, gap, data):
+    matrix = [[data.draw(st.sampled_from(_EDGE_SCORES)) for _ in range(m)]
+              for _ in range(n)]
+    sim = lambda a, b: matrix[a][b]
+    fast = _pruned_align(n, m, sim, gap, matrix)
+    slow = align_bruteforce(list(range(n)), list(range(m)), sim, gap)
+    assert fast.total_cost == slow.total_cost
+    assert fast.links == slow.links
+    assert (fast.gaps_src, fast.gaps_tgt) == (slow.gaps_src, slow.gaps_tgt)
+
+
+def test_match_floor_leaves_a_margin_below_two_gaps():
+    assert match_floor(0.4) < 1.0 - 2 * 0.4
+    assert match_floor(0.5) < 0.0  # nothing is provably worse than two free gaps
 
 
 # ---------------------------------------------------------------------------

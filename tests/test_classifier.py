@@ -12,6 +12,7 @@ from bimine.classifier import (
     SimilarityModel,
     calibrate,
     load_model,
+    match_filter,
     pair_features,
     save_model,
     similarity,
@@ -146,6 +147,67 @@ def test_features_equal_reference_formula_bit_for_bit(entries, src, tgt):
     lex = TranslationLexicon(entries=entries)
     got = _features(src, tgt, lex)
     assert [x.hex() for x in got] == [x.hex() for x in _reference_features(src, tgt, lex)]
+
+
+# every weight of either sign; platt_a < 0 as training and load_model enforce
+_MODELS = st.builds(
+    lambda weights, bias, a, b: SimilarityModel(list(weights), bias, a, b, ("pl", "en")),
+    st.tuples(*[st.floats(min_value=-8.0, max_value=8.0)] * 5),
+    st.floats(min_value=-8.0, max_value=8.0),
+    st.floats(min_value=-6.0, max_value=-0.01), st.floats(min_value=-4.0, max_value=4.0))
+
+
+# like _LEXICONS, with half the probabilities under match_filter's strong
+# split of 0.1
+_WEAK_LEXICONS = st.dictionaries(
+    st.sampled_from(_SRC_VOCAB),
+    st.lists(st.tuples(st.sampled_from(_TGT_VOCAB),
+                       st.one_of(st.floats(min_value=0.0, max_value=0.1),
+                                 st.floats(min_value=0.0, max_value=1.0))), max_size=5),
+    max_size=len(_SRC_VOCAB))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_WEAK_LEXICONS, _MODELS,
+       st.lists(st.lists(st.sampled_from(_SRC_VOCAB), min_size=1, max_size=8),
+                min_size=1, max_size=3),
+       st.lists(st.lists(st.sampled_from(_TGT_VOCAB), min_size=1, max_size=8),
+                min_size=1, max_size=3))
+def test_match_filter_bound_never_below_similarity(entries, model, src_sents, tgt_sents):
+    # with the floor at a cell's own score, a bound below the score would
+    # rule the cell out
+    lex = TranslationLexicon(entries=entries)
+    sources = [source_record(s, lex) for s in src_sents]
+    targets = [target_record(t) for t in tgt_sents]
+    for i, src in enumerate(sources):
+        for j, tgt in enumerate(targets):
+            score = similarity(model, src, tgt)
+            can_match = match_filter(model, sources, targets, score)
+            assert can_match is None or can_match(i, j)
+
+
+def test_match_filter_rules_out_unrelated_pairs_only(small_model, small_lexicon,
+                                                     small_seed_corpus):
+    from bimine.corpus_io import tokenize
+
+    pairs = [(tokenize(p.src), tokenize(p.tgt)) for p in small_seed_corpus.pairs[:40]]
+    sources = [source_record(s, small_lexicon) for s, _ in pairs]
+    targets = [target_record(t) for _, t in pairs]
+    floor = 1.0 - 2 * 0.4 - 1e-9
+    can_match = match_filter(small_model, sources, targets, floor)
+    ruled_out = 0
+    for i, src in enumerate(sources):
+        for j, tgt in enumerate(targets):
+            if not can_match(i, j):
+                ruled_out += 1
+                assert similarity(small_model, src, tgt) < floor
+    assert all(can_match(i, i) for i in range(len(pairs)))
+    assert ruled_out > len(pairs) ** 2 // 2
+
+
+def test_match_filter_proves_nothing_at_a_floor_of_zero(small_model):
+    assert match_filter(small_model, [], [], 0.0) is None
+    assert match_filter(small_model, [], [], 1e-15) is None
 
 
 def test_records_reused_across_pairings(small_lexicon, small_seed_corpus):
@@ -416,6 +478,17 @@ def test_load_rejects_wrong_version(tmp_path):
 
 def test_model_direction_recorded(small_model):
     assert small_model.direction == ("pl", "en")
+
+
+def test_load_rejects_a_non_negative_platt_slope(tmp_path, small_model):
+    path = tmp_path / "model.json"
+    save_model(path, small_model)
+    good = json.loads(path.read_text(encoding="utf-8"))
+    for slope in (0.0, 1.5):
+        path.write_text(json.dumps({**good, "platt_a": slope}), encoding="utf-8")
+        with pytest.raises(ValueError, match=f"model.json: platt_a must be negative, "
+                                             f"got {slope}"):
+            load_model(path)
 
 
 def test_load_rejects_malformed_model_naming_the_file(tmp_path, small_model):

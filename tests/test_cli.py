@@ -283,11 +283,12 @@ def test_pipeline_full_run_and_determinism(world, tmp_path):
         (workdir / "manifest.mine.json").read_text(encoding="utf-8"))["counts"]
     with open(workdir / "mine_log.jsonl", encoding="utf-8") as fh:
         log = [json.loads(line) for line in fh]
-    for key in ("lattice_cells", "cells_scored", "pops"):
+    for key in ("lattice_cells", "cells_scored", "pops", "cells_pruned"):
         assert mine_counts[f"{key}_fwd"] == sum(entry[key] for entry in log)
     for suffix in ("_fwd", "_rev"):
         scored, cells = mine_counts[f"cells_scored{suffix}"], mine_counts[f"lattice_cells{suffix}"]
         assert 0 < scored <= cells
+        assert 0 < mine_counts[f"cells_pruned{suffix}"] <= cells - scored
         assert mine_counts[f"pops{suffix}"] > 0
 
     first = {name: (workdir / name).read_bytes() for name in ARTIFACTS}
@@ -441,6 +442,38 @@ def test_pipeline_cli_names_the_file_of_a_bad_config(tmp_path, capsys, text, det
     err = capsys.readouterr().err
     assert f"{path}: " in err and detail in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("section, value, detail", [
+    ("lexicon", {"iterations": "ten"}, "lexicon.iterations must be an integer, not str"),
+    ("lexicon", {"iterations": 10.0}, "lexicon.iterations must be an integer, not float"),
+    ("classifier", {"epochs": True}, "classifier.epochs must be an integer, not bool"),
+    ("classifier", {"learning_rate": False}, "classifier.learning_rate must be a number"),
+    ("mining", {"bidirectional": 1}, "mining.bidirectional must be a boolean, not int"),
+    ("mining", {"gap_cost": None}, "mining.gap_cost must be a number, not NoneType"),
+    ("filter", {"cascade": 3}, "filter.cascade must be a string, not int"),
+    ("ingest", {"links": ["l.tsv"]}, "ingest.links must be a string, not list"),
+    ("mining", {"workers": "1"}, "mining.workers must be an integer, not str"),
+])
+def test_pipeline_config_type_checks_section_values(tmp_path, capsys, section, value,
+                                                    detail):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"workdir": "x", section: value}), encoding="utf-8")
+    with pytest.raises(PipelineError, match=f"bad.json: config key {detail}"):
+        PipelineConfig.from_json(path)
+    assert main(["pipeline", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"{path}: config key {detail}" in err and "Traceback" not in err
+
+
+def test_pipeline_config_accepts_an_int_for_a_float(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"workdir": "x", "classifier": {"learning_rate": 1},
+                                "mining": {"threshold": 0, "gap_cost": 0.3}}),
+                    encoding="utf-8")
+    config = PipelineConfig.from_json(path)
+    assert config.classifier["learning_rate"] == 1
+    assert config.mining["threshold"] == 0
 
 
 def test_pipeline_cli_failure_exit_code(world, tmp_path, capsys):

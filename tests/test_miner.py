@@ -1,7 +1,9 @@
+import functools
+
 import pytest
 
-from bimine.aligner import align, threshold_filter
-from bimine.classifier import similarity, source_record, target_record
+from bimine.aligner import align, match_floor, threshold_filter
+from bimine.classifier import match_filter, similarity, source_record, target_record
 from bimine.corpus_io import (
     ArticlePair,
     BiSentence,
@@ -9,7 +11,13 @@ from bimine.corpus_io import (
     Document,
     segment_sentences,
 )
+from bimine.lexicon import TranslationLexicon
 from bimine.miner import OverlapStats, merge_bidirectional, mine_corpus, mine_pair
+
+
+def _mine_pair(pair, *args):
+    return mine_pair(pair, segment_sentences(pair.src.body),
+                     segment_sentences(pair.tgt.body), *args)
 
 
 def _pair(article_id, src_body, tgt_body):
@@ -24,19 +32,19 @@ def _pair(article_id, src_body, tgt_body):
 def test_mine_pair_language_mismatch(small_model, small_lexicon):
     pair = ArticlePair(0, Document("en", "t", "A."), Document("pl", "t", "B."))
     with pytest.raises(ValueError, match="direction"):
-        mine_pair(pair, small_model, small_lexicon)
+        _mine_pair(pair, small_model, small_lexicon)
 
 
 def test_mine_pair_empty_article(small_model, small_lexicon):
-    assert mine_pair(_pair(0, "", "Something here."), small_model, small_lexicon) == \
-        ([], {"lattice_cells": 0, "cells_scored": 0, "pops": 0})
+    assert _mine_pair(_pair(0, "", "Something here."), small_model, small_lexicon) == \
+        ([], {"lattice_cells": 0, "cells_scored": 0, "pops": 0, "cells_pruned": 0})
 
 
 def test_mine_pair_equals_composed_stages(small_model, small_lexicon,
                                           small_articles):
     articles, _truth = small_articles
     pair = articles[0]
-    mined, work = mine_pair(pair, small_model, small_lexicon, 0.4, 0.5)
+    mined, work = _mine_pair(pair, small_model, small_lexicon, 0.4, 0.5)
     src = segment_sentences(pair.src.body)
     tgt = segment_sentences(pair.tgt.body)
     sim = lambda a, b: similarity(small_model, source_record(a.tokens, small_lexicon),
@@ -44,8 +52,16 @@ def test_mine_pair_equals_composed_stages(small_model, small_lexicon,
     result = align(src, tgt, sim, 0.4)
     expected = threshold_filter(result, 0.5, src, tgt, pair.id, "pl-en")
     assert mined == expected
+    sources = [source_record(s.tokens, small_lexicon) for s in src]
+    targets = [target_record(t.tokens) for t in tgt]
+    pruned = align(sources, targets, functools.partial(similarity, small_model), 0.4,
+                   match_filter(small_model, sources, targets, match_floor(0.4)))
+    assert pruned.links == result.links and pruned.total_cost == result.total_cost
     assert work == {"lattice_cells": len(src) * len(tgt),
-                    "cells_scored": result.cells_scored, "pops": result.pops}
+                    "cells_scored": pruned.cells_scored, "pops": pruned.pops,
+                    "cells_pruned": pruned.cells_pruned}
+    assert work["cells_pruned"] > 0
+    assert work["cells_scored"] + work["cells_pruned"] <= len(src) * len(tgt)
 
 
 def test_mine_pair_recovers_planted_links(small_model, small_lexicon,
@@ -54,7 +70,7 @@ def test_mine_pair_recovers_planted_links(small_model, small_lexicon,
     recovered = set()
     emitted = 0
     for pair in articles:
-        for bs in mine_pair(pair, small_model, small_lexicon, 0.4, 0.5)[0]:
+        for bs in _mine_pair(pair, small_model, small_lexicon, 0.4, 0.5)[0]:
             emitted += 1
             article_id, i, j, _ = bs.origin
             recovered.add((article_id, i, j))
@@ -107,6 +123,59 @@ def test_mine_corpus_logs_work_counts(small_model, small_lexicon, small_articles
         assert entry["pops"] > max(n, m)
     assert sum(entry["cells_scored"] for entry in log) == len(calls)
     assert sum(entry["pops"] for entry in log) == len(pops)
+
+
+_WORK_FROM_SEARCH = ("cells_scored", "pops", "cells_pruned")
+
+
+def test_mine_corpus_same_output_without_the_match_filter(small_model, small_lexicon,
+                                                          small_articles, monkeypatch):
+    import bimine.miner as miner_mod
+    articles, _ = small_articles
+    pruned_corpus, pruned_log = mine_corpus(articles, small_model, small_lexicon)
+    monkeypatch.setattr(miner_mod, "match_filter", lambda *args: None)
+    full_corpus, full_log = mine_corpus(articles, small_model, small_lexicon)
+    assert pruned_corpus == full_corpus
+
+    def rest(log):
+        return [{k: v for k, v in entry.items() if k not in _WORK_FROM_SEARCH}
+                for entry in log]
+
+    assert rest(pruned_log) == rest(full_log)
+    assert all(entry["cells_pruned"] == 0 for entry in full_log)
+    for pruned, full in zip(pruned_log, full_log):
+        assert pruned["cells_scored"] + pruned["cells_pruned"] <= pruned["lattice_cells"]
+        assert pruned["cells_scored"] <= full["cells_scored"]
+    assert sum(e["cells_scored"] for e in pruned_log) < sum(e["cells_scored"] for e in full_log)
+
+
+def test_mine_corpus_mines_the_reverse_in_the_same_pass(small_model, small_lexicon,
+                                                        small_articles, monkeypatch):
+    import dataclasses
+    import bimine.miner as miner_mod
+    articles = small_articles[0][:8]
+    # the reverse needs only a model of its direction and a lexicon keyed by
+    # target words
+    rev_model = dataclasses.replace(small_model, direction=("en", "pl"))
+    rev_lexicon = TranslationLexicon()
+    for s, row in small_lexicon.entries.items():
+        for t, p in row:
+            rev_lexicon.entries.setdefault(t, []).append((s, p))
+    flipped = [ArticlePair(p.id, p.tgt, p.src) for p in articles]
+    separate = (*mine_corpus(articles, small_model, small_lexicon, threshold=0.5),
+                *mine_corpus(flipped, rev_model, rev_lexicon, threshold=0.1))
+    segmented = []
+
+    def counting(text):
+        segmented.append(text)
+        return segment_sentences(text)
+
+    monkeypatch.setattr(miner_mod, "segment_sentences", counting)
+    together = mine_corpus(articles, small_model, small_lexicon, threshold=0.5,
+                           reverse=(rev_model, rev_lexicon, 0.1))
+    assert together == separate
+    assert together[2].pairs and together[2].src_lang == "en"
+    assert len(segmented) == 2 * len(articles)
 
 
 def test_mine_corpus_empty_store(small_model, small_lexicon):
