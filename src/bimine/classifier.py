@@ -43,7 +43,11 @@ class SimilarityModel:
 
 
 def _is_digit_token(token: str) -> bool:
-    return any(ch.isdigit() for ch in token) and not any(ch.isalpha() for ch in token)
+    # all-letter and all-digit tokens skip the per-character scan
+    if token.isalpha():
+        return False
+    return token.isdigit() or (any(ch.isdigit() for ch in token)
+                               and not any(ch.isalpha() for ch in token))
 
 
 @dataclass(frozen=True, slots=True)

@@ -74,9 +74,9 @@ def _cmd_classifier_train(args) -> int:
 
 
 def _cmd_mine(args) -> int:
-    [counts] = pipeline.mine(args.store, [(args.model, args.lexicon, args.out)],
-                             gap_cost=args.gap_cost, threshold=args.threshold,
-                             log=args.log)
+    counts = pipeline.mine(args.store, args.model, args.lexicon, args.out,
+                           gap_cost=args.gap_cost, threshold=args.threshold,
+                           log=args.log)
     _log(f"mined {counts['mined']} pairs from {counts['articles']} articles "
          f"({counts['cells_scored']} of {counts['lattice_cells']} lattice cells "
          f"scored, {counts['cells_pruned']} pruned, {counts['pops']} A* pops) "

@@ -126,7 +126,8 @@ def _content_tokens(tokens: Sequence[str], stop_words: frozenset[str]) -> set[st
         low = token.lower()
         if low in stop_words:
             continue
-        if not any(ch.isalnum() for ch in low):
+        # an all-alphanumeric token skips the per-character scan
+        if not low.isalnum() and not any(ch.isalnum() for ch in low):
             continue
         out.add(low)
     return out

@@ -144,7 +144,8 @@ UNKNOWN = "unknown"
 
 
 def _passthrough(token: str) -> bool:
-    return not any(ch.isalpha() for ch in token)
+    # an all-letter token skips the per-character scan
+    return not token.isalpha() and not any(ch.isalpha() for ch in token)
 
 
 def gloss_translate(lex: TranslationLexicon, tokens: Sequence[str]) -> list[str]:
@@ -185,6 +186,9 @@ def read_lexicon(path, src_lang: str = "", tgt_lang: str = "") -> TranslationLex
                 prob = float(cols[2])
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: bad probability: {exc}") from None
+            if not 0.0 < prob <= 1.0:  # NaN fails this test too
+                raise ValueError(
+                    f"{path}: line {lineno}: probability {cols[2]} is not in (0, 1]")
             entries.setdefault(cols[0], []).append((cols[1], prob))
     for s in entries:
         entries[s].sort(key=lambda tp: (-tp[1], tp[0]))

@@ -1,9 +1,8 @@
 """Mining orchestration over an article-pair store.
 
-Mines a stream of article pairs with one similarity model and lexicon, and
-optionally the reverse direction in the same pass, and orders the results by
-article id.  Also merges forward- and reverse-direction mining runs and
-reports their overlap statistics.
+Mines a stream of article pairs with one similarity model and lexicon and
+orders the results by article id.  Also merges forward- and
+reverse-direction mining runs and reports their overlap statistics.
 """
 
 from __future__ import annotations
@@ -72,47 +71,26 @@ def mine_pair(pair: ArticlePair, src: list[Sentence], tgt: list[Sentence],
                    "cells_pruned": result.cells_pruned}
 
 
-def _collect(outcomes: list[tuple[int, list[BiSentence], dict]],
-             model: SimilarityModel) -> tuple[BitextCorpus, list[dict]]:
-    """One direction's (article id, mined, work) outcomes as the corpus
-    ordered by article id and the per-article log."""
-    outcomes.sort(key=lambda item: item[0])
+def mine_corpus(store: Iterable[ArticlePair], model: SimilarityModel,
+                lex: TranslationLexicon, gap_cost: float = 0.4,
+                threshold: float = 0.5) -> tuple[BitextCorpus, list[dict]]:
+    """Mine every article pair of a streamed store with one model and lexicon.
+
+    Returns the mined corpus ordered by article id plus a per-article log of
+    the mined count and the work counts of ``mine_pair``.  Each article is
+    segmented here.
+    """
+    outcomes = sorted(
+        ((pair.id, *mine_pair(pair, segment_sentences(pair.src.body),
+                              segment_sentences(pair.tgt.body), model, lex,
+                              gap_cost, threshold))
+         for pair in store), key=lambda item: item[0])
     pairs: list[BiSentence] = []
     log = []
     for article_id, mined, work in outcomes:
         pairs.extend(mined)
         log.append({"article_id": article_id, "mined": len(mined), **work})
     return BitextCorpus(pairs, model.direction[0], model.direction[1]), log
-
-
-def mine_corpus(store: Iterable[ArticlePair], model: SimilarityModel,
-                lex: TranslationLexicon, gap_cost: float = 0.4,
-                threshold: float = 0.5,
-                reverse: tuple[SimilarityModel, TranslationLexicon, float] | None = None,
-                ) -> tuple:
-    """Mine every article pair of a streamed store with one model and lexicon.
-
-    Returns the mined corpus ordered by article id plus a per-article log of
-    the mined count and the work counts of ``mine_pair``.  Each article is
-    segmented here, once.  ``reverse``, a
-    (model, lexicon, threshold) triple, also mines each pair target side
-    first in the same pass, from the same sentences; the reverse corpus and
-    log then follow in the returned tuple.
-    """
-    fwd: list[tuple[int, list[BiSentence], dict]] = []
-    rev: list[tuple[int, list[BiSentence], dict]] = []
-    for pair in store:
-        src = segment_sentences(pair.src.body)
-        tgt = segment_sentences(pair.tgt.body)
-        fwd.append((pair.id, *mine_pair(pair, src, tgt, model, lex, gap_cost, threshold)))
-        if reverse is not None:
-            rev_model, rev_lex, rev_threshold = reverse
-            rev.append((pair.id, *mine_pair(ArticlePair(pair.id, pair.tgt, pair.src),
-                                            tgt, src, rev_model, rev_lex, gap_cost,
-                                            rev_threshold)))
-    if reverse is None:
-        return _collect(fwd, model)
-    return (*_collect(fwd, model), *_collect(rev, reverse[0]))
 
 
 def merge_bidirectional(fwd: BitextCorpus, rev: BitextCorpus,

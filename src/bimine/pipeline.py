@@ -5,7 +5,9 @@ Each step is one function that reads its inputs from explicit paths,
 computes, writes its artifacts and returns its counts; the CLI subcommands
 call the same functions.  A stage resolves its paths in the work directory
 (or configured paths), calls its step once per mining direction and writes a
-JSON run manifest (inputs, checksums, parameters, counts).  Stages are
+JSON run manifest (inputs, checksums, parameters, counts).  In a
+bidirectional run the lexicon, classifier and mine stages run the reverse
+direction's step in a forked child while the forward one runs.  Stages are
 deterministic given the config seeds: re-running with identical inputs
 reproduces identical artifacts byte for byte.
 """
@@ -15,6 +17,8 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import marshal
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -124,11 +128,12 @@ class PipelineConfig:
             for name, item in value.items():
                 _check_type(path, key, name, item, defaults[name])
             section.update(value)
-        # mining runs in one process; older configs carry workers = 1
+        # older configs carry workers = 1; a bidirectional run puts each
+        # direction in its own process and takes no worker count
         if config.mining.get("workers", 1) != 1:
             raise PipelineError(
                 f"{path}: mining.workers = {config.mining['workers']!r} is not "
-                f"supported; mining runs in one process (drop the key or set 1)")
+                f"supported; there is no worker pool (drop the key or set 1)")
         return config
 
     def path(self, artifact: str) -> Path:
@@ -219,45 +224,33 @@ def train_classifier(seed, lexicon, out, src_lang: str, tgt_lang: str, *,
 _MINE_WORK = ("lattice_cells", "cells_scored", "pops", "cells_pruned")
 
 
-def mine(store, directions, *, gap_cost: float, threshold: float | None = None,
-         log=None) -> list[dict]:
-    """Mine parallel sentences from an article-pair store, one pass for all
-    directions, and write them.
+def mine(store, model, lexicon, out, *, gap_cost: float,
+         threshold: float | None = None, log=None, flip: bool = False) -> dict:
+    """Mine parallel sentences from an article-pair store and write them.
 
-    ``directions`` lists one or two (model, lexicon, out) triples.  The
-    first mines each stored pair as it is; a second one mines it target side
-    first, from the same segmented sentences.  Each lexicon must be the one
-    its model was trained with; the model stores its checksum.  A
-    ``threshold`` of None means the one stored in each model.  ``log`` gets
-    one JSON line per article of the first direction.  Returns each
-    direction's counts: articles, mined pairs, and the sums over the
+    The lexicon must be the one the model was trained with; the model
+    stores its checksum.  A ``threshold`` of None means the one stored in
+    the model.  ``flip`` mines the reverse direction, reading each stored
+    pair target side first.  ``log`` gets one JSON line per article.
+    Returns the counts: articles, mined pairs, and the sums over the
     articles of the lattice cells, the cells whose similarity was computed,
     the A* heap pops and the match edges skipped unscored.
     """
-    if not 1 <= len(directions) <= 2:
-        raise ValueError(f"mine takes one or two directions, got {len(directions)}")
-    runs = []
-    for model, lexicon, _out in directions:
-        sim_model = classifier_mod.load_model(model)
-        lex = lexicon_mod.read_lexicon(lexicon, *sim_model.direction)
-        if classifier_mod.lexicon_checksum(lex) != sim_model.lexicon_checksum:
-            raise ValueError(f"lexicon {lexicon} is not the one model {model} was trained with")
-        runs.append((sim_model, lex,
-                     sim_model.threshold if threshold is None else float(threshold)))
-    model, lex, fwd_threshold = runs[0]
-    results = miner.mine_corpus(
-        corpus_io.read_article_store(store), model, lex, gap_cost=gap_cost,
-        threshold=fwd_threshold, reverse=runs[1] if len(runs) > 1 else None)
+    sim_model = classifier_mod.load_model(model)
+    lex = lexicon_mod.read_lexicon(lexicon, *sim_model.direction)
+    if classifier_mod.lexicon_checksum(lex) != sim_model.lexicon_checksum:
+        raise ValueError(f"lexicon {lexicon} is not the one model {model} was trained with")
+    articles = corpus_io.read_article_store(store)
+    if flip:
+        articles = (corpus_io.ArticlePair(p.id, p.tgt, p.src) for p in articles)
+    corpus, article_log = miner.mine_corpus(
+        articles, sim_model, lex, gap_cost=gap_cost,
+        threshold=sim_model.threshold if threshold is None else float(threshold))
+    corpus_io.write_bitext(out, corpus)
     if log:
-        corpus_io.write_jsonl(log, results[1])
-    counts = []
-    for (_model, _lexicon, out), corpus, article_log in zip(
-            directions, results[::2], results[1::2]):
-        corpus_io.write_bitext(out, corpus)
-        counts.append({"articles": len(article_log), "mined": len(corpus.pairs),
-                       **{key: sum(entry[key] for entry in article_log)
-                          for key in _MINE_WORK}})
-    return counts
+        corpus_io.write_jsonl(log, article_log)
+    return {"articles": len(article_log), "mined": len(corpus.pairs),
+            **{key: sum(entry[key] for entry in article_log) for key in _MINE_WORK}}
 
 
 def merge(fwd, rev, out, stats) -> dict:
@@ -380,19 +373,69 @@ def _seed_path(config: PipelineConfig) -> Path:
     return path
 
 
+def _directions(config: PipelineConfig, stage: str, forward, reverse,
+                ) -> tuple[dict, dict | None]:
+    """Return ``forward()`` and, in a bidirectional run, ``reverse()``, else
+    None.  ``reverse`` runs in a forked child while ``forward`` runs here.
+
+    The directions share inputs and write their own artifacts.  The child
+    sends its counts (marshalled) or its exception (pickled, so pickle is
+    imported only on failure) over a pipe and leaves with ``os._exit``; the
+    parent reaps it before it returns or raises, and raises the child's
+    exception as its own.  Without ``os.fork`` both run here in turn.
+    """
+    if not config.mining.get("bidirectional"):
+        return forward(), None
+    if not hasattr(os, "fork"):
+        return forward(), reverse()
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                payload = b"r" + marshal.dumps(reverse())
+            except BaseException as exc:
+                import pickle
+                payload = b"e" + pickle.dumps(exc)
+            with os.fdopen(write_fd, "wb") as fh:
+                fh.write(payload)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    try:
+        fwd = forward()
+    finally:
+        try:
+            with os.fdopen(read_fd, "rb") as fh:
+                payload = fh.read()
+        finally:
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status != 0 or not payload:
+        raise PipelineError(f"{stage}: the reverse direction's process ended "
+                            f"without a result (exit status {status})")
+    if payload[:1] == b"r":
+        return fwd, marshal.loads(payload[1:])
+    import pickle
+    raise pickle.loads(payload[1:])
+
+
 def _stage_lexicon(config: PipelineConfig) -> None:
     seed = _seed_path(config)
     params = config.lexicon
     train = functools.partial(train_lexicon, seed, iterations=int(params["iterations"]),
                               prune_below=float(params["prune_below"]))
-    outputs = [config.path("lexicon.tsv")]
-    counts = train(outputs[0])
-    if config.mining.get("bidirectional"):
-        outputs.append(config.path("lexicon.rev.tsv"))
-        rev = train(outputs[1], flip=True)
+    fwd_out, rev_out = config.path("lexicon.tsv"), config.path("lexicon.rev.tsv")
+    counts, rev = _directions(config, "lexicon", lambda: train(fwd_out),
+                              lambda: train(rev_out, flip=True))
+    outputs = [fwd_out]
+    if rev is not None:
+        outputs.append(rev_out)
         counts.update({f"{key}_rev": value for key, value in rev.items()})
     _write_manifest(config, "lexicon", params, [seed], outputs, counts)
-    _log(f"lexicon: {counts} -> {outputs[0]}")
+    _log(f"lexicon: {counts} -> {fwd_out}")
 
 
 def _stage_classifier(config: PipelineConfig) -> None:
@@ -405,33 +448,39 @@ def _stage_classifier(config: PipelineConfig) -> None:
         margin_reg=float(params["margin_reg"]), seed_rng=int(params["seed"]),
         threshold=float(params["threshold"]))
     lexicon = _require(config, config.path("lexicon.tsv"))
-    outputs = [config.path("classifier.json")]
-    counts = train(lexicon, outputs[0], config.src_lang, config.tgt_lang)
-    if config.mining.get("bidirectional"):
-        outputs.append(config.path("classifier.rev.json"))
-        rev = train(_require(config, config.path("lexicon.rev.tsv")), outputs[1],
-                    config.tgt_lang, config.src_lang, flip=True)
+    fwd_out, rev_out = config.path("classifier.json"), config.path("classifier.rev.json")
+    counts, rev = _directions(
+        config, "classifier",
+        lambda: train(lexicon, fwd_out, config.src_lang, config.tgt_lang),
+        lambda: train(_require(config, config.path("lexicon.rev.tsv")), rev_out,
+                      config.tgt_lang, config.src_lang, flip=True))
+    outputs = [fwd_out]
+    if rev is not None:
+        outputs.append(rev_out)
         counts.update({f"{key}_rev": value for key, value in rev.items()})
     _write_manifest(config, "classifier", params, [seed, lexicon], outputs, counts)
-    _log(f"classifier: {counts} -> {outputs[0]}")
+    _log(f"classifier: {counts} -> {fwd_out}")
 
 
 def _stage_mine(config: PipelineConfig) -> None:
     params = config.mining
     store = _require(config, config.store_path())
+    run = functools.partial(mine, store, gap_cost=float(params["gap_cost"]),
+                            threshold=params.get("threshold"))
     fwd_out, log = config.path("mined.fwd.tsv"), config.path("mine_log.jsonl")
-    directions = [(_require(config, config.path("classifier.json")),
-                   _require(config, config.path("lexicon.tsv")), fwd_out)]
-    if params.get("bidirectional"):
-        directions.append((_require(config, config.path("classifier.rev.json")),
-                           _require(config, config.path("lexicon.rev.tsv")),
-                           config.path("mined.rev.tsv")))
-    done = mine(store, directions, gap_cost=float(params["gap_cost"]),
-                threshold=params.get("threshold"), log=log)
-    counts = {"articles": done[0]["articles"]}
-    for suffix, direction in zip(("_fwd", "_rev"), done):
-        counts.update({f"{key}{suffix}": direction[key] for key in ("mined", *_MINE_WORK)})
-    outputs = [fwd_out, log] + [out for _model, _lexicon, out in directions[1:]]
+    rev_out = config.path("mined.rev.tsv")
+    fwd_inputs = (_require(config, config.path("classifier.json")),
+                  _require(config, config.path("lexicon.tsv")))
+    fwd, rev = _directions(
+        config, "mine", lambda: run(*fwd_inputs, fwd_out, log=log),
+        lambda: run(_require(config, config.path("classifier.rev.json")),
+                    _require(config, config.path("lexicon.rev.tsv")), rev_out, flip=True))
+    outputs = [fwd_out, log]
+    counts = {"articles": fwd["articles"],
+              **{f"{key}_fwd": fwd[key] for key in ("mined", *_MINE_WORK)}}
+    if rev is not None:
+        outputs.append(rev_out)
+        counts.update({f"{key}_rev": rev[key] for key in ("mined", *_MINE_WORK)})
     _write_manifest(config, "mine", params, [store], outputs, counts)
     _log(f"mine: {counts}")
 

@@ -1,3 +1,4 @@
+import os
 import random
 import sys
 from pathlib import Path
@@ -10,6 +11,17 @@ from synthdata import make_articles, make_parallel, make_world  # noqa: E402
 
 from bimine.classifier import train_model
 from bimine.lexicon import train_lexicon
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process running or unreaped."""
+    yield
+    try:
+        pid, _status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process behind (waitpid gave pid {pid})")
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,7 @@ import random
 from collections import namedtuple
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bimine import classifier
 from bimine.classifier import (
@@ -507,3 +507,18 @@ def test_load_rejects_malformed_model_naming_the_file(tmp_path, small_model):
     path.write_text("{", encoding="utf-8")
     with pytest.raises(ValueError, match="model.json: Expecting"):
         load_model(path)
+
+
+def _is_digit_token_by_scan(token):
+    return any(ch.isdigit() for ch in token) and not any(ch.isalpha() for ch in token)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text())
+@example("")
+@example("1999")
+@example("³")
+@example("a1")
+@example("1,5")
+def test_is_digit_token_equals_the_per_character_scan(token):
+    assert classifier._is_digit_token(token) == _is_digit_token_by_scan(token)

@@ -1,5 +1,7 @@
 import json
+import os
 import random
+import shutil
 from pathlib import Path
 
 import pytest
@@ -344,6 +346,97 @@ def test_cli_steps_write_the_pipeline_artifacts(world, tmp_path):
                  "classifier.rev.json", "mined.fwd.tsv", "mined.rev.tsv", "mined.tsv",
                  "overlap_stats.json", "filtered.tsv", "rejected.tsv"]:
         assert (out / name).read_bytes() == (workdir / name).read_bytes(), name
+
+
+def _directory_bytes(path):
+    return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
+def test_reverse_direction_same_bytes_without_fork(world, tmp_path, monkeypatch):
+    config_path, workdir = _pipeline_config(tmp_path, world)
+    assert main(["pipeline", "--config", str(config_path)]) == 0
+    forked = _directory_bytes(workdir)
+    shutil.rmtree(workdir)
+    monkeypatch.delattr(pipeline.os, "fork")
+    assert main(["pipeline", "--config", str(config_path)]) == 0
+    assert _directory_bytes(workdir) == forked
+
+
+def test_bidirectional_stages_run_the_reverse_in_a_child(world, tmp_path, monkeypatch):
+    config_path, _ = _pipeline_config(tmp_path, world)
+    pids = tmp_path / "pids.txt"
+
+    def spy(name, step):
+        def record(*args, flip=False, **kwargs):
+            with open(pids, "a", encoding="utf-8") as fh:
+                fh.write(f"{name} {flip} {os.getpid()}\n")
+            return step(*args, flip=flip, **kwargs)
+        return record
+
+    for name in ("train_lexicon", "train_classifier", "mine"):
+        monkeypatch.setattr(pipeline, name, spy(name, getattr(pipeline, name)))
+    run_pipeline(PipelineConfig.from_json(config_path),
+                 ["ingest", "lexicon", "classifier", "mine"])
+    runs = [line.split() for line in pids.read_text(encoding="utf-8").splitlines()]
+    assert sorted((name, flip) for name, flip, _ in runs) == sorted(
+        (name, flip) for name in ("mine", "train_classifier", "train_lexicon")
+        for flip in ("False", "True"))
+    for name, flip, pid in runs:
+        assert (int(pid) == os.getpid()) == (flip == "False"), (name, flip)
+
+
+@pytest.mark.parametrize("artifact, stage, text", [
+    ("classifier.rev.json", "mine", '{"format_version": '),
+    ("lexicon.rev.tsv", "classifier", "kot\tcat\tnan\n"),
+    ("lexicon.rev.tsv", "mine", "kot\tcat\n"),
+])
+def test_corrupt_reverse_artifact_same_error_with_and_without_fork(
+        world, tmp_path, monkeypatch, capsys, artifact, stage, text):
+    config_path, workdir = _pipeline_config(tmp_path, world)
+    run_pipeline(PipelineConfig.from_json(config_path), ["ingest", "lexicon", "classifier"])
+    (workdir / artifact).write_text(text, encoding="utf-8")
+    argv = ["pipeline", "--config", str(config_path), "--stages", stage]
+    capsys.readouterr()
+    forked = main(argv), capsys.readouterr().err
+    monkeypatch.delattr(pipeline.os, "fork")
+    assert (main(argv), capsys.readouterr().err) == forked
+    assert forked[0] == 1 and f"{artifact}: " in forked[1]
+
+
+def test_failing_forward_direction_reaps_the_child(world, tmp_path, monkeypatch):
+    config_path, workdir = _pipeline_config(tmp_path, world)
+    config = PipelineConfig.from_json(config_path)
+    train = pipeline.train_lexicon
+
+    def forward_fails(*args, flip=False, **kwargs):
+        if not flip:
+            raise ValueError("forward lexicon failed")
+        return train(*args, flip=flip, **kwargs)
+
+    monkeypatch.setattr(pipeline, "train_lexicon", forward_fails)
+    with pytest.raises(ValueError, match="forward lexicon failed"):
+        run_pipeline(config, ["lexicon"])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    # the child ran to the end; no manifest names its output
+    assert (workdir / "lexicon.rev.tsv").exists()
+    assert not (workdir / "manifest.lexicon.json").exists()
+
+
+def test_child_without_a_result_names_stage_and_exit_status(world, tmp_path, monkeypatch):
+    config_path, workdir = _pipeline_config(tmp_path, world)
+    config = PipelineConfig.from_json(config_path)
+    train = pipeline.train_lexicon
+
+    def reverse_dies(*args, flip=False, **kwargs):
+        if flip:
+            os._exit(3)
+        return train(*args, flip=flip, **kwargs)
+
+    monkeypatch.setattr(pipeline, "train_lexicon", reverse_dies)
+    with pytest.raises(PipelineError, match=r"^lexicon: .*without a result \(exit status 3\)$"):
+        run_pipeline(config, ["lexicon"])
+    assert not (workdir / "manifest.lexicon.json").exists()
 
 
 def test_benchmark_hook_points(world, tmp_path, monkeypatch):

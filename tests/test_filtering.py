@@ -1,8 +1,9 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from bimine import filtering
 from bimine.corpus_io import BiSentence, BitextCorpus
 from bimine.filtering import (
     CascadeConfig,
@@ -325,3 +326,21 @@ def test_cascade_config_errors_name_the_file(tmp_path):
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ValueError, match=f"cascade.json: .*{detail}"):
             read_cascade_config(path)
+
+
+def _content_tokens_by_scan(tokens, stop_words):
+    out = set()
+    for token in tokens:
+        low = token.lower()
+        if low not in stop_words and any(ch.isalnum() for ch in low):
+            out.add(low)
+    return out
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.text(), max_size=4))
+@example(["", "İ", "½", "--", "the", "Ab1"])
+def test_content_tokens_equal_the_per_character_scan(tokens):
+    stop_words = frozenset({"the", "a"})
+    assert filtering._content_tokens(tokens, stop_words) == \
+        _content_tokens_by_scan(tokens, stop_words)

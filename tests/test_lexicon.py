@@ -293,3 +293,42 @@ def test_read_lexicon_names_file_and_line(tmp_path):
     path.write_text("kot\tcat\t1\npies\tdog\tmany\n", encoding="utf-8")
     with pytest.raises(ValueError, match="lex.tsv: line 2: bad probability"):
         read_lexicon(path)
+
+
+@pytest.mark.parametrize("line", ["kot\tcat\tnan", "kot\tdog\t-3", "pies\tdog\t7.5",
+                                  "kot\tcat\tinf", "kot\tcat\t0"])
+def test_read_lexicon_rejects_a_probability_outside_zero_one(tmp_path, line):
+    path = tmp_path / "lex.tsv"
+    path.write_text(f"kot\tcat\t0.5\n{line}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"lex\.tsv: line 2: probability .* not in \(0, 1\]"):
+        read_lexicon(path)
+
+
+def test_written_fixture_lexicon_loads(tmp_path, small_lexicon):
+    path = tmp_path / "lex.tsv"
+    write_lexicon(path, small_lexicon)
+    assert len(read_lexicon(path)) == len(small_lexicon)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_SIDES, min_size=1, max_size=10), st.integers(min_value=1, max_value=6),
+       st.sampled_from([0.0, 1e-4, 0.3, 1.0]))
+def test_every_trained_lexicon_loads_after_writing(tmp_path_factory, sides, iterations,
+                                                   prune_below):
+    lex = train_lexicon(BitextCorpus([BiSentence(" ".join(s), " ".join(t)) for s, t in sides]),
+                        iterations, prune_below)
+    path = tmp_path_factory.mktemp("lex") / "lex.tsv"
+    write_lexicon(path, lex)
+    assert read_lexicon(path).entries.keys() == lex.entries.keys()
+
+
+def _passthrough_by_scan(token):
+    return not any(ch.isalpha() for ch in token)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text())
+@example("")
+@example("ab1")
+def test_passthrough_equals_the_per_character_scan(token):
+    assert lexicon._passthrough(token) == _passthrough_by_scan(token)

@@ -3,16 +3,21 @@ import functools
 import pytest
 
 from bimine.aligner import align, match_floor, threshold_filter
-from bimine.classifier import match_filter, similarity, source_record, target_record
+from bimine.classifier import (load_model, match_filter, similarity, source_record,
+                               target_record)
 from bimine.corpus_io import (
     ArticlePair,
     BiSentence,
     BitextCorpus,
     Document,
+    read_article_store,
     segment_sentences,
+    write_article_store,
+    write_bitext,
 )
-from bimine.lexicon import TranslationLexicon
+from bimine.lexicon import read_lexicon
 from bimine.miner import OverlapStats, merge_bidirectional, mine_corpus, mine_pair
+from bimine.pipeline import PipelineConfig, run_pipeline
 
 
 def _mine_pair(pair, *args):
@@ -149,33 +154,27 @@ def test_mine_corpus_same_output_without_the_match_filter(small_model, small_lex
     assert sum(e["cells_scored"] for e in pruned_log) < sum(e["cells_scored"] for e in full_log)
 
 
-def test_mine_corpus_mines_the_reverse_in_the_same_pass(small_model, small_lexicon,
-                                                        small_articles, monkeypatch):
-    import dataclasses
-    import bimine.miner as miner_mod
-    articles = small_articles[0][:8]
-    # the reverse needs only a model of its direction and a lexicon keyed by
-    # target words
-    rev_model = dataclasses.replace(small_model, direction=("en", "pl"))
-    rev_lexicon = TranslationLexicon()
-    for s, row in small_lexicon.entries.items():
-        for t, p in row:
-            rev_lexicon.entries.setdefault(t, []).append((s, p))
-    flipped = [ArticlePair(p.id, p.tgt, p.src) for p in articles]
-    separate = (*mine_corpus(articles, small_model, small_lexicon, threshold=0.5),
-                *mine_corpus(flipped, rev_model, rev_lexicon, threshold=0.1))
-    segmented = []
-
-    def counting(text):
-        segmented.append(text)
-        return segment_sentences(text)
-
-    monkeypatch.setattr(miner_mod, "segment_sentences", counting)
-    together = mine_corpus(articles, small_model, small_lexicon, threshold=0.5,
-                           reverse=(rev_model, rev_lexicon, 0.1))
-    assert together == separate
-    assert together[2].pairs and together[2].src_lang == "en"
-    assert len(segmented) == 2 * len(articles)
+def test_stage_mines_the_reverse_as_mine_corpus_on_flipped_pairs(small_seed_corpus,
+                                                                 small_articles, tmp_path):
+    # the mine stage runs the reverse direction in a child process; its
+    # output is mine_corpus over the stored pairs read target side first
+    seed, store, workdir = tmp_path / "seed.tsv", tmp_path / "store.jsonl", tmp_path / "out"
+    write_bitext(seed, BitextCorpus(small_seed_corpus.pairs[:300]))
+    write_article_store(store, small_articles[0][:8])
+    config = PipelineConfig(workdir=str(workdir), seed_corpus=str(seed), store=str(store))
+    config.lexicon["iterations"] = 5
+    config.classifier["epochs"] = 10
+    config.mining["bidirectional"] = True
+    run_pipeline(config, ["lexicon", "classifier", "mine"])
+    model = load_model(workdir / "classifier.rev.json")
+    lexicon = read_lexicon(workdir / "lexicon.rev.tsv", *model.direction)
+    flipped = [ArticlePair(p.id, p.tgt, p.src) for p in read_article_store(store)]
+    corpus, _ = mine_corpus(flipped, model, lexicon, gap_cost=config.mining["gap_cost"],
+                            threshold=config.mining["threshold"])
+    assert corpus.pairs and corpus.src_lang == "en"
+    write_bitext(tmp_path / "expected.tsv", corpus)
+    assert (workdir / "mined.rev.tsv").read_bytes() == \
+        (tmp_path / "expected.tsv").read_bytes()
 
 
 def test_mine_corpus_empty_store(small_model, small_lexicon):
