@@ -57,7 +57,6 @@ class RewritingModel:
 @dataclass(frozen=True)
 class QuasiParallelEntry:
     pair: BiSentence
-    model_id: int
     confirmed: bool
 
 
@@ -77,14 +76,6 @@ class QuasiParallelCorpus:
 
 # minimal insert/delete/substitute count treating each token as a symbol
 word_levenshtein = levenshtein
-
-
-def _levenshtein_capped(s1: Sequence[str], s2: Sequence[str], cap: int) -> int | None:
-    """word_levenshtein, or None when the distance exceeds cap."""
-    if abs(len(s1) - len(s2)) > cap:
-        return None
-    d = levenshtein(s1, s2)
-    return d if d <= cap else None
 
 
 def char_delta(a: Counter, b: Counter) -> CharDelta:
@@ -179,8 +170,8 @@ def find_analogies(sentences: Sequence[Sequence[str]],
                 break
             if token_bag_bound(bags[u], bags[v], len(uniq[v])) > max_distance:
                 continue
-            d = _levenshtein_capped(uniq[u], uniq[v], max_distance)
-            if d is None:
+            d = levenshtein(uniq[u], uniq[v])
+            if d > max_distance:
                 continue
             x, y = (u, v) if uniq[u] < uniq[v] else (v, u)
             dist[(min(u, v), max(u, v))] = d
@@ -357,8 +348,6 @@ def generate_corpus(models: Sequence[RewritingModel],
     whose target equals some sentence of the paired article's target side
     (modulo whitespace and case) is flagged confirmed.
     """
-    if not models:
-        raise ValueError("no rewriting models supplied")
     by_first: dict[str, list[tuple[int, RewritingModel]]] = {}
     open_prefix: list[tuple[int, RewritingModel]] = []
     for model_id, model in enumerate(models):
@@ -375,15 +364,13 @@ def generate_corpus(models: Sequence[RewritingModel],
                 continue
             candidates = by_first.get(sent.tokens[0], []) + open_prefix
             candidates.sort(key=lambda item: item[0])
-            for model_id, model in candidates:
+            for _, model in candidates:
                 made = apply_model(model, sent.tokens, lex, allow_unknown)
                 if made is None:
                     continue
                 made = replace(made, origin=(article.id, sent.index, -1, "analogy"))
-                entries.append(QuasiParallelEntry(
-                    pair=made, model_id=model_id,
-                    confirmed=made.tgt in tgt_texts,
-                ))
+                entries.append(QuasiParallelEntry(pair=made,
+                                                  confirmed=made.tgt in tgt_texts))
     return QuasiParallelCorpus(entries)
 
 

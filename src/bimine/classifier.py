@@ -361,11 +361,12 @@ def _fit_hinge(training: Sequence[tuple[tuple[float, ...], int]], rng: random.Ra
     return [w0, w1, w2, w3, w4], bias, hinge_updates
 
 
-def train_model(seed: BitextCorpus, lex: TranslationLexicon,
+def train_model(seed: BitextCorpus, lex: TranslationLexicon, direction: tuple[str, str],
                 neg_per_pos: int = 3, epochs: int = 30,
                 learning_rate: float = 0.1, margin_reg: float = 1e-4,
                 seed_rng: int = 0) -> SimilarityModel:
-    """Train the similarity classifier from a parallel seed corpus.
+    """Train the similarity classifier for the language pair ``direction``
+    (source, target) from a parallel seed corpus.
 
     Positives are the aligned seed pairs.  For each positive, ``neg_per_pos``
     negatives pair the same source with other targets; the target at the
@@ -418,7 +419,7 @@ def train_model(seed: BitextCorpus, lex: TranslationLexicon,
 
     return SimilarityModel(
         weights=weights, bias=bias, platt_a=platt_a, platt_b=platt_b,
-        direction=(seed.src_lang, seed.tgt_lang),
+        direction=direction,
         lexicon_checksum=lexicon_checksum(lex),
         training_counts={"examples": len(examples), "held_out": n_held,
                          "hinge_updates": hinge_updates},

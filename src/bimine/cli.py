@@ -185,6 +185,8 @@ def _cmd_pipeline(args) -> int:
 # parser
 
 def build_parser() -> argparse.ArgumentParser:
+    # an option with a pipeline config counterpart takes that key's default
+    defaults = pipeline.PipelineConfig(workdir="")
     parser = argparse.ArgumentParser(
         prog="bimine",
         description="Mine, generate, filter and evaluate parallel corpora "
@@ -196,15 +198,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tgt-dump", required=True)
     p.add_argument("--links", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--src-lang", default="pl")
-    p.add_argument("--tgt-lang", default="en")
+    p.add_argument("--src-lang", default=defaults.src_lang)
+    p.add_argument("--tgt-lang", default=defaults.tgt_lang)
     p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("sample", help="split a corpus into test and train")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--segments", type=int, default=200)
-    p.add_argument("--per-segment", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--segments", type=int, default=defaults.eval["segments"])
+    p.add_argument("--per-segment", type=int, default=defaults.eval["per_segment"])
+    p.add_argument("--seed", type=int, default=defaults.eval["seed"])
     p.add_argument("--test", required=True)
     p.add_argument("--train", required=True)
     p.set_defaults(func=_cmd_sample)
@@ -217,8 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     lex_sub = p.add_subparsers(dest="subcommand", required=True)
     p = lex_sub.add_parser("train", help="train a lexicon from a seed corpus")
     p.add_argument("--seed", required=True)
-    p.add_argument("--iters", type=int, default=10)
-    p.add_argument("--prune-below", type=float, default=1e-4)
+    p.add_argument("--iters", type=int, default=defaults.lexicon["iterations"])
+    p.add_argument("--prune-below", type=float, default=defaults.lexicon["prune_below"])
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_lexicon_train)
 
@@ -228,14 +230,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", required=True)
     p.add_argument("--lexicon", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--src-lang", default="pl")
-    p.add_argument("--tgt-lang", default="en")
-    p.add_argument("--neg-per-pos", type=int, default=3)
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--learning-rate", type=float, default=0.1)
-    p.add_argument("--margin-reg", type=float, default=1e-4)
-    p.add_argument("--seed-rng", type=int, default=0)
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--src-lang", default=defaults.src_lang)
+    p.add_argument("--tgt-lang", default=defaults.tgt_lang)
+    clf = defaults.classifier
+    p.add_argument("--neg-per-pos", type=int, default=clf["neg_per_pos"])
+    p.add_argument("--epochs", type=int, default=clf["epochs"])
+    p.add_argument("--learning-rate", type=float, default=clf["learning_rate"])
+    p.add_argument("--margin-reg", type=float, default=clf["margin_reg"])
+    p.add_argument("--seed-rng", type=int, default=clf["seed"])
+    p.add_argument("--threshold", type=float, default=clf["threshold"])
     p.set_defaults(func=_cmd_classifier_train)
 
     p = sub.add_parser("mine", help="mine parallel sentences from a store")
@@ -244,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lexicon", required=True)
     p.add_argument("--threshold", type=float,
                    help="default: the threshold stored in the model")
-    p.add_argument("--gap-cost", type=float, default=0.4)
+    p.add_argument("--gap-cost", type=float, default=defaults.mining["gap_cost"])
     p.add_argument("--out", required=True)
     p.add_argument("--log")
     p.set_defaults(func=_cmd_mine)
@@ -260,8 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     ana_sub = p.add_subparsers(dest="subcommand", required=True)
     p = ana_sub.add_parser("find", help="find analogy quadruples in a seed corpus")
     p.add_argument("--seed", required=True)
-    p.add_argument("--max-dist", type=int, default=4)
-    p.add_argument("--size-guard", type=int, default=analogy_mod.DEFAULT_SIZE_GUARD)
+    p.add_argument("--max-dist", type=int, default=defaults.analogy["max_distance"])
+    p.add_argument("--size-guard", type=int, default=defaults.analogy["size_guard"])
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_analogy_find)
     p = ana_sub.add_parser("models", help="extract rewriting models from quadruples")
@@ -284,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = fil_sub.add_parser("trivial", help="drop duplicates, short and letter-free pairs")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--min-chars", type=int, default=10)
+    p.add_argument("--min-chars", type=int, default=defaults.filter["min_chars"])
     p.add_argument("--report")
     p.set_defaults(func=_cmd_filter_trivial)
     p = fil_sub.add_parser("cascade", help="translation-similarity cascade filter")

@@ -19,7 +19,7 @@ import json
 import random
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 
 @dataclass(frozen=True)
@@ -62,8 +62,6 @@ class BiSentence:
 @dataclass
 class BitextCorpus:
     pairs: list[BiSentence] = field(default_factory=list)
-    src_lang: str = ""
-    tgt_lang: str = ""
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -142,12 +140,17 @@ DEFAULT_ABBREVIATIONS = frozenset({
     "mgr.", "inż.", "ul.", "św.", "nr.", "tys.", "ok.", "r.", "w.",
 })
 
-_WORD = r"[^\W\d_]+(?:['’-][^\W\d_]+)*"
+# letters, where "i" may carry a combining dot above: "İ" lowercases to
+# "i\u0307", which has to read back as one word
+_LETTERS = r"[^\W\d_]+(?:\u0307(?<=i\u0307)[^\W\d_]*)*"
+_WORD = rf"{_LETTERS}(?:['’-]{_LETTERS})*"
 _NUMBER = r"\d+(?:[.,]\d+)*"
 
-# listed abbreviations first, longest first, so "U.S." beats the word "U"
+# listed abbreviations and their lowercase forms first, longest first, so
+# "U.S." beats the word "U" and the token "u.s." stays one token
+_ABBREVIATION_FORMS = DEFAULT_ABBREVIATIONS | {a.lower() for a in DEFAULT_ABBREVIATIONS}
 _TOKEN_RE = re.compile("|".join(
-    [*(re.escape(a) for a in sorted(DEFAULT_ABBREVIATIONS, key=len, reverse=True)),
+    [*(re.escape(a) for a in sorted(_ABBREVIATION_FORMS, key=len, reverse=True)),
      _NUMBER, _WORD, r"\S"]))
 
 
@@ -157,7 +160,8 @@ def tokenize(text: str) -> list[str]:
 
     Abbreviations from the exception list keep their internal/trailing
     periods: "U.S." gives the one token "u.s.".  Tokens are matched on the
-    original text and lowercased afterwards.
+    original text and lowercased afterwards; a listed abbreviation also
+    matches in lowercase, so tokenizing the joined tokens gives them back.
     """
     return [t.lower() for t in _TOKEN_RE.findall(text)]
 
@@ -235,23 +239,19 @@ def _push(sentences: list[Sentence], span: str) -> None:
 
 def pair_articles(src_articles: Mapping[str, str],
                   tgt_articles: Mapping[str, str],
-                  links: Mapping[str, str] | Iterable[tuple[str, str]],
-                  src_lang: str = "", tgt_lang: str = "") -> list[ArticlePair]:
+                  links: list[tuple[str, str]],
+                  src_lang: str, tgt_lang: str) -> list[ArticlePair]:
     """Pair linked articles present on both sides; assign fresh sequential ids.
 
     Raises ValueError when the link list maps one source title twice.
     """
-    if isinstance(links, Mapping):
-        link_items = list(links.items())
-    else:
-        link_items = list(links)
     seen: set[str] = set()
-    for src_title, _ in link_items:
+    for src_title, _ in links:
         if src_title in seen:
             raise ValueError(f"duplicate link for source title {src_title!r}")
         seen.add(src_title)
     pairs = []
-    for src_title, tgt_title in link_items:
+    for src_title, tgt_title in links:
         if src_title not in src_articles or tgt_title not in tgt_articles:
             continue
         pairs.append(ArticlePair(
@@ -291,10 +291,8 @@ def sample_test_set(corpus: BitextCorpus, n_segments: int = 200,
         test_indices.extend(rng.sample(range(start, start + seg_len), per_segment))
         start += seg_len
     chosen = set(test_indices)
-    test = BitextCorpus([corpus.pairs[i] for i in sorted(chosen)],
-                        corpus.src_lang, corpus.tgt_lang)
-    train = BitextCorpus([p for i, p in enumerate(corpus.pairs) if i not in chosen],
-                         corpus.src_lang, corpus.tgt_lang)
+    test = BitextCorpus([corpus.pairs[i] for i in sorted(chosen)])
+    train = BitextCorpus([p for i, p in enumerate(corpus.pairs) if i not in chosen])
     return test, train
 
 
@@ -335,8 +333,7 @@ def write_bitext(path, corpus: BitextCorpus) -> None:
             fh.write(f"{_flatten(pair.src)}\t{_flatten(pair.tgt)}\t{pair.score:.6f}\n")
 
 
-def read_bitext(path, src_lang: str = "", tgt_lang: str = "",
-                flip: bool = False) -> BitextCorpus:
+def read_bitext(path, flip: bool = False) -> BitextCorpus:
     """Read a TSV bitext file; ``flip`` swaps the two text columns on load."""
     pairs = []
     with open(path, encoding="utf-8") as fh:
@@ -355,7 +352,7 @@ def read_bitext(path, src_lang: str = "", tgt_lang: str = "",
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: bad score column: {exc}") from None
             pairs.append(BiSentence(src=src, tgt=tgt, score=score))
-    return BitextCorpus(pairs, src_lang, tgt_lang)
+    return BitextCorpus(pairs)
 
 
 def write_json(path, doc) -> None:

@@ -2,11 +2,11 @@
 
 Two layers: ``remove_trivial`` drops duplicates, very short lines and
 letter-free lines; ``filter_corpus`` runs a cascade of increasingly
-expensive translation-similarity checks.  Each pair's source is translated
-into the target language (by default word-by-word with a lexicon) and the
-translation is compared against the paired target, fastest comparison
-first: a high score accepts the pair immediately, a very low score rejects
-it, anything in between falls through to the next, slower stage.
+expensive translation-similarity checks.  Each pair's source tokens are
+translated word by word with a lexicon and the translation is compared
+against the paired target, fastest comparison first: a high score accepts
+the pair immediately, a very low score rejects it, anything in between
+falls through to the next, slower stage.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .corpus_io import BiSentence, BitextCorpus, normalize_space, tokenize
 from .lexicon import TranslationLexicon, gloss_translate
@@ -102,7 +102,7 @@ def remove_trivial(corpus: BitextCorpus, min_chars: int = 10,
             continue
         kept.append(pair)
         report.kept_count += 1
-    return BitextCorpus(kept, corpus.src_lang, corpus.tgt_lang), report
+    return BitextCorpus(kept), report
 
 
 # ---------------------------------------------------------------------------
@@ -207,16 +207,11 @@ def _stage_score(name: str, a: Sequence[str], b: Sequence[str],
 # ---------------------------------------------------------------------------
 # cascade
 
-def make_gloss_translator(lex: TranslationLexicon) -> Callable[[str], str]:
-    def translator(text: str) -> str:
-        return " ".join(gloss_translate(lex, tokenize(text)))
-    return translator
-
-
-def filter_corpus(corpus: BitextCorpus, translator: Callable[[str], str],
+def filter_corpus(corpus: BitextCorpus, lex: TranslationLexicon,
                   cascade: CascadeConfig,
                   ) -> tuple[BitextCorpus, BitextCorpus, FilterReport]:
-    """Partition a corpus by comparing each source's translation to its target.
+    """Partition a corpus by comparing each source's gloss translation
+    (``gloss_translate`` of its tokens) to its target.
 
     Stages run in configured order; a pair is accepted the moment a stage
     score reaches its accept threshold, rejected the moment a score falls
@@ -228,13 +223,7 @@ def filter_corpus(corpus: BitextCorpus, translator: Callable[[str], str],
     kept: list[BiSentence] = []
     rejected: list[BiSentence] = []
     for pair in corpus.pairs:
-        try:
-            translation = translator(pair.src)
-        except Exception:
-            rejected.append(pair)
-            report.reject("translator-error")
-            continue
-        trans_tokens = tokenize(translation)
+        trans_tokens = gloss_translate(lex, tokenize(pair.src))
         tgt_tokens = tokenize(pair.tgt)
         verdict = None
         for name, accept, reject in cascade.stages:
@@ -251,9 +240,7 @@ def filter_corpus(corpus: BitextCorpus, translator: Callable[[str], str],
         else:
             rejected.append(pair)
             report.reject(verdict or "fallthrough")
-    return (BitextCorpus(kept, corpus.src_lang, corpus.tgt_lang),
-            BitextCorpus(rejected, corpus.src_lang, corpus.tgt_lang),
-            report)
+    return BitextCorpus(kept), BitextCorpus(rejected), report
 
 
 # ---------------------------------------------------------------------------
@@ -287,10 +274,17 @@ def read_synonyms(path) -> dict[str, frozenset[str]]:
     return {word: frozenset(syns) for word, syns in table.items()}
 
 
+# top-level keys of a cascade config, and the keys of one stage entry
+_CASCADE_KEYS = {"stages", "stop_words", "stop_words_file", "synonyms",
+                 "synonyms_file", "stem_rules"}
+_STAGE_KEYS = {"fn", "accept", "reject"}
+
+
 def read_cascade_config(path) -> CascadeConfig:
     """Cascade JSON; lexical resources either inline or as file paths
-    (``stop_words_file``, ``synonyms_file``) relative to the config.  A
-    malformed config raises ValueError naming the file."""
+    (``stop_words_file``, ``synonyms_file``) relative to the config, not
+    both.  A malformed config, an unknown key or a resource given both ways
+    raises ValueError naming the file."""
     from pathlib import Path
 
     with open(path, encoding="utf-8") as fh:
@@ -303,8 +297,22 @@ def read_cascade_config(path) -> CascadeConfig:
 
 
 def _cascade_config(doc: dict, base) -> CascadeConfig:
+    if not isinstance(doc, dict):
+        raise ValueError("a cascade config holds one JSON object")
+    unknown = set(doc) - _CASCADE_KEYS
+    if unknown:
+        raise ValueError(f"unknown cascade config keys {sorted(unknown)}")
+    for inline in ("stop_words", "synonyms"):
+        if inline in doc and f"{inline}_file" in doc:
+            raise ValueError(f"give {inline!r} or {inline + '_file'!r}, not both")
     config = CascadeConfig()
     if "stages" in doc:
+        for stage in doc["stages"]:
+            if not isinstance(stage, dict):
+                raise ValueError(f"a stage is an object, not {stage!r}")
+            unknown = set(stage) - _STAGE_KEYS
+            if unknown:
+                raise ValueError(f"unknown keys {sorted(unknown)} in stage {stage!r}")
         config.stages = [(s["fn"], float(s["accept"]), float(s["reject"]))
                          for s in doc["stages"]]
     if "stop_words" in doc:

@@ -19,8 +19,6 @@ class TranslationLexicon:
     """source token -> [(target token, probability), ...] sorted by -prob."""
 
     entries: dict[str, list[tuple[str, float]]] = field(default_factory=dict)
-    src_lang: str = ""
-    tgt_lang: str = ""
     # log-likelihood of the parameters entering each EM round, oldest first;
     # the lexicon stage records it in its manifest, the lexicon file does not
     iteration_log_likelihood: list[float] = field(default_factory=list)
@@ -117,15 +115,14 @@ def train_lexicon(seed: BitextCorpus, iterations: int = 10,
     rows_out: list[dict[str, float]] = [{} for _ in sources]
     for p, r, t in zip(table, cell_row, cell_target):
         rows_out[r][t] = p
-    lex = _finalize(dict(zip(sources, rows_out)), prune_below,
-                    seed.src_lang, seed.tgt_lang)
+    lex = _finalize(dict(zip(sources, rows_out)), prune_below)
     lex.iteration_log_likelihood = likelihoods
     lex.cells = len(table)
     return lex
 
 
 def _finalize(table: dict[str, dict[str, float]], prune_below: float,
-              src_lang: str, tgt_lang: str) -> TranslationLexicon:
+              ) -> TranslationLexicon:
     entries: dict[str, list[tuple[str, float]]] = {}
     for s, row in table.items():
         kept = {t: p for t, p in row.items() if p >= prune_below}
@@ -136,7 +133,7 @@ def _finalize(table: dict[str, dict[str, float]], prune_below: float,
         mass = sum(kept.values())
         entries[s] = sorted(((t, p / mass) for t, p in kept.items()),
                             key=lambda tp: (-tp[1], tp[0]))
-    return TranslationLexicon(entries=entries, src_lang=src_lang, tgt_lang=tgt_lang)
+    return TranslationLexicon(entries=entries)
 
 
 # what gloss_translate emits for a token the lexicon does not know
@@ -172,7 +169,7 @@ def write_lexicon(path, lex: TranslationLexicon) -> None:
                 fh.write(f"{s}\t{t}\t{p:.12g}\n")
 
 
-def read_lexicon(path, src_lang: str = "", tgt_lang: str = "") -> TranslationLexicon:
+def read_lexicon(path) -> TranslationLexicon:
     entries: dict[str, list[tuple[str, float]]] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -192,4 +189,4 @@ def read_lexicon(path, src_lang: str = "", tgt_lang: str = "") -> TranslationLex
             entries.setdefault(cols[0], []).append((cols[1], prob))
     for s in entries:
         entries[s].sort(key=lambda tp: (-tp[1], tp[0]))
-    return TranslationLexicon(entries=entries, src_lang=src_lang, tgt_lang=tgt_lang)
+    return TranslationLexicon(entries=entries)

@@ -4,7 +4,7 @@ Corpus-level BLEU (clipped n-gram precisions, geometric mean, brevity
 penalty), NIST (information-weighted n-gram co-occurrence, arithmetic mean,
 its own gentler brevity factor), TER (word edits plus greedily searched
 phrase shifts, each shift one edit), and a simplified METEOR with
-exact/stem/synonym match stages, recall-weighted F-mean and a fragmentation
+exact and stem match stages, recall-weighted F-mean and a fragmentation
 penalty.  Scores are fractions; multiply by 100 for the conventional
 presentation.
 """
@@ -15,10 +15,10 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from .editdistance import Pattern, token_bag_bound
-from .filtering import DEFAULT_STEM_RULES, StemRules, stem
+from .filtering import stem
 
 Tokens = tuple[str, ...]
 
@@ -291,31 +291,21 @@ def corpus_ter(corpus: Sequence[EvalPair]) -> float:
 # ---------------------------------------------------------------------------
 # METEOR (simplified)
 
-_METEOR_STAGES = ("exact", "stem", "synonym")
-
-
-def _stage_matches(hyp: Sequence[str], ref: Sequence[str],
-                   stages: Sequence[str], stemmer: StemRules,
-                   synonyms: Mapping[str, frozenset[str]]) -> list[tuple[int, int]]:
+def _stage_matches(hyp: Sequence[str], ref: Sequence[str]) -> list[tuple[int, int]]:
+    """Greedy unigram alignment: exact matches first, then matches of the
+    stems (``filtering.stem``) among the tokens still unmatched."""
     matched_h: set[int] = set()
     matched_r: set[int] = set()
     matches: list[tuple[int, int]] = []
-
-    def equivalent(stage: str, h: str, r: str) -> bool:
-        if stage == "exact":
-            return h == r
-        if stage == "stem":
-            return stem(h, stemmer) == stem(r, stemmer)
-        return r in synonyms.get(h, ()) or h in synonyms.get(r, ())
-
-    for stage in stages:
+    for form in (lambda token: token, stem):
         for i, h in enumerate(hyp):
             if i in matched_h:
                 continue
+            h = form(h)
             for j, r in enumerate(ref):
                 if j in matched_r:
                     continue
-                if equivalent(stage, h, r):
+                if h == form(r):
                     matches.append((i, j))
                     matched_h.add(i)
                     matched_r.add(j)
@@ -323,21 +313,18 @@ def _stage_matches(hyp: Sequence[str], ref: Sequence[str],
     return matches
 
 
-def meteor_lite(hypothesis: Sequence[str], references: Sequence[Sequence[str]],
-                stemmer: StemRules = DEFAULT_STEM_RULES,
-                synonyms: Mapping[str, frozenset[str]] | None = None,
-                stages: Sequence[str] = _METEOR_STAGES) -> float:
-    """Staged unigram alignment, F-mean 10PR/(R+9P), fragmentation penalty
-    0.5*(chunks/matches)^3; the best reference score is returned."""
+def meteor_lite(hypothesis: Sequence[str], references: Sequence[Sequence[str]]) -> float:
+    """Staged unigram alignment (exact, then stem), F-mean 10PR/(R+9P),
+    fragmentation penalty 0.5*(chunks/matches)^3; the best reference score
+    is returned."""
     usable = [list(r) for r in references if len(r) > 0]
     if not usable:
         raise ValueError("METEOR needs at least one non-empty reference")
     if not hypothesis:
         return 0.0
-    synonyms = synonyms or {}
     best = 0.0
     for ref in usable:
-        matches = _stage_matches(hypothesis, ref, stages, stemmer, synonyms)
+        matches = _stage_matches(hypothesis, ref)
         m = len(matches)
         if m == 0:
             continue
@@ -356,14 +343,11 @@ def meteor_lite(hypothesis: Sequence[str], references: Sequence[Sequence[str]],
     return best
 
 
-def corpus_meteor(corpus: Sequence[EvalPair],
-                  stemmer: StemRules = DEFAULT_STEM_RULES,
-                  synonyms: Mapping[str, frozenset[str]] | None = None) -> float:
+def corpus_meteor(corpus: Sequence[EvalPair]) -> float:
     """Arithmetic mean of per-segment scores."""
     if not corpus:
         raise ValueError("cannot score an empty corpus")
-    return sum(meteor_lite(p.hypothesis, p.references, stemmer, synonyms)
-               for p in corpus) / len(corpus)
+    return sum(meteor_lite(p.hypothesis, p.references) for p in corpus) / len(corpus)
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +388,8 @@ def bootstrap_diff(sys_a: Sequence[EvalPair], sys_b: Sequence[EvalPair],
             f"system outputs differ in length: {len(sys_a)} vs {len(sys_b)}")
     if not sys_a:
         raise ValueError("cannot bootstrap an empty test set")
+    if n_resamples < 1:
+        raise ValueError(f"n_resamples must be >= 1, got {n_resamples}")
     n = len(sys_a)
     observed = metric(sys_a) - metric(sys_b)
     rng = random.Random(seed)

@@ -90,7 +90,7 @@ def mine_corpus(store: Iterable[ArticlePair], model: SimilarityModel,
     for article_id, mined, work in outcomes:
         pairs.extend(mined)
         log.append({"article_id": article_id, "mined": len(mined), **work})
-    return BitextCorpus(pairs, model.direction[0], model.direction[1]), log
+    return BitextCorpus(pairs), log
 
 
 def merge_bidirectional(fwd: BitextCorpus, rev: BitextCorpus,
@@ -101,12 +101,6 @@ def merge_bidirectional(fwd: BitextCorpus, rev: BitextCorpus,
     to the higher-scoring pair.  The stats count the reverse run's pairs, how
     many of them the forward run already found, and the remainder.
     """
-    if (fwd.src_lang and rev.src_lang and
-            (fwd.src_lang, fwd.tgt_lang) != (rev.src_lang, rev.tgt_lang)):
-        raise ValueError(
-            f"cannot merge corpora with directions "
-            f"({fwd.src_lang}, {fwd.tgt_lang}) and ({rev.src_lang}, {rev.tgt_lang})")
-
     merged: dict[tuple[str, str], BiSentence] = {}
     for pair in fwd.pairs:
         key = (normalize_space(pair.src), normalize_space(pair.tgt))
@@ -125,10 +119,7 @@ def merge_bidirectional(fwd: BitextCorpus, rev: BitextCorpus,
 
     stats = OverlapStats(recognized=len(rev_keys),
                          overlapping=len(rev_keys & fwd_keys))
-    corpus = BitextCorpus(list(merged.values()),
-                          fwd.src_lang or rev.src_lang,
-                          fwd.tgt_lang or rev.tgt_lang)
-    return corpus, stats
+    return BitextCorpus(list(merged.values())), stats
 
 
 def write_overlap_stats(path, stats: OverlapStats) -> None:

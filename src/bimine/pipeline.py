@@ -212,10 +212,9 @@ def train_classifier(seed, lexicon, out, src_lang: str, tgt_lang: str, *,
     it with its mining threshold; ``flip`` reads the seed columns swapped.
     Returns the training counts."""
     model = classifier_mod.train_model(
-        corpus_io.read_bitext(seed, src_lang, tgt_lang, flip=flip),
-        lexicon_mod.read_lexicon(lexicon, src_lang, tgt_lang),
-        neg_per_pos=neg_per_pos, epochs=epochs, learning_rate=learning_rate,
-        margin_reg=margin_reg, seed_rng=seed_rng)
+        corpus_io.read_bitext(seed, flip=flip), lexicon_mod.read_lexicon(lexicon),
+        (src_lang, tgt_lang), neg_per_pos=neg_per_pos, epochs=epochs,
+        learning_rate=learning_rate, margin_reg=margin_reg, seed_rng=seed_rng)
     model.threshold = threshold
     classifier_mod.save_model(out, model)
     return model.training_counts
@@ -237,7 +236,7 @@ def mine(store, model, lexicon, out, *, gap_cost: float,
     the A* heap pops and the match edges skipped unscored.
     """
     sim_model = classifier_mod.load_model(model)
-    lex = lexicon_mod.read_lexicon(lexicon, *sim_model.direction)
+    lex = lexicon_mod.read_lexicon(lexicon)
     if classifier_mod.lexicon_checksum(lex) != sim_model.lexicon_checksum:
         raise ValueError(f"lexicon {lexicon} is not the one model {model} was trained with")
     articles = corpus_io.read_article_store(store)
@@ -293,9 +292,6 @@ def analogy_models(quads, seed, out, check_target: bool,
 def analogy_generate(models, store, lexicon, out, allow_unknown: bool) -> dict:
     """Apply rewriting models to the store's source sentences and write the
     quasi-parallel pairs; returns the generated and confirmed counts."""
-    if not models:
-        corpus_io.write_bitext(out, corpus_io.BitextCorpus())
-        return {"generated": 0, "confirmed": 0}
     quasi = analogy_mod.generate_corpus(
         models, corpus_io.read_article_store(store),
         lexicon_mod.read_lexicon(lexicon), allow_unknown=allow_unknown)
@@ -322,8 +318,8 @@ def filter_bitext(infile, kept, report=None, *, min_chars: int | None = None,
     if lexicon is not None:
         rules = (filtering.read_cascade_config(cascade) if cascade
                  else filtering.CascadeConfig())
-        translator = filtering.make_gloss_translator(lexicon_mod.read_lexicon(lexicon))
-        corpus, dropped, cascaded = filtering.filter_corpus(corpus, translator, rules)
+        corpus, dropped, cascaded = filtering.filter_corpus(
+            corpus, lexicon_mod.read_lexicon(lexicon), rules)
         passes.append(cascaded)
         if rejected:
             corpus_io.write_bitext(rejected, dropped)
@@ -542,9 +538,8 @@ def _stage_filter(config: PipelineConfig) -> None:
 def _stage_eval(config: PipelineConfig) -> None:
     params = config.eval
     filtered_path = _require(config, config.path("filtered.tsv"))
-    lex = lexicon_mod.read_lexicon(_require(config, config.path("lexicon.tsv")),
-                                   config.src_lang, config.tgt_lang)
-    corpus = corpus_io.read_bitext(filtered_path, config.src_lang, config.tgt_lang)
+    lex = lexicon_mod.read_lexicon(_require(config, config.path("lexicon.tsv")))
+    corpus = corpus_io.read_bitext(filtered_path)
     test, _train = corpus_io.sample_test_set(
         corpus, int(params["segments"]), int(params["per_segment"]),
         int(params["seed"]))

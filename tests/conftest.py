@@ -42,7 +42,7 @@ def small_lexicon(small_seed_corpus):
 
 @pytest.fixture(scope="session")
 def small_model(small_seed_corpus, small_lexicon):
-    return train_model(small_seed_corpus, small_lexicon, epochs=12, seed_rng=5)
+    return train_model(small_seed_corpus, small_lexicon, ("pl", "en"), epochs=12, seed_rng=5)
 
 
 @pytest.fixture(scope="session")

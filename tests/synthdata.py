@@ -32,8 +32,7 @@ class SynthWorld:
     def primary(self, word: str) -> str:
         return self.translations[word][0]
 
-    def lexicon(self, src_lang: str = "pl", tgt_lang: str = "en",
-                include_synonyms: bool = True) -> TranslationLexicon:
+    def lexicon(self, include_synonyms: bool = True) -> TranslationLexicon:
         """Ground-truth lexicon, independent of EM training."""
         entries = {}
         for word, options in self.translations.items():
@@ -41,7 +40,7 @@ class SynthWorld:
                 entries[word] = [(options[0], 0.7), (options[1], 0.3)]
             else:
                 entries[word] = [(options[0], 1.0)]
-        return TranslationLexicon(entries=entries, src_lang=src_lang, tgt_lang=tgt_lang)
+        return TranslationLexicon(entries=entries)
 
     def synonym_table(self) -> dict[str, frozenset[str]]:
         table: dict[str, set[str]] = {}
@@ -105,10 +104,9 @@ def _to_text(words: list[str], mark: str = ".") -> str:
     return " ".join(words).capitalize() + mark
 
 
-def make_parallel(world: SynthWorld, rng: random.Random, n: int,
-                  src_lang: str = "pl", tgt_lang: str = "en") -> BitextCorpus:
+def make_parallel(world: SynthWorld, rng: random.Random, n: int) -> BitextCorpus:
     pairs = [BiSentence(*sample_pair(world, rng)) for _ in range(n)]
-    return BitextCorpus(pairs, src_lang, tgt_lang)
+    return BitextCorpus(pairs)
 
 
 def make_articles(world: SynthWorld, rng: random.Random,
@@ -152,8 +150,8 @@ def make_articles(world: SynthWorld, rng: random.Random,
             tgt_sents.append(tgt)
         articles.append(ArticlePair(
             id=article_id,
-            src=Document(corpus.src_lang, f"article-{article_id}", " ".join(src_sents)),
-            tgt=Document(corpus.tgt_lang, f"article-{article_id}", " ".join(tgt_sents)),
+            src=Document("pl", f"article-{article_id}", " ".join(src_sents)),
+            tgt=Document("en", f"article-{article_id}", " ".join(tgt_sents)),
         ))
     return articles, truth
 
@@ -204,7 +202,7 @@ def make_filter_fixture(world: SynthWorld, seed: int = 23, n: int = 1000,
                 tokens[k] = tokens[k] + "s"
                 tgt = _to_text([t.lower() for t in tokens], tgt[-1])
         pairs.append(BiSentence(src, tgt))
-    corpus = BitextCorpus(pairs, "pl", "en")
+    corpus = BitextCorpus(pairs)
     return FilterFixture(corpus=corpus, noisy=flags,
                          lexicon=world.lexicon(),
                          synonyms=world.synonym_table())
@@ -253,5 +251,5 @@ def make_analogy_clusters(world: SynthWorld, seed: int = 11, n_clusters: int = 1
         clusters.append((pair1, pair2))
         entries[w1] = [(world.primary(w1), 1.0)]
         entries[w2] = [(world.primary(w2), 1.0)]
-    lex = TranslationLexicon(entries=entries, src_lang="pl", tgt_lang="en")
+    lex = TranslationLexicon(entries=entries)
     return clusters, lex

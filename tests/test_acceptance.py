@@ -25,7 +25,7 @@ from bimine.analogy import (
 )
 from bimine.classifier import train_model
 from bimine.corpus_io import BiSentence, BitextCorpus, write_bitext
-from bimine.filtering import CascadeConfig, filter_corpus, make_gloss_translator, remove_trivial
+from bimine.filtering import CascadeConfig, filter_corpus, remove_trivial
 from bimine.lexicon import TranslationLexicon, train_lexicon
 from bimine.metrics import EvalPair, bleu, bootstrap_diff, meteor_lite, ter
 from bimine.metrics import _ter_edits
@@ -54,7 +54,7 @@ def mining_fixture():
     world = make_world(seed=7)
     corpus = make_parallel(world, random.Random(1001), 5000)
     lex = train_lexicon(corpus, iterations=10)
-    model = train_model(corpus, lex, epochs=30, seed_rng=13)
+    model = train_model(corpus, lex, ("pl", "en"), epochs=30, seed_rng=13)
     articles, truth = make_articles(
         world, random.Random(1002), corpus, n_articles=200,
         sentences_per_article=25, delete_prob=0.15, insert_prob=0.15,
@@ -148,7 +148,7 @@ def test_criterion_04_bidirectional_merge_arithmetic():
             return BitextCorpus([
                 BiSentence(" ".join(rng.sample(vocab, 3)),
                            " ".join(rng.sample(vocab, 3)), rng.random())
-                for _ in range(k)], "pl", "en")
+                for _ in range(k)])
         fwd, rev = corpus(rng.randint(0, 30)), corpus(rng.randint(0, 30))
         merged, stats = merge_bidirectional(fwd, rev)
         assert stats.newly_obtained == stats.recognized - stats.overlapping
@@ -220,9 +220,8 @@ def test_criterion_06_rewriting_model_round_trip():
 def test_criterion_07_filter_proportions():
     world = make_world(seed=7)
     fixture = make_filter_fixture(world, seed=23, n=1000, n_noisy=182)
-    translator = make_gloss_translator(fixture.lexicon)
     config = CascadeConfig(synonyms=fixture.synonyms)
-    _kept, rejected, report = filter_corpus(fixture.corpus, translator, config)
+    _kept, rejected, report = filter_corpus(fixture.corpus, fixture.lexicon, config)
     noisy_by_key = {(p.src, p.tgt): noisy
                     for p, noisy in zip(fixture.corpus.pairs, fixture.noisy)}
     rejected_noisy = sum(1 for p in rejected.pairs if noisy_by_key[(p.src, p.tgt)])
@@ -241,7 +240,7 @@ def test_criterion_07_filter_proportions():
                + [BiSentence("abc", "xyz")] * 2
                + [BiSentence("krótkie", "short")] * 2
                + [BiSentence("1234567890 123", "42 42 42 42 42")] * 3)
-    trivial_in = BitextCorpus(good + planted, "pl", "en")
+    trivial_in = BitextCorpus(good + planted)
     kept, trivial_report = remove_trivial(trivial_in, min_chars=10)
     assert len(kept.pairs) == len(good)
     # repeats of already-seen pairs: 5 copies of good[0], plus the second

@@ -354,7 +354,7 @@ def test_models_from_quadruples(world):
         for w in (w1, w2):
             src, tgt = template_pair(template, w, world.primary(w))
             pairs.append(BiSentence(" ".join(src), " ".join(tgt)))
-    seed = BitextCorpus(pairs, "pl", "en")
+    seed = BitextCorpus(pairs)
     quads = find_analogies([p.src.split() for p in pairs], 6)
     assert len(quads) == 1
     models = models_from_quadruples(quads, seed)
@@ -378,8 +378,8 @@ def test_target_side_check_filters_quadruples(world):
             src, tgt = template_pair(template, w, world.primary(w))
             pairs.append(BiSentence(" ".join(src), " ".join(tgt)))
     broken = pairs[:3] + [BiSentence(pairs[3].src, "utterly different words entirely")]
-    seed_ok = BitextCorpus(pairs, "pl", "en")
-    seed_broken = BitextCorpus(broken, "pl", "en")
+    seed_ok = BitextCorpus(pairs)
+    seed_broken = BitextCorpus(broken)
     quads = find_analogies([p.src.split() for p in pairs], 6)
     assert models_from_quadruples(quads, seed_ok, check_target_side=True)
     assert models_from_quadruples(quads, seed_broken, check_target_side=True) == []
@@ -460,9 +460,12 @@ def test_generate_no_matches_empty(world):
     assert quasi.entries == []
 
 
-def test_generate_requires_models():
-    with pytest.raises(ValueError):
-        generate_corpus([], [], TranslationLexicon(entries={}))
+def test_generate_without_models_is_empty():
+    article = ArticlePair(0, Document("pl", "a", "Zupa pomidorowa dobra."),
+                          Document("en", "a", "Tomato soup is good."))
+    quasi = generate_corpus([], [article], TranslationLexicon(entries={}))
+    assert quasi.entries == []
+    assert quasi.report() == {"generated": 0, "confirmed": 0}
 
 
 # ---------------------------------------------------------------------------

@@ -279,7 +279,7 @@ def _separable_corpus(n=150):
         words = rng.sample(src_vocab, rng.randint(3, 6))
         pairs.append(BiSentence(" ".join(words),
                                 " ".join(trans[w] for w in words)))
-    return BitextCorpus(pairs, "pl", "en"), lex
+    return BitextCorpus(pairs), lex
 
 
 def _perceptron_separable(examples, epochs=200):
@@ -302,7 +302,7 @@ def _perceptron_separable(examples, epochs=200):
 
 def test_train_accuracy_on_separable_fixture():
     corpus, lex = _separable_corpus()
-    model = train_model(corpus, lex, epochs=15, seed_rng=7)
+    model = train_model(corpus, lex, ("pl", "en"), epochs=15, seed_rng=7)
     rng = random.Random(7)
     examples = []
     tokenized = [(p.src.split(), p.tgt.split()) for p in corpus.pairs]
@@ -321,8 +321,8 @@ def test_train_accuracy_on_separable_fixture():
 
 def test_train_deterministic():
     corpus, lex = _separable_corpus()
-    m1 = train_model(corpus, lex, epochs=5, seed_rng=3)
-    m2 = train_model(corpus, lex, epochs=5, seed_rng=3)
+    m1 = train_model(corpus, lex, ("pl", "en"), epochs=5, seed_rng=3)
+    m2 = train_model(corpus, lex, ("pl", "en"), epochs=5, seed_rng=3)
     assert m1.weights == m2.weights
     assert m1.bias == m2.bias
     assert (m1.platt_a, m1.platt_b) == (m2.platt_a, m2.platt_b)
@@ -396,13 +396,13 @@ def test_seeded_model_weights_pinned(small_model):
 def test_train_neg_per_pos_zero_error():
     corpus, lex = _separable_corpus()
     with pytest.raises(ValueError):
-        train_model(corpus, lex, neg_per_pos=0)
+        train_model(corpus, lex, ("pl", "en"), neg_per_pos=0)
 
 
 def test_train_minimum_corpus_size():
     corpus, lex = _separable_corpus(n=50)
     with pytest.raises(ValueError, match="100"):
-        train_model(corpus, lex)
+        train_model(corpus, lex, ("pl", "en"))
 
 
 # ---------------------------------------------------------------------------

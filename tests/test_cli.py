@@ -214,6 +214,54 @@ def test_eval_score_and_compare(tmp_path, capsys):
     assert doc["observed_diff"] > 0
 
 
+def test_eval_compare_rejects_zero_resamples(tmp_path, capsys):
+    hyp = tmp_path / "hyp.txt"
+    hyp.write_text("the cat sat\n", encoding="utf-8")
+    assert main(["eval", "compare", "--hyp-a", str(hyp), "--hyp-b", str(hyp),
+                 "--ref", str(hyp), "--resamples", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: n_resamples must be >= 1, got 0\n"
+    assert captured.out == ""
+
+
+def test_cli_defaults_are_the_pipeline_config_defaults():
+    # `mine --threshold` is left out: without it `mine` uses the threshold
+    # stored in the model (test_mine_defaults_to_model_threshold)
+    config = PipelineConfig(workdir="")
+    clf = config.classifier
+    cases = [
+        (["ingest", "--src-dump", "s", "--tgt-dump", "t", "--links", "l", "--out", "o"],
+         {"src_lang": config.src_lang, "tgt_lang": config.tgt_lang}),
+        (["sample", "--corpus", "c", "--test", "t", "--train", "r"],
+         {"segments": config.eval["segments"], "per_segment": config.eval["per_segment"],
+          "seed": config.eval["seed"]}),
+        (["lexicon", "train", "--seed", "s", "--out", "o"],
+         {"iters": config.lexicon["iterations"],
+          "prune_below": config.lexicon["prune_below"]}),
+        (["classifier", "train", "--seed", "s", "--lexicon", "l", "--out", "o"],
+         {"src_lang": config.src_lang, "tgt_lang": config.tgt_lang,
+          "neg_per_pos": clf["neg_per_pos"], "epochs": clf["epochs"],
+          "learning_rate": clf["learning_rate"], "margin_reg": clf["margin_reg"],
+          "seed_rng": clf["seed"], "threshold": clf["threshold"]}),
+        (["mine", "--store", "s", "--model", "m", "--lexicon", "l", "--out", "o"],
+         {"gap_cost": config.mining["gap_cost"]}),
+        (["analogy", "find", "--seed", "s", "--out", "o"],
+         {"max_dist": config.analogy["max_distance"],
+          "size_guard": config.analogy["size_guard"]}),
+        (["analogy", "models", "--seed", "s", "--quads", "q", "--out", "o"],
+         {"check_target": config.analogy["check_target"]}),
+        (["analogy", "generate", "--models", "m", "--store", "s", "--lexicon", "l",
+          "--out", "o"],
+         {"allow_unknown": config.analogy["allow_unknown"]}),
+        (["filter", "trivial", "--in", "i", "--out", "o"],
+         {"min_chars": config.filter["min_chars"]}),
+    ]
+    parser = cli.build_parser()
+    for argv, expected in cases:
+        args = vars(parser.parse_args(argv))
+        assert {key: args[key] for key in expected} == expected, argv
+
+
 def test_eval_rejects_mismatched_files(tmp_path, capsys):
     hyp = tmp_path / "hyp.txt"
     ref = tmp_path / "ref.txt"

@@ -410,38 +410,56 @@ def test_tokenize_empty():
     assert tokenize("") == []
 
 
+@settings(max_examples=500, deadline=None)
+@given(st.text())
+@example("U.S. army")
+@example("Mr. Fig. Inc. u.K.")
+@example("İstanbul DİYARBAKIR")
+@example("x'İİy i\u0307\u0307 I\u0307")
+def test_tokenize_reproduces_its_own_output(text):
+    tokens = tokenize(text)
+    assert tokenize(" ".join(tokens)) == tokens
+
+
+def test_tokenize_keeps_abbreviations_in_lowercase():
+    assert tokenize("U.S. army") == tokenize("u.s. army") == ["u.s.", "army"]
+    assert tokenize("mr. fig. inc.") == ["mr.", "fig.", "inc."]
+    assert tokenize("İstanbul") == ["i\u0307stanbul"]
+
+
 # ---------------------------------------------------------------------------
 # article pairing
 
 def test_pair_articles_linked_pair():
     pairs = pair_articles({"Kot": "kot tekst"}, {"Cat": "cat text"},
-                          {"Kot": "Cat"}, "pl", "en")
+                          [("Kot", "Cat")], "pl", "en")
     assert len(pairs) == 1
     assert pairs[0].src.title == "Kot"
     assert pairs[0].tgt.title == "Cat"
 
 
 def test_pair_articles_missing_counterpart():
-    assert pair_articles({"Kot": "x"}, {}, {"Kot": "Cat"}) == []
+    assert pair_articles({"Kot": "x"}, {}, [("Kot", "Cat")], "pl", "en") == []
 
 
 def test_pair_articles_id_assignment():
     src = {"A": "1", "B": "2", "C": "3"}
     tgt = {"X": "1", "Y": "2"}
-    pairs = pair_articles(src, tgt, [("A", "X"), ("B", "Y")])
+    pairs = pair_articles(src, tgt, [("A", "X"), ("B", "Y")], "pl", "en")
     assert [p.id for p in pairs] == [0, 1]
 
 
 def test_pair_articles_duplicate_link_error():
     with pytest.raises(ValueError, match="Kot"):
-        pair_articles({"Kot": "x"}, {"Cat": "y"}, [("Kot", "Cat"), ("Kot", "Cat")])
+        pair_articles({"Kot": "x"}, {"Cat": "y"}, [("Kot", "Cat"), ("Kot", "Cat")],
+                      "pl", "en")
 
 
 # ---------------------------------------------------------------------------
 # sampling
 
 def _corpus(n):
-    return BitextCorpus([BiSentence(f"s {i}", f"t {i}") for i in range(n)], "pl", "en")
+    return BitextCorpus([BiSentence(f"s {i}", f"t {i}") for i in range(n)])
 
 
 def test_sample_paper_scale_counts():
@@ -538,10 +556,10 @@ def test_stats_concatenation_sums():
 
 def test_bitext_roundtrip(tmp_path):
     corpus = BitextCorpus([BiSentence("a b", "x y", 0.75),
-                           BiSentence("c", "z", 0.5)], "pl", "en")
+                           BiSentence("c", "z", 0.5)])
     path = tmp_path / "corpus.tsv"
     write_bitext(path, corpus)
-    back = read_bitext(path, "pl", "en")
+    back = read_bitext(path)
     assert [(p.src, p.tgt, p.score) for p in back.pairs] == \
         [("a b", "x y", 0.75), ("c", "z", 0.5)]
 

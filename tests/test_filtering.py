@@ -9,7 +9,6 @@ from bimine.filtering import (
     CascadeConfig,
     DEFAULT_STEM_RULES,
     filter_corpus,
-    make_gloss_translator,
     read_cascade_config,
     read_stop_words,
     read_synonyms,
@@ -28,7 +27,7 @@ from synthdata import make_filter_fixture, make_world
 # trivial filter
 
 def _corpus(rows):
-    return BitextCorpus([BiSentence(s, t) for s, t in rows], "pl", "en")
+    return BitextCorpus([BiSentence(s, t) for s, t in rows])
 
 
 def test_duplicate_dropped():
@@ -178,14 +177,13 @@ def _gloss_lex():
         "na": [("at", 1.0)], "początku": [("beginning", 1.0)],
         "lat": [("years", 1.0)], "ala": [("alice", 1.0)],
         "ma": [("has", 1.0)], "kota": [("cat", 1.0)],
-    }, src_lang="pl", tgt_lang="en")
+    })
 
 
 def test_gloss_equal_pair_kept_first_stage():
     lex = _gloss_lex()
     corpus = _corpus([("Ala ma kota .", "Alice has cat .")])
-    kept, rejected, report = filter_corpus(
-        corpus, make_gloss_translator(lex), CascadeConfig())
+    kept, rejected, report = filter_corpus(corpus, lex, CascadeConfig())
     assert len(kept.pairs) == 1
     assert rejected.pairs == []
     assert report.kept_count == 1
@@ -194,26 +192,15 @@ def test_gloss_equal_pair_kept_first_stage():
 def test_paper_mistranslation_rejected():
     lex = _gloss_lex()
     corpus = _corpus([("Na początku lat 30", "U.S. Dept.")])
-    kept, rejected, report = filter_corpus(
-        corpus, make_gloss_translator(lex), CascadeConfig())
+    kept, rejected, report = filter_corpus(corpus, lex, CascadeConfig())
     assert kept.pairs == []
     assert len(rejected.pairs) == 1
 
 
-def test_translator_error_rejects_pair():
-    def broken(text):
-        raise RuntimeError("backend down")
-    corpus = _corpus([("cokolwiek tutaj", "anything here")])
-    kept, rejected, report = filter_corpus(corpus, broken, CascadeConfig())
-    assert kept.pairs == []
-    assert report.rejections == {"translator-error": 1}
-
-
 def test_partition_is_exact():
     fixture = make_filter_fixture(make_world(seed=7), seed=5, n=60, n_noisy=12)
-    translator = make_gloss_translator(fixture.lexicon)
     config = CascadeConfig(synonyms=fixture.synonyms)
-    kept, rejected, report = filter_corpus(fixture.corpus, translator, config)
+    kept, rejected, report = filter_corpus(fixture.corpus, fixture.lexicon, config)
     assert len(kept.pairs) + len(rejected.pairs) == len(fixture.corpus.pairs)
     assert report.input_count == 60
     assert report.kept_count == len(kept.pairs)
@@ -223,10 +210,9 @@ def test_partition_is_exact():
 
 def test_cascade_deterministic():
     fixture = make_filter_fixture(make_world(seed=7), seed=6, n=80, n_noisy=20)
-    translator = make_gloss_translator(fixture.lexicon)
     config = CascadeConfig(synonyms=fixture.synonyms)
-    first = filter_corpus(fixture.corpus, translator, config)
-    second = filter_corpus(fixture.corpus, translator, config)
+    first = filter_corpus(fixture.corpus, fixture.lexicon, config)
+    second = filter_corpus(fixture.corpus, fixture.lexicon, config)
     assert [(p.src, p.tgt) for p in first[0].pairs] == \
         [(p.src, p.tgt) for p in second[0].pairs]
     assert first[2].as_dict() == second[2].as_dict()
@@ -235,13 +221,12 @@ def test_cascade_deterministic():
 def test_stage_ordering_soundness():
     # a pair accepted at stage k is still accepted when later stages vanish
     fixture = make_filter_fixture(make_world(seed=7), seed=8, n=120, n_noisy=25)
-    translator = make_gloss_translator(fixture.lexicon)
     full = CascadeConfig(synonyms=fixture.synonyms)
     for cut in (1, 2):
         truncated = CascadeConfig(stages=full.stages[:cut],
                                   synonyms=fixture.synonyms)
-        kept_full, _, _ = filter_corpus(fixture.corpus, translator, full)
-        kept_cut, _, _ = filter_corpus(fixture.corpus, translator, truncated)
+        kept_full, _, _ = filter_corpus(fixture.corpus, fixture.lexicon, full)
+        kept_cut, _, _ = filter_corpus(fixture.corpus, fixture.lexicon, truncated)
         full_keys = {(p.src, p.tgt) for p in kept_full.pairs}
         # everything the truncated cascade accepts, the full cascade accepts
         for key in {(p.src, p.tgt) for p in kept_cut.pairs}:
@@ -250,9 +235,8 @@ def test_stage_ordering_soundness():
 
 def test_cascade_proportions_on_fixture():
     fixture = make_filter_fixture(make_world(seed=7), seed=23, n=500, n_noisy=91)
-    translator = make_gloss_translator(fixture.lexicon)
     config = CascadeConfig(synonyms=fixture.synonyms)
-    kept, rejected, _ = filter_corpus(fixture.corpus, translator, config)
+    kept, rejected, _ = filter_corpus(fixture.corpus, fixture.lexicon, config)
     noisy_by_key = {}
     for pair, noisy in zip(fixture.corpus.pairs, fixture.noisy):
         noisy_by_key[(pair.src, pair.tgt)] = noisy
@@ -270,7 +254,7 @@ def test_cascade_config_validation():
     with pytest.raises(ValueError, match="unknown"):
         CascadeConfig(stages=[("nope", 0.9, 0.1)])
     with pytest.raises(ValueError, match="stages"):
-        filter_corpus(_corpus([]), lambda t: t, CascadeConfig(stages=[]))
+        filter_corpus(_corpus([]), _gloss_lex(), CascadeConfig(stages=[]))
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +310,25 @@ def test_cascade_config_errors_name_the_file(tmp_path):
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ValueError, match=f"cascade.json: .*{detail}"):
             read_cascade_config(path)
+
+
+@pytest.mark.parametrize("text, detail", [
+    ('{"synonym_file": "x.tsv"}', r"unknown cascade config keys \['synonym_file'\]"),
+    ('{"stages": [{"fn": "fast", "accept": 0.9, "reject": 0.1, "weight": 2}]}',
+     r"unknown keys \['weight'\] in stage"),
+    ('{"stages": [["fast", 0.9, 0.1]]}', "a stage is an object"),
+    ('["stages"]', "a cascade config holds one JSON object"),
+    ('{"stop_words": ["the"], "stop_words_file": "stops.txt"}',
+     "give 'stop_words' or 'stop_words_file', not both"),
+    ('{"synonyms": {}, "synonyms_file": "syn.tsv"}', "give 'synonyms' or 'synonyms_file', not both"),
+])
+def test_cascade_config_means_what_it_says(tmp_path, text, detail):
+    (tmp_path / "stops.txt").write_text("the\n", encoding="utf-8")
+    (tmp_path / "syn.tsv").write_text("big\tlarge\n", encoding="utf-8")
+    path = tmp_path / "cascade.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=f"cascade.json: {detail}"):
+        read_cascade_config(path)
 
 
 def _content_tokens_by_scan(tokens, stop_words):

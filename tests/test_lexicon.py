@@ -162,7 +162,7 @@ def test_em_equals_dict_rows_loop_bit_for_bit(sides, iterations, prune_below):
     table, likelihoods = dict_rows_em(corpus, iterations)
     assert [x.hex() for x in lex.iteration_log_likelihood] == [x.hex() for x in likelihoods]
     assert _hex_rows(handed[0]) == _hex_rows(table)
-    expected = real_finalize(table, prune_below, "", "")
+    expected = real_finalize(table, prune_below)
     assert _hex_rows(lex.entries) == _hex_rows(expected.entries)
     assert lex.cells == sum(len(row) for row in table.values())
 

@@ -167,11 +167,11 @@ def test_stage_mines_the_reverse_as_mine_corpus_on_flipped_pairs(small_seed_corp
     config.mining["bidirectional"] = True
     run_pipeline(config, ["lexicon", "classifier", "mine"])
     model = load_model(workdir / "classifier.rev.json")
-    lexicon = read_lexicon(workdir / "lexicon.rev.tsv", *model.direction)
+    lexicon = read_lexicon(workdir / "lexicon.rev.tsv")
     flipped = [ArticlePair(p.id, p.tgt, p.src) for p in read_article_store(store)]
     corpus, _ = mine_corpus(flipped, model, lexicon, gap_cost=config.mining["gap_cost"],
                             threshold=config.mining["threshold"])
-    assert corpus.pairs and corpus.src_lang == "en"
+    assert corpus.pairs and model.direction == ("en", "pl")
     write_bitext(tmp_path / "expected.tsv", corpus)
     assert (workdir / "mined.rev.tsv").read_bytes() == \
         (tmp_path / "expected.tsv").read_bytes()
@@ -199,9 +199,8 @@ def test_mine_corpus_euronews_scale(world, small_model, small_lexicon):
 # ---------------------------------------------------------------------------
 # bidirectional merge
 
-def _corpus(pairs, src_lang="pl", tgt_lang="en"):
-    return BitextCorpus([BiSentence(s, t, score) for s, t, score in pairs],
-                        src_lang, tgt_lang)
+def _corpus(pairs):
+    return BitextCorpus([BiSentence(s, t, score) for s, t, score in pairs])
 
 
 def test_merge_paper_arithmetic():
@@ -257,13 +256,6 @@ def test_merge_idempotent():
     assert {(p.src, p.tgt, p.score) for p in again.pairs} == \
         {(p.src, p.tgt, p.score) for p in merged.pairs}
     assert stats.newly_obtained == 0
-
-
-def test_merge_language_mismatch():
-    fwd = _corpus([("a", "x", 0.9)], "pl", "en")
-    rev = _corpus([("b", "y", 0.8)], "en", "pl")
-    with pytest.raises(ValueError, match="direction"):
-        merge_bidirectional(fwd, rev)
 
 
 def test_overlap_stats_identity_random():

@@ -3,8 +3,12 @@
 Every top-level function and class in ``src/bimine`` must be referenced from
 the package or from ``bench/`` somewhere outside its own definition: as a
 name, an attribute, or a string (``pipeline.METRICS`` and the benchmark's
-patch table look functions up by name).  The exceptions are the named
-oracles below, kept as independent checks for the tests.
+patch table look functions up by name).  Every parameter with a default of a
+function defined in ``src/bimine`` must be set by some call in the package
+or in ``bench/``: passed as a keyword to any call (so ``functools.partial``
+and lambdas count), or positionally in a direct call of the function's name
+with enough arguments.  The exceptions are the named oracles below, kept as
+independent checks for the tests, and the listed parameters.
 """
 
 import ast
@@ -16,6 +20,12 @@ BENCH_FILES = sorted((ROOT / "bench").glob("*.py"))
 
 # second implementations kept only as exact references for the tests
 ORACLES = {"aligner.align_bruteforce", "analogy.char_profile_check", "metrics.ter"}
+
+# parameters with a default that no package or benchmark call sets
+UNSET_DEFAULTS = {
+    "metrics.bleu.max_n": "acceptance criterion 7's golden values call bleu(..., max_n=1)",
+    "metrics.nist.max_n": "the n-gram order of the NIST definition, named as in bleu",
+}
 
 
 def _mentions(node: ast.AST) -> set[str]:
@@ -58,3 +68,65 @@ def test_every_definition_is_reached_outside_the_tests():
 def test_oracles_are_defined():
     definitions, _ = _scan()
     assert ORACLES <= {f"{module}.{name}" for module, name, _ in definitions}
+
+
+def _defaulted_parameters(tree: ast.Module, module: str):
+    """(function, parameter, position) of every parameter with a default of a
+    function defined in ``tree``; position is the index among the arguments
+    of a call (a method's ``self`` counts), None for a keyword-only
+    parameter."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        for index in range(len(positional) - len(args.defaults), len(positional)):
+            yield f"{module}.{node.name}", positional[index].arg, index
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield f"{module}.{node.name}", arg.arg, None
+
+
+def _setting_calls():
+    """The keyword names passed in any call, and for each called name the
+    largest number of positional arguments a call passes (a starred
+    argument counts as any number)."""
+    keywords: set[str] = set()
+    positional: dict[str, float] = {}
+    for path in PACKAGE_FILES + BENCH_FILES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            keywords.update(k.arg for k in node.keywords if k.arg is not None)
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else \
+                func.attr if isinstance(func, ast.Attribute) else None
+            if name is None:
+                continue
+            count = float("inf") if any(isinstance(a, ast.Starred) for a in node.args) \
+                else len(node.args)
+            positional[name] = max(positional.get(name, 0), count)
+    return keywords, positional
+
+
+def test_every_default_is_set_outside_the_tests():
+    keywords, positional = _setting_calls()
+    unset = []
+    for path in PACKAGE_FILES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function, parameter, index in _defaulted_parameters(tree, path.stem):
+            if function in ORACLES or f"{function}.{parameter}" in UNSET_DEFAULTS:
+                continue
+            name = function.rsplit(".", 1)[1]
+            if parameter in keywords or (
+                    index is not None and positional.get(name, 0) > index):
+                continue
+            unset.append(f"{function}.{parameter}")
+    assert unset == []
+
+
+def test_unset_defaults_exist():
+    found = {f"{function}.{parameter}" for path in PACKAGE_FILES
+             for function, parameter, _ in _defaulted_parameters(
+                 ast.parse(path.read_text(encoding="utf-8")), path.stem)}
+    assert set(UNSET_DEFAULTS) <= found
