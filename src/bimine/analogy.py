@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .corpus_io import (ArticlePair, BiSentence, BitextCorpus, iter_jsonl,
-                        segment_sentences, tokenize, write_jsonl)
+                        segment_sentences, string_list, tokenize, write_jsonl)
 from .editdistance import levenshtein, token_bag_bound
 from .lexicon import UNKNOWN, TranslationLexicon, gloss_translate
 
@@ -386,9 +386,7 @@ def write_quadruples(path, quadruples: Sequence[AnalogyQuadruple]) -> None:
 
 
 def _tokens(value) -> Tokens:
-    if not isinstance(value, list) or not all(isinstance(t, str) for t in value):
-        raise ValueError(f"expected a list of tokens, got {value!r}")
-    return tuple(value)
+    return tuple(string_list(value, "tokens"))
 
 
 def _quadruple(rec: dict) -> AnalogyQuadruple:

@@ -135,21 +135,16 @@ def _cmd_filter_cascade(args) -> int:
 
 
 def _read_eval_pairs(hyp_path, ref_paths) -> list[metrics.EvalPair]:
-    with open(hyp_path, encoding="utf-8") as fh:
-        hyp_lines = [line.rstrip("\n") for line in fh]
-    ref_columns = []
-    for ref_path in ref_paths:
-        with open(ref_path, encoding="utf-8") as fh:
-            ref_columns.append([line.rstrip("\n") for line in fh])
-    for column in ref_columns:
-        if len(column) != len(hyp_lines):
-            raise ValueError("hypothesis and reference files differ in length")
-    pairs = []
-    for i, hyp in enumerate(hyp_lines):
-        refs = tuple(tuple(corpus_io.tokenize(col[i])) for col in ref_columns)
-        pairs.append(metrics.EvalPair(hypothesis=tuple(corpus_io.tokenize(hyp)),
-                                      references=refs))
-    return pairs
+    columns = []  # the tokenized lines of the hypothesis file, then of each reference
+    for path in (hyp_path, *ref_paths):
+        with open(path, encoding="utf-8") as fh:
+            columns.append([tuple(corpus_io.tokenize(line)) for line in fh])
+    for ref_path, column in zip(ref_paths, columns[1:]):
+        if len(column) != len(columns[0]):
+            raise ValueError(f"reference file {ref_path} has {len(column)} lines, "
+                             f"hypothesis file {hyp_path} has {len(columns[0])}")
+    return [metrics.EvalPair(hypothesis=hyp, references=tuple(refs))
+            for hyp, *refs in zip(*columns)]
 
 
 def _cmd_eval_score(args) -> int:

@@ -1,6 +1,8 @@
 """Bilingual document and sentence corpus handling.
 
-Owns every on-disk format used by the toolkit:
+Owns the line reader of every TSV and JSON-lines input and its error contract
+(``iter_tsv``, ``iter_jsonl``), and the formats below; lexicon, synonym, model,
+quadruple and rewriting-model layouts live in their own modules.
 
 * article dump:        JSON lines, one ``{"title": ..., "text": ...}`` object per line
 * article-pair store:  JSON lines, one topic-aligned pair per line with fields
@@ -62,12 +64,6 @@ class BiSentence:
 @dataclass
 class BitextCorpus:
     pairs: list[BiSentence] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __iter__(self) -> Iterator[BiSentence]:
-        return iter(self.pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -335,24 +331,15 @@ def write_bitext(path, corpus: BitextCorpus) -> None:
 
 def read_bitext(path, flip: bool = False) -> BitextCorpus:
     """Read a TSV bitext file; ``flip`` swaps the two text columns on load."""
-    pairs = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) < 2:
-                raise ValueError(f"{path}: line {lineno}: expected at least 2 columns")
-            src, tgt = cols[0], cols[1]
-            if flip:
-                src, tgt = tgt, src
-            try:
-                score = float(cols[2]) if len(cols) > 2 else 1.0
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: bad score column: {exc}") from None
-            pairs.append(BiSentence(src=src, tgt=tgt, score=score))
-    return BitextCorpus(pairs)
+    src, tgt = (1, 0) if flip else (0, 1)
+
+    def pair(cols):
+        try:
+            score = float(cols[2]) if len(cols) > 2 else 1.0
+        except ValueError as exc:
+            raise ValueError(f"bad score column: {exc}") from None
+        return BiSentence(cols[src], cols[tgt], score)
+    return BitextCorpus(list(iter_tsv(path, 2, pair, at_least=True)))
 
 
 def write_json(path, doc) -> None:
@@ -369,22 +356,51 @@ def write_jsonl(path, records: Iterable[dict]) -> None:
             fh.write(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
 
 
-def iter_jsonl(path, build) -> Iterator:
-    """``build(record)`` of each JSON line, blank lines skipped, read lazily.
-    A line that is not JSON, or whose record ``build`` rejects with
-    KeyError, TypeError or ValueError, raises ValueError naming the file and
-    the line."""
+def _read_lines(path, blank, parse, build) -> Iterator:
+    """``build(parse(line))`` of each line of a UTF-8 file but the ``blank``
+    ones, read lazily; a line that is not UTF-8 or that ``parse`` or ``build``
+    rejects raises ValueError "{path}: line N: reason"."""
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                item = build(json.loads(line))
-            except KeyError as exc:
-                raise ValueError(f"{path}: line {lineno}: missing field {exc}") from None
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-            yield item
+        try:
+            for lineno, line in enumerate(fh, 1):
+                if not blank(line):
+                    yield build(parse(line))
+        except UnicodeDecodeError:
+            # text mode decodes ahead of the lines it returns; read again with
+            # each bad byte kept as a lone surrogate to find the line
+            with open(path, encoding="utf-8", errors="surrogateescape") as again:
+                lineno = next((n for n, text in enumerate(again, 1)
+                               if any("\udc80" <= ch <= "\udcff" for ch in text)), "?")
+            raise ValueError(f"{path}: line {lineno}: not UTF-8 text") from None
+        except KeyError as exc:
+            raise ValueError(f"{path}: line {lineno}: missing field {exc}") from None
+        except (TypeError, ValueError, OverflowError, RecursionError) as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+
+
+def iter_tsv(path, columns: int, build, at_least: bool = False) -> Iterator:
+    """``build(fields)`` of each non-empty line of a tab-separated file, read
+    lazily; a line must have ``columns`` fields, or more with ``at_least``."""
+    def fields(line):
+        cols = line.rstrip("\n").split("\t")
+        if len(cols) != columns and not (at_least and len(cols) > columns):
+            raise ValueError(f"expected {'at least ' * at_least}{columns} columns")
+        return cols
+    # a text-mode line is never "", so only "\n" is empty
+    return _read_lines(path, "\n".__eq__, fields, build)
+
+
+def iter_jsonl(path, build) -> Iterator:
+    """``build(record)`` of each JSON line but whitespace-only ones, read
+    lazily; a KeyError from ``build`` reads as a missing field."""
+    return _read_lines(path, str.isspace, json.loads, build)
+
+
+def string_list(value, what: str) -> list[str]:
+    """``value`` if it is a list of strings, as a list field of a file must be."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ValueError(f"expected a list of {what}, got {value!r}")
+    return value
 
 
 def write_article_store(path, pairs: Iterable[ArticlePair]) -> None:
@@ -412,19 +428,17 @@ def read_article_store(path) -> Iterator[ArticlePair]:
 
 
 def read_article_dump(path) -> dict[str, str]:
-    """Read a JSONL article dump into a title -> text mapping."""
-    return dict(iter_jsonl(path, lambda rec: (rec["title"], rec["text"])))
+    """Read a JSONL article dump into a title -> text mapping of unique titles."""
+    articles: dict[str, str] = {}
+
+    def article(rec):
+        if rec["title"] in articles:
+            raise ValueError(f"duplicate title {rec['title']!r}")
+        return rec["title"], rec["text"]
+    # update takes the pairs one by one, so article sees every earlier title
+    articles.update(iter_jsonl(path, article))
+    return articles
 
 
 def read_links(path) -> list[tuple[str, str]]:
-    links = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) != 2:
-                raise ValueError(f"{path}: line {lineno}: expected 2 columns")
-            links.append((cols[0], cols[1]))
-    return links
+    return list(iter_tsv(path, 2, tuple))

@@ -14,9 +14,10 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Mapping, Sequence
 
-from .corpus_io import BiSentence, BitextCorpus, normalize_space, tokenize
+from .corpus_io import BiSentence, BitextCorpus, iter_tsv, normalize_space, string_list, tokenize
 from .lexicon import TranslationLexicon, gloss_translate
 
 StemRules = Sequence[tuple[str, str]]
@@ -260,17 +261,10 @@ def read_stop_words(path) -> frozenset[str]:
 def read_synonyms(path) -> dict[str, frozenset[str]]:
     """TSV ``word<TAB>synonym``; stored symmetrically."""
     table: dict[str, set[str]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) != 2:
-                raise ValueError(f"{path}: line {lineno}: expected 2 columns")
-            a, b = cols[0].lower(), cols[1].lower()
-            table.setdefault(a, set()).add(b)
-            table.setdefault(b, set()).add(a)
+    for a, b in iter_tsv(path, 2, tuple):
+        a, b = a.lower(), b.lower()
+        table.setdefault(a, set()).add(b)
+        table.setdefault(b, set()).add(a)
     return {word: frozenset(syns) for word, syns in table.items()}
 
 
@@ -285,8 +279,6 @@ def read_cascade_config(path) -> CascadeConfig:
     (``stop_words_file``, ``synonyms_file``) relative to the config, not
     both.  A malformed config, an unknown key or a resource given both ways
     raises ValueError naming the file."""
-    from pathlib import Path
-
     with open(path, encoding="utf-8") as fh:
         try:
             return _cascade_config(json.load(fh), Path(path).parent)
@@ -305,7 +297,7 @@ def _cascade_config(doc: dict, base) -> CascadeConfig:
     for inline in ("stop_words", "synonyms"):
         if inline in doc and f"{inline}_file" in doc:
             raise ValueError(f"give {inline!r} or {inline + '_file'!r}, not both")
-    config = CascadeConfig()
+    fields: dict = {}
     if "stages" in doc:
         for stage in doc["stages"]:
             if not isinstance(stage, dict):
@@ -313,18 +305,22 @@ def _cascade_config(doc: dict, base) -> CascadeConfig:
             unknown = set(stage) - _STAGE_KEYS
             if unknown:
                 raise ValueError(f"unknown keys {sorted(unknown)} in stage {stage!r}")
-        config.stages = [(s["fn"], float(s["accept"]), float(s["reject"]))
-                         for s in doc["stages"]]
+            for key in ("accept", "reject"):
+                if isinstance(stage[key], bool) or not isinstance(stage[key], (int, float)):
+                    raise ValueError(f"stage {key} must be an int or float, not {stage[key]!r}")
+        fields["stages"] = [(s["fn"], s["accept"], s["reject"]) for s in doc["stages"]]
     if "stop_words" in doc:
-        config.stop_words = frozenset(w.lower() for w in doc["stop_words"])
+        fields["stop_words"] = frozenset(
+            w.lower() for w in string_list(doc["stop_words"], "stop words"))
     if "stop_words_file" in doc:
-        config.stop_words = read_stop_words(base / doc["stop_words_file"])
+        fields["stop_words"] = read_stop_words(base / doc["stop_words_file"])
     if "synonyms" in doc:
-        config.synonyms = {w.lower(): frozenset(x.lower() for x in syns)
-                           for w, syns in doc["synonyms"].items()}
+        fields["synonyms"] = {
+            w.lower(): frozenset(x.lower() for x in string_list(syns, f"synonyms of {w!r}"))
+            for w, syns in doc["synonyms"].items()}
     if "synonyms_file" in doc:
-        config.synonyms = read_synonyms(base / doc["synonyms_file"])
+        fields["synonyms"] = read_synonyms(base / doc["synonyms_file"])
     if "stem_rules" in doc:
-        config.stem_rules = [(a, b) for a, b in doc["stem_rules"]]
-    config.__post_init__()
-    return config
+        rules = [string_list(rule, "stem rule strings") for rule in doc["stem_rules"]]
+        fields["stem_rules"] = [(a, b) for a, b in rules]
+    return CascadeConfig(**fields)

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from .corpus_io import BitextCorpus, tokenize
+from .corpus_io import BitextCorpus, iter_tsv, tokenize
 
 
 @dataclass
@@ -169,24 +169,20 @@ def write_lexicon(path, lex: TranslationLexicon) -> None:
                 fh.write(f"{s}\t{t}\t{p:.12g}\n")
 
 
+def _entry(cols):
+    try:
+        prob = float(cols[2])
+    except ValueError as exc:
+        raise ValueError(f"bad probability: {exc}") from None
+    if not 0.0 < prob <= 1.0:  # NaN fails this test too
+        raise ValueError(f"probability {cols[2]} is not in (0, 1]")
+    return cols[0], cols[1], prob
+
+
 def read_lexicon(path) -> TranslationLexicon:
     entries: dict[str, list[tuple[str, float]]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) != 3:
-                raise ValueError(f"{path}: line {lineno}: expected 3 columns")
-            try:
-                prob = float(cols[2])
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: bad probability: {exc}") from None
-            if not 0.0 < prob <= 1.0:  # NaN fails this test too
-                raise ValueError(
-                    f"{path}: line {lineno}: probability {cols[2]} is not in (0, 1]")
-            entries.setdefault(cols[0], []).append((cols[1], prob))
+    for s, t, prob in iter_tsv(path, 3, _entry):
+        entries.setdefault(s, []).append((t, prob))
     for s in entries:
         entries[s].sort(key=lambda tp: (-tp[1], tp[0]))
     return TranslationLexicon(entries=entries)

@@ -98,7 +98,7 @@ class PipelineConfig:
         with open(path, encoding="utf-8") as fh:
             try:
                 doc = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # not JSON, or not UTF-8
                 raise PipelineError(f"{path}: {exc}") from None
         if not isinstance(doc, dict):
             raise PipelineError(f"{path}: a config file holds one JSON object")

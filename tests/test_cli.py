@@ -65,6 +65,32 @@ def test_ingest_creates_store(workdir):
                            "tgt_title", "src_text", "tgt_text"}
 
 
+@pytest.mark.parametrize("bad", ["src_dump.jsonl", "links.tsv"])
+def test_ingest_names_the_line_that_is_not_utf8(workdir, tmp_path, capsys, bad):
+    inputs = {name: tmp_path / name for name in ("src_dump.jsonl", "tgt_dump.jsonl",
+                                                  "links.tsv")}
+    for name, path in inputs.items():
+        lines = (workdir / name).read_bytes().splitlines(keepends=True)
+        if name == bad:
+            lines[1] = lines[1][:5] + b"\xff" + lines[1][5:]
+        path.write_bytes(b"".join(lines))
+    assert main(["ingest", "--src-dump", str(inputs["src_dump.jsonl"]),
+                 "--tgt-dump", str(inputs["tgt_dump.jsonl"]),
+                 "--links", str(inputs["links.tsv"]), "--out", str(tmp_path / "store")]) == 1
+    assert capsys.readouterr().err == f"error: {inputs[bad]}: line 2: not UTF-8 text\n"
+
+
+def test_mine_names_the_store_line_that_is_not_utf8(workdir, tmp_path, capsys):
+    store = tmp_path / "store.jsonl"
+    lines = (workdir / "store.jsonl").read_bytes().splitlines(keepends=True)
+    store.write_bytes(lines[0] + b"\xff" + b"".join(lines[1:]))
+    assert main(["mine", "--store", str(store), "--model", str(workdir / "model.json"),
+                 "--lexicon", str(workdir / "lexicon.tsv"),
+                 "--out", str(tmp_path / "mined.tsv")]) == 1
+    assert capsys.readouterr().err == f"error: {store}: line 2: not UTF-8 text\n"
+    assert not (tmp_path / "mined.tsv").exists()
+
+
 def test_mine_produces_pairs(workdir):
     corpus = read_bitext(workdir / "mined.tsv")
     assert len(corpus.pairs) > 20
@@ -268,7 +294,8 @@ def test_eval_rejects_mismatched_files(tmp_path, capsys):
     hyp.write_text("a\nb\n", encoding="utf-8")
     ref.write_text("a\n", encoding="utf-8")
     assert main(["eval", "--hyp", str(hyp), "--ref", str(ref)]) == 1
-    assert "error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == f"error: reference file {ref} has 1 lines, hypothesis file {hyp} has 2\n"
 
 
 # ---------------------------------------------------------------------------
@@ -575,10 +602,11 @@ def test_pipeline_config_rejects_unknown_keys(tmp_path):
     ('{"workdir": 5}', "config key 'workdir' must be a string, not int"),
     ('{"workdir": "x", "store": ["s.jsonl"]}', "config key 'store' must be a string"),
     ('["workdir"]', "one JSON object"),
+    (b'{"workdir": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
 ])
 def test_pipeline_cli_names_the_file_of_a_bad_config(tmp_path, capsys, text, detail):
     path = tmp_path / "bad.json"
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     assert main(["pipeline", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert f"{path}: " in err and detail in err

@@ -15,6 +15,7 @@ from bimine.corpus_io import (
     read_article_dump,
     read_article_store,
     read_bitext,
+    read_links,
     sample_test_set,
     segment_sentences,
     tokenize,
@@ -22,6 +23,8 @@ from bimine.corpus_io import (
     write_bitext,
 )
 from bimine.corpus_io import ArticlePair, Document
+from bimine.filtering import read_synonyms
+from bimine.lexicon import read_lexicon
 
 
 # ---------------------------------------------------------------------------
@@ -614,3 +617,106 @@ def test_article_store_invalid_json_names_line(tmp_path):
     path.write_text("not json\n", encoding="utf-8")
     with pytest.raises(ValueError, match="line 1"):
         list(read_article_store(path))
+
+
+def test_article_dump_rejects_a_repeated_title(tmp_path):
+    path = tmp_path / "dump.jsonl"
+    path.write_text('{"title": "Kot", "text": "Pierwszy."}\n'
+                    '{"title": "Pies", "text": "Trzeci."}\n'
+                    '{"title": "Kot", "text": "Drugi."}\n', encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 3: "
+                                         r"duplicate title 'Kot'$"):
+        read_article_dump(path)
+
+
+# ---------------------------------------------------------------------------
+# one line reader behind every TSV and JSON-lines input
+
+# each reader with a valid first line for its format
+READERS = {
+    "bitext": (read_bitext, b"a\tb\t0.5\n"),
+    "bitext-flipped": (lambda path: read_bitext(path, flip=True), b"a\tb\n"),
+    "links": (read_links, b"Kot\tCat\n"),
+    "lexicon": (read_lexicon, b"kot\tcat\t1\n"),
+    "synonyms": (read_synonyms, b"big\tlarge\n"),
+    "article dump": (read_article_dump, b'{"title": "Kot", "text": "x"}\n'),
+    "article store": (lambda path: list(read_article_store(path)),
+                      b'{"id": 0, "src_lang": "pl", "tgt_lang": "en", "src_title": "Kot", '
+                      b'"tgt_title": "Cat", "src_text": "x", "tgt_text": "y"}\n'),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_reader_names_the_line_that_is_not_utf8(tmp_path, reader):
+    read, first = READERS[reader]
+    path = tmp_path / "input"
+    path.write_bytes(first + b"\xff" + first)
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 2: not UTF-8"):
+        read(path)
+
+
+@pytest.mark.parametrize("data, lineno", [
+    (b"a\tb\rc\td\r\ne\t\xe2\x82\n", 3),      # a lone CR ends a line too
+    (b"a\tb\n" * 5000 + b"c\td\xff\n", 5001),    # past the first decoded chunk
+    (b"a\tb\n\n\xc3", 3),                         # a sequence cut off at the end
+])
+def test_the_line_that_is_not_utf8_is_counted_as_text_mode_counts(tmp_path, data, lineno):
+    path = tmp_path / "links.tsv"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line {lineno}: "):
+        read_links(path)
+
+
+def test_blank_line_rules(tmp_path):
+    path = tmp_path / "input"
+    # TSV skips only empty lines, whatever their newline
+    path.write_bytes(b"a\tb\n\r\n\n\rc\td")
+    assert read_links(path) == [("a", "b"), ("c", "d")]
+    path.write_bytes(b"a\tb\n \n")
+    with pytest.raises(ValueError, match=r": line 2: expected 2 columns"):
+        read_links(path)
+    # JSON lines skip whitespace-only lines
+    path.write_bytes(b' \t\n{"title": "Kot", "text": "x"}\n\n')
+    assert read_article_dump(path) == {"Kot": "x"}
+
+
+def test_bitext_keeps_taking_extra_columns(tmp_path):
+    path = tmp_path / "c.tsv"
+    path.write_bytes(b"a\tb\t0.25\tnote\n")
+    assert [(p.src, p.tgt, p.score) for p in read_bitext(path).pairs] == [("a", "b", 0.25)]
+
+
+@pytest.mark.parametrize("data, detail", [
+    (b"[" * 100_000, "maximum recursion depth"),
+    (b'{"id": 1e999, "src_lang": "pl", "tgt_lang": "en", "src_title": "", '
+     b'"tgt_title": "", "src_text": "", "tgt_text": ""}', "infinity"),
+])
+def test_store_line_that_breaks_the_json_decoder_names_the_line(tmp_path, data, detail):
+    path = tmp_path / "store.jsonl"
+    path.write_bytes(data + b"\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 1: .*{detail}"):
+        list(read_article_store(path))
+
+
+_FRAGMENTS = st.sampled_from([
+    "\t", "\r", "\n", "\r\n", " ", "{", "}", "[", "]", ":", ",", '"', "null", "0.5",
+    "-3", "nan", "1e999", '"title": "Kot"', '"text": "x"', '"id": 0',
+    *(first.decode("utf-8") for _, first in READERS.values()),
+])
+_CONTENTS = st.one_of(
+    st.binary(max_size=120),
+    st.lists(st.one_of(_FRAGMENTS, st.text(max_size=4)), max_size=24)
+    .map(lambda parts: "".join(parts).encode("utf-8")))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CONTENTS)
+@example(b"a\tb\n\xff\tb\n")
+def test_readers_return_or_name_file_and_line(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "input"
+    path.write_bytes(data)
+    for reader, (read, _) in READERS.items():
+        try:
+            read(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: line "), (reader, str(exc))

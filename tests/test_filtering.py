@@ -1,4 +1,6 @@
+import json
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -328,6 +330,31 @@ def test_cascade_config_means_what_it_says(tmp_path, text, detail):
     path = tmp_path / "cascade.json"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ValueError, match=f"cascade.json: {detail}"):
+        read_cascade_config(path)
+
+
+@pytest.mark.parametrize("doc, detail", [
+    ({"stop_words": "the", "stem_rules": ["es"], "synonyms": {"big": "large"}},
+     "expected a list of stop words, got 'the'"),
+    ({"stem_rules": ["es"]}, "expected a list of stem rule strings, got 'es'"),
+    ({"synonyms": {"big": "large"}}, "expected a list of synonyms of 'big', got 'large'"),
+    ({"stop_words": ["the", 3]}, r"expected a list of stop words, got \['the', 3\]"),
+])
+def test_cascade_config_takes_no_string_for_a_list(tmp_path, doc, detail):
+    path = tmp_path / "cascade.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"cascade.json: {detail}"):
+        read_cascade_config(path)
+
+
+@pytest.mark.parametrize("key, value", [("accept", "0.9"), ("reject", "0.1"),
+                                        ("accept", True), ("reject", None)])
+def test_cascade_config_takes_no_string_for_a_threshold(tmp_path, key, value):
+    stage = {"fn": "fast", "accept": 0.9, "reject": 0.1, key: value}
+    path = tmp_path / "cascade.json"
+    path.write_text(json.dumps({"stages": [stage]}), encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"cascade.json: stage {key} must be an int or "
+                                         rf"float, not {re.escape(repr(value))}"):
         read_cascade_config(path)
 
 
