@@ -46,6 +46,7 @@ def match_floor(gap_cost: float) -> float:
 
 
 _UNSEEN = object()
+_INF = float("inf")
 
 
 def _scorer(src: Sequence, tgt: Sequence, sim: Callable[[object, object], float],
@@ -144,8 +145,10 @@ def align(src: Sequence, tgt: Sequence, sim: Callable[[object, object], float],
     path and every node keeps its DP cost: links, gaps and total cost stay
     those of the full lattice.
 
-    Node (i, j) is numbered ``i * (M + 1) + j``; the heap holds
-    ``(f, push counter, g, node)``.
+    Node (i, j) is numbered ``i * (M + 1) + j``.  The best known cost of
+    every node lives in one flat list ``dist`` indexed by node number, with
+    ``inf`` for a node not reached yet; the heap holds ``(f, push counter,
+    g, node)``.
     """
     _check_gap_cost(gap_cost)
     n, m = len(src), len(tgt)
@@ -154,7 +157,8 @@ def align(src: Sequence, tgt: Sequence, sim: Callable[[object, object], float],
     score, memo = _scorer(src, tgt, sim, can_match)
     heappush, heappop = heapq.heappush, heapq.heappop
 
-    dist: dict[int, float] = {0: 0.0}
+    dist = [_INF] * (goal + 1)
+    dist[0] = 0.0
     heap: list[tuple[float, int, float, int]] = [(abs(n - m) * gap_cost, 0, 0.0, 0)]
     counter = 1
     bound: float | None = None
@@ -176,29 +180,30 @@ def align(src: Sequence, tgt: Sequence, sim: Callable[[object, object], float],
                 value = score(i, j)
                 if value is not None:
                     tentative = g + (1.0 - value)
-                    known = dist.get(node + width + 1)
-                    if known is None or tentative < known:
+                    if tentative < dist[node + width + 1]:
                         dist[node + width + 1] = tentative
                         heappush(heap, (tentative + abs(skew) * gap_cost, counter,
                                         tentative, node + width + 1))
                         counter += 1
             tentative = g + gap_cost
-            known = dist.get(node + width)
-            if known is None or tentative < known:
+            if tentative < dist[node + width]:
                 dist[node + width] = tentative
                 heappush(heap, (tentative + abs(skew - 1) * gap_cost, counter,
                                 tentative, node + width))
                 counter += 1
         if j < m:
             tentative = g + gap_cost
-            known = dist.get(node + 1)
-            if known is None or tentative < known:
+            if tentative < dist[node + 1]:
                 dist[node + 1] = tentative
                 heappush(heap, (tentative + abs(skew + 1) * gap_cost, counter,
                                 tentative, node + 1))
                 counter += 1
-    result = _backtrack(n, m, gap_cost, score, memo,
-                        lambda i, j: dist.get(i * width + j))
+
+    def cost_at(i: int, j: int) -> float | None:
+        cost = dist[i * width + j]
+        return None if cost == _INF else cost
+
+    result = _backtrack(n, m, gap_cost, score, memo, cost_at)
     result.pops = pops
     return result
 

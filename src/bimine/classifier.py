@@ -9,6 +9,7 @@ estimates how likely two sentences are translations of each other.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -232,6 +233,8 @@ def similarity(model: SimilarityModel, src: SourceRecord, tgt: TargetRecord) -> 
 # match_filter's split of translation probabilities: a target reached with at
 # least this probability is strong and gets a bit; weaker ones are summed
 _STRONG = 0.1
+# the default of every dict.get that tier 2 of match_filter maps over tokens
+_ZEROS = itertools.repeat(0.0)
 
 
 def match_filter(model: SimilarityModel, sources: Sequence[SourceRecord],
@@ -240,20 +243,31 @@ def match_filter(model: SimilarityModel, sources: Sequence[SourceRecord],
     """A cheap ``can_match(i, j)`` for one article: False only when
     ``similarity(model, sources[i], targets[j]) < floor`` is proven.
 
-    ``len_ratio``, ``char_ratio`` and ``num_overlap`` enter exactly.  Each
-    source sentence gets a bitmask ``S`` of its strong targets (``p >=
-    _STRONG``), the largest summed strong probability ``mass`` of one target
-    over its rows, the largest best probability ``hi`` of one strong target
-    and its summed weak row mass ``weak``; each target sentence gets a
-    bitmask ``T`` of its tokens and the largest multiplicity ``mult`` of
-    one token.  With ``k = popcount(S & T)``, ``cov_st <= (k * mass +
-    weak) / n_src`` and ``cov_ts <= k * mult * hi / n_tgt + _STRONG``; a
-    coverage weight that is not positive counts as 0.  The
-    margin bound is compared with the margin at which the Platt sigmoid
-    reaches ``floor``, less a slack for rounding; ``platt_a < 0`` makes
-    that sigmoid decreasing in the margin.  Returns None when nothing can
-    be proven (``floor`` at most the sigmoid's 1e-15 clamp, or a model with
-    ``platt_a >= 0``).
+    Both tiers bound the classifier margin, with ``len_ratio``,
+    ``char_ratio`` and ``num_overlap`` entered exactly and a coverage
+    weight that is not positive counted as 0, and compare it with the
+    margin at which the Platt sigmoid reaches ``floor``, less a slack for
+    rounding; ``platt_a < 0`` makes that sigmoid decreasing in the margin.
+
+    Tier 1 works on bitmasks.  Each source sentence gets a bitmask ``S`` of
+    its strong targets (``p >= _STRONG``), the largest summed strong
+    probability ``mass`` of one target over its rows, the largest best
+    probability ``hi`` of one strong target and its summed weak row mass
+    ``weak``; each target sentence gets a bitmask ``T`` of its tokens and
+    the largest multiplicity ``mult`` of one token.  With ``k =
+    popcount(S & T)``, ``cov_st <= (k * mass + weak) / n_src`` and
+    ``cov_ts <= k * mult * hi / n_tgt + _STRONG``.
+
+    Tier 2 runs only on cells tier 1 passes and bounds both coverages
+    almost exactly.  Each source sentence gets ``credit[t]``, the sum of
+    ``p`` over its rows (a repeated token repeats its row).  A row adds
+    ``min(c, 1) <= c`` to ``cov_st``, where ``c`` sums its non-negative
+    ``p`` of targets present, so ``cov_st <= sum(credit[t] for t in
+    tgt.token_set) / n_src``.  ``cov_ts`` enters exactly, as the same sum
+    ``pair_features`` takes: ``best.get(t, 0)`` over ``tgt.tokens``.
+
+    Returns None when nothing can be proven (``floor`` at most the
+    sigmoid's 1e-15 clamp, or a model with ``platt_a >= 0``).
     """
     floor -= 1e-12  # far more than the sigmoid's rounding of a score
     if not 1e-15 < floor < 1.0 or model.platt_a >= 0:
@@ -277,14 +291,16 @@ def match_filter(model: SimilarityModel, sources: Sequence[SourceRecord],
             mask |= bit
         mult = max(Counter(tgt.tokens).values())
         tgt_facts.append((tgt.n_tokens, tgt.n_chars, mask, w_ts * mult / tgt.n_tokens,
-                          tgt.digits))
+                          tgt.digits, tgt.token_set, tgt.tokens, w_ts / tgt.n_tokens))
 
     src_facts = []
     for src in sources:
         mass: dict[str, float] = {}
+        credit: dict[str, float] = {}
         weak = 0.0
         for row in src.rows:
             for t, p in row:
+                credit[t] = credit.get(t, 0.0) + p
                 if p >= _STRONG:
                     mass[t] = mass.get(t, 0.0) + min(p, 1.0)
                 elif p > 0.0:
@@ -298,20 +314,25 @@ def match_filter(model: SimilarityModel, sources: Sequence[SourceRecord],
                 hi = max(hi, src.best[t])
         n = src.n_tokens
         src_facts.append((n, src.n_chars, mask, w_st * top / n,
-                          w_st * weak / n + w_ts * _STRONG, hi, src.digits))
+                          w_st * weak / n + w_ts * _STRONG, hi, src.digits,
+                          credit.get, src.best.get, w_st / n))
 
     def can_match(i: int, j: int) -> bool:
-        n_src, c_src, s_mask, st_k, base, hi, s_digits = src_facts[i]
-        n_tgt, c_tgt, t_mask, ts_k, t_digits = tgt_facts[j]
+        n_src, c_src, s_mask, st_k, base, hi, s_digits, credit, best, st_w = src_facts[i]
+        n_tgt, c_tgt, t_mask, ts_k, t_digits, t_set, t_tokens, ts_w = tgt_facts[j]
         k = (s_mask & t_mask).bit_count()
         if s_digits or t_digits:
             num_overlap = len(s_digits & t_digits) / len(s_digits | t_digits)
         else:
             num_overlap = 1.0
-        bound = (w_len * (n_src / n_tgt if n_src < n_tgt else n_tgt / n_src)
-                 + w_char * (c_src / c_tgt if c_src < c_tgt else c_tgt / c_src)
-                 + k * (st_k + ts_k * hi) + base + w_num * num_overlap)
-        return bound >= limit
+        len_term = w_len * (n_src / n_tgt if n_src < n_tgt else n_tgt / n_src)
+        char_term = w_char * (c_src / c_tgt if c_src < c_tgt else c_tgt / c_src)
+        num_term = w_num * num_overlap
+        if len_term + char_term + k * (st_k + ts_k * hi) + base + num_term < limit:
+            return False
+        st = sum(map(credit, t_set, _ZEROS))
+        ts = sum(map(best, t_tokens, _ZEROS))
+        return len_term + char_term + st_w * st + ts_w * ts + num_term >= limit
 
     return can_match
 

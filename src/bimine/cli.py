@@ -137,8 +137,9 @@ def _cmd_filter_cascade(args) -> int:
 def _read_eval_pairs(hyp_path, ref_paths) -> list[metrics.EvalPair]:
     columns = []  # the tokenized lines of the hypothesis file, then of each reference
     for path in (hyp_path, *ref_paths):
-        with open(path, encoding="utf-8") as fh:
-            columns.append([tuple(corpus_io.tokenize(line)) for line in fh])
+        # a blank line is a segment too; a text-mode line is never ""
+        columns.append(list(corpus_io.iter_lines(path, "".__eq__, corpus_io.tokenize,
+                                                 tuple)))
     for ref_path, column in zip(ref_paths, columns[1:]):
         if len(column) != len(columns[0]):
             raise ValueError(f"reference file {ref_path} has {len(column)} lines, "

@@ -1,8 +1,9 @@
 """Bilingual document and sentence corpus handling.
 
-Owns the line reader of every TSV and JSON-lines input and its error contract
-(``iter_tsv``, ``iter_jsonl``), and the formats below; lexicon, synonym, model,
-quadruple and rewriting-model layouts live in their own modules.
+Owns the line reader of every text, TSV and JSON-lines input and its error
+contract (``iter_lines``, ``iter_tsv``, ``iter_jsonl``), and the formats
+below; lexicon, synonym, model, quadruple and rewriting-model layouts live in
+their own modules.
 
 * article dump:        JSON lines, one ``{"title": ..., "text": ...}`` object per line
 * article-pair store:  JSON lines, one topic-aligned pair per line with fields
@@ -356,7 +357,7 @@ def write_jsonl(path, records: Iterable[dict]) -> None:
             fh.write(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
 
 
-def _read_lines(path, blank, parse, build) -> Iterator:
+def iter_lines(path, blank, parse, build) -> Iterator:
     """``build(parse(line))`` of each line of a UTF-8 file but the ``blank``
     ones, read lazily; a line that is not UTF-8 or that ``parse`` or ``build``
     rejects raises ValueError "{path}: line N: reason"."""
@@ -387,13 +388,13 @@ def iter_tsv(path, columns: int, build, at_least: bool = False) -> Iterator:
             raise ValueError(f"expected {'at least ' * at_least}{columns} columns")
         return cols
     # a text-mode line is never "", so only "\n" is empty
-    return _read_lines(path, "\n".__eq__, fields, build)
+    return iter_lines(path, "\n".__eq__, fields, build)
 
 
 def iter_jsonl(path, build) -> Iterator:
     """``build(record)`` of each JSON line but whitespace-only ones, read
     lazily; a KeyError from ``build`` reads as a missing field."""
-    return _read_lines(path, str.isspace, json.loads, build)
+    return iter_lines(path, str.isspace, json.loads, build)
 
 
 def string_list(value, what: str) -> list[str]:

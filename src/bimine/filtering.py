@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .corpus_io import BiSentence, BitextCorpus, iter_tsv, normalize_space, string_list, tokenize
+from .corpus_io import (BiSentence, BitextCorpus, iter_lines, iter_tsv, normalize_space,
+                        string_list, tokenize)
 from .lexicon import TranslationLexicon, gloss_translate
 
 StemRules = Sequence[tuple[str, str]]
@@ -248,14 +249,8 @@ def filter_corpus(corpus: BitextCorpus, lex: TranslationLexicon,
 # resource files
 
 def read_stop_words(path) -> frozenset[str]:
-    """One token per line."""
-    words = set()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            word = line.strip()
-            if word:
-                words.add(word.lower())
-    return frozenset(words)
+    """One token per line; whitespace-only lines are skipped."""
+    return frozenset(iter_lines(path, str.isspace, str.strip, str.lower))
 
 
 def read_synonyms(path) -> dict[str, frozenset[str]]:

@@ -186,6 +186,47 @@ def test_match_filter_bound_never_below_similarity(entries, model, src_sents, tg
             assert can_match is None or can_match(i, j)
 
 
+# few words, so source and target sentences repeat tokens; rows of up to four
+# translations that may repeat a target, so a row's credit can pass 1
+_FEW_SRC = ["ka", "to", "7", "1920"]
+_FEW_TGT = ["ben", "dor", "7", "1920", "1921"]
+_CREDIT_LEXICONS = st.dictionaries(
+    st.sampled_from(_FEW_SRC),
+    st.lists(st.tuples(st.sampled_from(_FEW_TGT), st.floats(min_value=0.0, max_value=1.0)),
+             min_size=1, max_size=4),
+    max_size=len(_FEW_SRC))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CREDIT_LEXICONS, _MODELS,
+       st.lists(st.lists(st.sampled_from(_FEW_SRC), min_size=1, max_size=6),
+                min_size=1, max_size=3),
+       st.lists(st.lists(st.sampled_from(_FEW_TGT), min_size=1, max_size=6),
+                min_size=1, max_size=3))
+@example({"ka": [("ben", 0.8), ("dor", 0.7)], "7": [("7", 1.0)]},
+         SimilarityModel([1.0, -1.0, 4.0, 3.0, 0.5], -2.0, -2.0, 0.5, ("pl", "en")),
+         [["ka", "ka", "7"]], [["ben", "dor", "ben", "7"]])
+@example({"ka": [("ben", 0.9)]},
+         SimilarityModel([0.0, 0.0, -3.0, 5.0, 0.0], 0.0, -1.0, 0.0, ("pl", "en")),
+         [["ka", "to"]], [["ben", "ben", "ben", "dor"]])
+def test_match_filter_second_tier_never_below_similarity(entries, model, src_sents,
+                                                         tgt_sents):
+    # with the floor at a cell's own score the first tier passes that cell,
+    # so the second tier decides: repeated tokens on both sides, credit past
+    # 1, digits
+    lex = TranslationLexicon(entries=entries)
+    sources = [source_record(s, lex) for s in src_sents]
+    targets = [target_record(t) for t in tgt_sents]
+    scores = [[similarity(model, src, tgt) for tgt in targets] for src in sources]
+    for floor in {score for row in scores for score in row}:
+        can_match = match_filter(model, sources, targets, floor)
+        if can_match is None:
+            continue
+        for i, row in enumerate(scores):
+            for j, score in enumerate(row):
+                assert score < floor or can_match(i, j)
+
+
 def test_match_filter_rules_out_unrelated_pairs_only(small_model, small_lexicon,
                                                      small_seed_corpus):
     from bimine.corpus_io import tokenize

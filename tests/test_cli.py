@@ -159,6 +159,21 @@ def test_filter_commands(workdir, tmp_path):
     assert doc["kept_count"] > 0
 
 
+def test_filter_cascade_names_the_stop_words_line_that_is_not_utf8(workdir, tmp_path,
+                                                                    capsys):
+    stops = tmp_path / "stops.txt"
+    stops.write_bytes(b"the\nis\xff\nit\n")
+    config = tmp_path / "cascade.json"
+    config.write_text('{"stop_words_file": "stops.txt"}', encoding="utf-8")
+    assert main(["filter", "cascade", "--in", str(workdir / "mined.tsv"),
+                 "--lexicon", str(workdir / "lexicon.tsv"), "--config", str(config),
+                 "--kept", str(tmp_path / "kept.tsv"),
+                 "--rejected", str(tmp_path / "rejected.tsv"),
+                 "--report", str(tmp_path / "report.json")]) == 1
+    # the config that names the stop-words file comes first
+    assert capsys.readouterr().err == f"error: {config}: {stops}: line 2: not UTF-8 text\n"
+
+
 def test_analogy_commands(world, tmp_path):
     from synthdata import ANALOGY_TEMPLATES, template_pair
     rows = []
@@ -296,6 +311,26 @@ def test_eval_rejects_mismatched_files(tmp_path, capsys):
     assert main(["eval", "--hyp", str(hyp), "--ref", str(ref)]) == 1
     err = capsys.readouterr().err
     assert err == f"error: reference file {ref} has 1 lines, hypothesis file {hyp} has 2\n"
+
+
+@pytest.mark.parametrize("bad", ["hyp", "ref"])
+def test_eval_names_the_line_that_is_not_utf8(tmp_path, capsys, bad):
+    paths = {name: tmp_path / f"{name}.txt" for name in ("hyp", "ref")}
+    for name, path in paths.items():
+        path.write_bytes(b"a cat\nsat \xff here\n" if name == bad else b"a cat\nsat here\n")
+    assert main(["eval", "--hyp", str(paths["hyp"]), "--ref", str(paths["ref"])]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {paths[bad]}: line 2: not UTF-8 text\n"
+    assert captured.out == ""
+
+
+def test_eval_counts_blank_lines_as_segments(tmp_path, capsys):
+    hyp = tmp_path / "hyp.txt"
+    ref = tmp_path / "ref.txt"
+    hyp.write_text("the cat sat\n\n  \ndogs run\n", encoding="utf-8")
+    ref.write_text("the cat sat\n\n\ndogs ran\n", encoding="utf-8")
+    assert main(["eval", "--hyp", str(hyp), "--ref", str(ref), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["segments"] == 4
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,55 @@ def test_mine_pair_recovers_planted_links(small_model, small_lexicon,
     assert true_positives / len(truth) >= 0.75   # recall on the small fixture
 
 
+@pytest.fixture(scope="module")
+def long_pairs(world):
+    """A 70-sentence article pair with planted noise, and the same source
+    against the target of another article: (name, pair) each."""
+    import random
+    from synthdata import make_articles, make_parallel
+    corpus = make_parallel(world, random.Random(606), 140)
+    (first, second), _ = make_articles(world, random.Random(707), corpus,
+                                       n_articles=2, sentences_per_article=70)
+    return [("parallel", first), ("unrelated", ArticlePair(1, first.src, second.tgt))]
+
+
+def test_match_filter_passes_few_cells_beyond_the_floor(small_model, small_lexicon,
+                                                        long_pairs, monkeypatch):
+    # a tripwire for a looser bound: at most 4 cells pass can_match per cell
+    # whose score reaches the floor, the search scores no other cell, and the
+    # alignment equals the one without the filter
+    import bimine.miner as miner_mod
+    results = []
+
+    def recording_align(*args):
+        results.append(align(*args))
+        return results[-1]
+
+    monkeypatch.setattr(miner_mod, "align", recording_align)
+    floor = match_floor(0.4)
+    for name, pair in long_pairs:
+        src = segment_sentences(pair.src.body)
+        tgt = segment_sentences(pair.tgt.body)
+        assert min(len(src), len(tgt)) >= 60
+        sources = [source_record(s.tokens, small_lexicon) for s in src]
+        targets = [target_record(t.tokens) for t in tgt]
+        can_match = match_filter(small_model, sources, targets, floor)
+        cells = [(i, j) for i in range(len(src)) for j in range(len(tgt))]
+        passed = sum(1 for i, j in cells if can_match(i, j))
+        above = sum(1 for i, j in cells
+                    if similarity(small_model, sources[i], targets[j]) >= floor)
+        assert passed <= 4 * above, name
+
+        mined, work = mine_pair(pair, src, tgt, small_model, small_lexicon, 0.4, 0.5)
+        with monkeypatch.context() as patched:
+            patched.setattr(miner_mod, "match_filter", lambda *args: None)
+            full_mined, _ = mine_pair(pair, src, tgt, small_model, small_lexicon, 0.4, 0.5)
+        pruned, full = results[-2:]
+        assert mined == full_mined, name
+        assert (pruned.links, pruned.total_cost) == (full.links, full.total_cost), name
+        assert work["cells_scored"] <= passed, name
+
+
 # ---------------------------------------------------------------------------
 # mine_corpus
 
