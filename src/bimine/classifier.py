@@ -337,6 +337,20 @@ def match_filter(model: SimilarityModel, sources: Sequence[SourceRecord],
     return can_match
 
 
+def _shuffle(rng: random.Random, x: list) -> None:
+    """``rng.shuffle(x)`` without a method call per element: the same
+    Fisher-Yates swaps from the same ``getrandbits`` draws as
+    ``Random._randbelow``, so the order and the generator state afterwards
+    equal ``Random.shuffle``'s."""
+    getrandbits = rng.getrandbits
+    for i in reversed(range(1, len(x))):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        x[i], x[j] = x[j], x[i]
+
+
 def _fit_hinge(training: Sequence[tuple[tuple[float, ...], int]], rng: random.Random,
                epochs: int, learning_rate: float, margin_reg: float,
                ) -> tuple[list[float], float, int]:
@@ -357,7 +371,7 @@ def _fit_hinge(training: Sequence[tuple[tuple[float, ...], int]], rng: random.Ra
     hinge_updates = 0
     for _ in range(epochs):
         order = list(range(len(training)))
-        rng.shuffle(order)
+        _shuffle(rng, order)
         for idx in order:
             step += 1
             eta = learning_rate / (1.0 + margin_reg * learning_rate * step)
@@ -421,7 +435,7 @@ def train_model(seed: BitextCorpus, lex: TranslationLexicon, direction: tuple[st
         for j in neg_targets:
             examples.append((pair_features(src, targets[j]), -1))
 
-    rng.shuffle(examples)
+    _shuffle(rng, examples)
     n_held = max(1, len(examples) // 10)
     held_out = examples[:n_held]
     training = examples[n_held:]

@@ -15,16 +15,75 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import cached_property
+from itertools import repeat
+from typing import Callable, NamedTuple, Sequence
 
 from .editdistance import Pattern, token_bag_bound
 from .filtering import stem
 
 Tokens = tuple[str, ...]
 
+# n-gram orders kept per segment: NIST's five; BLEU reads the first four
+_MAX_ORDER = 5
+
+
+class _NgramRecord(NamedTuple):
+    """One segment's n-gram statistics, shared by BLEU and NIST.
+
+    ``emitted[n-1]`` and ``clipped[n-1]`` are the hypothesis n-gram count and
+    its sum clipped, per distinct n-gram, to the largest count in any one
+    reference.  ``matched[n-1]`` lists the n-grams with a nonzero clipped
+    count, in first-seen order, flat as ``start, clipped, start, clipped, …``
+    where ``start`` is the n-gram's first position in the hypothesis.
+    """
+    closest_ref_len: int  # BLEU: closest to the hypothesis, ties to the shorter
+    mean_ref_len: float  # NIST
+    emitted: tuple[int, ...]
+    clipped: tuple[int, ...]
+    matched: tuple[tuple[int, ...], ...]
+
+
+def _all_grams(tokens: Tokens) -> list[Tokens]:
+    """The n-grams of ``tokens`` of orders 1 to _MAX_ORDER, order by order
+    and in position order within one."""
+    t1, t2, t3, t4 = tokens[1:], tokens[2:], tokens[3:], tokens[4:]
+    return [*zip(tokens), *zip(tokens, t1), *zip(tokens, t1, t2),
+            *zip(tokens, t1, t2, t3), *zip(tokens, t1, t2, t3, t4)]
+
+
+def _ngram_record(hypothesis: Tokens, references: tuple[Tokens, ...]) -> _NgramRecord:
+    hyp_len = len(hypothesis)
+    grams = _all_grams(hypothesis)
+    counts = Counter(grams)
+    # zipped from the end, each n-gram keeps its smallest position
+    starts = [start for n in range(1, _MAX_ORDER + 1)
+              for start in range(hyp_len - n + 1)]
+    first = dict(zip(reversed(grams), reversed(starts)))
+    limits = [map(Counter(_all_grams(ref)).get, counts, repeat(0))
+              for ref in references]
+    ref_max = limits[0] if len(limits) == 1 else map(max, *limits)
+    clipped = [0] * _MAX_ORDER
+    matched: list[list[int]] = [[] for _ in range(_MAX_ORDER)]
+    for ngram, clip in zip(counts, map(min, counts.values(), ref_max)):
+        if clip:
+            n = len(ngram)
+            clipped[n - 1] += clip
+            matched[n - 1] += (first[ngram], clip)
+    return _NgramRecord(
+        closest_ref_len=min((abs(len(r) - hyp_len), len(r)) for r in references)[1],
+        mean_ref_len=sum(len(r) for r in references) / len(references),
+        emitted=tuple(max(0, hyp_len - n + 1) for n in range(1, _MAX_ORDER + 1)),
+        clipped=tuple(clipped), matched=tuple(map(tuple, matched)))
+
 
 @dataclass(frozen=True)
 class EvalPair:
+    """One test segment: a hypothesis and its references.
+
+    Each metric reads a per-segment record computed on first use and kept on
+    the pair, so scoring a resample of the same pairs counts nothing again.
+    """
     hypothesis: Tokens
     references: tuple[Tokens, ...]
 
@@ -32,22 +91,23 @@ class EvalPair:
         if not self.references:
             raise ValueError("an evaluation pair needs at least one reference")
 
+    @cached_property
+    def ngram_record(self) -> _NgramRecord:
+        return _ngram_record(self.hypothesis, self.references)
 
-def _ngrams(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+    @cached_property
+    def ter_record(self) -> tuple[int, int]:
+        """(edits, length) of the best reference; see ``_best_reference``."""
+        return _best_reference(self.hypothesis, self.references)
+
+    @cached_property
+    def meteor_score(self) -> float:
+        return meteor_lite(self.hypothesis, self.references)
 
 
-def _clipped(pair: EvalPair, n: int) -> list[tuple[tuple[str, ...], int, int]]:
-    """Each hypothesis n-gram with its count and that count clipped to the
-    largest count of the n-gram in any one reference, in first-seen order."""
-    hyp_counts = _ngrams(pair.hypothesis, n)
-    if not hyp_counts:
-        return []
-    ref_max: Counter = Counter()
-    for ref in pair.references:
-        ref_max |= _ngrams(ref, n)
-    return [(ngram, count, min(count, ref_max[ngram]))
-            for ngram, count in hyp_counts.items()]
+def _check_order(max_n: int) -> None:
+    if not 1 <= max_n <= _MAX_ORDER:
+        raise ValueError(f"max_n must be in 1..{_MAX_ORDER}, got {max_n}")
 
 
 # ---------------------------------------------------------------------------
@@ -62,27 +122,17 @@ def bleu(corpus: Sequence[EvalPair], max_n: int = 4) -> float:
     """
     if not corpus:
         raise ValueError("cannot score an empty corpus")
-    correct = [0] * max_n
-    total = [0] * max_n
-    hyp_len = 0
-    ref_len = 0
-    for pair in corpus:
-        hyp = pair.hypothesis
-        hyp_len += len(hyp)
-        ref_len += _closest_ref_len(len(hyp), pair.references)
-        for n in range(1, max_n + 1):
-            for _ngram, count, clipped in _clipped(pair, n):
-                correct[n - 1] += clipped
-                total[n - 1] += count
+    _check_order(max_n)
+    records = [pair.ngram_record for pair in corpus]
+    correct = [sum(r.clipped[k] for r in records) for k in range(max_n)]
+    total = [sum(r.emitted[k] for r in records) for k in range(max_n)]
+    hyp_len = sum(len(pair.hypothesis) for pair in corpus)
+    ref_len = sum(r.closest_ref_len for r in records)
     if hyp_len == 0 or any(c == 0 or t == 0 for c, t in zip(correct, total)):
         return 0.0
     log_precision = sum(math.log(c / t) for c, t in zip(correct, total)) / max_n
     brevity = math.exp(min(0.0, 1.0 - ref_len / hyp_len))
     return brevity * math.exp(log_precision)
-
-
-def _closest_ref_len(hyp_len: int, references: Sequence[Tokens]) -> int:
-    return min((abs(len(r) - hyp_len), len(r)) for r in references)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -101,34 +151,36 @@ def nist(corpus: Sequence[EvalPair], max_n: int = 5) -> float:
     """
     if not corpus:
         raise ValueError("cannot score an empty corpus")
+    _check_order(max_n)
+    drawn = Counter(corpus)
     ref_counts: Counter = Counter()
     total_ref_words = 0
-    for pair in corpus:
+    for pair, times in drawn.items():
+        # a segment drawn k times adds its reference n-grams k times
         for ref in pair.references:
-            total_ref_words += len(ref)
-            for n in range(1, max_n + 1):
-                ref_counts.update(_ngrams(ref, n))
+            total_ref_words += times * len(ref)
+            # orders above max_n are counted too; nothing looks them up
+            grams = _all_grams(ref)
+            ref_counts.update(grams * times if times > 1 else grams)
 
-    def info(ngram: tuple[str, ...]) -> float:
-        denom = ref_counts[ngram]
-        numer = total_ref_words if len(ngram) == 1 else ref_counts[ngram[:-1]]
-        if denom <= 0 or numer <= 0:
-            return 0.0
-        return math.log2(numer / denom)
-
+    log2 = math.log2
     gained = [0.0] * max_n
     emitted = [0] * max_n
     hyp_len = 0
     ref_len = 0.0
     for pair in corpus:
         hyp = pair.hypothesis
+        record = pair.ngram_record
         hyp_len += len(hyp)
-        ref_len += sum(len(r) for r in pair.references) / len(pair.references)
+        ref_len += record.mean_ref_len
         for n in range(1, max_n + 1):
-            for ngram, count, matched in _clipped(pair, n):
-                emitted[n - 1] += count
-                if matched:
-                    gained[n - 1] += matched * info(ngram)
+            emitted[n - 1] += record.emitted[n - 1]
+            flat = iter(record.matched[n - 1])
+            # matched * info(ngram); a matched n-gram and its prefix occur in
+            # this segment's references, so both counts are positive
+            for start, matched in zip(flat, flat):
+                numer = total_ref_words if n == 1 else ref_counts[hyp[start:start + n - 1]]
+                gained[n - 1] += matched * log2(numer / ref_counts[hyp[start:start + n]])
     if hyp_len == 0:
         return 0.0
     score = sum(g / e for g, e in zip(gained, emitted) if e > 0)
@@ -154,19 +206,18 @@ def _phrases(tokens: Tokens) -> set[Tokens]:
             for j in range(i + 1, min(len(tokens), i + _MAX_SHIFT_LEN) + 1)}
 
 
-def _exact_ter_edits(hypothesis: Sequence[str], reference: Sequence[str]) -> int:
-    """Minimum of shifts plus edit distance over every shift sequence.
+def _exact_ter_edits(start: Tokens, pattern: Pattern, ref_phrases: set[Tokens],
+                     best: int, floor: int) -> int:
+    """Minimum of shifts plus edit distance over every shift sequence from
+    ``start``, which is ``best`` from the reference; no order of its tokens
+    is below ``floor``.
 
     Breadth-first over reachable token orders; only viable for short inputs.
     """
-    pattern = Pattern(reference)
-    ref_phrases = _phrases(tuple(reference))
-    start = tuple(hypothesis)
-    best = pattern.distance(start)
     seen = {start}
     frontier = [start]
     shifts = 0
-    while frontier and shifts + 1 < best:
+    while frontier and shifts + 1 + floor < best:
         shifts += 1
         next_frontier = []
         for state in frontier:
@@ -235,16 +286,19 @@ def _ter_edits(hypothesis: Sequence[str], reference: Sequence[str]) -> int:
     Greedy best-improvement-first shift search, except that inputs with both
     sides at most six tokens are solved exactly.
     """
-    if len(hypothesis) <= _EXACT_TER_LIMIT and len(reference) <= _EXACT_TER_LIMIT:
-        return _exact_ter_edits(hypothesis, reference)
     current = tuple(hypothesis)
     pattern = Pattern(reference)
-    ref_phrases = _phrases(tuple(reference))
-    # every order of the hypothesis tokens is at least this far from the reference
+    distance = pattern.distance(current)
+    # every order of the hypothesis tokens is at least this far from the
+    # reference, so at the floor a shift, which costs one edit, cannot help
     floor = token_bag_bound(Counter(current), Counter(reference),
                             max(len(current), len(reference)))
+    if distance == floor:
+        return distance
+    ref_phrases = _phrases(tuple(reference))
+    if len(current) <= _EXACT_TER_LIMIT and len(reference) <= _EXACT_TER_LIMIT:
+        return _exact_ter_edits(current, pattern, ref_phrases, distance, floor)
     shifts = 0
-    distance = pattern.distance(current)
     while distance > floor:
         distance, shifted = _best_shift(current, pattern, ref_phrases, distance, floor)
         if shifted is None:
@@ -279,13 +333,8 @@ def corpus_ter(corpus: Sequence[EvalPair]) -> float:
     """Total edits over total reference length, best reference per segment."""
     if not corpus:
         raise ValueError("cannot score an empty corpus")
-    total_edits = 0
-    total_len = 0
-    for pair in corpus:
-        edits, length = _best_reference(pair.hypothesis, pair.references)
-        total_edits += edits
-        total_len += length
-    return total_edits / total_len
+    records = [pair.ter_record for pair in corpus]
+    return sum(edits for edits, _ in records) / sum(length for _, length in records)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +396,7 @@ def corpus_meteor(corpus: Sequence[EvalPair]) -> float:
     """Arithmetic mean of per-segment scores."""
     if not corpus:
         raise ValueError("cannot score an empty corpus")
-    return sum(meteor_lite(p.hypothesis, p.references) for p in corpus) / len(corpus)
+    return sum(pair.meteor_score for pair in corpus) / len(corpus)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +430,9 @@ def bootstrap_diff(sys_a: Sequence[EvalPair], sys_b: Sequence[EvalPair],
     Sentence indices are resampled with replacement; reports the mean
     difference, the 95% interval of the resampled differences, and the
     fraction of resamples whose difference sign flips against the observed
-    full-corpus difference.
+    full-corpus difference.  A resample holds the same ``EvalPair`` objects,
+    so the corpus metrics fold the per-segment records the full-corpus
+    scores computed.
     """
     if len(sys_a) != len(sys_b):
         raise ValueError(

@@ -422,6 +422,18 @@ def test_fit_hinge_counts_the_updates():
     assert 2 <= updates < 400
 
 
+@pytest.mark.parametrize("length", [0, 1, 2, 7, 2000])
+@pytest.mark.parametrize("seed", [0, 1, 13, 2**40 + 5])
+def test_shuffle_equals_random_shuffle(length, seed):
+    rng, reference_rng = random.Random(seed), random.Random(seed)
+    items, expected = list(range(length)), list(range(length))
+    for _ in range(3):
+        classifier._shuffle(rng, items)
+        reference_rng.shuffle(expected)
+        assert items == expected
+        assert rng.getstate() == reference_rng.getstate()
+
+
 def test_seeded_model_weights_pinned(small_model):
     # float.hex of the 600-pair fixture's model (CPython 3.11, x86-64)
     assert [w.hex() for w in small_model.weights] == [
