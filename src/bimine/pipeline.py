@@ -4,8 +4,9 @@ analogy -> filter -> eval.
 Each step is one function that reads its inputs from explicit paths,
 computes, writes its artifacts and returns its counts; the CLI subcommands
 call the same functions.  A stage resolves its paths in the work directory
-(or configured paths), calls its step once per mining direction and writes a
-JSON run manifest (inputs, checksums, parameters, counts).  In a
+(or configured paths), calls its step once per mining direction, writes a
+JSON run manifest (inputs, checksums, parameters, counts) and prints its
+stage, output names and counts as one JSON line to stderr.  In a
 bidirectional run the lexicon, classifier and mine stages run the reverse
 direction's step in a forked child while the forward one runs.  Stages are
 deterministic given the config seeds: re-running with identical inputs
@@ -50,25 +51,25 @@ class PipelineError(RuntimeError):
     pass
 
 
-# section keys that have no default, with a value of their type: the ingest
-# inputs, and mining.workers, which older configs carry as 1
-_SECTION_KEYS = {"ingest": {"src_dump": "", "tgt_dump": "", "links": ""},
-                 "mining": {"workers": 1}}
-
 _TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
 
 
-def _check_type(path, section: str, key: str, value, default) -> None:
-    """A section value must have its default's type; an int passes for a
-    float, a bool passes only for a bool, and mining.threshold may be null."""
+def _typed(path, section: str, key: str, value, default):
+    """``value`` as its default's type: an int passes for a float and becomes
+    one, a bool passes only for a bool, and mining.threshold may be null."""
     if value is None and (section, key) == ("mining", "threshold"):
-        return
+        return None
     expected = type(default)
     accepted = (int, float) if expected is float else expected
     if isinstance(value, bool) != (expected is bool) or not isinstance(value, accepted):
         raise PipelineError(
             f"{path}: config key {section}.{key} must be "
             f"{_TYPE_NAMES[expected]}, not {type(value).__name__}")
+    try:
+        return float(value) if expected is float else value
+    except OverflowError:
+        raise PipelineError(
+            f"{path}: config key {section}.{key} is too large for a number") from None
 
 
 @dataclass
@@ -78,13 +79,13 @@ class PipelineConfig:
     tgt_lang: str = "en"
     seed_corpus: str = ""
     store: str = ""
-    ingest: dict = field(default_factory=dict)
+    ingest: dict = field(default_factory=lambda: {"src_dump": "", "tgt_dump": "", "links": ""})
     lexicon: dict = field(default_factory=lambda: {"iterations": 10, "prune_below": 1e-4})
     classifier: dict = field(default_factory=lambda: {
         "neg_per_pos": 3, "epochs": 30, "learning_rate": 0.1,
         "margin_reg": 1e-4, "seed": 13, "threshold": 0.5})
     mining: dict = field(default_factory=lambda: {
-        "threshold": 0.5, "gap_cost": 0.4, "bidirectional": False})
+        "threshold": 0.5, "gap_cost": 0.4, "bidirectional": False, "workers": 1})
     analogy: dict = field(default_factory=lambda: {
         "max_distance": 4, "size_guard": analogy_mod.DEFAULT_SIZE_GUARD,
         "allow_unknown": False,
@@ -120,17 +121,15 @@ class PipelineConfig:
                 continue
             if not isinstance(value, dict):
                 raise PipelineError(f"{path}: config section {key!r} must be an object")
-            defaults = {**_SECTION_KEYS.get(key, {}), **section}
-            unknown = set(value) - set(defaults)
+            unknown = set(value) - set(section)
             if unknown:
                 raise PipelineError(
                     f"{path}: unknown keys {sorted(unknown)} in config section {key!r}")
-            for name, item in value.items():
-                _check_type(path, key, name, item, defaults[name])
-            section.update(value)
+            section.update({name: _typed(path, key, name, item, section[name])
+                            for name, item in value.items()})
         # older configs carry workers = 1; a bidirectional run puts each
         # direction in its own process and takes no worker count
-        if config.mining.get("workers", 1) != 1:
+        if config.mining["workers"] != 1:
             raise PipelineError(
                 f"{path}: mining.workers = {config.mining['workers']!r} is not "
                 f"supported; there is no worker pool (drop the key or set 1)")
@@ -153,6 +152,8 @@ def _sha256(path: Path) -> str:
 
 def _write_manifest(config: PipelineConfig, stage: str, params: dict,
                     inputs: list[Path], outputs: list[Path], counts: dict) -> None:
+    """Write the stage's manifest, and its stage, output names and counts to
+    stderr as one sort-keyed JSON line."""
     doc = {
         "stage": stage,
         "params": params,
@@ -161,6 +162,8 @@ def _write_manifest(config: PipelineConfig, stage: str, params: dict,
         "counts": counts,
     }
     corpus_io.write_json(config.path(f"manifest.{stage}.json"), doc)
+    print(json.dumps({"stage": stage, "outputs": list(doc["outputs"]), "counts": counts},
+                     sort_keys=True), file=sys.stderr)
 
 
 def _require(config: PipelineConfig, path: Path) -> Path:
@@ -169,10 +172,6 @@ def _require(config: PipelineConfig, path: Path) -> Path:
         hint = f"; run stage '{stage}' first" if stage else ""
         raise PipelineError(f"missing artifact {path}{hint}")
     return path
-
-
-def _log(message: str) -> None:
-    print(message, file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +243,7 @@ def mine(store, model, lexicon, out, *, gap_cost: float,
         articles = (corpus_io.ArticlePair(p.id, p.tgt, p.src) for p in articles)
     corpus, article_log = miner.mine_corpus(
         articles, sim_model, lex, gap_cost=gap_cost,
-        threshold=sim_model.threshold if threshold is None else float(threshold))
+        threshold=sim_model.threshold if threshold is None else threshold)
     corpus_io.write_bitext(out, corpus)
     if log:
         corpus_io.write_jsonl(log, article_log)
@@ -349,7 +348,7 @@ def score(pairs: list[metrics.EvalPair], metric: str) -> float:
 def _stage_ingest(config: PipelineConfig) -> None:
     spec = config.ingest
     for key in ("src_dump", "tgt_dump", "links"):
-        if key not in spec:
+        if not spec[key]:
             raise PipelineError(f"ingest stage needs config.ingest.{key}")
         if not Path(spec[key]).exists():
             raise PipelineError(f"ingest input {spec[key]} does not exist")
@@ -357,7 +356,6 @@ def _stage_ingest(config: PipelineConfig) -> None:
     out = config.store_path()
     counts = ingest(*inputs, out, config.src_lang, config.tgt_lang)
     _write_manifest(config, "ingest", spec, inputs, [out], counts)
-    _log(f"ingest: {counts['article_pairs']} article pairs -> {out}")
 
 
 def _seed_path(config: PipelineConfig) -> Path:
@@ -380,7 +378,7 @@ def _directions(config: PipelineConfig, stage: str, forward, reverse,
     parent reaps it before it returns or raises, and raises the child's
     exception as its own.  Without ``os.fork`` both run here in turn.
     """
-    if not config.mining.get("bidirectional"):
+    if not config.mining["bidirectional"]:
         return forward(), None
     if not hasattr(os, "fork"):
         return forward(), reverse()
@@ -421,8 +419,8 @@ def _directions(config: PipelineConfig, stage: str, forward, reverse,
 def _stage_lexicon(config: PipelineConfig) -> None:
     seed = _seed_path(config)
     params = config.lexicon
-    train = functools.partial(train_lexicon, seed, iterations=int(params["iterations"]),
-                              prune_below=float(params["prune_below"]))
+    train = functools.partial(train_lexicon, seed, iterations=params["iterations"],
+                              prune_below=params["prune_below"])
     fwd_out, rev_out = config.path("lexicon.tsv"), config.path("lexicon.rev.tsv")
     counts, rev = _directions(config, "lexicon", lambda: train(fwd_out),
                               lambda: train(rev_out, flip=True))
@@ -431,7 +429,6 @@ def _stage_lexicon(config: PipelineConfig) -> None:
         outputs.append(rev_out)
         counts.update({f"{key}_rev": value for key, value in rev.items()})
     _write_manifest(config, "lexicon", params, [seed], outputs, counts)
-    _log(f"lexicon: {counts} -> {fwd_out}")
 
 
 def _stage_classifier(config: PipelineConfig) -> None:
@@ -439,10 +436,9 @@ def _stage_classifier(config: PipelineConfig) -> None:
     params = config.classifier
     train = functools.partial(
         train_classifier, seed,
-        neg_per_pos=int(params["neg_per_pos"]), epochs=int(params["epochs"]),
-        learning_rate=float(params["learning_rate"]),
-        margin_reg=float(params["margin_reg"]), seed_rng=int(params["seed"]),
-        threshold=float(params["threshold"]))
+        neg_per_pos=params["neg_per_pos"], epochs=params["epochs"],
+        learning_rate=params["learning_rate"], margin_reg=params["margin_reg"],
+        seed_rng=params["seed"], threshold=params["threshold"])
     lexicon = _require(config, config.path("lexicon.tsv"))
     fwd_out, rev_out = config.path("classifier.json"), config.path("classifier.rev.json")
     counts, rev = _directions(
@@ -455,14 +451,13 @@ def _stage_classifier(config: PipelineConfig) -> None:
         outputs.append(rev_out)
         counts.update({f"{key}_rev": value for key, value in rev.items()})
     _write_manifest(config, "classifier", params, [seed, lexicon], outputs, counts)
-    _log(f"classifier: {counts} -> {fwd_out}")
 
 
 def _stage_mine(config: PipelineConfig) -> None:
     params = config.mining
     store = _require(config, config.store_path())
-    run = functools.partial(mine, store, gap_cost=float(params["gap_cost"]),
-                            threshold=params.get("threshold"))
+    run = functools.partial(mine, store, gap_cost=params["gap_cost"],
+                            threshold=params["threshold"])
     fwd_out, log = config.path("mined.fwd.tsv"), config.path("mine_log.jsonl")
     rev_out = config.path("mined.rev.tsv")
     fwd_inputs = (_require(config, config.path("classifier.json")),
@@ -478,18 +473,16 @@ def _stage_mine(config: PipelineConfig) -> None:
         outputs.append(rev_out)
         counts.update({f"{key}_rev": rev[key] for key in ("mined", *_MINE_WORK)})
     _write_manifest(config, "mine", params, [store], outputs, counts)
-    _log(f"mine: {counts}")
 
 
 def _stage_merge(config: PipelineConfig) -> None:
     fwd = _require(config, config.path("mined.fwd.tsv"))
     rev = (_require(config, config.path("mined.rev.tsv"))
-           if config.mining.get("bidirectional") else None)
+           if config.mining["bidirectional"] else None)
     out, stats = config.path("mined.tsv"), config.path("overlap_stats.json")
     counts = merge(fwd, rev, out, stats)
     _write_manifest(config, "merge", {}, [fwd] + ([rev] if rev else []),
                     [out, stats], counts)
-    _log(f"merge: {counts['merged']} pairs, newly obtained {counts['newly_obtained']}")
 
 
 def _stage_analogy(config: PipelineConfig) -> None:
@@ -498,28 +491,27 @@ def _stage_analogy(config: PipelineConfig) -> None:
     store = _require(config, config.store_path())
     lexicon = _require(config, config.path("lexicon.tsv"))
     try:
-        quads = analogy_find(seed, int(params["max_distance"]), int(params["size_guard"]))
+        quads = analogy_find(seed, params["max_distance"], params["size_guard"])
     except analogy_mod.SizeGuardError as exc:
         raise PipelineError(str(exc)) from exc
     models_path = config.path("analogy_models.jsonl")
-    models = analogy_models(quads, seed, models_path, bool(params.get("check_target")))
+    models = analogy_models(quads, seed, models_path, params["check_target"])
     quasi_path = config.path("quasi.tsv")
     counts = {"quadruples": len(quads), "models": len(models),
               **analogy_generate(models, store, lexicon, quasi_path,
-                                 bool(params["allow_unknown"]))}
+                                 params["allow_unknown"])}
     report_path = config.path("quasi_report.json")
     corpus_io.write_json(report_path, counts)
     _write_manifest(config, "analogy", params, [seed, store],
                     [models_path, quasi_path, report_path], counts)
-    _log(f"analogy: {counts}")
 
 
 def _stage_filter(config: PipelineConfig) -> None:
     params = config.filter
     mined = _require(config, config.path("mined.tsv"))
-    run = functools.partial(filter_bitext, min_chars=int(params["min_chars"]),
+    run = functools.partial(filter_bitext, min_chars=params["min_chars"],
                             lexicon=_require(config, config.path("lexicon.tsv")),
-                            cascade=params.get("cascade"))
+                            cascade=params["cascade"])
     kept, report, rejected = (config.path(name) for name in
                               ("filtered.tsv", "filter_report.json", "rejected.tsv"))
     counts = run(mined, kept, report, rejected=rejected)
@@ -532,7 +524,6 @@ def _stage_filter(config: PipelineConfig) -> None:
         inputs.append(quasi)
         outputs += [q_kept, q_report]
     _write_manifest(config, "filter", params, inputs, outputs, counts)
-    _log(f"filter: kept {counts['kept_count']} of {counts['input_count']}")
 
 
 def _stage_eval(config: PipelineConfig) -> None:
@@ -541,8 +532,7 @@ def _stage_eval(config: PipelineConfig) -> None:
     lex = lexicon_mod.read_lexicon(_require(config, config.path("lexicon.tsv")))
     corpus = corpus_io.read_bitext(filtered_path)
     test, _train = corpus_io.sample_test_set(
-        corpus, int(params["segments"]), int(params["per_segment"]),
-        int(params["seed"]))
+        corpus, params["segments"], params["per_segment"], params["seed"])
     pairs = []
     for bs in test.pairs:
         hyp = tuple(lexicon_mod.gloss_translate(lex, corpus_io.tokenize(bs.src)))
@@ -558,7 +548,6 @@ def _stage_eval(config: PipelineConfig) -> None:
     corpus_io.write_json(out, report)
     _write_manifest(config, "eval", params, [filtered_path], [out],
                     {"test_pairs": len(pairs)})
-    _log(f"eval: {scores}")
 
 _STAGE_FUNCS = {
     "ingest": _stage_ingest,
@@ -578,7 +567,7 @@ def run_pipeline(config: PipelineConfig, stages: list[str] | None = None) -> Non
     unknown = [s for s in requested if s not in STAGES]
     if unknown:
         raise PipelineError(f"unknown stages {unknown}; choose from {list(STAGES)}")
-    if stages is None and not config.ingest:
+    if stages is None and not any(config.ingest.values()):
         requested.remove("ingest")
     Path(config.workdir).mkdir(parents=True, exist_ok=True)
     for stage in STAGES:

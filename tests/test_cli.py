@@ -658,6 +658,7 @@ def test_pipeline_cli_names_the_file_of_a_bad_config(tmp_path, capsys, text, det
     ("filter", {"cascade": 3}, "filter.cascade must be a string, not int"),
     ("ingest", {"links": ["l.tsv"]}, "ingest.links must be a string, not list"),
     ("mining", {"workers": "1"}, "mining.workers must be an integer, not str"),
+    ("lexicon", {"prune_below": 10 ** 400}, "lexicon.prune_below is too large for a number"),
 ])
 def test_pipeline_config_type_checks_section_values(tmp_path, capsys, section, value,
                                                     detail):
@@ -670,14 +671,73 @@ def test_pipeline_config_type_checks_section_values(tmp_path, capsys, section, v
     assert f"{path}: config key {detail}" in err and "Traceback" not in err
 
 
-def test_pipeline_config_accepts_an_int_for_a_float(tmp_path):
-    path = tmp_path / "c.json"
-    path.write_text(json.dumps({"workdir": "x", "classifier": {"learning_rate": 1},
-                                "mining": {"threshold": 0, "gap_cost": 0.3}}),
-                    encoding="utf-8")
-    config = PipelineConfig.from_json(path)
+def test_pipeline_config_accepts_an_int_for_a_float(world, tmp_path, monkeypatch):
+    config_path, workdir = _pipeline_config(tmp_path, world, bidirectional=False)
+    doc = json.loads(config_path.read_text(encoding="utf-8"))
+    doc["classifier"]["learning_rate"] = 1
+    doc["mining"].update(threshold=0, gap_cost=0.3)
+    config_path.write_text(json.dumps(doc), encoding="utf-8")
+    config = PipelineConfig.from_json(config_path)
     assert config.classifier["learning_rate"] == 1
     assert config.mining["threshold"] == 0
+    assert type(config.mining["threshold"]) is float
+    # the value reaches the step as a float, and the int keys stay ints
+    seen = {}
+    train = pipeline.train_classifier
+
+    def spy(*args, **kwargs):
+        seen.update(kwargs)
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "train_classifier", spy)
+    run_pipeline(config, ["lexicon", "classifier"])
+    assert type(seen["learning_rate"]) is float
+    assert {type(seen[key]) for key in ("neg_per_pos", "epochs", "seed_rng")} == {int}
+    params = json.loads((workdir / "manifest.classifier.json").read_text(
+        encoding="utf-8"))["params"]
+    assert params["learning_rate"] == 1.0 and type(params["learning_rate"]) is float
+    assert type(params["epochs"]) is int
+
+
+def test_pipeline_runs_ingest_only_when_an_ingest_path_is_set(tmp_path, monkeypatch):
+    ran = []
+    for stage in pipeline.STAGES:
+        monkeypatch.setitem(pipeline._STAGE_FUNCS, stage,
+                            lambda config, stage=stage: ran.append(stage))
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"workdir": str(tmp_path / "out")}), encoding="utf-8")
+    run_pipeline(PipelineConfig.from_json(path))
+    assert ran == list(pipeline.STAGES[1:])
+    ran.clear()
+    path.write_text(json.dumps({"workdir": str(tmp_path / "out"),
+                                "ingest": {"links": "l.tsv"}}), encoding="utf-8")
+    run_pipeline(PipelineConfig.from_json(path))
+    assert ran == list(pipeline.STAGES)
+
+
+def test_pipeline_ingest_names_a_missing_input_key(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"workdir": str(tmp_path / "out"),
+                                "ingest": {"links": "l.tsv"}}), encoding="utf-8")
+    assert main(["pipeline", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == "error: ingest stage needs config.ingest.src_dump\n"
+
+
+def test_pipeline_logs_one_json_line_per_stage(world, tmp_path, capfd):
+    # capfd, not capsys: a forked reverse direction must not log either
+    config_path, workdir = _pipeline_config(tmp_path, world)
+    capfd.readouterr()
+    assert main(["pipeline", "--config", str(config_path)]) == 0
+    lines = capfd.readouterr().err.splitlines()
+    records = [json.loads(line) for line in lines]
+    assert [record["stage"] for record in records] == list(pipeline.STAGES)
+    for line, record in zip(lines, records):
+        assert line == json.dumps(record, sort_keys=True)
+        assert set(record) == {"stage", "outputs", "counts"}
+        manifest = json.loads((workdir / f"manifest.{record['stage']}.json").read_text(
+            encoding="utf-8"))
+        assert record["counts"] == manifest["counts"]
+        assert sorted(record["outputs"]) == sorted(manifest["outputs"])
 
 
 def test_pipeline_cli_failure_exit_code(world, tmp_path, capsys):
