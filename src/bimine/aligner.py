@@ -2,9 +2,7 @@
 
 The lattice node (i, j) means i source and j target sentences consumed.
 Matching sentence i with sentence j costs ``1 - sim(i, j)``; skipping a
-sentence on either side costs ``gap_cost``.  ``align`` explores the lattice
-with A* (admissible, consistent heuristic), evaluating the expensive
-similarity function only on visited nodes; ``align_bruteforce`` fills the
+sentence on either side costs ``gap_cost``.  ``align_bruteforce`` fills the
 full dynamic-programming table and is kept as the exact oracle.
 
 A caller may also pass ``can_match(i, j)``, a cheap predicate that is False
@@ -13,7 +11,15 @@ a match edge costs more than the two gaps around it by more than any float
 rounding, so no optimal path uses it and dropping it leaves every DP value
 unchanged; ``align`` never scores those cells.
 
-Both entry points share the cost arithmetic and the backtracking rule
+``align`` runs one of two searches.  On a pair with parallel text, A*
+(admissible heuristic) visits a narrow band around the optimal path and
+scores only the cells it visits.  On an unrelated pair A* would pop nearly
+every node, so when few cells along the expected path pass ``can_match``,
+``align`` runs the oracle's recurrence row by row instead, scoring a cell
+only where a match could still lower its node (Gale & Church 1993; the
+cheap first pass that picks the search follows Moore 2002).
+
+The three searches share the cost arithmetic and the backtracking rule
 (prefer match, then source gap, then target gap), so they return identical
 costs and identical link sets.
 """
@@ -21,6 +27,7 @@ costs and identical link sets.
 from __future__ import annotations
 
 import heapq
+import struct
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -34,8 +41,9 @@ class AlignmentResult:
     gaps_tgt: set[int] = field(default_factory=set)
     total_cost: float = 0.0
     cells_scored: int = 0  # lattice cells whose similarity was computed
-    pops: int = 0  # A* heap pops, stale entries included; 0 from align_bruteforce
+    pops: int = 0  # A* heap pops, stale entries included; 0 from either DP
     cells_pruned: int = 0  # match edges dropped because can_match ruled them out
+    search: str = "dp"  # "astar" where align ran A*, else "dp"
 
 
 def match_floor(gap_cost: float) -> float:
@@ -123,12 +131,98 @@ def _backtrack(n: int, m: int, gap_cost: float,
     return result
 
 
+def _looks_unrelated(n: int, m: int, can_match: Callable[[int, int], bool]) -> bool:
+    """True when ``can_match`` passes fewer than ``n / 3`` cells along a
+    walk down the rows: five cells per row, centred on the column expected
+    from the last row's passing cell nearest its centre, moved on by the
+    slope ``m / n`` (at first, the scaled diagonal ``j = i * m / n``).
+
+    Parallel text drifts off that diagonal as sentences are inserted and
+    dropped, one at a time, and the walk follows it.  On the benchmark
+    fixtures of seeds 3 and 5, every unrelated pair passes at most ``0.16 *
+    n`` cells and every other pair at least ``0.41 * n``, but for one of 13
+    sentences (``0.31 * n``); on pairs of 100 to 1 600 sentences, 0.06 to
+    0.12 and 0.89 to 0.94.  Counting stops as soon as the answer is known,
+    and no cell is scored.
+    """
+    needed = n / 3
+    slope = m / n if n else 0.0
+    expected = 0.0
+    count = 0
+    for i in range(n):
+        centre = int(expected + 0.5)
+        nearest = None
+        for j in range(max(centre - 2, 0), min(centre + 3, m)):
+            if can_match(i, j):
+                count += 1
+                if count >= needed:
+                    return False
+                if nearest is None or abs(j - centre) < abs(nearest - centre):
+                    nearest = j
+        if count + 5 * (n - 1 - i) < needed:
+            break
+        expected = (expected if nearest is None else nearest) + slope
+    return True
+
+
+def _pruned_dp(src: Sequence, tgt: Sequence, sim: Callable[[object, object], float],
+               gap_cost: float,
+               can_match: Callable[[int, int], bool] | None) -> AlignmentResult:
+    """``align_bruteforce``'s recurrence, row by row, for a pair on which A*
+    would pop nearly every node.
+
+    Node costs are packed as C doubles into one ``bytearray``, row ``i`` at
+    ``i * (M + 1)``: a quarter of the memory of a list, which holds a
+    pointer and a float object per node.  (An ``array('d')`` would do the
+    same, but on CPython 3.11 importing ``array`` alone added 0.2 MiB to
+    the benchmark's peak memory.)
+
+    With ``above`` the row before node (i, j) and ``left`` the cost of node
+    (i, j - 1), the match edge into (i, j) is scored only where ``above[j -
+    1] < min(above[j], left) + gap_cost``: elsewhere even a perfect match
+    costs no less than a gap, and the minimum is the gap move's float.  A
+    match edge ``can_match`` rules out is dropped, as in ``align``.  Every
+    node gets the oracle's float, so ``_backtrack`` returns the oracle's
+    links.
+    """
+    n, m = len(src), len(tgt)
+    width = m + 1
+    score, memo = _scorer(src, tgt, sim, can_match)
+    costs = bytearray(8 * (n + 1) * width)
+    pack_row = struct.Struct(f"{width}d").pack_into
+    above = [0.0]
+    for _ in range(m):
+        above.append(above[-1] + gap_cost)
+    pack_row(costs, 0, *above)
+    for i in range(n):
+        left = above[0] + gap_cost
+        row = [left]
+        append = row.append
+        for j in range(m):
+            diag, up = above[j], above[j + 1]
+            best = (up if up < left else left) + gap_cost
+            if diag < best:
+                value = score(i, j)
+                if value is not None:
+                    match = diag + (1.0 - value)
+                    if match < best:
+                        best = match
+            append(best)
+            left = best
+        pack_row(costs, 8 * (i + 1) * width, *row)
+        above = row
+    table = memoryview(costs).cast("d")
+    return _backtrack(n, m, gap_cost, score, memo, lambda i, j: table[i * width + j])
+
+
 def align(src: Sequence, tgt: Sequence, sim: Callable[[object, object], float],
           gap_cost: float = 0.4,
           can_match: Callable[[int, int], bool] | None = None) -> AlignmentResult:
-    """A* search for the minimum-cost monotone alignment.
+    """The minimum-cost monotone alignment: ``_pruned_dp`` for a pair that
+    ``_looks_unrelated``, A* search for any other.  Without ``can_match``
+    the search is always A*.
 
-    The heuristic ``h(i, j) = |(N - i) - (M - j)| * gap_cost`` counts the
+    The A* heuristic ``h(i, j) = |(N - i) - (M - j)| * gap_cost`` counts the
     unavoidable gap moves on the longer remaining side and never
     overestimates (matches can cost 0).  Because float rounding can break
     the heuristic's consistency by an ulp, nodes are allowed to reopen when
@@ -152,6 +246,8 @@ def align(src: Sequence, tgt: Sequence, sim: Callable[[object, object], float],
     """
     _check_gap_cost(gap_cost)
     n, m = len(src), len(tgt)
+    if can_match is not None and _looks_unrelated(n, m, can_match):
+        return _pruned_dp(src, tgt, sim, gap_cost, can_match)
     width = m + 1
     goal = n * width + m
     score, memo = _scorer(src, tgt, sim, can_match)
@@ -205,6 +301,7 @@ def align(src: Sequence, tgt: Sequence, sim: Callable[[object, object], float],
 
     result = _backtrack(n, m, gap_cost, score, memo, cost_at)
     result.pops = pops
+    result.search = "astar"
     return result
 
 

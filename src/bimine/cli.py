@@ -79,7 +79,8 @@ def _cmd_mine(args) -> int:
                            log=args.log)
     _log(f"mined {counts['mined']} pairs from {counts['articles']} articles "
          f"({counts['cells_scored']} of {counts['lattice_cells']} lattice cells "
-         f"scored, {counts['cells_pruned']} pruned, {counts['pops']} A* pops) "
+         f"scored, {counts['cells_pruned']} pruned, {counts['pops']} A* pops, "
+         f"{counts['dp_articles']} articles by the row DP) "
          f"-> {args.out}")
     return 0
 
@@ -241,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--store", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--lexicon", required=True)
-    p.add_argument("--threshold", type=float,
+    p.add_argument("--threshold", type=float, default=defaults.mining["threshold"],
                    help="default: the threshold stored in the model")
     p.add_argument("--gap-cost", type=float, default=defaults.mining["gap_cost"])
     p.add_argument("--out", required=True)

@@ -56,9 +56,12 @@ _TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a 
 
 def _typed(path, section: str, key: str, value, default):
     """``value`` as its default's type: an int passes for a float and becomes
-    one, a bool passes only for a bool, and mining.threshold may be null."""
-    if value is None and (section, key) == ("mining", "threshold"):
-        return None
+    one, and a bool passes only for a bool.  A None default (mining.threshold)
+    takes a number or null."""
+    if default is None:
+        if value is None:
+            return None
+        default = 0.0
     expected = type(default)
     accepted = (int, float) if expected is float else expected
     if isinstance(value, bool) != (expected is bool) or not isinstance(value, accepted):
@@ -84,8 +87,9 @@ class PipelineConfig:
     classifier: dict = field(default_factory=lambda: {
         "neg_per_pos": 3, "epochs": 30, "learning_rate": 0.1,
         "margin_reg": 1e-4, "seed": 13, "threshold": 0.5})
+    # a null mining.threshold means the one the classifier stage stored
     mining: dict = field(default_factory=lambda: {
-        "threshold": 0.5, "gap_cost": 0.4, "bidirectional": False, "workers": 1})
+        "threshold": None, "gap_cost": 0.4, "bidirectional": False, "workers": 1})
     analogy: dict = field(default_factory=lambda: {
         "max_distance": 4, "size_guard": analogy_mod.DEFAULT_SIZE_GUARD,
         "allow_unknown": False,
@@ -230,9 +234,10 @@ def mine(store, model, lexicon, out, *, gap_cost: float,
     stores its checksum.  A ``threshold`` of None means the one stored in
     the model.  ``flip`` mines the reverse direction, reading each stored
     pair target side first.  ``log`` gets one JSON line per article.
-    Returns the counts: articles, mined pairs, and the sums over the
-    articles of the lattice cells, the cells whose similarity was computed,
-    the A* heap pops and the match edges skipped unscored.
+    Returns the counts: articles, mined pairs, the sums over the articles
+    of the lattice cells, the cells whose similarity was computed, the A*
+    heap pops and the match edges skipped unscored, and the articles the
+    aligner's row DP mined instead of A*.
     """
     sim_model = classifier_mod.load_model(model)
     lex = lexicon_mod.read_lexicon(lexicon)
@@ -248,7 +253,8 @@ def mine(store, model, lexicon, out, *, gap_cost: float,
     if log:
         corpus_io.write_jsonl(log, article_log)
     return {"articles": len(article_log), "mined": len(corpus.pairs),
-            **{key: sum(entry[key] for entry in article_log) for key in _MINE_WORK}}
+            **{key: sum(entry[key] for entry in article_log) for key in _MINE_WORK},
+            "dp_articles": sum(entry["search"] == "dp" for entry in article_log)}
 
 
 def merge(fwd, rev, out, stats) -> dict:
@@ -467,11 +473,11 @@ def _stage_mine(config: PipelineConfig) -> None:
         lambda: run(_require(config, config.path("classifier.rev.json")),
                     _require(config, config.path("lexicon.rev.tsv")), rev_out, flip=True))
     outputs = [fwd_out, log]
-    counts = {"articles": fwd["articles"],
-              **{f"{key}_fwd": fwd[key] for key in ("mined", *_MINE_WORK)}}
+    keys = ("mined", *_MINE_WORK, "dp_articles")
+    counts = {"articles": fwd["articles"], **{f"{key}_fwd": fwd[key] for key in keys}}
     if rev is not None:
         outputs.append(rev_out)
-        counts.update({f"{key}_rev": rev[key] for key in ("mined", *_MINE_WORK)})
+        counts.update({f"{key}_rev": rev[key] for key in keys})
     _write_manifest(config, "mine", params, [store], outputs, counts)
 
 

@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bimine.aligner import (AlignmentResult, align, align_bruteforce, match_floor,
+from bimine.aligner import (AlignmentResult, _looks_unrelated, _pruned_dp, align,
+                            align_bruteforce, match_floor,
                             threshold_filter)
 from bimine.corpus_io import Sentence
 
@@ -236,6 +237,119 @@ def test_pruned_align_equals_bruteforce_at_the_floor(n, m, gap, data):
 def test_match_floor_leaves_a_margin_below_two_gaps():
     assert match_floor(0.4) < 1.0 - 2 * 0.4
     assert match_floor(0.5) < 0.0  # nothing is provably worse than two free gaps
+
+
+# ---------------------------------------------------------------------------
+# the row DP that align runs on unrelated pairs
+
+def _same_as_oracle(fast, slow):
+    assert fast.total_cost.hex() == slow.total_cost.hex()
+    assert fast.links == slow.links
+    assert (fast.gaps_src, fast.gaps_tgt) == (slow.gaps_src, slow.gaps_tgt)
+
+
+def _bound_predicate(sim, gap, upper):
+    """A can_match built from ``upper``, an upper bound of ``sim``, and a
+    scorer that raises on a cell the predicate rules out."""
+    floor = match_floor(gap)
+
+    def guarded(a, b):
+        if upper[a][b] < floor:
+            raise AssertionError(f"scored the pruned cell {(a, b)}")
+        return sim(a, b)
+
+    return guarded, lambda i, j: upper[i][j] >= floor
+
+
+def test_pruned_dp_equals_bruteforce_on_acceptance_instances():
+    from test_acceptance import _random_alignments
+
+    rng = random.Random(19)
+    pruned = 0
+    for n, m, sim, gap in _random_alignments():
+        src, tgt = list(range(n)), list(range(m))
+        slow = align_bruteforce(src, tgt, sim, gap)
+        plain = _pruned_dp(src, tgt, sim, gap, None)
+        _same_as_oracle(plain, slow)
+        assert (plain.pops, plain.cells_pruned, plain.search) == (0, 0, "dp")
+        upper = [[sim(a, b) + rng.choice((0.0, 0.3 * rng.random())) for b in range(m)]
+                 for a in range(n)]
+        guarded, can_match = _bound_predicate(sim, gap, upper)
+        fast = _pruned_dp(src, tgt, guarded, gap, can_match)
+        _same_as_oracle(fast, slow)
+        assert fast.cells_scored + fast.cells_pruned <= n * m
+        pruned += fast.cells_pruned
+    assert pruned > 5_000
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 7), st.integers(0, 7), st.sampled_from([0.2, 0.4]),
+       st.data())
+def test_pruned_dp_equals_bruteforce_at_the_floor(n, m, gap, data):
+    matrix = [[data.draw(st.sampled_from(_EDGE_SCORES)) for _ in range(m)]
+              for _ in range(n)]
+    sim = lambda a, b: matrix[a][b]
+    guarded, can_match = _bound_predicate(sim, gap, matrix)
+    fast = _pruned_dp(list(range(n)), list(range(m)), guarded, gap, can_match)
+    _same_as_oracle(fast, align_bruteforce(list(range(n)), list(range(m)), sim, gap))
+
+
+def test_align_mines_a_low_score_pair_with_the_dp():
+    # scores below the floor of gap cost 0.4 except for a few scattered
+    # cells; the 100 x 100 lattice fits under the oracle's guard
+    rng = random.Random(23)
+    n = m = 100
+    matrix = [[rng.uniform(0.0, 0.19) for _ in range(m)] for _ in range(n)]
+    for _ in range(40):
+        matrix[rng.randrange(n)][rng.randrange(m)] = rng.uniform(0.5, 1.0)
+    sim = lambda a, b: matrix[a][b]
+    guarded, can_match = _bound_predicate(sim, 0.4, matrix)
+    assert _looks_unrelated(n, m, can_match)
+    fast = align(list(range(n)), list(range(m)), guarded, 0.4, can_match)
+    assert (fast.search, fast.pops) == ("dp", 0)
+    _same_as_oracle(fast, align_bruteforce(list(range(n)), list(range(m)), sim, 0.4))
+    assert fast.links
+    assert fast.cells_scored <= sum(can_match(i, j) for i in range(n) for j in range(m))
+
+
+def test_align_keeps_a_star_for_drifting_parallel_text():
+    # a target sentence inserted before every fifth source sentence of the
+    # first half, and every fifth source sentence of the second half
+    # dropped: the links drift up to 30 columns off the scaled diagonal, one
+    # column at a time, and the walk follows them
+    path, j = [], 0
+    for i in range(300):
+        if i % 5 == 0:
+            if i >= 150:
+                continue
+            j += 1
+        path.append((i, j))
+        j += 1
+    n, m = 300, j
+    links = set(path)
+    assert sum(1 for a, b in path if abs(b - a * m // n) <= 2) < n / 3
+    sim = lambda a, b: 0.9 if (a, b) in links else 0.0
+    can_match = lambda a, b: (a, b) in links
+    assert not _looks_unrelated(n, m, can_match)
+    result = align(list(range(n)), list(range(m)), sim, 0.4, can_match)
+    assert result.search == "astar" and result.pops > 0
+    assert [(a, b) for a, b, _ in result.links] == path
+
+
+def test_looks_unrelated_stops_counting_once_decided():
+    calls = []
+
+    def passing(i, j):
+        calls.append((i, j))
+        return True
+
+    assert not _looks_unrelated(90, 90, passing)
+    assert len(calls) == 30  # n / 3 passing cells decide
+
+    calls.clear()
+    assert _looks_unrelated(90, 90, lambda i, j: calls.append((i, j)) or False)
+    # it gives up once five cells a row in the rows left cannot make 30
+    assert len(calls) < 5 * 90
 
 
 # ---------------------------------------------------------------------------

@@ -266,8 +266,8 @@ def test_eval_compare_rejects_zero_resamples(tmp_path, capsys):
 
 
 def test_cli_defaults_are_the_pipeline_config_defaults():
-    # `mine --threshold` is left out: without it `mine` uses the threshold
-    # stored in the model (test_mine_defaults_to_model_threshold)
+    # `mine --threshold` defaults to None, as mining.threshold does: the
+    # threshold stored in the model (test_mine_defaults_to_model_threshold)
     config = PipelineConfig(workdir="")
     clf = config.classifier
     cases = [
@@ -285,7 +285,7 @@ def test_cli_defaults_are_the_pipeline_config_defaults():
           "learning_rate": clf["learning_rate"], "margin_reg": clf["margin_reg"],
           "seed_rng": clf["seed"], "threshold": clf["threshold"]}),
         (["mine", "--store", "s", "--model", "m", "--lexicon", "l", "--out", "o"],
-         {"gap_cost": config.mining["gap_cost"]}),
+         {"gap_cost": config.mining["gap_cost"], "threshold": config.mining["threshold"]}),
         (["analogy", "find", "--seed", "s", "--out", "o"],
          {"max_dist": config.analogy["max_distance"],
           "size_guard": config.analogy["size_guard"]}),
@@ -603,11 +603,13 @@ def test_pipeline_mining_threshold_zero_is_kept(world, tmp_path, monkeypatch):
         return real_mine_corpus(*args, **kwargs)
 
     monkeypatch.setattr(miner, "mine_corpus", spy)
+    assert "threshold" not in json.loads(config_path.read_text(encoding="utf-8"))["mining"]
+    run_pipeline(config, ["mine"])
     for configured in (0, None, 0.25):
         config.mining["threshold"] = configured
         run_pipeline(config, ["mine"])
-    # only an absent or null threshold falls back to the model's
-    assert used == [0.0, 0.7, 0.25]
+    # an absent or null threshold falls back to the model's; 0 is kept
+    assert used == [0.7, 0.0, 0.7, 0.25]
 
 
 def test_pipeline_rejects_unknown_stage(world, tmp_path):

@@ -220,6 +220,38 @@ def test_cascade_deterministic():
     assert first[2].as_dict() == second[2].as_dict()
 
 
+# tokens a real pair may carry: empty (doubled spaces), punctuation only,
+# digits, stop words, lexicon words and words the lexicon does not know
+_FUZZ_TOKENS = ["", ".", "...", "!?", "-", "(", "42", "1999", "3.5", "the", "it",
+                "ala", "ma", "kota", "na", "alice", "has", "cat", "cats", "dog",
+                "Kota", "xyz", "ąę"]
+_fuzz_text = st.one_of(
+    st.lists(st.sampled_from(_FUZZ_TOKENS), max_size=6).map(" ".join),
+    st.text(alphabet=" .,!?-0123456789akotcąę\t", max_size=12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_fuzz_text, _fuzz_text), max_size=8))
+def test_filter_corpus_partitions_hostile_pairs_in_order(rows):
+    corpus = _corpus(rows)
+    config = CascadeConfig(synonyms={"cat": frozenset({"dog"})})
+    kept, rejected, report = filter_corpus(corpus, _gloss_lex(), config)
+    # every input pair lands in exactly one output, each in input order
+    k = r = 0
+    for pair in corpus.pairs:
+        if k < len(kept.pairs) and kept.pairs[k] is pair:
+            k += 1
+        else:
+            assert r < len(rejected.pairs) and rejected.pairs[r] is pair
+            r += 1
+    assert (k, r) == (len(kept.pairs), len(rejected.pairs))
+    assert (report.input_count, report.kept_count, report.rejected_count) == \
+        (len(rows), k, r)
+    assert sum(report.rejections.values()) == r
+    again = filter_corpus(corpus, _gloss_lex(), config)
+    assert (again[0], again[1], again[2].as_dict()) == (kept, rejected, report.as_dict())
+
+
 def test_stage_ordering_soundness():
     # a pair accepted at stage k is still accepted when later stages vanish
     fixture = make_filter_fixture(make_world(seed=7), seed=8, n=120, n_noisy=25)

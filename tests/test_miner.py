@@ -42,7 +42,8 @@ def test_mine_pair_language_mismatch(small_model, small_lexicon):
 
 def test_mine_pair_empty_article(small_model, small_lexicon):
     assert _mine_pair(_pair(0, "", "Something here."), small_model, small_lexicon) == \
-        ([], {"lattice_cells": 0, "cells_scored": 0, "pops": 0, "cells_pruned": 0})
+        ([], {"lattice_cells": 0, "cells_scored": 0, "pops": 0, "cells_pruned": 0,
+              "search": None})
 
 
 def test_mine_pair_equals_composed_stages(small_model, small_lexicon,
@@ -64,7 +65,7 @@ def test_mine_pair_equals_composed_stages(small_model, small_lexicon,
     assert pruned.links == result.links and pruned.total_cost == result.total_cost
     assert work == {"lattice_cells": len(src) * len(tgt),
                     "cells_scored": pruned.cells_scored, "pops": pruned.pops,
-                    "cells_pruned": pruned.cells_pruned}
+                    "cells_pruned": pruned.cells_pruned, "search": pruned.search}
     assert work["cells_pruned"] > 0
     assert work["cells_scored"] + work["cells_pruned"] <= len(src) * len(tgt)
 
@@ -179,13 +180,24 @@ def test_mine_corpus_logs_work_counts(small_model, small_lexicon, small_articles
     assert sum(entry["pops"] for entry in log) == len(pops)
 
 
-_WORK_FROM_SEARCH = ("cells_scored", "pops", "cells_pruned")
+_WORK_FROM_SEARCH = ("cells_scored", "pops", "cells_pruned", "search")
+
+
+def _passing_cells(pair, model, lex):
+    """The cells of an article pair that ``match_filter`` passes."""
+    sources = [source_record(s.tokens, lex) for s in segment_sentences(pair.src.body)]
+    targets = [target_record(t.tokens) for t in segment_sentences(pair.tgt.body)]
+    can_match = match_filter(model, sources, targets, match_floor(0.4))
+    return sum(can_match(i, j) for i in range(len(sources)) for j in range(len(targets)))
 
 
 def test_mine_corpus_same_output_without_the_match_filter(small_model, small_lexicon,
                                                           small_articles, monkeypatch):
     import bimine.miner as miner_mod
     articles, _ = small_articles
+    # five unrelated pairs, each source against the next article's target
+    articles = articles + [ArticlePair(len(articles) + k, articles[k].src,
+                                       articles[k + 1].tgt) for k in range(5)]
     pruned_corpus, pruned_log = mine_corpus(articles, small_model, small_lexicon)
     monkeypatch.setattr(miner_mod, "match_filter", lambda *args: None)
     full_corpus, full_log = mine_corpus(articles, small_model, small_lexicon)
@@ -197,9 +209,17 @@ def test_mine_corpus_same_output_without_the_match_filter(small_model, small_lex
 
     assert rest(pruned_log) == rest(full_log)
     assert all(entry["cells_pruned"] == 0 for entry in full_log)
-    for pruned, full in zip(pruned_log, full_log):
+    # without a match filter align always runs A*; with it, the unrelated
+    # pairs go to the row DP, whose scored cells are not A*'s
+    assert {entry["search"] for entry in full_log} == {"astar"}
+    assert [entry["search"] for entry in pruned_log[-5:]] == ["dp"] * 5
+    for pair, pruned, full in zip(articles, pruned_log, full_log):
         assert pruned["cells_scored"] + pruned["cells_pruned"] <= pruned["lattice_cells"]
-        assert pruned["cells_scored"] <= full["cells_scored"]
+        if pruned["search"] == "astar":
+            assert pruned["cells_scored"] <= full["cells_scored"]
+        else:
+            assert pruned["pops"] == 0
+            assert pruned["cells_scored"] <= _passing_cells(pair, small_model, small_lexicon)
     assert sum(e["cells_scored"] for e in pruned_log) < sum(e["cells_scored"] for e in full_log)
 
 
@@ -218,8 +238,10 @@ def test_stage_mines_the_reverse_as_mine_corpus_on_flipped_pairs(small_seed_corp
     model = load_model(workdir / "classifier.rev.json")
     lexicon = read_lexicon(workdir / "lexicon.rev.tsv")
     flipped = [ArticlePair(p.id, p.tgt, p.src) for p in read_article_store(store)]
+    # mining.threshold is null, so the stage mines at the model's threshold
+    assert config.mining["threshold"] is None
     corpus, _ = mine_corpus(flipped, model, lexicon, gap_cost=config.mining["gap_cost"],
-                            threshold=config.mining["threshold"])
+                            threshold=model.threshold)
     assert corpus.pairs and model.direction == ("en", "pl")
     write_bitext(tmp_path / "expected.tsv", corpus)
     assert (workdir / "mined.rev.tsv").read_bytes() == \
