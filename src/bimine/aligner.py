@@ -28,22 +28,22 @@ from __future__ import annotations
 
 import heapq
 import struct
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from .corpus_io import BiSentence, Sentence
 
 
-@dataclass
 class AlignmentResult:
-    links: list[tuple[int, int, float]] = field(default_factory=list)
-    gaps_src: set[int] = field(default_factory=set)
-    gaps_tgt: set[int] = field(default_factory=set)
-    total_cost: float = 0.0
-    cells_scored: int = 0  # lattice cells whose similarity was computed
-    pops: int = 0  # A* heap pops, stale entries included; 0 from either DP
-    cells_pruned: int = 0  # match edges dropped because can_match ruled them out
-    search: str = "dp"  # "astar" where align ran A*, else "dp"
+    def __init__(self, links: list[tuple[int, int, float]], gaps_src: set[int],
+                 gaps_tgt: set[int], total_cost: float) -> None:
+        self.links = links
+        self.gaps_src = gaps_src
+        self.gaps_tgt = gaps_tgt
+        self.total_cost = total_cost
+        self.cells_scored = 0  # lattice cells whose similarity was computed
+        self.pops = 0  # A* heap pops, stale entries included; 0 from either DP
+        self.cells_pruned = 0  # match edges dropped because can_match ruled them out
+        self.search = "dp"  # "astar" where align ran A*, else "dp"
 
 
 def match_floor(gap_cost: float) -> float:
@@ -100,7 +100,7 @@ def _backtrack(n: int, m: int, gap_cost: float,
     total = cost_at(n, m)
     if total is None:
         raise AssertionError("alignment search never settled the goal node")
-    result = AlignmentResult(total_cost=total)
+    result = AlignmentResult([], set(), set(), total)
     i, j = n, m
     while i > 0 or j > 0:
         here = cost_at(i, j)

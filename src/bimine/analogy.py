@@ -19,9 +19,8 @@ the variable middle.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
-from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from collections import Counter, namedtuple
+from collections.abc import Iterable, Sequence
 
 from .corpus_io import (ArticlePair, BiSentence, BitextCorpus, iter_jsonl,
                         segment_sentences, string_list, tokenize, write_jsonl)
@@ -32,8 +31,9 @@ Tokens = tuple[str, ...]
 CharDelta = tuple[tuple[str, int], ...]
 
 
-@dataclass(frozen=True)
-class AnalogyQuadruple:
+class AnalogyQuadruple(namedtuple("AnalogyQuadruple", "a b c d d_ab d_cd d_ac d_bd indices",
+                                   defaults=((-1, -1, -1, -1),))):
+    __slots__ = ()
     a: Tokens
     b: Tokens
     c: Tokens
@@ -42,11 +42,12 @@ class AnalogyQuadruple:
     d_cd: int
     d_ac: int
     d_bd: int
-    indices: tuple[int, int, int, int] = (-1, -1, -1, -1)
+    indices: tuple[int, int, int, int]
 
 
-@dataclass(frozen=True)
-class RewritingModel:
+class RewritingModel(namedtuple("RewritingModel",
+                                "src_prefix src_suffix tgt_prefix tgt_suffix support")):
+    __slots__ = ()
     src_prefix: Tokens
     src_suffix: Tokens
     tgt_prefix: Tokens
@@ -54,15 +55,15 @@ class RewritingModel:
     support: tuple[tuple[Tokens, Tokens], tuple[Tokens, Tokens]]
 
 
-@dataclass(frozen=True)
-class QuasiParallelEntry:
+class QuasiParallelEntry(namedtuple("QuasiParallelEntry", "pair confirmed")):
+    __slots__ = ()
     pair: BiSentence
     confirmed: bool
 
 
-@dataclass
 class QuasiParallelCorpus:
-    entries: list[QuasiParallelEntry]
+    def __init__(self, entries: list[QuasiParallelEntry]) -> None:
+        self.entries = entries
 
     def report(self) -> dict:
         return {
@@ -368,7 +369,7 @@ def generate_corpus(models: Sequence[RewritingModel],
                 made = apply_model(model, sent.tokens, lex, allow_unknown)
                 if made is None:
                     continue
-                made = replace(made, origin=(article.id, sent.index, -1, "analogy"))
+                made = made._replace(origin=(article.id, sent.index, -1, "analogy"))
                 entries.append(QuasiParallelEntry(pair=made,
                                                   confirmed=made.tgt in tgt_texts))
     return QuasiParallelCorpus(entries)

@@ -14,8 +14,7 @@ import json
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from .corpus_io import BitextCorpus, tokenize, write_json
 from .lexicon import TranslationLexicon
@@ -25,18 +24,21 @@ FEATURE_NAMES = ("len_ratio", "char_ratio", "cov_st", "cov_ts", "num_overlap")
 FORMAT_VERSION = 1
 
 
-@dataclass
 class SimilarityModel:
-    weights: list[float]
-    bias: float
-    platt_a: float
-    platt_b: float
-    direction: tuple[str, str]
-    threshold: float = 0.5
-    lexicon_checksum: str = ""
-    # examples, held-out examples and hinge updates of the training run; the
-    # classifier stage records them in its manifest, the model file does not
-    training_counts: dict[str, int] = field(default_factory=dict)
+    def __init__(self, weights: list[float], bias: float, platt_a: float, platt_b: float,
+                 direction: tuple[str, str], threshold: float = 0.5,
+                 lexicon_checksum: str = "", training_counts: dict[str, int] | None = None,
+                 ) -> None:
+        self.weights = weights
+        self.bias = bias
+        self.platt_a = platt_a
+        self.platt_b = platt_b
+        self.direction = direction
+        self.threshold = threshold
+        self.lexicon_checksum = lexicon_checksum
+        # examples, held-out examples and hinge updates of the training run; the
+        # classifier stage records them in its manifest, the model file does not
+        self.training_counts = {} if training_counts is None else training_counts
 
     def margin(self, features: Sequence[float]) -> float:
         """``w . x + b`` of a feature tuple in FEATURE_NAMES order."""
@@ -51,7 +53,6 @@ def _is_digit_token(token: str) -> bool:
                                and not any(ch.isalpha() for ch in token))
 
 
-@dataclass(frozen=True, slots=True)
 class SourceRecord:
     """The facts about one source sentence that its features need.
 
@@ -60,22 +61,30 @@ class SourceRecord:
     probability from any of the sentence's distinct tokens.
     """
 
-    n_tokens: int
-    n_chars: int
-    rows: tuple[Sequence[tuple[str, float]], ...]
-    best: dict[str, float]
-    digits: frozenset[str]
+    __slots__ = ("n_tokens", "n_chars", "rows", "best", "digits")
+
+    def __init__(self, n_tokens: int, n_chars: int,
+                 rows: tuple[Sequence[tuple[str, float]], ...], best: dict[str, float],
+                 digits: frozenset[str]) -> None:
+        self.n_tokens = n_tokens
+        self.n_chars = n_chars
+        self.rows = rows
+        self.best = best
+        self.digits = digits
 
 
-@dataclass(frozen=True, slots=True)
 class TargetRecord:
     """The facts about one target sentence that its features need."""
 
-    tokens: tuple[str, ...]
-    n_tokens: int
-    n_chars: int
-    token_set: frozenset[str]
-    digits: frozenset[str]
+    __slots__ = ("tokens", "n_tokens", "n_chars", "token_set", "digits")
+
+    def __init__(self, tokens: tuple[str, ...], n_tokens: int, n_chars: int,
+                 token_set: frozenset[str], digits: frozenset[str]) -> None:
+        self.tokens = tokens
+        self.n_tokens = n_tokens
+        self.n_chars = n_chars
+        self.token_set = token_set
+        self.digits = digits
 
 
 def _check_nonempty(tokens: Sequence[str]) -> None:

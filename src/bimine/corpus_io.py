@@ -21,50 +21,55 @@ from __future__ import annotations
 import json
 import random
 import re
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Mapping
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(namedtuple("Document", "lang title body")):
+    __slots__ = ()
     lang: str
     title: str
     body: str
 
 
-@dataclass(frozen=True)
-class ArticlePair:
+class ArticlePair(namedtuple("ArticlePair", "id src tgt")):
     """A topic-aligned bilingual document pair; the unit of mining."""
 
+    __slots__ = ()
     id: int
     src: Document
     tgt: Document
 
 
-@dataclass(frozen=True)
-class Sentence:
+class Sentence(namedtuple("Sentence", "text tokens index")):
+    __slots__ = ()
     text: str
     tokens: tuple[str, ...]
     index: int
 
 
-@dataclass(frozen=True)
-class BiSentence:
+class BiSentence(namedtuple("BiSentence", "src tgt score origin", defaults=(1.0, None))):
     """One mined or generated sentence pair with score and provenance.
 
     ``origin`` is ``(article_id, src_index, tgt_index, direction_tag)`` or
     ``None`` for pairs loaded from plain bitext files.
     """
 
+    __slots__ = ()
     src: str
     tgt: str
-    score: float = 1.0
-    origin: tuple[int, int, int, str] | None = None
+    score: float
+    origin: tuple[int, int, int, str] | None
 
 
-@dataclass
 class BitextCorpus:
-    pairs: list[BiSentence] = field(default_factory=list)
+    def __init__(self, pairs: list[BiSentence]) -> None:
+        self.pairs = pairs
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BitextCorpus):
+            return NotImplemented
+        return self.pairs == other.pairs
 
 
 # ---------------------------------------------------------------------------
@@ -391,10 +396,24 @@ def iter_tsv(path, columns: int, build, at_least: bool = False) -> Iterator:
     return iter_lines(path, "\n".__eq__, fields, build)
 
 
+def _json_line(line: str):
+    value = json.loads(line)
+    # json.loads keeps a lone surrogate escape such as \ud800, which no UTF-8
+    # writer takes; only a line with a \uD... escape can hold one
+    if "\\ud" in line or "\\uD" in line:
+        try:
+            json.dumps(value, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            lone = ord(exc.object[exc.start])
+            raise ValueError(f"unpaired surrogate escape \\u{lone:04x}") from None
+    return value
+
+
 def iter_jsonl(path, build) -> Iterator:
     """``build(record)`` of each JSON line but whitespace-only ones, read
-    lazily; a KeyError from ``build`` reads as a missing field."""
-    return iter_lines(path, str.isspace, json.loads, build)
+    lazily; a KeyError from ``build`` reads as a missing field, and a string
+    with an unpaired surrogate escape is rejected."""
+    return iter_lines(path, str.isspace, _json_line, build)
 
 
 def string_list(value, what: str) -> list[str]:

@@ -18,7 +18,7 @@ different continuations; TER's shift search scores its candidates that way.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Sequence
+from collections.abc import Sequence
 
 State = tuple[int, int, int]
 

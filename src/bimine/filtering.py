@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from collections.abc import Mapping, Sequence
 from pathlib import Path
-from typing import Mapping, Sequence
 
 from .corpus_io import (BiSentence, BitextCorpus, iter_lines, iter_tsv, normalize_space,
                         string_list, tokenize)
@@ -37,12 +36,12 @@ will would can could may might shall should
 """.split())
 
 
-@dataclass
 class FilterReport:
-    input_count: int = 0
-    kept_count: int = 0
-    rejected_count: int = 0
-    rejections: dict[str, int] = field(default_factory=dict)
+    def __init__(self, input_count: int) -> None:
+        self.input_count = input_count
+        self.kept_count = 0
+        self.rejected_count = 0
+        self.rejections: dict[str, int] = {}
 
     def reject(self, rule: str) -> None:
         self.rejected_count += 1
@@ -57,20 +56,20 @@ class FilterReport:
         }
 
 
-@dataclass
 class CascadeConfig:
-    """Ordered comparison stages plus the lexical resources they use."""
+    """Ordered comparison stages plus the lexical resources they use; an
+    argument left None takes the default stages or resource."""
 
-    stages: list[tuple[str, float, float]] = field(default_factory=lambda: [
-        ("fast", 0.9, 0.2),
-        ("stem", 0.8, 0.3),
-        ("synonym", 0.7, 0.0),
-    ])
-    stop_words: frozenset[str] = DEFAULT_STOP_WORDS
-    synonyms: Mapping[str, frozenset[str]] = field(default_factory=dict)
-    stem_rules: StemRules = DEFAULT_STEM_RULES
-
-    def __post_init__(self) -> None:
+    def __init__(self, stages: list[tuple[str, float, float]] | None = None,
+                 stop_words: frozenset[str] | None = None,
+                 synonyms: Mapping[str, frozenset[str]] | None = None,
+                 stem_rules: StemRules | None = None) -> None:
+        if stages is None:
+            stages = [("fast", 0.9, 0.2), ("stem", 0.8, 0.3), ("synonym", 0.7, 0.0)]
+        self.stages = stages
+        self.stop_words = DEFAULT_STOP_WORDS if stop_words is None else stop_words
+        self.synonyms = {} if synonyms is None else synonyms
+        self.stem_rules = DEFAULT_STEM_RULES if stem_rules is None else stem_rules
         for name, accept, reject in self.stages:
             if reject > accept:
                 raise ValueError(
@@ -292,7 +291,7 @@ def _cascade_config(doc: dict, base) -> CascadeConfig:
     for inline in ("stop_words", "synonyms"):
         if inline in doc and f"{inline}_file" in doc:
             raise ValueError(f"give {inline!r} or {inline + '_file'!r}, not both")
-    fields: dict = {}
+    stages = stop_words = synonyms = stem_rules = None
     if "stages" in doc:
         for stage in doc["stages"]:
             if not isinstance(stage, dict):
@@ -303,19 +302,20 @@ def _cascade_config(doc: dict, base) -> CascadeConfig:
             for key in ("accept", "reject"):
                 if isinstance(stage[key], bool) or not isinstance(stage[key], (int, float)):
                     raise ValueError(f"stage {key} must be an int or float, not {stage[key]!r}")
-        fields["stages"] = [(s["fn"], s["accept"], s["reject"]) for s in doc["stages"]]
+        stages = [(s["fn"], s["accept"], s["reject"]) for s in doc["stages"]]
     if "stop_words" in doc:
-        fields["stop_words"] = frozenset(
+        stop_words = frozenset(
             w.lower() for w in string_list(doc["stop_words"], "stop words"))
     if "stop_words_file" in doc:
-        fields["stop_words"] = read_stop_words(base / doc["stop_words_file"])
+        stop_words = read_stop_words(base / doc["stop_words_file"])
     if "synonyms" in doc:
-        fields["synonyms"] = {
+        synonyms = {
             w.lower(): frozenset(x.lower() for x in string_list(syns, f"synonyms of {w!r}"))
             for w, syns in doc["synonyms"].items()}
     if "synonyms_file" in doc:
-        fields["synonyms"] = read_synonyms(base / doc["synonyms_file"])
+        synonyms = read_synonyms(base / doc["synonyms_file"])
     if "stem_rules" in doc:
         rules = [string_list(rule, "stem rule strings") for rule in doc["stem_rules"]]
-        fields["stem_rules"] = [(a, b) for a, b in rules]
-    return CascadeConfig(**fields)
+        stem_rules = [(a, b) for a, b in rules]
+    return CascadeConfig(stages=stages, stop_words=stop_words, synonyms=synonyms,
+                         stem_rules=stem_rules)

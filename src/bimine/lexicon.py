@@ -8,22 +8,21 @@ gloss translation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 from .corpus_io import BitextCorpus, iter_tsv, tokenize
 
 
-@dataclass
 class TranslationLexicon:
     """source token -> [(target token, probability), ...] sorted by -prob."""
 
-    entries: dict[str, list[tuple[str, float]]] = field(default_factory=dict)
-    # log-likelihood of the parameters entering each EM round, oldest first;
-    # the lexicon stage records it in its manifest, the lexicon file does not
-    iteration_log_likelihood: list[float] = field(default_factory=list)
-    # co-occurring (source, target) cells each EM round updates
-    cells: int = 0
+    def __init__(self, entries: dict[str, list[tuple[str, float]]]) -> None:
+        self.entries = entries
+        # log-likelihood of the parameters entering each EM round, oldest first;
+        # the lexicon stage records it in its manifest, the lexicon file does not
+        self.iteration_log_likelihood: list[float] = []
+        # co-occurring (source, target) cells each EM round updates
+        self.cells = 0
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
+from collections.abc import Callable, Sequence
 from functools import cached_property
 from itertools import repeat
-from typing import Callable, NamedTuple, Sequence
 
 from .editdistance import Pattern, token_bag_bound
 from .filtering import stem
@@ -28,7 +27,8 @@ Tokens = tuple[str, ...]
 _MAX_ORDER = 5
 
 
-class _NgramRecord(NamedTuple):
+class _NgramRecord(namedtuple("_NgramRecord",
+                              "closest_ref_len mean_ref_len emitted clipped matched")):
     """One segment's n-gram statistics, shared by BLEU and NIST.
 
     ``emitted[n-1]`` and ``clipped[n-1]`` are the hypothesis n-gram count and
@@ -37,6 +37,8 @@ class _NgramRecord(NamedTuple):
     count, in first-seen order, flat as ``start, clipped, start, clipped, …``
     where ``start`` is the n-gram's first position in the hypothesis.
     """
+
+    __slots__ = ()
     closest_ref_len: int  # BLEU: closest to the hypothesis, ties to the shorter
     mean_ref_len: float  # NIST
     emitted: tuple[int, ...]
@@ -77,19 +79,21 @@ def _ngram_record(hypothesis: Tokens, references: tuple[Tokens, ...]) -> _NgramR
         clipped=tuple(clipped), matched=tuple(map(tuple, matched)))
 
 
-@dataclass(frozen=True)
-class EvalPair:
+class EvalPair(namedtuple("EvalPair", "hypothesis references")):
     """One test segment: a hypothesis and its references.
 
     Each metric reads a per-segment record computed on first use and kept on
     the pair, so scoring a resample of the same pairs counts nothing again.
+    The records live in the instance ``__dict__`` that ``cached_property``
+    needs, which is why this class declares no ``__slots__``.
     """
     hypothesis: Tokens
     references: tuple[Tokens, ...]
 
-    def __post_init__(self) -> None:
-        if not self.references:
+    def __new__(cls, hypothesis: Tokens, references: tuple[Tokens, ...]) -> EvalPair:
+        if not references:
             raise ValueError("an evaluation pair needs at least one reference")
+        return super().__new__(cls, hypothesis, references)
 
     @cached_property
     def ngram_record(self) -> _NgramRecord:
@@ -402,8 +406,9 @@ def corpus_meteor(corpus: Sequence[EvalPair]) -> float:
 # ---------------------------------------------------------------------------
 # significance
 
-@dataclass(frozen=True)
-class BootstrapResult:
+class BootstrapResult(namedtuple(
+        "BootstrapResult", "observed_diff mean_diff ci_low ci_high p_value n_resamples")):
+    __slots__ = ()
     observed_diff: float
     mean_diff: float
     ci_low: float

@@ -8,8 +8,8 @@ reverse-direction mining runs and reports their overlap statistics.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Iterable
+from collections import namedtuple
+from collections.abc import Iterable
 
 from .aligner import align, match_floor, threshold_filter
 from .classifier import (SimilarityModel, match_filter, similarity, source_record,
@@ -18,16 +18,16 @@ from .corpus_io import (ArticlePair, BiSentence, BitextCorpus, Sentence,
                         normalize_space, segment_sentences, write_json)
 from .lexicon import TranslationLexicon
 
-@dataclass(frozen=True)
-class OverlapStats:
+class OverlapStats(namedtuple("OverlapStats", "recognized overlapping")):
+    __slots__ = ()
     recognized: int
     overlapping: int
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.overlapping <= self.recognized:
+    def __new__(cls, recognized: int, overlapping: int) -> OverlapStats:
+        if not 0 <= overlapping <= recognized:
             raise ValueError(
-                f"overlapping ({self.overlapping}) must lie in "
-                f"[0, recognized={self.recognized}]")
+                f"overlapping ({overlapping}) must lie in [0, recognized={recognized}]")
+        return super().__new__(cls, recognized, overlapping)
 
     @property
     def newly_obtained(self) -> int:

@@ -21,7 +21,6 @@ import json
 import marshal
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import analogy as analogy_mod
@@ -75,28 +74,26 @@ def _typed(path, section: str, key: str, value, default):
             f"{path}: config key {section}.{key} is too large for a number") from None
 
 
-@dataclass
 class PipelineConfig:
-    workdir: str
-    src_lang: str = "pl"
-    tgt_lang: str = "en"
-    seed_corpus: str = ""
-    store: str = ""
-    ingest: dict = field(default_factory=lambda: {"src_dump": "", "tgt_dump": "", "links": ""})
-    lexicon: dict = field(default_factory=lambda: {"iterations": 10, "prune_below": 1e-4})
-    classifier: dict = field(default_factory=lambda: {
-        "neg_per_pos": 3, "epochs": 30, "learning_rate": 0.1,
-        "margin_reg": 1e-4, "seed": 13, "threshold": 0.5})
-    # a null mining.threshold means the one the classifier stage stored
-    mining: dict = field(default_factory=lambda: {
-        "threshold": None, "gap_cost": 0.4, "bidirectional": False, "workers": 1})
-    analogy: dict = field(default_factory=lambda: {
-        "max_distance": 4, "size_guard": analogy_mod.DEFAULT_SIZE_GUARD,
-        "allow_unknown": False,
-        "check_target": False})
-    filter: dict = field(default_factory=lambda: {"min_chars": 10, "cascade": ""})
-    eval: dict = field(default_factory=lambda: {
-        "segments": 200, "per_segment": 10, "seed": 7})
+    """The settings of a pipeline run: the attributes are the config file's
+    top-level keys, and a dict attribute is a section of keyed settings."""
+
+    def __init__(self, workdir: str) -> None:
+        self.workdir = workdir
+        self.src_lang = "pl"
+        self.tgt_lang = "en"
+        self.seed_corpus = ""
+        self.store = ""
+        self.ingest = {"src_dump": "", "tgt_dump": "", "links": ""}
+        self.lexicon = {"iterations": 10, "prune_below": 1e-4}
+        self.classifier = {"neg_per_pos": 3, "epochs": 30, "learning_rate": 0.1,
+                           "margin_reg": 1e-4, "seed": 13, "threshold": 0.5}
+        # a null mining.threshold means the one the classifier stage stored
+        self.mining = {"threshold": None, "gap_cost": 0.4, "bidirectional": False, "workers": 1}
+        self.analogy = {"max_distance": 4, "size_guard": analogy_mod.DEFAULT_SIZE_GUARD,
+                        "allow_unknown": False, "check_target": False}
+        self.filter = {"min_chars": 10, "cascade": ""}
+        self.eval = {"segments": 200, "per_segment": 10, "seed": 7}
 
     @classmethod
     def from_json(cls, path) -> "PipelineConfig":
@@ -107,13 +104,12 @@ class PipelineConfig:
                 raise PipelineError(f"{path}: {exc}") from None
         if not isinstance(doc, dict):
             raise PipelineError(f"{path}: a config file holds one JSON object")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(doc) - known
+        config = cls(workdir="")
+        unknown = set(doc) - set(vars(config))
         if unknown:
             raise PipelineError(f"{path}: unknown config keys {sorted(unknown)}")
         if "workdir" not in doc:
             raise PipelineError(f"{path}: config needs 'workdir'")
-        config = cls(workdir="")
         for key, value in doc.items():
             section = getattr(config, key)
             if not isinstance(section, dict):
@@ -265,7 +261,7 @@ def merge(fwd, rev, out, stats) -> dict:
     """
     merged, overlap = miner.merge_bidirectional(
         corpus_io.read_bitext(fwd),
-        corpus_io.read_bitext(rev, flip=True) if rev else corpus_io.BitextCorpus())
+        corpus_io.read_bitext(rev, flip=True) if rev else corpus_io.BitextCorpus([]))
     corpus_io.write_bitext(out, merged)
     miner.write_overlap_stats(stats, overlap)
     return {"merged": len(merged.pairs), **overlap.as_dict()}
@@ -382,11 +378,14 @@ def _directions(config: PipelineConfig, stage: str, forward, reverse,
     sends its counts (marshalled) or its exception (pickled, so pickle is
     imported only on failure) over a pipe and leaves with ``os._exit``; the
     parent reaps it before it returns or raises, and raises the child's
-    exception as its own.  Without ``os.fork`` both run here in turn.
+    exception as its own.  Without ``os.fork``, or where the process may run
+    on one CPU only, both run here in turn: a child would then only take
+    turns with the parent and add its copy-on-write page faults.
     """
     if not config.mining["bidirectional"]:
         return forward(), None
-    if not hasattr(os, "fork"):
+    if not hasattr(os, "fork") or (hasattr(os, "sched_getaffinity")
+                                   and len(os.sched_getaffinity(0)) == 1):
         return forward(), reverse()
     read_fd, write_fd = os.pipe()
     pid = os.fork()

@@ -80,6 +80,20 @@ def test_ingest_names_the_line_that_is_not_utf8(workdir, tmp_path, capsys, bad):
     assert capsys.readouterr().err == f"error: {inputs[bad]}: line 2: not UTF-8 text\n"
 
 
+def test_ingest_names_the_dump_line_with_a_lone_surrogate_escape(workdir, tmp_path, capsys):
+    # JSON reads the escape, but no UTF-8 store could hold it
+    dump = tmp_path / "src_dump.jsonl"
+    lines = (workdir / "src_dump.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[1] = '{"title": "Kot", "text": "Kot \\ud800 pije mleko."}\n'
+    dump.write_text("".join(lines), encoding="utf-8")
+    assert main(["ingest", "--src-dump", str(dump),
+                 "--tgt-dump", str(workdir / "tgt_dump.jsonl"),
+                 "--links", str(workdir / "links.tsv"), "--out", str(tmp_path / "store")]) == 1
+    assert capsys.readouterr().err == \
+        f"error: {dump}: line 2: unpaired surrogate escape \\ud800\n"
+    assert not (tmp_path / "store").exists()
+
+
 def test_mine_names_the_store_line_that_is_not_utf8(workdir, tmp_path, capsys):
     store = tmp_path / "store.jsonl"
     lines = (workdir / "store.jsonl").read_bytes().splitlines(keepends=True)
@@ -462,7 +476,13 @@ def _directory_bytes(path):
     return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
 
 
-def test_reverse_direction_same_bytes_without_fork(world, tmp_path, monkeypatch):
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """The process may run on two CPUs, so a bidirectional stage forks."""
+    monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def test_reverse_direction_same_bytes_without_fork(world, tmp_path, monkeypatch, two_cpus):
     config_path, workdir = _pipeline_config(tmp_path, world)
     assert main(["pipeline", "--config", str(config_path)]) == 0
     forked = _directory_bytes(workdir)
@@ -472,8 +492,10 @@ def test_reverse_direction_same_bytes_without_fork(world, tmp_path, monkeypatch)
     assert _directory_bytes(workdir) == forked
 
 
-def test_bidirectional_stages_run_the_reverse_in_a_child(world, tmp_path, monkeypatch):
-    config_path, _ = _pipeline_config(tmp_path, world)
+@pytest.mark.parametrize("cpus", [{0, 1}, {0}], ids=["two-cpus", "one-cpu"])
+def test_bidirectional_stages_run_the_reverse_in_a_child(world, tmp_path, monkeypatch, cpus):
+    # the reverse direction runs in a child only where a second CPU can take it
+    config_path, workdir = _pipeline_config(tmp_path, world)
     pids = tmp_path / "pids.txt"
 
     def spy(name, step):
@@ -485,14 +507,23 @@ def test_bidirectional_stages_run_the_reverse_in_a_child(world, tmp_path, monkey
 
     for name in ("train_lexicon", "train_classifier", "mine"):
         monkeypatch.setattr(pipeline, name, spy(name, getattr(pipeline, name)))
-    run_pipeline(PipelineConfig.from_json(config_path),
-                 ["ingest", "lexicon", "classifier", "mine"])
+    stages = ["ingest", "lexicon", "classifier", "mine"]
+    monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    run_pipeline(PipelineConfig.from_json(config_path), stages)
     runs = [line.split() for line in pids.read_text(encoding="utf-8").splitlines()]
     assert sorted((name, flip) for name, flip, _ in runs) == sorted(
         (name, flip) for name in ("mine", "train_classifier", "train_lexicon")
         for flip in ("False", "True"))
     for name, flip, pid in runs:
-        assert (int(pid) == os.getpid()) == (flip == "False"), (name, flip)
+        in_parent = flip == "False" or len(cpus) == 1
+        assert (int(pid) == os.getpid()) == in_parent, (name, flip)
+    # the other CPU count takes the other path to the same bytes
+    produced = _directory_bytes(workdir)
+    shutil.rmtree(workdir)
+    other = {0} if len(cpus) > 1 else {0, 1}
+    monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: other, raising=False)
+    run_pipeline(PipelineConfig.from_json(config_path), stages)
+    assert _directory_bytes(workdir) == produced
 
 
 @pytest.mark.parametrize("artifact, stage, text", [
@@ -501,7 +532,7 @@ def test_bidirectional_stages_run_the_reverse_in_a_child(world, tmp_path, monkey
     ("lexicon.rev.tsv", "mine", "kot\tcat\n"),
 ])
 def test_corrupt_reverse_artifact_same_error_with_and_without_fork(
-        world, tmp_path, monkeypatch, capsys, artifact, stage, text):
+        world, tmp_path, monkeypatch, capsys, two_cpus, artifact, stage, text):
     config_path, workdir = _pipeline_config(tmp_path, world)
     run_pipeline(PipelineConfig.from_json(config_path), ["ingest", "lexicon", "classifier"])
     (workdir / artifact).write_text(text, encoding="utf-8")
@@ -513,7 +544,7 @@ def test_corrupt_reverse_artifact_same_error_with_and_without_fork(
     assert forked[0] == 1 and f"{artifact}: " in forked[1]
 
 
-def test_failing_forward_direction_reaps_the_child(world, tmp_path, monkeypatch):
+def test_failing_forward_direction_reaps_the_child(world, tmp_path, monkeypatch, two_cpus):
     config_path, workdir = _pipeline_config(tmp_path, world)
     config = PipelineConfig.from_json(config_path)
     train = pipeline.train_lexicon
@@ -533,7 +564,8 @@ def test_failing_forward_direction_reaps_the_child(world, tmp_path, monkeypatch)
     assert not (workdir / "manifest.lexicon.json").exists()
 
 
-def test_child_without_a_result_names_stage_and_exit_status(world, tmp_path, monkeypatch):
+def test_child_without_a_result_names_stage_and_exit_status(world, tmp_path, monkeypatch,
+                                                           two_cpus):
     config_path, workdir = _pipeline_config(tmp_path, world)
     config = PipelineConfig.from_json(config_path)
     train = pipeline.train_lexicon

@@ -22,7 +22,7 @@ from bimine.corpus_io import (
     write_article_store,
     write_bitext,
 )
-from bimine.corpus_io import ArticlePair, Document
+from bimine.corpus_io import ArticlePair, Document, _flatten
 from bimine.filtering import read_synonyms
 from bimine.lexicon import read_lexicon
 
@@ -605,6 +605,34 @@ def test_article_store_roundtrip(tmp_path):
     assert back == pairs
 
 
+# text built from what line-based formats trip over: tab, CR, LF, NEL (U+0085),
+# LINE SEPARATOR (U+2028), NUL, combining marks and the byte order mark
+_HOSTILE_TEXT = st.text(st.sampled_from(
+    ["\t", "\r", "\n", "\x85", "\u2028", "\x00", "\u0301", "\u0328", "\ufeff", " ",
+     "\\", '"', "a", "ż", "\U0001F600"]), max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_HOSTILE_TEXT, _HOSTILE_TEXT, st.floats()), max_size=5))
+def test_bitext_round_trip_gives_back_flattened_text_and_score(tmp_path_factory, rows):
+    path = tmp_path_factory.getbasetemp() / "round-trip.tsv"
+    write_bitext(path, BitextCorpus([BiSentence(s, t, score) for s, t, score in rows]))
+    back = read_bitext(path)
+    assert [(p.src, p.tgt, f"{p.score:.6f}") for p in back.pairs] == \
+        [(_flatten(s), _flatten(t), f"{score:.6f}") for s, t, score in rows]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.builds(
+    ArticlePair, st.integers(),
+    st.builds(Document, _HOSTILE_TEXT, _HOSTILE_TEXT, _HOSTILE_TEXT),
+    st.builds(Document, _HOSTILE_TEXT, _HOSTILE_TEXT, _HOSTILE_TEXT)), max_size=4))
+def test_article_store_round_trip_gives_back_equal_pairs(tmp_path_factory, pairs):
+    path = tmp_path_factory.getbasetemp() / "round-trip.jsonl"
+    write_article_store(path, pairs)
+    assert list(read_article_store(path)) == pairs
+
+
 def test_article_store_bad_record_names_line(tmp_path):
     path = tmp_path / "store.jsonl"
     path.write_text('{"id": 0}\n', encoding="utf-8")
@@ -617,6 +645,15 @@ def test_article_store_invalid_json_names_line(tmp_path):
     path.write_text("not json\n", encoding="utf-8")
     with pytest.raises(ValueError, match="line 1"):
         list(read_article_store(path))
+
+
+def test_article_store_reads_a_surrogate_pair_escape(tmp_path):
+    path = tmp_path / "store.jsonl"
+    path.write_text('{"id": 0, "src_lang": "pl", "tgt_lang": "en", "src_title": "Kot", '
+                    '"tgt_title": "Cat", "src_text": "Kot \\ud83d\\ude00.", '
+                    '"tgt_text": "\\\\ud800 is text"}\n', encoding="utf-8")
+    [pair] = read_article_store(path)
+    assert (pair.src.body, pair.tgt.body) == ("Kot \U0001F600.", "\\ud800 is text")
 
 
 def test_article_dump_rejects_a_repeated_title(tmp_path):
@@ -690,6 +727,13 @@ def test_bitext_keeps_taking_extra_columns(tmp_path):
     (b"[" * 100_000, "maximum recursion depth"),
     (b'{"id": 1e999, "src_lang": "pl", "tgt_lang": "en", "src_title": "", '
      b'"tgt_title": "", "src_text": "", "tgt_text": ""}', "infinity"),
+    # JSON reads a lone surrogate escape, but no UTF-8 file could hold it
+    (b'{"id": 0, "src_lang": "pl", "tgt_lang": "en", "src_title": "Kot", '
+     b'"tgt_title": "Cat", "src_text": "Kot \\ud800 pije.", "tgt_text": ""}',
+     r"unpaired surrogate escape \\ud800$"),
+    (b'{"id": 0, "src_lang": "pl", "tgt_lang": "en", "src_title": "Kot", '
+     b'"tgt_title": "Cat", "src_text": "", "tgt_text": "\\uDE00\\ud83d"}',
+     r"unpaired surrogate escape \\ude00$"),
 ])
 def test_store_line_that_breaks_the_json_decoder_names_the_line(tmp_path, data, detail):
     path = tmp_path / "store.jsonl"

@@ -230,7 +230,8 @@ def test_stage_mines_the_reverse_as_mine_corpus_on_flipped_pairs(small_seed_corp
     seed, store, workdir = tmp_path / "seed.tsv", tmp_path / "store.jsonl", tmp_path / "out"
     write_bitext(seed, BitextCorpus(small_seed_corpus.pairs[:300]))
     write_article_store(store, small_articles[0][:8])
-    config = PipelineConfig(workdir=str(workdir), seed_corpus=str(seed), store=str(store))
+    config = PipelineConfig(workdir=str(workdir))
+    config.seed_corpus, config.store = str(seed), str(store)
     config.lexicon["iterations"] = 5
     config.classifier["epochs"] = 10
     config.mining["bidirectional"] = True

@@ -9,10 +9,23 @@ or in ``bench/``: passed as a keyword to any call (so ``functools.partial``
 and lambdas count), or positionally in a direct call of the function's name
 with enough arguments.  The exceptions are the named oracles below, kept as
 independent checks for the tests, and the listed parameters.
+
+Every run starts a fresh interpreter, so importing the CLI must not load the
+costly modules behind ``dataclasses`` and ``typing``; the value records that
+replace dataclasses keep their contracts.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
+
+from bimine.analogy import AnalogyQuadruple, QuasiParallelEntry, RewritingModel
+from bimine.corpus_io import ArticlePair, BiSentence, Document, Sentence
+from bimine.metrics import BootstrapResult, EvalPair, _NgramRecord
+from bimine.miner import OverlapStats
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE_FILES = sorted((ROOT / "src" / "bimine").glob("*.py"))
@@ -130,3 +143,54 @@ def test_unset_defaults_exist():
              for function, parameter, _ in _defaulted_parameters(
                  ast.parse(path.read_text(encoding="utf-8")), path.stem)}
     assert set(UNSET_DEFAULTS) <= found
+
+
+def test_cli_import_loads_no_dataclasses_or_typing():
+    # -S: a site .pth file may import typing before any package code runs
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import bimine.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'typing', 'ast', 'dis'} "
+            "& set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-S", "-c", code, str(ROOT / "src")],
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == "[]\n"
+
+
+_TOKENS = ("ala", "ma", "kota")
+# each value record; two calls make two distinct records with equal fields
+RECORDS = {
+    "Document": lambda: Document("pl", "Kot", "Ala ma kota."),
+    "ArticlePair": lambda: ArticlePair(3, Document("pl", "Kot", "x"),
+                                       Document("en", "Cat", "y")),
+    "Sentence": lambda: Sentence("Ala ma kota.", _TOKENS, 1),
+    "BiSentence": lambda: BiSentence("Ala ma kota.", "Ala has a cat.", 0.75,
+                                     (3, 1, 2, "fwd")),
+    "AnalogyQuadruple": lambda: AnalogyQuadruple(_TOKENS, _TOKENS, _TOKENS, _TOKENS,
+                                                 0, 0, 0, 0, (0, 1, 2, 3)),
+    "RewritingModel": lambda: RewritingModel(("ala",), (), ("alice",), (),
+                                             ((_TOKENS, _TOKENS), (_TOKENS, _TOKENS))),
+    "QuasiParallelEntry": lambda: QuasiParallelEntry(BiSentence("Ala ma kota.", "Ala."), True),
+    "OverlapStats": lambda: OverlapStats(5, 2),
+    "BootstrapResult": lambda: BootstrapResult(0.5, 0.25, -0.1, 0.75, 0.125, 100),
+    "_NgramRecord": lambda: _NgramRecord(4, 4.5, (4, 3, 2, 1, 0), (2, 1, 0, 0, 0),
+                                         ((0, 1, 2, 1), (0, 1), (), (), ())),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_value_records_are_immutable_hashable_and_equal_by_field(name):
+    record, twin = RECORDS[name](), RECORDS[name]()
+    assert record is not twin and record == twin and hash(record) == hash(twin)
+    assert not hasattr(record, "__dict__")
+    field = record._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(twin, field))
+    assert record != record._replace(**{record._fields[-1]: None})
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: OverlapStats(recognized=2, overlapping=3), r"must lie in \[0, recognized=2\]"),
+    (lambda: EvalPair(hypothesis=("a",), references=()), "at least one reference"),
+])
+def test_record_constructors_check_their_fields(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
