@@ -11,22 +11,21 @@ a match edge costs more than the two gaps around it by more than any float
 rounding, so no optimal path uses it and dropping it leaves every DP value
 unchanged; ``align`` never scores those cells.
 
-``align`` runs one of two searches.  On a pair with parallel text, A*
-(admissible heuristic) visits a narrow band around the optimal path and
-scores only the cells it visits.  On an unrelated pair A* would pop nearly
-every node, so when few cells along the expected path pass ``can_match``,
-``align`` runs the oracle's recurrence row by row instead, scoring a cell
-only where a match could still lower its node (Gale & Church 1993; the
-cheap first pass that picks the search follows Moore 2002).
+``align`` runs the oracle's recurrence (Gale & Church 1993) row by row, but
+only over the nodes that can still lie on a path no dearer than a known one
+(a cost cutoff, as in Ukkonen 1985).  A cheap walk down the rows links
+likely matches and prices that real path; a node enters the DP only while
+its cost plus a lower bound on the rest stays within that price.  On a pair
+with parallel text the cutoff leaves a narrow band around the optimal path;
+on an unrelated pair it admits nearly every node.
 
-The three searches share the cost arithmetic and the backtracking rule
-(prefer match, then source gap, then target gap), so they return identical
-costs and identical link sets.
+Both searches share the cost arithmetic and the backtracking rule (prefer
+match, then source gap, then target gap), so they return identical costs
+and identical link sets.
 """
 
 from __future__ import annotations
 
-import heapq
 import struct
 from collections.abc import Callable, Sequence
 
@@ -41,9 +40,8 @@ class AlignmentResult:
         self.gaps_tgt = gaps_tgt
         self.total_cost = total_cost
         self.cells_scored = 0  # lattice cells whose similarity was computed
-        self.pops = 0  # A* heap pops, stale entries included; 0 from either DP
+        self.nodes = 0  # lattice nodes whose cost was computed
         self.cells_pruned = 0  # match edges dropped because can_match ruled them out
-        self.search = "dp"  # "astar" where align ran A*, else "dp"
 
 
 def match_floor(gap_cost: float) -> float:
@@ -53,32 +51,42 @@ def match_floor(gap_cost: float) -> float:
     return 1.0 - 2.0 * gap_cost - 1e-9
 
 
-_UNSEEN = object()
 _INF = float("inf")
+_WALK_REACH = 24  # the walk looks at most this many columns either side of the expected one
 
 
 def _scorer(src: Sequence, tgt: Sequence, sim: Callable[[object, object], float],
             can_match: Callable[[int, int], bool] | None):
     """A memoized ``score(i, j)``: the clamped similarity of cell (i, j),
     computed at most once, or None for a cell ``can_match`` rules out, which
-    is never scored.  Also returns the memo, cell ``i * len(tgt) + j`` to
-    its score or None."""
+    is never scored.  Cell ``i * len(tgt) + j`` has one state byte (unseen,
+    ruled out or scored); only scored cells keep a value.  Also returns
+    ``tally()``, the counts of scored and ruled-out cells."""
     m = len(tgt)
-    memo: dict[int, float | None] = {}
+    state = bytearray(len(src) * m)  # 0 unseen, 1 ruled out, 2 scored
+    scores: dict[int, float] = {}
+    pruned = 0
 
     def score(i: int, j: int) -> float | None:
+        nonlocal pruned
         cell = i * m + j
-        value = memo.get(cell, _UNSEEN)
-        if value is _UNSEEN:
-            if can_match is not None and not can_match(i, j):
-                value = None
-            else:
-                value = sim(src[i], tgt[j])
-                value = 0.0 if value < 0.0 else (1.0 if value > 1.0 else value)
-            memo[cell] = value
+        seen = state[cell]
+        if seen:
+            return scores[cell] if seen == 2 else None
+        if can_match is not None and not can_match(i, j):
+            state[cell] = 1
+            pruned += 1
+            return None
+        value = sim(src[i], tgt[j])
+        value = 0.0 if value < 0.0 else (1.0 if value > 1.0 else value)
+        state[cell] = 2
+        scores[cell] = value
         return value
 
-    return score, memo
+    def tally() -> tuple[int, int]:
+        return len(scores), pruned
+
+    return score, tally
 
 
 def _check_gap_cost(gap_cost: float) -> None:
@@ -87,7 +95,7 @@ def _check_gap_cost(gap_cost: float) -> None:
 
 
 def _backtrack(n: int, m: int, gap_cost: float,
-               score: Callable[[int, int], float | None], memo: dict,
+               score: Callable[[int, int], float | None], tally: Callable[[], tuple[int, int]],
                cost_at: Callable[[int, int], float | None]) -> AlignmentResult:
     """Walk back from (n, m) along an optimal path.
 
@@ -126,111 +134,72 @@ def _backtrack(n: int, m: int, gap_cost: float,
                 continue
         raise AssertionError("alignment backtrack lost the optimal path")
     result.links.reverse()
-    result.cells_pruned = sum(1 for value in memo.values() if value is None)
-    result.cells_scored = len(memo) - result.cells_pruned
+    result.cells_scored, result.cells_pruned = tally()
     return result
 
 
-def _looks_unrelated(n: int, m: int, can_match: Callable[[int, int], bool]) -> bool:
-    """True when ``can_match`` passes fewer than ``n / 3`` cells along a
-    walk down the rows: five cells per row, centred on the column expected
-    from the last row's passing cell nearest its centre, moved on by the
-    slope ``m / n`` (at first, the scaled diagonal ``j = i * m / n``).
+def _walk_bound(n: int, m: int, gap_cost: float,
+                score: Callable[[int, int], float | None]) -> float:
+    """The cost of one real path through the lattice, found by a walk down
+    the rows: an upper bound on the optimum.
 
-    Parallel text drifts off that diagonal as sentences are inserted and
-    dropped, one at a time, and the walk follows it.  On the benchmark
-    fixtures of seeds 3 and 5, every unrelated pair passes at most ``0.16 *
-    n`` cells and every other pair at least ``0.41 * n``, but for one of 13
-    sentences (``0.31 * n``); on pairs of 100 to 1 600 sentences, 0.06 to
-    0.12 and 0.89 to 0.94.  Counting stops as soon as the answer is known,
-    and no cell is scored.
+    Each row links its highest-scoring cell above ``match_floor(gap_cost)``
+    within ``2 + misses`` columns (at most ``_WALK_REACH``) of the expected
+    column, right of the last link; ``misses`` counts the rows since that
+    link.  The expected column moves on by the slope ``m / n`` every row
+    (at first along the scaled diagonal ``j = i * m / n``) and restarts from
+    each link, so the walk follows parallel text as it drifts and widens its
+    reach to find text again after an insertion.  The path is the links and
+    the gaps between them.
     """
-    needed = n / 3
+    floor = match_floor(gap_cost)
     slope = m / n if n else 0.0
     expected = 0.0
-    count = 0
+    last_i = last_j = -1
+    misses = 0
+    cost = 0.0
     for i in range(n):
         centre = int(expected + 0.5)
-        nearest = None
-        for j in range(max(centre - 2, 0), min(centre + 3, m)):
-            if can_match(i, j):
-                count += 1
-                if count >= needed:
-                    return False
-                if nearest is None or abs(j - centre) < abs(nearest - centre):
-                    nearest = j
-        if count + 5 * (n - 1 - i) < needed:
-            break
-        expected = (expected if nearest is None else nearest) + slope
-    return True
-
-
-def _pruned_dp(src: Sequence, tgt: Sequence, sim: Callable[[object, object], float],
-               gap_cost: float,
-               can_match: Callable[[int, int], bool] | None) -> AlignmentResult:
-    """``align_bruteforce``'s recurrence, row by row, for a pair on which A*
-    would pop nearly every node.
-
-    Node costs are packed as C doubles into one ``bytearray``, row ``i`` at
-    ``i * (M + 1)``: a quarter of the memory of a list, which holds a
-    pointer and a float object per node.  (An ``array('d')`` would do the
-    same, but on CPython 3.11 importing ``array`` alone added 0.2 MiB to
-    the benchmark's peak memory.)
-
-    With ``above`` the row before node (i, j) and ``left`` the cost of node
-    (i, j - 1), the match edge into (i, j) is scored only where ``above[j -
-    1] < min(above[j], left) + gap_cost``: elsewhere even a perfect match
-    costs no less than a gap, and the minimum is the gap move's float.  A
-    match edge ``can_match`` rules out is dropped, as in ``align``.  Every
-    node gets the oracle's float, so ``_backtrack`` returns the oracle's
-    links.
-    """
-    n, m = len(src), len(tgt)
-    width = m + 1
-    score, memo = _scorer(src, tgt, sim, can_match)
-    costs = bytearray(8 * (n + 1) * width)
-    pack_row = struct.Struct(f"{width}d").pack_into
-    above = [0.0]
-    for _ in range(m):
-        above.append(above[-1] + gap_cost)
-    pack_row(costs, 0, *above)
-    for i in range(n):
-        left = above[0] + gap_cost
-        row = [left]
-        append = row.append
-        for j in range(m):
-            diag, up = above[j], above[j + 1]
-            best = (up if up < left else left) + gap_cost
-            if diag < best:
-                value = score(i, j)
-                if value is not None:
-                    match = diag + (1.0 - value)
-                    if match < best:
-                        best = match
-            append(best)
-            left = best
-        pack_row(costs, 8 * (i + 1) * width, *row)
-        above = row
-    table = memoryview(costs).cast("d")
-    return _backtrack(n, m, gap_cost, score, memo, lambda i, j: table[i * width + j])
+        reach = min(2 + misses, _WALK_REACH)
+        linked, best = -1, floor
+        for j in range(max(centre - reach, last_j + 1), min(centre + reach + 1, m)):
+            value = score(i, j)
+            if value is not None and value > best:
+                linked, best = j, value
+        if linked < 0:
+            misses += 1
+            expected += slope
+            continue
+        cost += (i - last_i - 1 + linked - last_j - 1) * gap_cost + (1.0 - best)
+        last_i, last_j = i, linked
+        misses = 0
+        expected = linked + slope
+    return cost + (n - last_i - 1 + m - last_j - 1) * gap_cost
 
 
 def align(src: Sequence, tgt: Sequence, sim: Callable[[object, object], float],
           gap_cost: float = 0.4,
           can_match: Callable[[int, int], bool] | None = None) -> AlignmentResult:
-    """The minimum-cost monotone alignment: ``_pruned_dp`` for a pair that
-    ``_looks_unrelated``, A* search for any other.  Without ``can_match``
-    the search is always A*.
+    """The minimum-cost monotone alignment, equal to ``align_bruteforce``'s
+    bit for bit.
 
-    The A* heuristic ``h(i, j) = |(N - i) - (M - j)| * gap_cost`` counts the
-    unavoidable gap moves on the longer remaining side and never
-    overestimates (matches can cost 0).  Because float rounding can break
-    the heuristic's consistency by an ulp, nodes are allowed to reopen when
-    a cheaper path appears, and after the goal is reached the queue keeps
-    draining until the best pending f exceeds the goal cost by a tiny
-    margin.  At that point every node a backtrack can visit holds exactly
-    the cost the full dynamic program would compute, so results match
-    ``align_bruteforce`` bit for bit.
+    ``_walk_bound`` prices a real path at ``U``.  The DP then runs row by
+    row over the nodes with ``cost + h <= U + 1e-9 * (1 + U)``, where
+    ``h(i, j) = |(N - i) - (M - j)| * gap_cost`` counts the gap moves the
+    longer remaining side cannot avoid.  Each row starts at the previous
+    row's first admitted column; past the previous row's last admitted
+    column only gap moves from the left arrive, so the row stops at its
+    first excluded node.  ``h`` is consistent, so every node on an optimal
+    path, and every predecessor ``_backtrack`` compares with one, has
+    ``cost + h`` at most the optimum and holds the oracle's float; any other
+    node is computed over fewer edges, so its cost is no lower than the
+    oracle's and ``_backtrack`` picks the same predecessor.  The slack
+    covers float rounding; ``U`` decides only how much of the lattice is
+    computed, never the result.
+
+    As in the oracle, the match edge into a node is scored only where
+    ``diag < min(up, left) + gap_cost``: elsewhere even a perfect match
+    costs no less than a gap, and the minimum is the gap move's float.
 
     ``can_match(i, j)`` may return False only when ``sim(src[i], tgt[j])``
     is below ``match_floor(gap_cost)``.  The search then skips that match
@@ -239,69 +208,82 @@ def align(src: Sequence, tgt: Sequence, sim: Callable[[object, object], float],
     path and every node keeps its DP cost: links, gaps and total cost stay
     those of the full lattice.
 
-    Node (i, j) is numbered ``i * (M + 1) + j``.  The best known cost of
-    every node lives in one flat list ``dist`` indexed by node number, with
-    ``inf`` for a node not reached yet; the heap holds ``(f, push counter,
-    g, node)``.
+    Each row's admitted span is packed as C doubles into one ``bytearray``:
+    a quarter of the memory of a list, which holds a pointer and a float
+    object per node.  (An ``array('d')`` would do the same, but on CPython
+    3.11 importing ``array`` alone added 0.2 MiB to the benchmark's peak
+    memory.)
     """
     _check_gap_cost(gap_cost)
     n, m = len(src), len(tgt)
-    if can_match is not None and _looks_unrelated(n, m, can_match):
-        return _pruned_dp(src, tgt, sim, gap_cost, can_match)
-    width = m + 1
-    goal = n * width + m
-    score, memo = _scorer(src, tgt, sim, can_match)
-    heappush, heappop = heapq.heappush, heapq.heappop
-
-    dist = [_INF] * (goal + 1)
-    dist[0] = 0.0
-    heap: list[tuple[float, int, float, int]] = [(abs(n - m) * gap_cost, 0, 0.0, 0)]
-    counter = 1
-    bound: float | None = None
-    pops = 0
-    while heap:
-        f, _, g, node = heappop(heap)
-        pops += 1
-        if g > dist[node]:
-            continue  # superseded by a cheaper path
-        if bound is not None and f > bound:
-            break
-        if node == goal:
-            bound = g + 1e-9 * (1.0 + g)
-            continue
-        i, j = divmod(node, width)
-        skew = (n - i) - (m - j)  # the heuristic is abs(skew) * gap_cost
-        if i < n:
-            if j < m:
-                value = score(i, j)
-                if value is not None:
-                    tentative = g + (1.0 - value)
-                    if tentative < dist[node + width + 1]:
-                        dist[node + width + 1] = tentative
-                        heappush(heap, (tentative + abs(skew) * gap_cost, counter,
-                                        tentative, node + width + 1))
-                        counter += 1
-            tentative = g + gap_cost
-            if tentative < dist[node + width]:
-                dist[node + width] = tentative
-                heappush(heap, (tentative + abs(skew - 1) * gap_cost, counter,
-                                tentative, node + width))
-                counter += 1
-        if j < m:
-            tentative = g + gap_cost
-            if tentative < dist[node + 1]:
-                dist[node + 1] = tentative
-                heappush(heap, (tentative + abs(skew + 1) * gap_cost, counter,
-                                tentative, node + 1))
-                counter += 1
+    score, tally = _scorer(src, tgt, sim, can_match)
+    walk = _walk_bound(n, m, gap_cost, score)
+    bound = walk + 1e-9 * (1.0 + walk)
+    # node (i, j) is admitted while its cost is at most limits[n - i + j]
+    limits = [bound - abs(k) * gap_cost for k in range(-m, n + 1)]
+    inf = _INF
+    costs = bytearray()
+    spans = []  # row i: (first admitted column, last one, index of its node 0 in costs)
+    nodes = 0
+    above: list[float] = []  # the previous row's costs, from its first admitted column
+    lo = 0
+    for i in range(n + 1):
+        shift = n - i
+        if i == 0:
+            row, left, j = [0.0], 0.0, 1
+        else:
+            row, left, diag = [], inf, inf
+            append = row.append
+            end = lo + len(above)
+            if end <= m:
+                above.append(inf)  # the column after the last admitted one
+                end += 1
+            for j, up, limit in zip(range(lo, end), above, limits[shift + lo:shift + end]):
+                best = (up if up < left else left) + gap_cost
+                if diag < best:
+                    value = score(i - 1, j - 1)
+                    if value is not None:
+                        match = diag + (1.0 - value)
+                        if match < best:
+                            best = match
+                if best > limit:
+                    best = inf
+                append(best)
+                left = best
+                diag = up
+            j = end
+        while j <= m:
+            best = left + gap_cost
+            if best > limits[shift + j]:
+                nodes += 1
+                break
+            row.append(best)
+            left = best
+            j += 1
+        nodes += len(row)
+        first, last = 0, len(row) - 1
+        while first <= last and row[first] == inf:
+            first += 1
+        while last > first and row[last] == inf:
+            last -= 1
+        if first or last < len(row) - 1:
+            row = row[first:last + 1]
+        lo += first
+        spans.append((lo, lo + len(row) - 1, len(costs) // 8 - lo))
+        costs += struct.pack(f"{len(row)}d", *row)
+        above = row
+    table = memoryview(costs).cast("d")
 
     def cost_at(i: int, j: int) -> float | None:
-        cost = dist[i * width + j]
-        return None if cost == _INF else cost
+        first, last, offset = spans[i]
+        if first <= j <= last:
+            cost = table[offset + j]
+            if cost != inf:
+                return cost
+        return None
 
-    result = _backtrack(n, m, gap_cost, score, memo, cost_at)
-    result.pops = pops
-    result.search = "astar"
+    result = _backtrack(n, m, gap_cost, score, tally, cost_at)
+    result.nodes = nodes
     return result
 
 
@@ -313,7 +295,7 @@ def align_bruteforce(src: Sequence, tgt: Sequence,
     n, m = len(src), len(tgt)
     if n * m > 10_000:
         raise ValueError(f"brute-force guard: {n} x {m} lattice exceeds 10000 cells")
-    score, memo = _scorer(src, tgt, sim, None)
+    score, tally = _scorer(src, tgt, sim, None)
 
     table = [[0.0] * (m + 1) for _ in range(n + 1)]
     for i in range(1, n + 1):
@@ -327,7 +309,9 @@ def align_bruteforce(src: Sequence, tgt: Sequence,
                          above[j] + gap_cost,
                          row[j - 1] + gap_cost)
 
-    return _backtrack(n, m, gap_cost, score, memo, lambda i, j: table[i][j])
+    result = _backtrack(n, m, gap_cost, score, tally, lambda i, j: table[i][j])
+    result.nodes = (n + 1) * (m + 1)
+    return result
 
 
 def threshold_filter(result: AlignmentResult, threshold: float,

@@ -79,8 +79,7 @@ def _cmd_mine(args) -> int:
                            log=args.log)
     _log(f"mined {counts['mined']} pairs from {counts['articles']} articles "
          f"({counts['cells_scored']} of {counts['lattice_cells']} lattice cells "
-         f"scored, {counts['cells_pruned']} pruned, {counts['pops']} A* pops, "
-         f"{counts['dp_articles']} articles by the row DP) "
+         f"scored, {counts['cells_pruned']} pruned, {counts['nodes']} nodes computed) "
          f"-> {args.out}")
     return 0
 

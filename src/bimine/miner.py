@@ -50,17 +50,15 @@ def mine_pair(pair: ArticlePair, src: list[Sentence], tgt: list[Sentence],
     The aligner skips the match edges that ``match_filter`` proves useless.
     Returns the kept pairs and the article's work counts: ``lattice_cells``
     (source times target sentences), ``cells_scored`` (similarity calls),
-    ``pops`` (A* heap pops, 0 where the row DP ran), ``cells_pruned`` (match
-    edges skipped unscored) and ``search``, the search that aligned the pair
-    (``"astar"`` or ``"dp"``; None for an empty side, which needs none).
+    ``nodes`` (lattice nodes whose cost was computed) and ``cells_pruned``
+    (match edges skipped unscored).
     """
     if model.direction != (pair.src.lang, pair.tgt.lang):
         raise ValueError(
             f"model direction {model.direction} does not match article pair "
             f"languages ({pair.src.lang}, {pair.tgt.lang})")
     if not src or not tgt:
-        return [], {"lattice_cells": 0, "cells_scored": 0, "pops": 0, "cells_pruned": 0,
-                    "search": None}
+        return [], {"lattice_cells": 0, "cells_scored": 0, "nodes": 0, "cells_pruned": 0}
     # each sentence's feature facts are computed once, not once per cell
     sources = [source_record(s.tokens, lex) for s in src]
     targets = [target_record(t.tokens) for t in tgt]
@@ -69,8 +67,8 @@ def mine_pair(pair: ArticlePair, src: list[Sentence], tgt: list[Sentence],
     direction = f"{pair.src.lang}-{pair.tgt.lang}"
     mined = threshold_filter(result, threshold, src, tgt, pair.id, direction)
     return mined, {"lattice_cells": len(src) * len(tgt),
-                   "cells_scored": result.cells_scored, "pops": result.pops,
-                   "cells_pruned": result.cells_pruned, "search": result.search}
+                   "cells_scored": result.cells_scored, "nodes": result.nodes,
+                   "cells_pruned": result.cells_pruned}
 
 
 def mine_corpus(store: Iterable[ArticlePair], model: SimilarityModel,

@@ -184,10 +184,12 @@ def ingest(src_dump, tgt_dump, links, out, src_lang: str, tgt_lang: str) -> dict
     src = corpus_io.read_article_dump(src_dump)
     tgt = corpus_io.read_article_dump(tgt_dump)
     link_list = corpus_io.read_links(links)
-    pairs = corpus_io.pair_articles(
-        {t: corpus_io.clean_document(b) for t, b in src.items()},
-        {t: corpus_io.clean_document(b) for t, b in tgt.items()},
-        link_list, src_lang, tgt_lang)
+    src = {t: corpus_io.clean_document(b) for t, b in src.items()}
+    tgt = {t: corpus_io.clean_document(b) for t, b in tgt.items()}
+    try:
+        pairs = corpus_io.pair_articles(src, tgt, link_list, src_lang, tgt_lang)
+    except ValueError as exc:  # a source title linked twice
+        raise ValueError(f"{links}: {exc}") from None
     corpus_io.write_article_store(out, pairs)
     return {"article_pairs": len(pairs)}
 
@@ -219,7 +221,7 @@ def train_classifier(seed, lexicon, out, src_lang: str, tgt_lang: str, *,
     return model.training_counts
 
 
-_MINE_WORK = ("lattice_cells", "cells_scored", "pops", "cells_pruned")
+_MINE_WORK = ("lattice_cells", "cells_scored", "nodes", "cells_pruned")
 
 
 def mine(store, model, lexicon, out, *, gap_cost: float,
@@ -231,9 +233,9 @@ def mine(store, model, lexicon, out, *, gap_cost: float,
     the model.  ``flip`` mines the reverse direction, reading each stored
     pair target side first.  ``log`` gets one JSON line per article.
     Returns the counts: articles, mined pairs, the sums over the articles
-    of the lattice cells, the cells whose similarity was computed, the A*
-    heap pops and the match edges skipped unscored, and the articles the
-    aligner's row DP mined instead of A*.
+    of the lattice cells, the cells whose similarity was computed, the
+    lattice nodes whose cost was computed and the match edges skipped
+    unscored.
     """
     sim_model = classifier_mod.load_model(model)
     lex = lexicon_mod.read_lexicon(lexicon)
@@ -249,8 +251,7 @@ def mine(store, model, lexicon, out, *, gap_cost: float,
     if log:
         corpus_io.write_jsonl(log, article_log)
     return {"articles": len(article_log), "mined": len(corpus.pairs),
-            **{key: sum(entry[key] for entry in article_log) for key in _MINE_WORK},
-            "dp_articles": sum(entry["search"] == "dp" for entry in article_log)}
+            **{key: sum(entry[key] for entry in article_log) for key in _MINE_WORK}}
 
 
 def merge(fwd, rev, out, stats) -> dict:
@@ -472,7 +473,7 @@ def _stage_mine(config: PipelineConfig) -> None:
         lambda: run(_require(config, config.path("classifier.rev.json")),
                     _require(config, config.path("lexicon.rev.tsv")), rev_out, flip=True))
     outputs = [fwd_out, log]
-    keys = ("mined", *_MINE_WORK, "dp_articles")
+    keys = ("mined", *_MINE_WORK)
     counts = {"articles": fwd["articles"], **{f"{key}_fwd": fwd[key] for key in keys}}
     if rev is not None:
         outputs.append(rev_out)

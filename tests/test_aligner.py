@@ -3,8 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bimine.aligner import (AlignmentResult, _looks_unrelated, _pruned_dp, align,
-                            align_bruteforce, match_floor,
+from bimine.aligner import (AlignmentResult, align, align_bruteforce, match_floor,
                             threshold_filter)
 from bimine.corpus_io import Sentence
 
@@ -147,10 +146,10 @@ def test_similarity_memoized_once_per_node():
     assert all(count == 1 for count in calls.values())
     assert len(calls) <= 64
     assert result.cells_scored == len(calls)
-    assert result.pops >= 9  # the diagonal, goal included
+    assert 9 <= result.nodes <= 81  # the diagonal, goal included
     oracle = align_bruteforce(list(range(8)), list(range(8)), counting_sim, 0.4)
     assert oracle.cells_scored == 64
-    assert oracle.pops == 0  # no queue
+    assert oracle.nodes == 81  # the full table
 
 
 def test_astar_explores_less_than_full_lattice():
@@ -240,7 +239,7 @@ def test_match_floor_leaves_a_margin_below_two_gaps():
 
 
 # ---------------------------------------------------------------------------
-# the row DP that align runs on unrelated pairs
+# the cost cutoff: the whole lattice on unrelated pairs, a band on parallel text
 
 def _same_as_oracle(fast, slow):
     assert fast.total_cost.hex() == slow.total_cost.hex()
@@ -261,7 +260,7 @@ def _bound_predicate(sim, gap, upper):
     return guarded, lambda i, j: upper[i][j] >= floor
 
 
-def test_pruned_dp_equals_bruteforce_on_acceptance_instances():
+def test_align_equals_bruteforce_bit_for_bit_on_acceptance_instances():
     from test_acceptance import _random_alignments
 
     rng = random.Random(19)
@@ -269,13 +268,14 @@ def test_pruned_dp_equals_bruteforce_on_acceptance_instances():
     for n, m, sim, gap in _random_alignments():
         src, tgt = list(range(n)), list(range(m))
         slow = align_bruteforce(src, tgt, sim, gap)
-        plain = _pruned_dp(src, tgt, sim, gap, None)
+        plain = align(src, tgt, sim, gap)
         _same_as_oracle(plain, slow)
-        assert (plain.pops, plain.cells_pruned, plain.search) == (0, 0, "dp")
+        assert plain.cells_pruned == 0
+        assert 0 < plain.nodes <= (n + 1) * (m + 1)
         upper = [[sim(a, b) + rng.choice((0.0, 0.3 * rng.random())) for b in range(m)]
                  for a in range(n)]
         guarded, can_match = _bound_predicate(sim, gap, upper)
-        fast = _pruned_dp(src, tgt, guarded, gap, can_match)
+        fast = align(src, tgt, guarded, gap, can_match)
         _same_as_oracle(fast, slow)
         assert fast.cells_scored + fast.cells_pruned <= n * m
         pruned += fast.cells_pruned
@@ -285,12 +285,12 @@ def test_pruned_dp_equals_bruteforce_on_acceptance_instances():
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 7), st.integers(0, 7), st.sampled_from([0.2, 0.4]),
        st.data())
-def test_pruned_dp_equals_bruteforce_at_the_floor(n, m, gap, data):
+def test_align_equals_bruteforce_bit_for_bit_at_the_floor(n, m, gap, data):
     matrix = [[data.draw(st.sampled_from(_EDGE_SCORES)) for _ in range(m)]
               for _ in range(n)]
     sim = lambda a, b: matrix[a][b]
     guarded, can_match = _bound_predicate(sim, gap, matrix)
-    fast = _pruned_dp(list(range(n)), list(range(m)), guarded, gap, can_match)
+    fast = align(list(range(n)), list(range(m)), guarded, gap, can_match)
     _same_as_oracle(fast, align_bruteforce(list(range(n)), list(range(m)), sim, gap))
 
 
@@ -304,15 +304,16 @@ def test_align_mines_a_low_score_pair_with_the_dp():
         matrix[rng.randrange(n)][rng.randrange(m)] = rng.uniform(0.5, 1.0)
     sim = lambda a, b: matrix[a][b]
     guarded, can_match = _bound_predicate(sim, 0.4, matrix)
-    assert _looks_unrelated(n, m, can_match)
     fast = align(list(range(n)), list(range(m)), guarded, 0.4, can_match)
-    assert (fast.search, fast.pops) == ("dp", 0)
+    # no path is much cheaper than all gaps, so the cutoff admits nearly
+    # every node
+    assert fast.nodes > 0.9 * (n + 1) * (m + 1)
     _same_as_oracle(fast, align_bruteforce(list(range(n)), list(range(m)), sim, 0.4))
     assert fast.links
     assert fast.cells_scored <= sum(can_match(i, j) for i in range(n) for j in range(m))
 
 
-def test_align_keeps_a_star_for_drifting_parallel_text():
+def test_align_follows_drifting_parallel_text():
     # a target sentence inserted before every fifth source sentence of the
     # first half, and every fifth source sentence of the second half
     # dropped: the links drift up to 30 columns off the scaled diagonal, one
@@ -330,26 +331,24 @@ def test_align_keeps_a_star_for_drifting_parallel_text():
     assert sum(1 for a, b in path if abs(b - a * m // n) <= 2) < n / 3
     sim = lambda a, b: 0.9 if (a, b) in links else 0.0
     can_match = lambda a, b: (a, b) in links
-    assert not _looks_unrelated(n, m, can_match)
     result = align(list(range(n)), list(range(m)), sim, 0.4, can_match)
-    assert result.search == "astar" and result.pops > 0
     assert [(a, b) for a, b, _ in result.links] == path
+    assert result.nodes < (n + 1) * (m + 1) / 3
 
 
-def test_looks_unrelated_stops_counting_once_decided():
-    calls = []
-
-    def passing(i, j):
-        calls.append((i, j))
-        return True
-
-    assert not _looks_unrelated(90, 90, passing)
-    assert len(calls) == 30  # n / 3 passing cells decide
-
-    calls.clear()
-    assert _looks_unrelated(90, 90, lambda i, j: calls.append((i, j)) or False)
-    # it gives up once five cells a row in the rows left cannot make 30
-    assert len(calls) < 5 * 90
+def test_align_follows_a_twenty_column_jump():
+    # 20 target sentences inserted after source sentence 74: the walk loses
+    # the links, widens its reach row by row and finds them again, so the
+    # cutoff still leaves a band, not the whole lattice
+    n = 300
+    path = [(i, i if i < 75 else i + 20) for i in range(n)]
+    m = n + 20
+    links = set(path)
+    sim = lambda a, b: 0.9 if (a, b) in links else 0.0
+    result = align(list(range(n)), list(range(m)), sim, 0.4, lambda a, b: (a, b) in links)
+    assert [(a, b) for a, b, _ in result.links] == path
+    assert result.gaps_tgt == set(range(75, 95))
+    assert result.nodes < (n + 1) * (m + 1) / 3
 
 
 # ---------------------------------------------------------------------------

@@ -409,13 +409,14 @@ def test_pipeline_full_run_and_determinism(world, tmp_path):
         (workdir / "manifest.mine.json").read_text(encoding="utf-8"))["counts"]
     with open(workdir / "mine_log.jsonl", encoding="utf-8") as fh:
         log = [json.loads(line) for line in fh]
-    for key in ("lattice_cells", "cells_scored", "pops", "cells_pruned"):
+    for key in ("lattice_cells", "cells_scored", "nodes", "cells_pruned"):
         assert mine_counts[f"{key}_fwd"] == sum(entry[key] for entry in log)
     for suffix in ("_fwd", "_rev"):
         scored, cells = mine_counts[f"cells_scored{suffix}"], mine_counts[f"lattice_cells{suffix}"]
         assert 0 < scored <= cells
         assert 0 < mine_counts[f"cells_pruned{suffix}"] <= cells - scored
-        assert mine_counts[f"pops{suffix}"] > 0
+        assert 0 < mine_counts[f"nodes{suffix}"]
+        assert "dp_articles" + suffix not in mine_counts
 
     first = {name: (workdir / name).read_bytes() for name in ARTIFACTS}
     first_manifests = {m: (workdir / m).read_bytes() for m in manifests}

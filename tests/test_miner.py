@@ -42,8 +42,7 @@ def test_mine_pair_language_mismatch(small_model, small_lexicon):
 
 def test_mine_pair_empty_article(small_model, small_lexicon):
     assert _mine_pair(_pair(0, "", "Something here."), small_model, small_lexicon) == \
-        ([], {"lattice_cells": 0, "cells_scored": 0, "pops": 0, "cells_pruned": 0,
-              "search": None})
+        ([], {"lattice_cells": 0, "cells_scored": 0, "nodes": 0, "cells_pruned": 0})
 
 
 def test_mine_pair_equals_composed_stages(small_model, small_lexicon,
@@ -64,8 +63,8 @@ def test_mine_pair_equals_composed_stages(small_model, small_lexicon,
                    match_filter(small_model, sources, targets, match_floor(0.4)))
     assert pruned.links == result.links and pruned.total_cost == result.total_cost
     assert work == {"lattice_cells": len(src) * len(tgt),
-                    "cells_scored": pruned.cells_scored, "pops": pruned.pops,
-                    "cells_pruned": pruned.cells_pruned, "search": pruned.search}
+                    "cells_scored": pruned.cells_scored, "nodes": pruned.nodes,
+                    "cells_pruned": pruned.cells_pruned}
     assert work["cells_pruned"] > 0
     assert work["cells_scored"] + work["cells_pruned"] <= len(src) * len(tgt)
 
@@ -149,24 +148,15 @@ def test_mine_corpus_ordered_by_article_id(small_model, small_lexicon,
 def test_mine_corpus_logs_work_counts(small_model, small_lexicon, small_articles,
                                       monkeypatch):
     # the scorer is looked up as bimine.miner.similarity and called once per
-    # scored cell, and A* pops its queue with heapq.heappop; the log reports
-    # both per article
-    import heapq
+    # scored cell; the log reports that and the nodes align computed
     import bimine.miner as miner_mod
     calls = []
-    pops = []
 
     def counting(*args):
         calls.append(args)
         return similarity(*args)
 
-    def counting_pop(heap):
-        pops.append(len(heap))
-        return real_pop(heap)
-
-    real_pop = heapq.heappop
     monkeypatch.setattr(miner_mod, "similarity", counting)
-    monkeypatch.setattr(heapq, "heappop", counting_pop)
     articles, _ = small_articles
     _, log = mine_corpus(articles[:10], small_model, small_lexicon)
     for entry, pair in zip(log, articles):
@@ -174,13 +164,12 @@ def test_mine_corpus_logs_work_counts(small_model, small_lexicon, small_articles
         m = len(segment_sentences(pair.tgt.body))
         assert entry["lattice_cells"] == n * m
         assert 0 < entry["cells_scored"] <= n * m
-        # every node on an optimal path, the goal included, is popped
-        assert entry["pops"] > max(n, m)
+        # every node on an optimal path, the goal included, is computed
+        assert max(n, m) < entry["nodes"] <= (n + 1) * (m + 1)
     assert sum(entry["cells_scored"] for entry in log) == len(calls)
-    assert sum(entry["pops"] for entry in log) == len(pops)
 
 
-_WORK_FROM_SEARCH = ("cells_scored", "pops", "cells_pruned", "search")
+_WORK_FROM_SEARCH = ("cells_scored", "nodes", "cells_pruned")
 
 
 def _passing_cells(pair, model, lex):
@@ -209,17 +198,14 @@ def test_mine_corpus_same_output_without_the_match_filter(small_model, small_lex
 
     assert rest(pruned_log) == rest(full_log)
     assert all(entry["cells_pruned"] == 0 for entry in full_log)
-    # without a match filter align always runs A*; with it, the unrelated
-    # pairs go to the row DP, whose scored cells are not A*'s
-    assert {entry["search"] for entry in full_log} == {"astar"}
-    assert [entry["search"] for entry in pruned_log[-5:]] == ["dp"] * 5
     for pair, pruned, full in zip(articles, pruned_log, full_log):
         assert pruned["cells_scored"] + pruned["cells_pruned"] <= pruned["lattice_cells"]
-        if pruned["search"] == "astar":
-            assert pruned["cells_scored"] <= full["cells_scored"]
-        else:
-            assert pruned["pops"] == 0
-            assert pruned["cells_scored"] <= _passing_cells(pair, small_model, small_lexicon)
+        assert pruned["cells_scored"] <= _passing_cells(pair, small_model, small_lexicon)
+    # the unrelated pairs admit nearly every node; the parallel ones a band
+    for entry in pruned_log[-5:]:
+        assert entry["nodes"] > 0.8 * entry["lattice_cells"]
+    assert sum(e["nodes"] for e in pruned_log[:-5]) < 0.6 * sum(
+        e["lattice_cells"] for e in pruned_log[:-5])
     assert sum(e["cells_scored"] for e in pruned_log) < sum(e["cells_scored"] for e in full_log)
 
 
