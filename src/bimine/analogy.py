@@ -107,21 +107,6 @@ def canonical_arrangement(quad: tuple[Tokens, Tokens, Tokens, Tokens],
     return min(tuple(quad[i] for i in perm) for perm in _SYMMETRIES)
 
 
-# Largest seed, in sentences, the analogy search takes by default.  The pair
-# pass is quadratic in the sentence count and the number of quadruples grows
-# faster still.  find_analogies(_structured_corpus(Random(5), n), 4) from
-# tests/test_analogy.py on a 2-vCPU host with CPython 3.11:
-#      n     seconds   peak RSS
-#    300       0.35      45 MB
-#    600       1.24      60 MB
-#   1200       3.66     109 MB
-#   2400      15.5      314 MB
-#   3600      44.9      608 MB
-#   4800      80.3     1107 MB
-# At the guard the search takes about a minute.
-DEFAULT_SIZE_GUARD = 4000
-
-
 class SizeGuardError(ValueError):
     """An analogy search was refused because its input exceeds the size guard."""
 
@@ -273,20 +258,29 @@ def models_from_quadruples(quadruples: Sequence[AnalogyQuadruple],
     Analogies are detected on the source side; ``check_target_side``
     additionally requires the two distance equalities to hold between the
     corresponding target sentences before a quadruple contributes models.
+    Each seed pair is tokenized once, on first use.
     """
+    tokenized: dict[int, tuple[Tokens, Tokens]] = {}
+
+    def tokens(index: int) -> tuple[Tokens, Tokens]:
+        """(source, target) tokens of seed pair ``index``."""
+        if index not in tokenized:
+            pair = seed.pairs[index]
+            tokenized[index] = (tuple(tokenize(pair.src)), tuple(tokenize(pair.tgt)))
+        return tokenized[index]
+
     seen: set[tuple] = set()
     models = []
     for quad in quadruples:
         ia, ib, ic, id_ = quad.indices
-        if check_target_side and not _target_side_holds(quad, seed):
+        if check_target_side and not (
+                all(0 <= idx < len(seed.pairs) for idx in quad.indices)
+                and _target_side_holds([tokens(idx)[1] for idx in quad.indices])):
             continue
         for i1, i2 in ((ia, ib), (ic, id_)):
             if not (0 <= i1 < len(seed.pairs) and 0 <= i2 < len(seed.pairs)):
                 continue
-            p1 = seed.pairs[i1]
-            p2 = seed.pairs[i2]
-            model = extract_rewriting_model(
-                (tokenize(p1.src), tokenize(p1.tgt)), (tokenize(p2.src), tokenize(p2.tgt)))
+            model = extract_rewriting_model(tokens(i1), tokens(i2))
             if model is None:
                 continue
             key = (model.src_prefix, model.src_suffix,
@@ -298,12 +292,9 @@ def models_from_quadruples(quadruples: Sequence[AnalogyQuadruple],
     return models
 
 
-def _target_side_holds(quad: AnalogyQuadruple, seed: BitextCorpus) -> bool:
-    targets = []
-    for idx in quad.indices:
-        if not 0 <= idx < len(seed.pairs):
-            return False
-        targets.append(tokenize(seed.pairs[idx].tgt))
+def _target_side_holds(targets: Sequence[Tokens]) -> bool:
+    """The analogy's two distance equalities on the target sentences
+    ``targets`` = (A, B, C, D)."""
     ta, tb, tc, td = targets
     return (word_levenshtein(ta, tb) == word_levenshtein(tc, td)
             and word_levenshtein(ta, tc) == word_levenshtein(tb, td))

@@ -12,8 +12,7 @@ import argparse
 import json
 import sys
 
-from . import analogy as analogy_mod
-from . import corpus_io, metrics, pipeline
+from . import corpus_io, pipeline
 # imported by name: replacing bimine.cli.run_pipeline hooks `bimine pipeline`
 from .pipeline import run_pipeline
 
@@ -92,7 +91,11 @@ def _cmd_merge_bidi(args) -> int:
     return 0
 
 
+# the analogy and eval handlers import bimine.analogy and bimine.metrics
+# when called, as the pipeline's steps do, so other commands never load them
+
 def _cmd_analogy_find(args) -> int:
+    from . import analogy as analogy_mod
     try:
         quads = pipeline.analogy_find(args.seed, args.max_dist, args.size_guard)
     except analogy_mod.SizeGuardError as exc:
@@ -104,6 +107,7 @@ def _cmd_analogy_find(args) -> int:
 
 
 def _cmd_analogy_models(args) -> int:
+    from . import analogy as analogy_mod
     models = pipeline.analogy_models(analogy_mod.read_quadruples(args.quads),
                                      args.seed, args.out, args.check_target)
     _log(f"extracted {len(models)} rewriting models -> {args.out}")
@@ -111,6 +115,7 @@ def _cmd_analogy_models(args) -> int:
 
 
 def _cmd_analogy_generate(args) -> int:
+    from . import analogy as analogy_mod
     counts = pipeline.analogy_generate(analogy_mod.read_models(args.models), args.store,
                                        args.lexicon, args.out, args.allow_unknown)
     _log(f"generated {counts['generated']} quasi-parallel pairs "
@@ -134,7 +139,8 @@ def _cmd_filter_cascade(args) -> int:
     return 0
 
 
-def _read_eval_pairs(hyp_path, ref_paths) -> list[metrics.EvalPair]:
+def _read_eval_pairs(hyp_path, ref_paths) -> list:
+    from . import metrics
     columns = []  # the tokenized lines of the hypothesis file, then of each reference
     for path in (hyp_path, *ref_paths):
         # a blank line is a segment too; a text-mode line is never ""
@@ -161,6 +167,7 @@ def _cmd_eval_score(args) -> int:
 
 
 def _cmd_eval_compare(args) -> int:
+    from . import metrics
     pairs_a = _read_eval_pairs(args.hyp_a, args.ref)
     pairs_b = _read_eval_pairs(args.hyp_b, args.ref)
     result = metrics.bootstrap_diff(

@@ -37,15 +37,23 @@ will would can could may might shall should
 
 
 class FilterReport:
+    """Pair counts of a filter pass: rejections per rule and, for the
+    cascade, acceptances per stage."""
+
     def __init__(self, input_count: int) -> None:
         self.input_count = input_count
         self.kept_count = 0
         self.rejected_count = 0
         self.rejections: dict[str, int] = {}
+        self.acceptances: dict[str, int] = {}
 
     def reject(self, rule: str) -> None:
         self.rejected_count += 1
         self.rejections[rule] = self.rejections.get(rule, 0) + 1
+
+    def accept(self, stage: str) -> None:
+        self.kept_count += 1
+        self.acceptances[stage] = self.acceptances.get(stage, 0) + 1
 
     def as_dict(self) -> dict:
         return {
@@ -53,6 +61,7 @@ class FilterReport:
             "kept_count": self.kept_count,
             "rejected_count": self.rejected_count,
             "rejections": dict(sorted(self.rejections.items())),
+            "acceptances": dict(sorted(self.acceptances.items())),
         }
 
 
@@ -226,21 +235,19 @@ def filter_corpus(corpus: BitextCorpus, lex: TranslationLexicon,
     for pair in corpus.pairs:
         trans_tokens = gloss_translate(lex, tokenize(pair.src))
         tgt_tokens = tokenize(pair.tgt)
-        verdict = None
         for name, accept, reject in cascade.stages:
             score = _stage_score(name, trans_tokens, tgt_tokens, cascade)
             if score >= accept:
-                verdict = "keep"
+                kept.append(pair)
+                report.accept(name)
                 break
             if score < reject:
-                verdict = f"reject-{name}"
+                rejected.append(pair)
+                report.reject(f"reject-{name}")
                 break
-        if verdict == "keep":
-            kept.append(pair)
-            report.kept_count += 1
         else:
             rejected.append(pair)
-            report.reject(verdict or "fallthrough")
+            report.reject("fallthrough")
     return BitextCorpus(kept), BitextCorpus(rejected), report
 
 

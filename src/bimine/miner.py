@@ -48,17 +48,20 @@ def mine_pair(pair: ArticlePair, src: list[Sentence], tgt: list[Sentence],
     and keep the links scoring at least the threshold.
 
     The aligner skips the match edges that ``match_filter`` proves useless.
-    Returns the kept pairs and the article's work counts: ``lattice_cells``
-    (source times target sentences), ``cells_scored`` (similarity calls),
-    ``nodes`` (lattice nodes whose cost was computed) and ``cells_pruned``
-    (match edges skipped unscored).
+    Returns the kept pairs and the article's work counts: ``src_sentences``
+    and ``tgt_sentences``, ``lattice_cells`` (source times target
+    sentences), ``cells_scored`` (similarity calls), ``nodes`` (lattice
+    nodes whose cost was computed) and ``cells_pruned`` (match edges skipped
+    unscored).
     """
     if model.direction != (pair.src.lang, pair.tgt.lang):
         raise ValueError(
             f"model direction {model.direction} does not match article pair "
             f"languages ({pair.src.lang}, {pair.tgt.lang})")
+    sizes = {"src_sentences": len(src), "tgt_sentences": len(tgt),
+             "lattice_cells": len(src) * len(tgt)}
     if not src or not tgt:
-        return [], {"lattice_cells": 0, "cells_scored": 0, "nodes": 0, "cells_pruned": 0}
+        return [], {**sizes, "cells_scored": 0, "nodes": 0, "cells_pruned": 0}
     # each sentence's feature facts are computed once, not once per cell
     sources = [source_record(s.tokens, lex) for s in src]
     targets = [target_record(t.tokens) for t in tgt]
@@ -66,8 +69,7 @@ def mine_pair(pair: ArticlePair, src: list[Sentence], tgt: list[Sentence],
                    match_filter(model, sources, targets, match_floor(gap_cost)))
     direction = f"{pair.src.lang}-{pair.tgt.lang}"
     mined = threshold_filter(result, threshold, src, tgt, pair.id, direction)
-    return mined, {"lattice_cells": len(src) * len(tgt),
-                   "cells_scored": result.cells_scored, "nodes": result.nodes,
+    return mined, {**sizes, "cells_scored": result.cells_scored, "nodes": result.nodes,
                    "cells_pruned": result.cells_pruned}
 
 

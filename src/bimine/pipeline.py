@@ -21,11 +21,16 @@ import json
 import marshal
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
-from . import analogy as analogy_mod
 from . import classifier as classifier_mod
-from . import corpus_io, filtering, lexicon as lexicon_mod, metrics, miner
+from . import corpus_io, lexicon as lexicon_mod, miner
+
+# The analogy, filter and eval steps import their modules (bimine.analogy,
+# bimine.filtering, bimine.metrics) when first called: every command starts
+# a fresh interpreter, and a run that never reaches those steps then never
+# compiles them.
 
 STAGES = ("ingest", "lexicon", "classifier", "mine", "merge", "analogy",
           "filter", "eval")
@@ -48,6 +53,21 @@ _ARTIFACT_STAGE = {
 
 class PipelineError(RuntimeError):
     pass
+
+
+# Largest seed, in sentences, the analogy search takes by default.  The pair
+# pass is quadratic in the sentence count and the number of quadruples grows
+# faster still.  find_analogies(_structured_corpus(Random(5), n), 4) from
+# tests/test_analogy.py on a 2-vCPU host with CPython 3.11:
+#      n     seconds   peak RSS
+#    300       0.35      45 MB
+#    600       1.24      60 MB
+#   1200       3.66     109 MB
+#   2400      15.5      314 MB
+#   3600      44.9      608 MB
+#   4800      80.3     1107 MB
+# At the guard the search takes about a minute.
+DEFAULT_SIZE_GUARD = 4000
 
 
 _TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
@@ -90,7 +110,7 @@ class PipelineConfig:
                            "margin_reg": 1e-4, "seed": 13, "threshold": 0.5}
         # a null mining.threshold means the one the classifier stage stored
         self.mining = {"threshold": None, "gap_cost": 0.4, "bidirectional": False, "workers": 1}
-        self.analogy = {"max_distance": 4, "size_guard": analogy_mod.DEFAULT_SIZE_GUARD,
+        self.analogy = {"max_distance": 4, "size_guard": DEFAULT_SIZE_GUARD,
                         "allow_unknown": False, "check_target": False}
         self.filter = {"min_chars": 10, "cascade": ""}
         self.eval = {"segments": 200, "per_segment": 10, "seed": 7}
@@ -176,8 +196,8 @@ def _require(config: PipelineConfig, path: Path) -> Path:
 
 # ---------------------------------------------------------------------------
 # steps, shared with the CLI.  Library calls go through module attributes
-# (corpus_io.read_bitext, miner.mine_corpus, ...) so a replaced attribute is
-# the one called.
+# (corpus_io.read_bitext, miner.mine_corpus, analogy_mod.find_analogies, ...)
+# so a replaced attribute is the one called.
 
 def ingest(src_dump, tgt_dump, links, out, src_lang: str, tgt_lang: str) -> dict:
     """Clean two article dumps, pair them by the links file, write the store."""
@@ -221,7 +241,8 @@ def train_classifier(seed, lexicon, out, src_lang: str, tgt_lang: str, *,
     return model.training_counts
 
 
-_MINE_WORK = ("lattice_cells", "cells_scored", "nodes", "cells_pruned")
+_MINE_WORK = ("src_sentences", "tgt_sentences", "lattice_cells", "cells_scored", "nodes",
+              "cells_pruned")
 
 
 def mine(store, model, lexicon, out, *, gap_cost: float,
@@ -233,9 +254,9 @@ def mine(store, model, lexicon, out, *, gap_cost: float,
     the model.  ``flip`` mines the reverse direction, reading each stored
     pair target side first.  ``log`` gets one JSON line per article.
     Returns the counts: articles, mined pairs, the sums over the articles
-    of the lattice cells, the cells whose similarity was computed, the
-    lattice nodes whose cost was computed and the match edges skipped
-    unscored.
+    of the source and target sentences, the lattice cells, the cells whose
+    similarity was computed, the lattice nodes whose cost was computed and
+    the match edges skipped unscored.
     """
     sim_model = classifier_mod.load_model(model)
     lex = lexicon_mod.read_lexicon(lexicon)
@@ -268,23 +289,23 @@ def merge(fwd, rev, out, stats) -> dict:
     return {"merged": len(merged.pairs), **overlap.as_dict()}
 
 
-def analogy_find(seed, max_distance: int, size_guard: int,
-                 ) -> list[analogy_mod.AnalogyQuadruple]:
+def analogy_find(seed, max_distance: int, size_guard: int) -> list:
     """Search the source side of a seed bitext for analogies.
 
     Returns the quadruples rather than writing them: the pipeline hands them
     to ``analogy_models`` in memory.  Raises ``SizeGuardError`` for a seed of
     more than ``size_guard`` sentences.
     """
+    from . import analogy as analogy_mod
     sentences = [corpus_io.tokenize(p.src) for p in corpus_io.read_bitext(seed).pairs]
     analogy_mod.check_size_guard(len(sentences), size_guard)
     return analogy_mod.find_analogies(sentences, max_distance)
 
 
-def analogy_models(quads, seed, out, check_target: bool,
-                   ) -> list[analogy_mod.RewritingModel]:
+def analogy_models(quads, seed, out, check_target: bool) -> list:
     """Extract rewriting models from analogy quadruples of the seed and write
     them; returns them for ``analogy_generate``."""
+    from . import analogy as analogy_mod
     models = analogy_mod.models_from_quadruples(
         quads, corpus_io.read_bitext(seed), check_target_side=check_target)
     analogy_mod.write_models(out, models)
@@ -294,6 +315,7 @@ def analogy_models(quads, seed, out, check_target: bool,
 def analogy_generate(models, store, lexicon, out, allow_unknown: bool) -> dict:
     """Apply rewriting models to the store's source sentences and write the
     quasi-parallel pairs; returns the generated and confirmed counts."""
+    from . import analogy as analogy_mod
     quasi = analogy_mod.generate_corpus(
         models, corpus_io.read_article_store(store),
         lexicon_mod.read_lexicon(lexicon), allow_unknown=allow_unknown)
@@ -311,6 +333,7 @@ def filter_bitext(infile, kept, report=None, *, min_chars: int | None = None,
     the cascade rejects to ``rejected`` and the report of both passes to
     ``report`` when those are given; returns that report as a dict.
     """
+    from . import filtering
     corpus = corpus_io.read_bitext(infile)
     result = filtering.FilterReport(input_count=len(corpus.pairs))
     passes = []
@@ -329,6 +352,7 @@ def filter_bitext(infile, kept, report=None, *, min_chars: int | None = None,
     for done in passes:  # the two passes reject for different reasons
         result.rejected_count += done.rejected_count
         result.rejections.update(done.rejections)
+        result.acceptances.update(done.acceptances)
     corpus_io.write_bitext(kept, corpus)
     if report:
         corpus_io.write_json(report, result.as_dict())
@@ -340,8 +364,10 @@ METRICS = {"bleu": "bleu", "nist": "nist", "ter": "corpus_ter",
            "meteor": "corpus_meteor"}
 
 
-def score(pairs: list[metrics.EvalPair], metric: str) -> float:
-    """Corpus-level score of ``pairs`` under the metric named in METRICS."""
+def score(pairs: list, metric: str) -> float:
+    """Corpus-level score of ``pairs`` (``metrics.EvalPair``) under the metric
+    named in METRICS."""
+    from . import metrics
     return getattr(metrics, METRICS[metric])(pairs)
 
 
@@ -492,6 +518,7 @@ def _stage_merge(config: PipelineConfig) -> None:
 
 
 def _stage_analogy(config: PipelineConfig) -> None:
+    from . import analogy as analogy_mod
     params = config.analogy
     seed = _seed_path(config)
     store = _require(config, config.store_path())
@@ -503,7 +530,9 @@ def _stage_analogy(config: PipelineConfig) -> None:
     models_path = config.path("analogy_models.jsonl")
     models = analogy_models(quads, seed, models_path, params["check_target"])
     quasi_path = config.path("quasi.tsv")
+    by_distance = Counter(quad.d_ab for quad in quads)
     counts = {"quadruples": len(quads), "models": len(models),
+              "quadruples_by_distance": {str(d): n for d, n in sorted(by_distance.items())},
               **analogy_generate(models, store, lexicon, quasi_path,
                                  params["allow_unknown"])}
     report_path = config.path("quasi_report.json")
@@ -533,6 +562,7 @@ def _stage_filter(config: PipelineConfig) -> None:
 
 
 def _stage_eval(config: PipelineConfig) -> None:
+    from . import metrics
     params = config.eval
     filtered_path = _require(config, config.path("filtered.tsv"))
     lex = lexicon_mod.read_lexicon(_require(config, config.path("lexicon.tsv")))

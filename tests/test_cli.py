@@ -223,6 +223,27 @@ def test_analogy_commands(world, tmp_path):
                  "--out", str(out)]) == 0
 
 
+def test_analogy_stage_counts_quadruples_by_distance(tmp_path):
+    from collections import Counter
+    from bimine.analogy import find_analogies
+    # one analogy at word distance 1 (kota / psa) and one at 2 (stoi tu / lezy tam)
+    sources = ["ala ma kota", "ola ma kota", "ala ma psa", "ola ma psa",
+               "ten duzy dom stoi tu", "ta mala chata stoi tu",
+               "ten duzy dom lezy tam", "ta mala chata lezy tam"]
+    seed_path = tmp_path / "seed.tsv"
+    seed_path.write_text("".join(f"{s}\t{s.upper()}\n" for s in sources), encoding="utf-8")
+    config = PipelineConfig(workdir=str(tmp_path / "out"))
+    config.seed_corpus = str(seed_path)
+    run_pipeline(config, ["lexicon"])
+    config.path("store.jsonl").write_text("", encoding="utf-8")
+    run_pipeline(config, ["analogy"])
+    report = json.loads(config.path("quasi_report.json").read_text(encoding="utf-8"))
+    by_distance = Counter(q.d_ab for q in find_analogies([s.split() for s in sources], 4))
+    assert sorted(by_distance) == [1, 2]
+    assert report["quadruples_by_distance"] == {str(d): by_distance[d]
+                                                for d in sorted(by_distance)}
+
+
 def test_analogy_size_guard(tmp_path, capsys):
     seed_path = tmp_path / "big.tsv"
     with open(seed_path, "w", encoding="utf-8") as fh:
@@ -417,6 +438,21 @@ def test_pipeline_full_run_and_determinism(world, tmp_path):
         assert 0 < mine_counts[f"cells_pruned{suffix}"] <= cells - scored
         assert 0 < mine_counts[f"nodes{suffix}"]
         assert "dp_articles" + suffix not in mine_counts
+    # the reverse direction reads each article target side first
+    for side, other in (("src", "tgt"), ("tgt", "src")):
+        assert mine_counts[f"{side}_sentences_fwd"] == sum(
+            entry[f"{side}_sentences"] for entry in log)
+        assert mine_counts[f"{side}_sentences_fwd"] == mine_counts[f"{other}_sentences_rev"]
+    assert mine_counts["lattice_cells_fwd"] == sum(
+        entry["src_sentences"] * entry["tgt_sentences"] for entry in log)
+    quasi = json.loads((workdir / "quasi_report.json").read_text(encoding="utf-8"))
+    by_distance = quasi["quadruples_by_distance"]
+    assert list(by_distance) == sorted(by_distance, key=int)
+    assert all(1 <= int(d) <= 4 for d in by_distance)
+    assert sum(by_distance.values()) == quasi["quadruples"]
+    filter_report = json.loads((workdir / "filter_report.json").read_text(encoding="utf-8"))
+    assert sum(filter_report["acceptances"].values()) == filter_report["kept_count"] > 0
+    assert set(filter_report["acceptances"]) <= {"fast", "stem", "synonym"}
 
     first = {name: (workdir / name).read_bytes() for name in ARTIFACTS}
     first_manifests = {m: (workdir / m).read_bytes() for m in manifests}

@@ -199,6 +199,26 @@ def test_paper_mistranslation_rejected():
     assert len(rejected.pairs) == 1
 
 
+def test_report_counts_acceptances_per_stage():
+    # each default stage decides one pair to keep; two pairs are rejected
+    corpus = _corpus([
+        ("Ala ma kota .", "Alice has cat ."),      # fast: the gloss matches
+        ("Ala ma kota .", "Alice has cats ."),     # stem: cats -> cat
+        ("Ala ma kota .", "Alice has dog ."),      # synonym: cat ~ dog
+        ("Ala ma kota .", "Alice has bird ."),     # no stage accepts
+        ("Na początku lat 30", "U.S. Dept."),      # the fast stage rejects
+    ])
+    config = CascadeConfig(synonyms={"cat": frozenset({"dog"})})
+    kept, rejected, report = filter_corpus(corpus, _gloss_lex(), config)
+    assert [p.tgt for p in kept.pairs] == ["Alice has cat .", "Alice has cats .",
+                                           "Alice has dog ."]
+    assert report.as_dict() == {
+        "input_count": 5, "kept_count": 3, "rejected_count": 2,
+        "acceptances": {"fast": 1, "stem": 1, "synonym": 1},
+        "rejections": {"fallthrough": 1, "reject-fast": 1},
+    }
+
+
 def test_partition_is_exact():
     fixture = make_filter_fixture(make_world(seed=7), seed=5, n=60, n_noisy=12)
     config = CascadeConfig(synonyms=fixture.synonyms)
@@ -208,6 +228,7 @@ def test_partition_is_exact():
     assert report.kept_count == len(kept.pairs)
     assert report.rejected_count == len(rejected.pairs)
     assert sum(report.rejections.values()) == report.rejected_count
+    assert sum(report.acceptances.values()) == report.kept_count
 
 
 def test_cascade_deterministic():

@@ -42,7 +42,8 @@ def test_mine_pair_language_mismatch(small_model, small_lexicon):
 
 def test_mine_pair_empty_article(small_model, small_lexicon):
     assert _mine_pair(_pair(0, "", "Something here."), small_model, small_lexicon) == \
-        ([], {"lattice_cells": 0, "cells_scored": 0, "nodes": 0, "cells_pruned": 0})
+        ([], {"src_sentences": 0, "tgt_sentences": 1, "lattice_cells": 0,
+              "cells_scored": 0, "nodes": 0, "cells_pruned": 0})
 
 
 def test_mine_pair_equals_composed_stages(small_model, small_lexicon,
@@ -62,7 +63,8 @@ def test_mine_pair_equals_composed_stages(small_model, small_lexicon,
     pruned = align(sources, targets, functools.partial(similarity, small_model), 0.4,
                    match_filter(small_model, sources, targets, match_floor(0.4)))
     assert pruned.links == result.links and pruned.total_cost == result.total_cost
-    assert work == {"lattice_cells": len(src) * len(tgt),
+    assert work == {"src_sentences": len(src), "tgt_sentences": len(tgt),
+                    "lattice_cells": len(src) * len(tgt),
                     "cells_scored": pruned.cells_scored, "nodes": pruned.nodes,
                     "cells_pruned": pruned.cells_pruned}
     assert work["cells_pruned"] > 0
@@ -162,6 +164,7 @@ def test_mine_corpus_logs_work_counts(small_model, small_lexicon, small_articles
     for entry, pair in zip(log, articles):
         n = len(segment_sentences(pair.src.body))
         m = len(segment_sentences(pair.tgt.body))
+        assert (entry["src_sentences"], entry["tgt_sentences"]) == (n, m)
         assert entry["lattice_cells"] == n * m
         assert 0 < entry["cells_scored"] <= n * m
         # every node on an optimal path, the goal included, is computed

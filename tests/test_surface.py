@@ -11,7 +11,8 @@ with enough arguments.  The exceptions are the named oracles below, kept as
 independent checks for the tests, and the listed parameters.
 
 Every run starts a fresh interpreter, so importing the CLI must not load the
-costly modules behind ``dataclasses`` and ``typing``; the value records that
+costly modules behind ``dataclasses`` and ``typing``, nor the stage modules
+that only the analogy, filter and eval stages use; the value records that
 replace dataclasses keep their contracts.
 """
 
@@ -151,6 +152,21 @@ def test_cli_import_loads_no_dataclasses_or_typing():
             "print(sorted({'dataclasses', 'inspect', 'typing', 'ast', 'dis'} "
             "& set(sys.modules)))")
     run = subprocess.run([sys.executable, "-S", "-c", code, str(ROOT / "src")],
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == "[]\n"
+
+
+def test_cli_start_loads_no_optional_stage_module(tmp_path):
+    # the analogy, filter and eval stages import their modules when called;
+    # starting the CLI, building its parser and loading a config must not
+    config = tmp_path / "config.json"
+    config.write_text('{"workdir": "out", "analogy": {"max_distance": 3}}', encoding="utf-8")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import bimine.cli; "
+            "bimine.cli.build_parser(); "
+            "bimine.cli.pipeline.PipelineConfig.from_json(sys.argv[2]); "
+            "print(sorted({'bimine.analogy', 'bimine.filtering', 'bimine.metrics', "
+            "'bimine.editdistance'} & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-S", "-c", code, str(ROOT / "src"), str(config)],
                          capture_output=True, text=True, check=True)
     assert run.stdout == "[]\n"
 
