@@ -107,19 +107,6 @@ def canonical_arrangement(quad: tuple[Tokens, Tokens, Tokens, Tokens],
     return min(tuple(quad[i] for i in perm) for perm in _SYMMETRIES)
 
 
-class SizeGuardError(ValueError):
-    """An analogy search was refused because its input exceeds the size guard."""
-
-
-def check_size_guard(n_sentences: int, guard: int) -> None:
-    """Refuse a search over more than ``guard`` sentences (the pair pass is
-    quadratic in the sentence count)."""
-    if n_sentences > guard:
-        raise SizeGuardError(
-            f"analogy search over {n_sentences} sentences exceeds the size "
-            f"guard ({guard}); raise the guard to override")
-
-
 def find_analogies(sentences: Sequence[Sequence[str]],
                    max_distance: int = 4) -> list[AnalogyQuadruple]:
     """All analogies among distinct sentences with both distances <= max_distance.
@@ -258,7 +245,8 @@ def models_from_quadruples(quadruples: Sequence[AnalogyQuadruple],
     Analogies are detected on the source side; ``check_target_side``
     additionally requires the two distance equalities to hold between the
     corresponding target sentences before a quadruple contributes models.
-    Each seed pair is tokenized once, on first use.
+    Each seed pair is tokenized once, on first use, and each ordered index
+    pair gives a model once: quadruples share pairs.
     """
     tokenized: dict[int, tuple[Tokens, Tokens]] = {}
 
@@ -270,6 +258,7 @@ def models_from_quadruples(quadruples: Sequence[AnalogyQuadruple],
         return tokenized[index]
 
     seen: set[tuple] = set()
+    extracted: set[tuple[int, int]] = set()
     models = []
     for quad in quadruples:
         ia, ib, ic, id_ = quad.indices
@@ -278,6 +267,9 @@ def models_from_quadruples(quadruples: Sequence[AnalogyQuadruple],
                 and _target_side_holds([tokens(idx)[1] for idx in quad.indices])):
             continue
         for i1, i2 in ((ia, ib), (ic, id_)):
+            if (i1, i2) in extracted:
+                continue
+            extracted.add((i1, i2))
             if not (0 <= i1 < len(seed.pairs) and 0 <= i2 < len(seed.pairs)):
                 continue
             model = extract_rewriting_model(tokens(i1), tokens(i2))

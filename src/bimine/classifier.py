@@ -494,8 +494,9 @@ def save_model(path, model: SimilarityModel) -> None:
 
 
 def load_model(path) -> SimilarityModel:
-    """Read a model file; a malformed one, or one whose Platt slope is not
-    negative, raises ValueError naming the file."""
+    """Read a model file; a malformed one, one whose Platt slope is not
+    negative or one whose threshold is outside [0, 1] raises ValueError
+    naming the file."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -514,6 +515,8 @@ def load_model(path) -> SimilarityModel:
             # training refuses such a model, and the mining bound needs the
             # calibrated score to fall as the margin falls
             raise ValueError(f"platt_a must be negative, got {doc['platt_a']!r}")
+        if not 0.0 <= float(doc["threshold"]) <= 1.0:
+            raise ValueError(f"threshold must be in [0, 1], got {doc['threshold']!r}")
         return SimilarityModel(
             weights=weights,
             bias=float(doc["bias"]),

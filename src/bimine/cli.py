@@ -2,8 +2,9 @@
 
 Subcommands: ingest, sample, stats, lexicon train, classifier train, mine,
 merge-bidi, analogy find|models|generate, filter trivial|cascade,
-eval [score]|compare, pipeline.  Logs go to standard error; data goes to
-files (or stdout for report commands).
+eval [score]|compare, pipeline.  Data goes to files (or stdout for report
+commands); a command that writes files prints one JSON record to standard
+error, as a pipeline stage does, and a failure prints one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -21,14 +22,20 @@ def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _report(args, outputs: list, counts: dict) -> int:
+    """Log the command's record: the outputs as given (an optional one that
+    was not given is left out) and the counts."""
+    command = " ".join(filter(None, (args.command, vars(args).get("subcommand"))))
+    pipeline.log_record(command, [path for path in outputs if path is not None], counts)
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # command handlers
 
 def _cmd_ingest(args) -> int:
-    counts = pipeline.ingest(args.src_dump, args.tgt_dump, args.links, args.out,
-                             args.src_lang, args.tgt_lang)
-    _log(f"wrote {counts['article_pairs']} article pairs to {args.out}")
-    return 0
+    return _report(args, [args.out], pipeline.ingest(
+        args.src_dump, args.tgt_dump, args.links, args.out, args.src_lang, args.tgt_lang))
 
 
 def _cmd_sample(args) -> int:
@@ -37,9 +44,8 @@ def _cmd_sample(args) -> int:
         corpus, args.segments, args.per_segment, args.seed)
     corpus_io.write_bitext(args.test, test)
     corpus_io.write_bitext(args.train, train)
-    _log(f"test {len(test.pairs)} pairs -> {args.test}; "
-         f"train {len(train.pairs)} pairs -> {args.train}")
-    return 0
+    return _report(args, [args.test, args.train],
+                   {"test_pairs": len(test.pairs), "train_pairs": len(train.pairs)})
 
 
 def _cmd_stats(args) -> int:
@@ -55,40 +61,27 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_lexicon_train(args) -> int:
-    counts = pipeline.train_lexicon(args.seed, args.out, args.iters, args.prune_below)
-    _log(f"trained lexicon with {counts['entries']} source entries "
-         f"({counts['cells']} EM cells) -> {args.out}")
-    return 0
+    return _report(args, [args.out], pipeline.train_lexicon(
+        args.seed, args.out, args.iters, args.prune_below))
 
 
 def _cmd_classifier_train(args) -> int:
-    counts = pipeline.train_classifier(
+    return _report(args, [args.out], pipeline.train_classifier(
         args.seed, args.lexicon, args.out, args.src_lang, args.tgt_lang,
         neg_per_pos=args.neg_per_pos, epochs=args.epochs,
         learning_rate=args.learning_rate, margin_reg=args.margin_reg,
-        seed_rng=args.seed_rng, threshold=args.threshold)
-    _log(f"trained classifier on {counts['examples']} examples "
-         f"({counts['hinge_updates']} hinge updates) -> {args.out}")
-    return 0
+        seed_rng=args.seed_rng, threshold=args.threshold))
 
 
 def _cmd_mine(args) -> int:
-    counts = pipeline.mine(args.store, args.model, args.lexicon, args.out,
-                           gap_cost=args.gap_cost, threshold=args.threshold,
-                           log=args.log)
-    _log(f"mined {counts['mined']} pairs from {counts['articles']} articles "
-         f"({counts['cells_scored']} of {counts['lattice_cells']} lattice cells "
-         f"scored, {counts['cells_pruned']} pruned, {counts['nodes']} nodes computed) "
-         f"-> {args.out}")
-    return 0
+    return _report(args, [args.out, args.log], pipeline.mine(
+        args.store, args.model, args.lexicon, args.out,
+        gap_cost=args.gap_cost, threshold=args.threshold, log=args.log))
 
 
 def _cmd_merge_bidi(args) -> int:
-    counts = pipeline.merge(args.fwd, args.rev, args.out, args.stats)
-    _log(f"merged {counts['merged']} pairs; recognized {counts['recognized']}, "
-         f"overlapping {counts['overlapping']}, "
-         f"newly obtained {counts['newly_obtained']}")
-    return 0
+    return _report(args, [args.out, args.stats],
+                   pipeline.merge(args.fwd, args.rev, args.out, args.stats))
 
 
 # the analogy and eval handlers import bimine.analogy and bimine.metrics
@@ -98,45 +91,36 @@ def _cmd_analogy_find(args) -> int:
     from . import analogy as analogy_mod
     try:
         quads = pipeline.analogy_find(args.seed, args.max_dist, args.size_guard)
-    except analogy_mod.SizeGuardError as exc:
+    except pipeline.PipelineError as exc:  # the size guard
         _log(f"error: {exc}")
         return 2
     analogy_mod.write_quadruples(args.out, quads)
-    _log(f"found {len(quads)} analogy quadruples -> {args.out}")
-    return 0
+    return _report(args, [args.out], {"quadruples": len(quads)})
 
 
 def _cmd_analogy_models(args) -> int:
     from . import analogy as analogy_mod
     models = pipeline.analogy_models(analogy_mod.read_quadruples(args.quads),
                                      args.seed, args.out, args.check_target)
-    _log(f"extracted {len(models)} rewriting models -> {args.out}")
-    return 0
+    return _report(args, [args.out], {"models": len(models)})
 
 
 def _cmd_analogy_generate(args) -> int:
     from . import analogy as analogy_mod
-    counts = pipeline.analogy_generate(analogy_mod.read_models(args.models), args.store,
-                                       args.lexicon, args.out, args.allow_unknown)
-    _log(f"generated {counts['generated']} quasi-parallel pairs "
-         f"({counts['confirmed']} confirmed) -> {args.out}")
-    return 0
+    return _report(args, [args.out], pipeline.analogy_generate(
+        analogy_mod.read_models(args.models), args.store, args.lexicon, args.out,
+        args.allow_unknown))
 
 
 def _cmd_filter_trivial(args) -> int:
-    report = pipeline.filter_bitext(args.infile, args.out, args.report,
-                                    min_chars=args.min_chars)
-    _log(f"kept {report['kept_count']} of {report['input_count']} pairs -> {args.out}")
-    return 0
+    return _report(args, [args.out, args.report], pipeline.filter_bitext(
+        args.infile, args.out, args.report, min_chars=args.min_chars))
 
 
 def _cmd_filter_cascade(args) -> int:
-    report = pipeline.filter_bitext(args.infile, args.kept, args.report,
-                                    lexicon=args.lexicon, cascade=args.config,
-                                    rejected=args.rejected)
-    _log(f"kept {report['kept_count']}, rejected {report['rejected_count']} "
-         f"-> {args.kept} / {args.rejected}")
-    return 0
+    return _report(args, [args.kept, args.rejected, args.report], pipeline.filter_bitext(
+        args.infile, args.kept, args.report, lexicon=args.lexicon, cascade=args.config,
+        rejected=args.rejected))
 
 
 def _read_eval_pairs(hyp_path, ref_paths) -> list:
@@ -179,7 +163,7 @@ def _cmd_eval_compare(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     config = pipeline.PipelineConfig.from_json(args.config)
-    stages = args.stages.split(",") if args.stages else None
+    stages = args.stages.split(",") if args.stages is not None else None
     run_pipeline(config, stages)
     return 0
 

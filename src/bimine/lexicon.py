@@ -48,6 +48,8 @@ def train_lexicon(seed: BitextCorpus, iterations: int = 10,
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
+    if not 0.0 <= prune_below <= 1.0:
+        raise ValueError(f"prune_below must be in [0, 1], got {prune_below}")
     if not seed.pairs:
         raise ValueError("seed corpus is empty")
 

@@ -4,9 +4,9 @@ analogy -> filter -> eval.
 Each step is one function that reads its inputs from explicit paths,
 computes, writes its artifacts and returns its counts; the CLI subcommands
 call the same functions.  A stage resolves its paths in the work directory
-(or configured paths), calls its step once per mining direction, writes a
-JSON run manifest (inputs, checksums, parameters, counts) and prints its
-stage, output names and counts as one JSON line to stderr.  In a
+(or configured paths), calls its step once per mining direction and writes a
+JSON run manifest (inputs, checksums, parameters, counts).  Each stage, and
+each CLI command that writes files, prints one ``log_record`` line.  In a
 bidirectional run the lexicon, classifier and mine stages run the reverse
 direction's step in a forked child while the forward one runs.  Stages are
 deterministic given the config seeds: re-running with identical inputs
@@ -170,10 +170,16 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
+def log_record(stage: str, outputs: list, counts: dict) -> None:
+    """Print what a step did to stderr as one sort-keyed JSON line: its
+    stage (or CLI command), its outputs and its counts."""
+    print(json.dumps({"stage": stage, "outputs": outputs, "counts": counts},
+                     sort_keys=True), file=sys.stderr)
+
+
 def _write_manifest(config: PipelineConfig, stage: str, params: dict,
                     inputs: list[Path], outputs: list[Path], counts: dict) -> None:
-    """Write the stage's manifest, and its stage, output names and counts to
-    stderr as one sort-keyed JSON line."""
+    """Write the stage's manifest and log its record, with the output names."""
     doc = {
         "stage": stage,
         "params": params,
@@ -182,8 +188,7 @@ def _write_manifest(config: PipelineConfig, stage: str, params: dict,
         "counts": counts,
     }
     corpus_io.write_json(config.path(f"manifest.{stage}.json"), doc)
-    print(json.dumps({"stage": stage, "outputs": list(doc["outputs"]), "counts": counts},
-                     sort_keys=True), file=sys.stderr)
+    log_record(stage, list(doc["outputs"]), counts)
 
 
 def _require(config: PipelineConfig, path: Path) -> Path:
@@ -232,6 +237,8 @@ def train_classifier(seed, lexicon, out, src_lang: str, tgt_lang: str, *,
     """Train the similarity classifier for ``src_lang -> tgt_lang`` and write
     it with its mining threshold; ``flip`` reads the seed columns swapped.
     Returns the training counts."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
     model = classifier_mod.train_model(
         corpus_io.read_bitext(seed, flip=flip), lexicon_mod.read_lexicon(lexicon),
         (src_lang, tgt_lang), neg_per_pos=neg_per_pos, epochs=epochs,
@@ -293,12 +300,14 @@ def analogy_find(seed, max_distance: int, size_guard: int) -> list:
     """Search the source side of a seed bitext for analogies.
 
     Returns the quadruples rather than writing them: the pipeline hands them
-    to ``analogy_models`` in memory.  Raises ``SizeGuardError`` for a seed of
-    more than ``size_guard`` sentences.
+    to ``analogy_models`` in memory.  Refuses a seed of more than
+    ``size_guard`` sentences, since the search is quadratic in their number.
     """
     from . import analogy as analogy_mod
     sentences = [corpus_io.tokenize(p.src) for p in corpus_io.read_bitext(seed).pairs]
-    analogy_mod.check_size_guard(len(sentences), size_guard)
+    if len(sentences) > size_guard:
+        raise PipelineError(f"analogy search over {len(sentences)} sentences exceeds "
+                            f"the size guard ({size_guard}); raise the guard to override")
     return analogy_mod.find_analogies(sentences, max_distance)
 
 
@@ -518,15 +527,11 @@ def _stage_merge(config: PipelineConfig) -> None:
 
 
 def _stage_analogy(config: PipelineConfig) -> None:
-    from . import analogy as analogy_mod
     params = config.analogy
     seed = _seed_path(config)
     store = _require(config, config.store_path())
     lexicon = _require(config, config.path("lexicon.tsv"))
-    try:
-        quads = analogy_find(seed, params["max_distance"], params["size_guard"])
-    except analogy_mod.SizeGuardError as exc:
-        raise PipelineError(str(exc)) from exc
+    quads = analogy_find(seed, params["max_distance"], params["size_guard"])
     models_path = config.path("analogy_models.jsonl")
     models = analogy_models(quads, seed, models_path, params["check_target"])
     quasi_path = config.path("quasi.tsv")

@@ -7,13 +7,12 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from bimine import analogy, pipeline
 from bimine.analogy import (
-    SizeGuardError,
     apply_model,
     canonical_arrangement,
     char_delta,
     char_profile_check,
-    check_size_guard,
     extract_rewriting_model,
     find_analogies,
     generate_corpus,
@@ -25,7 +24,7 @@ from bimine.analogy import (
     write_models,
     write_quadruples,
 )
-from bimine.corpus_io import ArticlePair, BiSentence, BitextCorpus, Document
+from bimine.corpus_io import ArticlePair, BiSentence, BitextCorpus, Document, tokenize
 from bimine.lexicon import TranslationLexicon
 
 from synthdata import ANALOGY_TEMPLATES, make_analogy_clusters, make_world, template_pair
@@ -256,10 +255,16 @@ def test_token_bag_bound_never_exceeds_distance(s1, s2):
     assert bound <= word_levenshtein(s1, s2)
 
 
-def test_size_guard():
-    check_size_guard(10, 10)
-    with pytest.raises(SizeGuardError, match="11 sentences exceeds the size guard"):
-        check_size_guard(11, 10)
+def test_size_guard(tmp_path):
+    seed = tmp_path / "seed.tsv"
+    seed.write_text("".join(f"zdanie {i}\tsentence {i}\n" for i in range(10)),
+                    encoding="utf-8")
+    assert pipeline.analogy_find(seed, 4, 10) == []
+    with open(seed, "a", encoding="utf-8") as fh:
+        fh.write("zdanie 10\tsentence 10\n")
+    with pytest.raises(pipeline.PipelineError, match=r"^analogy search over 11 sentences "
+                       r"exceeds the size guard \(10\); raise the guard to override$"):
+        pipeline.analogy_find(seed, 4, 10)
 
 
 def test_duplicates_collapsed_before_search():
@@ -367,6 +372,33 @@ def test_models_from_quadruples(world):
             assert tgt_tokens[:len(model.tgt_prefix)] == model.tgt_prefix
             n = len(model.tgt_suffix)
             assert n == 0 or tgt_tokens[-n:] == model.tgt_suffix
+
+
+def test_models_from_quadruples_extracts_each_pair_once(world, monkeypatch):
+    # five templates filled with the same four slot words: quadruples share
+    # their (A, B) and (C, D) index pairs
+    pairs = [BiSentence(*(" ".join(side) for side in template_pair(t, w, world.primary(w))))
+             for t in ANALOGY_TEMPLATES for w in world.src_vocab[:4]]
+    seed = BitextCorpus(pairs)
+    quads = find_analogies([p.src.split() for p in pairs], 4)
+    sides = [(q.indices[k], q.indices[k + 1]) for q in quads for k in (0, 2)]
+    assert len(sides) > len(set(sides))
+    unskipped = {}
+    for i1, i2 in sides:
+        model = extract_rewriting_model(*((tokenize(pairs[i].src), tokenize(pairs[i].tgt))
+                                          for i in (i1, i2)))
+        if model is not None:
+            unskipped.setdefault(model[:4], model)
+    calls = []
+
+    def counted(pair1, pair2):
+        calls.append((pair1, pair2))
+        return extract_rewriting_model(pair1, pair2)
+
+    monkeypatch.setattr(analogy, "extract_rewriting_model", counted)
+    models = models_from_quadruples(quads, seed)
+    assert len(calls) == len(set(sides))
+    assert models == list(unskipped.values()) != []
 
 
 def test_target_side_check_filters_quadruples(world):

@@ -544,6 +544,18 @@ def test_load_rejects_a_non_negative_platt_slope(tmp_path, small_model):
             load_model(path)
 
 
+def test_load_rejects_a_threshold_outside_zero_one(tmp_path, small_model):
+    path = tmp_path / "model.json"
+    save_model(path, small_model)
+    good = json.loads(path.read_text(encoding="utf-8"))
+    for threshold in (float("nan"), -0.5, 1.5):
+        # Python's json writes and reads NaN
+        path.write_text(json.dumps({**good, "threshold": threshold}), encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"model.json: threshold must be in \[0, 1\], "
+                                             rf"got {threshold}$"):
+            load_model(path)
+
+
 def test_load_rejects_malformed_model_naming_the_file(tmp_path, small_model):
     path = tmp_path / "model.json"
     save_model(path, small_model)

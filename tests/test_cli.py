@@ -124,6 +124,18 @@ def test_mine_defaults_to_model_threshold(workdir, tmp_path):
     assert scores and min(scores) >= 0.9
 
 
+@pytest.mark.parametrize("threshold", ["nan", "-0.1", "1.5"])
+def test_classifier_train_refuses_a_threshold_outside_zero_one(workdir, tmp_path, capsys,
+                                                              threshold):
+    model_path = tmp_path / "model.json"
+    assert main(["classifier", "train", "--seed", str(workdir / "seed.tsv"),
+                 "--lexicon", str(workdir / "lexicon.tsv"), "--out", str(model_path),
+                 "--threshold", threshold]) == 1
+    assert capsys.readouterr().err == \
+        f"error: threshold must be in [0, 1], got {float(threshold)}\n"
+    assert not model_path.exists()
+
+
 def test_sample_and_stats(workdir, capsys):
     mined = workdir / "mined.tsv"
     test_path, train_path = workdir / "test.tsv", workdir / "train.tsv"
@@ -269,6 +281,92 @@ def test_analogy_size_guard_same_message_in_pipeline(world, tmp_path, capsys):
     assert main(["analogy", "find", "--seed", config.seed_corpus,
                  "--size-guard", "10", "--out", str(tmp_path / "q.jsonl")]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _template_seed(world, path, n_words):
+    """The analogy templates filled with the first ``n_words`` slot words
+    that have one translation."""
+    from synthdata import ANALOGY_TEMPLATES, template_pair
+    words = [w for w in world.src_vocab if len(world.translations[w]) == 1][:n_words]
+    rows = [template_pair(template, w, world.primary(w))
+            for template in ANALOGY_TEMPLATES for w in words]
+    path.write_text("".join(f"{' '.join(src)}\t{' '.join(tgt)}\n" for src, tgt in rows),
+                    encoding="utf-8")
+    return rows
+
+
+def test_cli_commands_print_one_record(world, workdir, tmp_path, monkeypatch, capsys):
+    returned = {}
+    for name in ("ingest", "train_lexicon", "train_classifier", "mine", "merge",
+                 "analogy_generate", "filter_bitext"):
+        def spy(*args, _name=name, _step=getattr(pipeline, name), **kwargs):
+            returned[_name] = _step(*args, **kwargs)
+            return returned[_name]
+        monkeypatch.setattr(pipeline, name, spy)
+    out = {name: tmp_path / name for name in (
+        "store.jsonl", "test.tsv", "train.tsv", "lexicon.tsv", "model.json", "mined.tsv",
+        "mine_log.jsonl", "merged.tsv", "stats.json", "quads.jsonl", "models.jsonl",
+        "quasi.tsv", "trivial.tsv", "kept.tsv", "rejected.tsv", "report.json")}
+    _template_seed(world, tmp_path / "analogy_seed.tsv", 4)
+
+    def lines(name):
+        return len(out[name].read_text(encoding="utf-8").splitlines())
+
+    cases = [
+        (["ingest", "--src-dump", workdir / "src_dump.jsonl",
+          "--tgt-dump", workdir / "tgt_dump.jsonl", "--links", workdir / "links.tsv",
+          "--out", out["store.jsonl"]],
+         ["store.jsonl"], lambda: returned["ingest"]),
+        (["sample", "--corpus", workdir / "mined.tsv", "--segments", "2",
+          "--per-segment", "2", "--test", out["test.tsv"], "--train", out["train.tsv"]],
+         ["test.tsv", "train.tsv"],
+         lambda: {"test_pairs": lines("test.tsv"), "train_pairs": lines("train.tsv")}),
+        (["lexicon", "train", "--seed", workdir / "seed.tsv", "--iters", "2",
+          "--out", out["lexicon.tsv"]],
+         ["lexicon.tsv"], lambda: returned["train_lexicon"]),
+        (["classifier", "train", "--seed", workdir / "seed.tsv",
+          "--lexicon", out["lexicon.tsv"], "--out", out["model.json"], "--epochs", "2"],
+         ["model.json"], lambda: returned["train_classifier"]),
+        (["mine", "--store", out["store.jsonl"], "--model", out["model.json"],
+          "--lexicon", out["lexicon.tsv"], "--out", out["mined.tsv"],
+          "--log", out["mine_log.jsonl"]],
+         ["mined.tsv", "mine_log.jsonl"], lambda: returned["mine"]),
+        (["merge-bidi", "--fwd", out["mined.tsv"], "--rev", out["mined.tsv"],
+          "--out", out["merged.tsv"], "--stats", out["stats.json"]],
+         ["merged.tsv", "stats.json"], lambda: returned["merge"]),
+        (["analogy", "find", "--seed", tmp_path / "analogy_seed.tsv",
+          "--out", out["quads.jsonl"]],
+         ["quads.jsonl"], lambda: {"quadruples": lines("quads.jsonl")}),
+        (["analogy", "models", "--seed", tmp_path / "analogy_seed.tsv",
+          "--quads", out["quads.jsonl"], "--out", out["models.jsonl"]],
+         ["models.jsonl"], lambda: {"models": lines("models.jsonl")}),
+        (["analogy", "generate", "--models", out["models.jsonl"],
+          "--store", out["store.jsonl"], "--lexicon", out["lexicon.tsv"],
+          "--out", out["quasi.tsv"]],
+         ["quasi.tsv"], lambda: returned["analogy_generate"]),
+        # no --report: an optional output that was not given is left out
+        (["filter", "trivial", "--in", out["merged.tsv"], "--out", out["trivial.tsv"]],
+         ["trivial.tsv"], lambda: returned["filter_bitext"]),
+        (["filter", "cascade", "--in", out["trivial.tsv"], "--lexicon", out["lexicon.tsv"],
+          "--kept", out["kept.tsv"], "--rejected", out["rejected.tsv"],
+          "--report", out["report.json"]],
+         ["kept.tsv", "rejected.tsv", "report.json"],
+         lambda: json.loads(out["report.json"].read_text(encoding="utf-8"))),
+    ]
+    capsys.readouterr()
+    for argv, outputs, counts in cases:
+        assert main([str(arg) for arg in argv]) == 0, argv
+        err = capsys.readouterr().err
+        line, = err.splitlines()
+        assert err == line + "\n"
+        record = json.loads(line)
+        assert line == json.dumps(record, sort_keys=True)
+        assert record == {"stage": " ".join(a for a in argv[:2] if not a.startswith("-")),
+                          "outputs": [str(out[name]) for name in outputs],
+                          "counts": json.loads(json.dumps(counts()))}, argv
+    assert json.loads(out["report.json"].read_text(encoding="utf-8")) == \
+        returned["filter_bitext"]
+    assert lines("quads.jsonl") > 0 and lines("models.jsonl") > 0
 
 
 def test_eval_score_and_compare(tmp_path, capsys):
@@ -513,6 +611,35 @@ def _directory_bytes(path):
     return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
 
 
+def test_analogy_and_filter_rerun_same_bytes_with_analogies(world, tmp_path):
+    seed_path = tmp_path / "seed.tsv"
+    rows = _template_seed(world, seed_path, 5)
+    config_path, workdir = tmp_path / "config.json", tmp_path / "out"
+    config_path.write_text(json.dumps({
+        "workdir": str(workdir), "seed_corpus": str(seed_path),
+        "lexicon": {"iterations": 5}, "analogy": {"max_distance": 4}}), encoding="utf-8")
+    assert main(["pipeline", "--config", str(config_path), "--stages", "lexicon"]) == 0
+    # article k carries the seed sentence of template k with slot word k,
+    # and the seed pairs stand in for the mined corpus
+    with open(workdir / "store.jsonl", "w", encoding="utf-8") as fh:
+        for k in range(5):
+            fh.write(json.dumps({
+                "id": k, "src_lang": "pl", "tgt_lang": "en", "src_title": f"a{k}",
+                "tgt_title": f"a{k}", "src_text": " ".join(rows[6 * k][0]).capitalize(),
+                "tgt_text": "Nic tu nie ma."}) + "\n")
+    write_bitext(workdir / "mined.tsv", read_bitext(seed_path))
+    before = set(_directory_bytes(workdir))
+    argv = ["pipeline", "--config", str(config_path), "--stages", "analogy,filter"]
+    assert main(argv) == 0
+    counts = json.loads((workdir / "quasi_report.json").read_text(encoding="utf-8"))
+    assert min(counts["quadruples"], counts["models"], counts["generated"]) > 0
+    first = _directory_bytes(workdir)
+    for name in set(first) - before:
+        (workdir / name).unlink()
+    assert main(argv) == 0
+    assert _directory_bytes(workdir) == first
+
+
 @pytest.fixture
 def two_cpus(monkeypatch):
     """The process may run on two CPUs, so a bidirectional stage forks."""
@@ -679,6 +806,26 @@ def test_pipeline_mining_threshold_zero_is_kept(world, tmp_path, monkeypatch):
         run_pipeline(config, ["mine"])
     # an absent or null threshold falls back to the model's; 0 is kept
     assert used == [0.7, 0.0, 0.7, 0.25]
+
+
+def test_pipeline_refuses_an_empty_stage_list(world, tmp_path, capsys):
+    config_path, workdir = _pipeline_config(tmp_path, world)
+    assert main(["pipeline", "--config", str(config_path), "--stages", ""]) == 1
+    assert capsys.readouterr().err.startswith("error: unknown stages ['']; choose from ")
+    assert not workdir.exists()
+
+
+def test_pipeline_refuses_a_nan_classifier_threshold(world, tmp_path, capsys):
+    # Python's json reads NaN, so the config file can hold one
+    config_path, workdir = _pipeline_config(tmp_path, world, bidirectional=False)
+    doc = json.loads(config_path.read_text(encoding="utf-8"))
+    doc["classifier"]["threshold"] = float("nan")
+    config_path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["pipeline", "--config", str(config_path),
+                 "--stages", "lexicon,classifier"]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        "error: threshold must be in [0, 1], got nan"
+    assert not (workdir / "classifier.json").exists()
 
 
 def test_pipeline_rejects_unknown_stage(world, tmp_path):

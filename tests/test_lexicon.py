@@ -179,6 +179,14 @@ def test_zero_iterations_error():
         train_lexicon(BitextCorpus([BiSentence("a", "x")]), iterations=0)
 
 
+@pytest.mark.parametrize("prune_below", [math.nan, -0.1, 1.5])
+def test_prune_below_outside_zero_one_is_refused(prune_below):
+    # no probability is >= nan: every row would keep only its best entry
+    with pytest.raises(ValueError, match=rf"^prune_below must be in \[0, 1\], "
+                                         rf"got {prune_below}$"):
+        train_lexicon(BitextCorpus([BiSentence("a", "x")]), prune_below=prune_below)
+
+
 def test_empty_corpus_error():
     with pytest.raises(ValueError):
         train_lexicon(BitextCorpus([]))
