@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 import math
 import random
 from collections import Counter
 from collections.abc import Callable, Sequence
 
-from .corpus_io import BitextCorpus, tokenize, write_json
+from .corpus_io import BitextCorpus, json_number, read_json, tokenize, write_json
 from .lexicon import TranslationLexicon
 
 FEATURE_NAMES = ("len_ratio", "char_ratio", "cov_st", "cov_ts", "num_overlap")
@@ -494,39 +493,31 @@ def save_model(path, model: SimilarityModel) -> None:
 
 
 def load_model(path) -> SimilarityModel:
-    """Read a model file; a malformed one, one whose Platt slope is not
-    negative or one whose threshold is outside [0, 1] raises ValueError
-    naming the file."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict):
-            raise ValueError("a model file holds one JSON object")
-        if doc.get("format_version") != FORMAT_VERSION:
-            raise ValueError(f"unsupported model format {doc.get('format_version')!r}")
-        if doc.get("feature_names") != list(FEATURE_NAMES):
-            raise ValueError(f"model features {doc.get('feature_names')} "
-                             f"do not match {list(FEATURE_NAMES)}")
-        weights = [float(w) for w in doc["weights"]]
-        if len(weights) != len(FEATURE_NAMES):
-            raise ValueError(f"{len(weights)} weights for {len(FEATURE_NAMES)} features")
-        src_lang, tgt_lang = doc["direction"]
-        if not float(doc["platt_a"]) < 0:
-            # training refuses such a model, and the mining bound needs the
-            # calibrated score to fall as the margin falls
-            raise ValueError(f"platt_a must be negative, got {doc['platt_a']!r}")
-        if not 0.0 <= float(doc["threshold"]) <= 1.0:
-            raise ValueError(f"threshold must be in [0, 1], got {doc['threshold']!r}")
-        return SimilarityModel(
-            weights=weights,
-            bias=float(doc["bias"]),
-            platt_a=float(doc["platt_a"]),
-            platt_b=float(doc["platt_b"]),
-            direction=(src_lang, tgt_lang),
-            threshold=float(doc["threshold"]),
-            lexicon_checksum=doc["lexicon_checksum"],
-        )
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing field {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    """Read a model file; a malformed one, one with a number that is not
+    finite, one whose Platt slope is not negative or one whose threshold is
+    outside [0, 1] raises ValueError naming the file."""
+    return read_json(path, _model)
+
+
+def _model(doc) -> SimilarityModel:
+    if not isinstance(doc, dict):
+        raise ValueError("a model file holds one JSON object")
+    if json_number(doc.get("format_version"), "format_version") != FORMAT_VERSION:
+        raise ValueError(f"unsupported model format {doc['format_version']!r}")
+    if doc.get("feature_names") != list(FEATURE_NAMES):
+        raise ValueError(f"model features {doc.get('feature_names')} "
+                         f"do not match {list(FEATURE_NAMES)}")
+    weights = [float(json_number(w, "a weight")) for w in doc["weights"]]
+    if len(weights) != len(FEATURE_NAMES):
+        raise ValueError(f"{len(weights)} weights for {len(FEATURE_NAMES)} features")
+    src_lang, tgt_lang = doc["direction"]
+    numbers = {key: float(json_number(doc[key], key))
+               for key in ("bias", "platt_a", "platt_b", "threshold")}
+    if not numbers["platt_a"] < 0:
+        # training refuses such a model, and the mining bound needs the
+        # calibrated score to fall as the margin falls
+        raise ValueError(f"platt_a must be negative, got {doc['platt_a']!r}")
+    if not 0.0 <= numbers["threshold"] <= 1.0:
+        raise ValueError(f"threshold must be in [0, 1], got {doc['threshold']!r}")
+    return SimilarityModel(weights=weights, direction=(src_lang, tgt_lang),
+                           lexicon_checksum=doc["lexicon_checksum"], **numbers)

@@ -157,7 +157,7 @@ def _cmd_eval_compare(args) -> int:
     result = metrics.bootstrap_diff(
         pairs_a, pairs_b, lambda c: pipeline.score(list(c), args.metric),
         n_resamples=args.resamples, seed=args.seed)
-    print(json.dumps({"metric": args.metric, **result.as_dict()}, sort_keys=True))
+    print(json.dumps({"metric": args.metric, **result._asdict()}, sort_keys=True))
     return 0
 
 

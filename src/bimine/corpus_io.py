@@ -1,9 +1,9 @@
 """Bilingual document and sentence corpus handling.
 
-Owns the line reader of every text, TSV and JSON-lines input and its error
-contract (``iter_lines``, ``iter_tsv``, ``iter_jsonl``), and the formats
-below; lexicon, synonym, model, quadruple and rewriting-model layouts live in
-their own modules.
+Owns the readers of every text, TSV, JSON-lines and JSON input, their error
+contract and the rule for a JSON number (``iter_lines``, ``iter_tsv``,
+``iter_jsonl``, ``read_json``, ``json_number``) and the formats below; the
+lexicon, synonym, model, quadruple and rewriting-model layouts live elsewhere.
 
 * article dump:        JSON lines, one ``{"title": ..., "text": ...}`` object per line
 * article-pair store:  JSON lines, one topic-aligned pair per line with fields
@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import random
 import re
+import sys
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Mapping
 
@@ -362,6 +363,14 @@ def write_jsonl(path, records: Iterable[dict]) -> None:
             fh.write(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
 
 
+# what parsing or building a record raises on malformed input
+_MALFORMED = (KeyError, AttributeError, TypeError, ValueError, OverflowError, RecursionError)
+
+
+def _reason(exc: Exception) -> str:
+    return f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+
+
 def iter_lines(path, blank, parse, build) -> Iterator:
     """``build(parse(line))`` of each line of a UTF-8 file but the ``blank``
     ones, read lazily; a line that is not UTF-8 or that ``parse`` or ``build``
@@ -378,10 +387,8 @@ def iter_lines(path, blank, parse, build) -> Iterator:
                 lineno = next((n for n, text in enumerate(again, 1)
                                if any("\udc80" <= ch <= "\udcff" for ch in text)), "?")
             raise ValueError(f"{path}: line {lineno}: not UTF-8 text") from None
-        except KeyError as exc:
-            raise ValueError(f"{path}: line {lineno}: missing field {exc}") from None
-        except (TypeError, ValueError, OverflowError, RecursionError) as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+        except _MALFORMED as exc:
+            raise ValueError(f"{path}: line {lineno}: {_reason(exc)}") from None
 
 
 def iter_tsv(path, columns: int, build, at_least: bool = False) -> Iterator:
@@ -414,6 +421,26 @@ def iter_jsonl(path, build) -> Iterator:
     lazily; a KeyError from ``build`` reads as a missing field, and a string
     with an unpaired surrogate escape is rejected."""
     return iter_lines(path, str.isspace, _json_line, build)
+
+
+def read_json(path, build):
+    """``build(value)`` of the JSON value of a whole UTF-8 file, refused as
+    ``iter_jsonl`` refuses a line: ValueError "{path}: reason"."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return build(_json_line(fh.read()))
+        except _MALFORMED as exc:
+            raise ValueError(f"{path}: {_reason(exc)}") from None
+
+
+def json_number(value, what: str):
+    """``value`` if it is a finite number, as a number field of a file must be:
+    an int or float, not a bool or string, nor the NaN or infinity json reads."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, not {type(value).__name__}")
+    if not abs(value) <= sys.float_info.max:  # NaN compares False too
+        raise ValueError(f"{what} is not a finite number: {value!r}")
+    return value
 
 
 def string_list(value, what: str) -> list[str]:

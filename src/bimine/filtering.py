@@ -12,12 +12,11 @@ falls through to the next, slower stage.
 from __future__ import annotations
 
 import itertools
-import json
 from collections.abc import Mapping, Sequence
 from pathlib import Path
 
-from .corpus_io import (BiSentence, BitextCorpus, iter_lines, iter_tsv, normalize_space,
-                        string_list, tokenize)
+from .corpus_io import (BiSentence, BitextCorpus, iter_lines, iter_tsv, json_number,
+                        normalize_space, read_json, string_list, tokenize)
 from .lexicon import TranslationLexicon, gloss_translate
 
 StemRules = Sequence[tuple[str, str]]
@@ -80,9 +79,9 @@ class CascadeConfig:
         self.synonyms = {} if synonyms is None else synonyms
         self.stem_rules = DEFAULT_STEM_RULES if stem_rules is None else stem_rules
         for name, accept, reject in self.stages:
-            if reject > accept:
-                raise ValueError(
-                    f"stage {name!r}: reject threshold {reject} exceeds accept {accept}")
+            if not 0.0 <= reject <= accept <= 1.0:  # NaN fails too
+                raise ValueError(f"stage {name!r}: thresholds must be 0 <= reject <= accept "
+                                 f"<= 1, got reject {reject} and accept {accept}")
             if name not in _STAGE_FUNCTIONS:
                 raise ValueError(f"unknown cascade stage {name!r}")
 
@@ -280,13 +279,7 @@ def read_cascade_config(path) -> CascadeConfig:
     (``stop_words_file``, ``synonyms_file``) relative to the config, not
     both.  A malformed config, an unknown key or a resource given both ways
     raises ValueError naming the file."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return _cascade_config(json.load(fh), Path(path).parent)
-        except KeyError as exc:
-            raise ValueError(f"{path}: missing field {exc}") from None
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: {exc}") from None
+    return read_json(path, lambda doc: _cascade_config(doc, Path(path).parent))
 
 
 def _cascade_config(doc: dict, base) -> CascadeConfig:
@@ -306,10 +299,8 @@ def _cascade_config(doc: dict, base) -> CascadeConfig:
             unknown = set(stage) - _STAGE_KEYS
             if unknown:
                 raise ValueError(f"unknown keys {sorted(unknown)} in stage {stage!r}")
-            for key in ("accept", "reject"):
-                if isinstance(stage[key], bool) or not isinstance(stage[key], (int, float)):
-                    raise ValueError(f"stage {key} must be an int or float, not {stage[key]!r}")
-        stages = [(s["fn"], s["accept"], s["reject"]) for s in doc["stages"]]
+        stages = [(s["fn"], json_number(s["accept"], "stage accept"),
+                   json_number(s["reject"], "stage reject")) for s in doc["stages"]]
     if "stop_words" in doc:
         stop_words = frozenset(
             w.lower() for w in string_list(doc["stop_words"], "stop words"))

@@ -416,16 +416,6 @@ class BootstrapResult(namedtuple(
     p_value: float
     n_resamples: int
 
-    def as_dict(self) -> dict:
-        return {
-            "observed_diff": self.observed_diff,
-            "mean_diff": self.mean_diff,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "p_value": self.p_value,
-            "n_resamples": self.n_resamples,
-        }
-
 
 def bootstrap_diff(sys_a: Sequence[EvalPair], sys_b: Sequence[EvalPair],
                    metric: Callable[[Sequence[EvalPair]], float],

@@ -24,7 +24,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from . import classifier as classifier_mod
+from . import aligner, classifier as classifier_mod
 from . import corpus_io, lexicon as lexicon_mod, miner
 
 # The analogy, filter and eval steps import their modules (bimine.analogy,
@@ -70,28 +70,22 @@ class PipelineError(RuntimeError):
 DEFAULT_SIZE_GUARD = 4000
 
 
-_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
+_TYPE_NAMES = {bool: "a boolean", int: "an integer", str: "a string"}
 
 
-def _typed(path, section: str, key: str, value, default):
-    """``value`` as its default's type: an int passes for a float and becomes
-    one, and a bool passes only for a bool.  A None default (mining.threshold)
-    takes a number or null."""
-    if default is None:
-        if value is None:
-            return None
-        default = 0.0
-    expected = type(default)
-    accepted = (int, float) if expected is float else expected
-    if isinstance(value, bool) != (expected is bool) or not isinstance(value, accepted):
-        raise PipelineError(
-            f"{path}: config key {section}.{key} must be "
-            f"{_TYPE_NAMES[expected]}, not {type(value).__name__}")
-    try:
-        return float(value) if expected is float else value
-    except OverflowError:
-        raise PipelineError(
-            f"{path}: config key {section}.{key} is too large for a number") from None
+def _typed(section: str, key: str, value, default):
+    """``value`` as its default's type: a float takes any finite number and
+    an int becomes a float, and a bool passes only for a bool.  A None
+    default (mining.threshold) takes a number or null."""
+    what = f"config key {section}.{key}"
+    if default is None and value is None:
+        return None
+    if default is None or type(default) is float:
+        return float(corpus_io.json_number(value, what))
+    if type(value) is not type(default):
+        raise ValueError(f"{what} must be {_TYPE_NAMES[type(default)]}, "
+                         f"not {type(value).__name__}")
+    return value
 
 
 class PipelineConfig:
@@ -117,42 +111,41 @@ class PipelineConfig:
 
     @classmethod
     def from_json(cls, path) -> "PipelineConfig":
-        with open(path, encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except ValueError as exc:  # not JSON, or not UTF-8
-                raise PipelineError(f"{path}: {exc}") from None
+        try:
+            return corpus_io.read_json(path, cls._from_doc)
+        except ValueError as exc:
+            raise PipelineError(exc) from None
+
+    @classmethod
+    def _from_doc(cls, doc) -> "PipelineConfig":
         if not isinstance(doc, dict):
-            raise PipelineError(f"{path}: a config file holds one JSON object")
+            raise ValueError("a config file holds one JSON object")
         config = cls(workdir="")
         unknown = set(doc) - set(vars(config))
         if unknown:
-            raise PipelineError(f"{path}: unknown config keys {sorted(unknown)}")
+            raise ValueError(f"unknown config keys {sorted(unknown)}")
         if "workdir" not in doc:
-            raise PipelineError(f"{path}: config needs 'workdir'")
+            raise ValueError("config needs 'workdir'")
         for key, value in doc.items():
             section = getattr(config, key)
             if not isinstance(section, dict):
                 if not isinstance(value, str):
-                    raise PipelineError(
-                        f"{path}: config key {key!r} must be a string, "
-                        f"not {type(value).__name__}")
+                    raise ValueError(f"config key {key!r} must be a string, "
+                                     f"not {type(value).__name__}")
                 setattr(config, key, value)
                 continue
             if not isinstance(value, dict):
-                raise PipelineError(f"{path}: config section {key!r} must be an object")
+                raise ValueError(f"config section {key!r} must be an object")
             unknown = set(value) - set(section)
             if unknown:
-                raise PipelineError(
-                    f"{path}: unknown keys {sorted(unknown)} in config section {key!r}")
-            section.update({name: _typed(path, key, name, item, section[name])
+                raise ValueError(f"unknown keys {sorted(unknown)} in config section {key!r}")
+            section.update({name: _typed(key, name, item, section[name])
                             for name, item in value.items()})
         # older configs carry workers = 1; a bidirectional run puts each
         # direction in its own process and takes no worker count
         if config.mining["workers"] != 1:
-            raise PipelineError(
-                f"{path}: mining.workers = {config.mining['workers']!r} is not "
-                f"supported; there is no worker pool (drop the key or set 1)")
+            raise ValueError(f"mining.workers = {config.mining['workers']!r} is not supported; "
+                             "there is no worker pool (drop the key or set 1)")
         return config
 
     def path(self, artifact: str) -> Path:
@@ -239,6 +232,10 @@ def train_classifier(seed, lexicon, out, src_lang: str, tgt_lang: str, *,
     Returns the training counts."""
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
+    if not learning_rate > 0.0:
+        raise ValueError(f"learning_rate must be > 0, got {learning_rate}")
+    if not margin_reg >= 0.0:
+        raise ValueError(f"margin_reg must be >= 0, got {margin_reg}")
     model = classifier_mod.train_model(
         corpus_io.read_bitext(seed, flip=flip), lexicon_mod.read_lexicon(lexicon),
         (src_lang, tgt_lang), neg_per_pos=neg_per_pos, epochs=epochs,
@@ -265,6 +262,9 @@ def mine(store, model, lexicon, out, *, gap_cost: float,
     similarity was computed, the lattice nodes whose cost was computed and
     the match edges skipped unscored.
     """
+    if threshold is not None and not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
+    aligner.check_gap_cost(gap_cost)
     sim_model = classifier_mod.load_model(model)
     lex = lexicon_mod.read_lexicon(lexicon)
     if classifier_mod.lexicon_checksum(lex) != sim_model.lexicon_checksum:

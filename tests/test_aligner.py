@@ -389,9 +389,3 @@ def test_threshold_monotonicity():
         if previous is not None:
             assert kept <= previous
         previous = kept
-
-
-def test_threshold_out_of_range():
-    result, src, tgt = _scored_result()
-    with pytest.raises(ValueError):
-        threshold_filter(result, 1.5, src, tgt)

@@ -548,12 +548,15 @@ def test_load_rejects_a_threshold_outside_zero_one(tmp_path, small_model):
     path = tmp_path / "model.json"
     save_model(path, small_model)
     good = json.loads(path.read_text(encoding="utf-8"))
-    for threshold in (float("nan"), -0.5, 1.5):
-        # Python's json writes and reads NaN
+    for threshold in (-0.5, 1.5):
         path.write_text(json.dumps({**good, "threshold": threshold}), encoding="utf-8")
         with pytest.raises(ValueError, match=rf"model.json: threshold must be in \[0, 1\], "
                                              rf"got {threshold}$"):
             load_model(path)
+    # Python's json writes and reads NaN; the number rule refuses it first
+    path.write_text(json.dumps({**good, "threshold": float("nan")}), encoding="utf-8")
+    with pytest.raises(ValueError, match=r"model.json: threshold is not a finite number: nan$"):
+        load_model(path)
 
 
 def test_load_rejects_malformed_model_naming_the_file(tmp_path, small_model):
@@ -563,7 +566,10 @@ def test_load_rejects_malformed_model_naming_the_file(tmp_path, small_model):
     for doc, detail in (({k: v for k, v in good.items() if k != "weights"},
                          "missing field 'weights'"),
                         ({**good, "weights": good["weights"][:3]}, "3 weights"),
-                        ({**good, "bias": "high"}, "float"),
+                        ({**good, "bias": "high"}, "bias must be a number, not str"),
+                        ({**good, "weights": ["nan"] + good["weights"][1:]},
+                         "a weight must be a number, not str"),
+                        ({**good, "format_version": True}, "format_version must be a number"),
                         ({**good, "direction": ["pl"]}, "unpack"),
                         (["not", "an", "object"], "one JSON object")):
         path.write_text(json.dumps(doc), encoding="utf-8")

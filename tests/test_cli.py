@@ -136,6 +136,39 @@ def test_classifier_train_refuses_a_threshold_outside_zero_one(workdir, tmp_path
     assert not model_path.exists()
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("--margin-reg", "-1", "margin_reg must be >= 0, got -1.0"),
+    ("--margin-reg", "nan", "margin_reg must be >= 0, got nan"),
+    ("--learning-rate", "0", "learning_rate must be > 0, got 0.0"),
+    ("--learning-rate", "nan", "learning_rate must be > 0, got nan"),
+])
+def test_classifier_train_refuses_a_step_size_that_cannot_train(workdir, tmp_path, capsys,
+                                                               option, value, message):
+    # a negative margin_reg used to divide by zero in the hinge loss's step size
+    model_path = tmp_path / "model.json"
+    assert main(["classifier", "train", "--seed", str(workdir / "seed.tsv"),
+                 "--lexicon", str(workdir / "lexicon.tsv"), "--out", str(model_path),
+                 option, value]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not model_path.exists()
+
+
+def test_mine_checks_threshold_and_gap_cost_before_the_store(workdir, tmp_path, capsys):
+    # the aligner checked both once per article, so an empty store passed
+    store = tmp_path / "store.jsonl"
+    store.write_text("", encoding="utf-8")
+    out = tmp_path / "mined.tsv"
+    for option, value, message in (
+            ("--threshold", "1.5", "threshold must be in [0, 1], got 1.5"),
+            ("--threshold", "nan", "threshold must be in [0, 1], got nan"),
+            ("--gap-cost", "0.9", "gap_cost must be in (0, 0.5], got 0.9")):
+        assert main(["mine", "--store", str(store), "--model", str(workdir / "model.json"),
+                     "--lexicon", str(workdir / "lexicon.tsv"), "--out", str(out),
+                     option, value]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
 def test_sample_and_stats(workdir, capsys):
     mined = workdir / "mined.tsv"
     test_path, train_path = workdir / "test.tsv", workdir / "train.tsv"
@@ -823,8 +856,23 @@ def test_pipeline_refuses_a_nan_classifier_threshold(world, tmp_path, capsys):
     config_path.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["pipeline", "--config", str(config_path),
                  "--stages", "lexicon,classifier"]) == 1
-    assert capsys.readouterr().err.splitlines()[-1] == \
-        "error: threshold must be in [0, 1], got nan"
+    # refused at load, naming the file and the key, before any stage runs
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {config_path}: config key classifier.threshold is not a finite number: nan"]
+    assert not workdir.exists()
+
+
+def test_pipeline_refuses_a_negative_margin_reg_at_the_classifier_stage(world, tmp_path,
+                                                                        capsys):
+    config_path, workdir = _pipeline_config(tmp_path, world, bidirectional=False)
+    doc = json.loads(config_path.read_text(encoding="utf-8"))
+    doc["classifier"]["margin_reg"] = -1
+    config_path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["pipeline", "--config", str(config_path),
+                 "--stages", "lexicon,classifier"]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == "error: margin_reg must be >= 0, got -1.0"
+    assert "Traceback" not in err
     assert not (workdir / "classifier.json").exists()
 
 
@@ -876,7 +924,7 @@ def test_pipeline_cli_names_the_file_of_a_bad_config(tmp_path, capsys, text, det
     ("filter", {"cascade": 3}, "filter.cascade must be a string, not int"),
     ("ingest", {"links": ["l.tsv"]}, "ingest.links must be a string, not list"),
     ("mining", {"workers": "1"}, "mining.workers must be an integer, not str"),
-    ("lexicon", {"prune_below": 10 ** 400}, "lexicon.prune_below is too large for a number"),
+    ("lexicon", {"prune_below": 10 ** 400}, "lexicon.prune_below is not a finite number: 10"),
 ])
 def test_pipeline_config_type_checks_section_values(tmp_path, capsys, section, value,
                                                     detail):

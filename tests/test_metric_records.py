@@ -97,7 +97,7 @@ PINNED_BOOTSTRAP = {
 
 def _hex_fields(result):
     return {key: value if isinstance(value, int) else float.hex(value)
-            for key, value in result.as_dict().items()}
+            for key, value in result._asdict().items()}
 
 
 def test_scores_pinned():

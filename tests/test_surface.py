@@ -10,6 +10,8 @@ and lambdas count), or positionally in a direct call of the function's name
 with enough arguments.  The exceptions are the named oracles below, kept as
 independent checks for the tests, and the listed parameters.
 
+Only ``corpus_io`` parses JSON.
+
 Every run starts a fresh interpreter, so importing the CLI must not load the
 costly modules behind ``dataclasses`` and ``typing``, nor the stage modules
 that only the analogy, filter and eval stages use; the value records that
@@ -82,6 +84,18 @@ def test_every_definition_is_reached_outside_the_tests():
 def test_oracles_are_defined():
     definitions, _ = _scan()
     assert ORACLES <= {f"{module}.{name}" for module, name, _ in definitions}
+
+
+def test_only_corpus_io_parses_json():
+    # corpus_io's readers own the error contract and the number rule, so a
+    # module that parses JSON itself would make its own choice of both
+    calls = [f"{path.name}:{node.lineno}" for path in PACKAGE_FILES if path.stem != "corpus_io"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
+             and isinstance(node.value, ast.Name) and node.value.id == "json"
+             or isinstance(node, ast.ImportFrom) and node.module == "json"
+             and {alias.name for alias in node.names} & {"load", "loads"}]
+    assert calls == []
 
 
 def _defaulted_parameters(tree: ast.Module, module: str):
