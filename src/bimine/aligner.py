@@ -29,7 +29,7 @@ from __future__ import annotations
 import struct
 from collections.abc import Callable, Sequence
 
-from .corpus_io import BiSentence, Sentence
+from .corpus_io import BiSentence, Sentence, in_range
 
 
 class AlignmentResult:
@@ -87,11 +87,6 @@ def _scorer(src: Sequence, tgt: Sequence, sim: Callable[[object, object], float]
         return len(scores), pruned
 
     return score, tally
-
-
-def check_gap_cost(gap_cost: float) -> None:
-    if not 0.0 < gap_cost <= 0.5:
-        raise ValueError(f"gap_cost must be in (0, 0.5], got {gap_cost}")
 
 
 def _backtrack(n: int, m: int, gap_cost: float,
@@ -214,7 +209,7 @@ def align(src: Sequence, tgt: Sequence, sim: Callable[[object, object], float],
     3.11 importing ``array`` alone added 0.2 MiB to the benchmark's peak
     memory.)
     """
-    check_gap_cost(gap_cost)
+    in_range("gap_cost", gap_cost)
     n, m = len(src), len(tgt)
     score, tally = _scorer(src, tgt, sim, can_match)
     walk = _walk_bound(n, m, gap_cost, score)
@@ -291,7 +286,7 @@ def align_bruteforce(src: Sequence, tgt: Sequence,
                      sim: Callable[[object, object], float],
                      gap_cost: float = 0.4) -> AlignmentResult:
     """Full-lattice dynamic program; the classical method, kept as oracle."""
-    check_gap_cost(gap_cost)
+    in_range("gap_cost", gap_cost)
     n, m = len(src), len(tgt)
     if n * m > 10_000:
         raise ValueError(f"brute-force guard: {n} x {m} lattice exceeds 10000 cells")

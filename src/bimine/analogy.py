@@ -22,7 +22,7 @@ import itertools
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Sequence
 
-from .corpus_io import (ArticlePair, BiSentence, BitextCorpus, iter_jsonl,
+from .corpus_io import (ArticlePair, BiSentence, BitextCorpus, in_range, iter_jsonl,
                         segment_sentences, string_list, tokenize, write_jsonl)
 from .editdistance import levenshtein, token_bag_bound
 from .lexicon import UNKNOWN, TranslationLexicon, gloss_translate
@@ -374,13 +374,13 @@ def _tokens(value) -> Tokens:
 
 
 def _quadruple(rec: dict) -> AnalogyQuadruple:
-    indices = tuple(int(i) for i in rec["indices"])
+    indices = tuple(in_range("indices", i) for i in rec["indices"])
     if len(indices) != 4:
         raise ValueError(f"expected 4 indices, got {len(indices)}")
     return AnalogyQuadruple(
         a=_tokens(rec["a"]), b=_tokens(rec["b"]), c=_tokens(rec["c"]), d=_tokens(rec["d"]),
-        d_ab=int(rec["d_ab"]), d_cd=int(rec["d_cd"]),
-        d_ac=int(rec["d_ac"]), d_bd=int(rec["d_bd"]),
+        d_ab=in_range("d_ab", rec["d_ab"]), d_cd=in_range("d_cd", rec["d_cd"]),
+        d_ac=in_range("d_ac", rec["d_ac"]), d_bd=in_range("d_bd", rec["d_bd"]),
         indices=indices,
     )
 

@@ -15,7 +15,7 @@ import random
 from collections import Counter
 from collections.abc import Callable, Sequence
 
-from .corpus_io import BitextCorpus, json_number, read_json, tokenize, write_json
+from .corpus_io import BitextCorpus, in_range, json_number, read_json, tokenize, write_json
 from .lexicon import TranslationLexicon
 
 FEATURE_NAMES = ("len_ratio", "char_ratio", "cov_st", "cov_ts", "num_overlap")
@@ -417,8 +417,10 @@ def train_model(seed: BitextCorpus, lex: TranslationLexicon, direction: tuple[st
     classifier is fit by SGD on hinge loss with L2 regularization on 90% of
     the examples and Platt-calibrated on the held-out 10%.
     """
-    if neg_per_pos < 1:
-        raise ValueError("neg_per_pos must be >= 1")
+    in_range("neg_per_pos", neg_per_pos)
+    in_range("epochs", epochs)
+    in_range("learning_rate", learning_rate)
+    in_range("margin_reg", margin_reg)
     if len(seed.pairs) < 100:
         raise ValueError(f"need at least 100 seed pairs, got {len(seed.pairs)}")
 
@@ -513,11 +515,7 @@ def _model(doc) -> SimilarityModel:
     src_lang, tgt_lang = doc["direction"]
     numbers = {key: float(json_number(doc[key], key))
                for key in ("bias", "platt_a", "platt_b", "threshold")}
-    if not numbers["platt_a"] < 0:
-        # training refuses such a model, and the mining bound needs the
-        # calibrated score to fall as the margin falls
-        raise ValueError(f"platt_a must be negative, got {doc['platt_a']!r}")
-    if not 0.0 <= numbers["threshold"] <= 1.0:
-        raise ValueError(f"threshold must be in [0, 1], got {doc['threshold']!r}")
+    in_range("platt_a", numbers["platt_a"])
+    in_range("threshold", numbers["threshold"])
     return SimilarityModel(weights=weights, direction=(src_lang, tgt_lang),
                            lexicon_checksum=doc["lexicon_checksum"], **numbers)

@@ -1,9 +1,10 @@
 """Bilingual document and sentence corpus handling.
 
 Owns the readers of every text, TSV, JSON-lines and JSON input, their error
-contract and the rule for a JSON number (``iter_lines``, ``iter_tsv``,
-``iter_jsonl``, ``read_json``, ``json_number``) and the formats below; the
-lexicon, synonym, model, quadruple and rewriting-model layouts live elsewhere.
+contract, the rule for a JSON number and the range of each numeric setting
+(``iter_lines``, ``iter_tsv``, ``iter_jsonl``, ``read_json``, ``json_number``,
+``RANGES``) and the formats below; the lexicon, synonym, model, quadruple
+and rewriting-model layouts live elsewhere.
 
 * article dump:        JSON lines, one ``{"title": ..., "text": ...}`` object per line
 * article-pair store:  JSON lines, one topic-aligned pair per line with fields
@@ -277,8 +278,8 @@ def sample_test_set(corpus: BitextCorpus, n_segments: int = 200,
     pairs are drawn uniformly without replacement from each, so the test set
     covers the whole corpus.  Deterministic for a given seed.
     """
-    if n_segments < 1 or per_segment < 1:
-        raise ValueError("n_segments and per_segment must be >= 1")
+    in_range("segments", n_segments)
+    in_range("per_segment", per_segment)
     size = len(corpus.pairs)
     needed = n_segments * per_segment
     if size < needed:
@@ -443,6 +444,35 @@ def json_number(value, what: str):
     return value
 
 
+# The range of each numeric setting and integer file field, by name: a test
+# that NaN fails and the words for it.  PipelineConfig checks a config value
+# against its key's entry at load; each step checks the values it is given.
+RANGES = {
+    **dict.fromkeys(("threshold", "prune_below"), (lambda x: 0.0 <= x <= 1.0, "in [0, 1]")),
+    "gap_cost": (lambda x: 0.0 < x <= 0.5, "in (0, 0.5]"),
+    "learning_rate": (lambda x: x > 0.0, "> 0"),
+    "margin_reg": (lambda x: x >= 0.0, ">= 0"),
+    **dict.fromkeys(("iterations", "epochs", "neg_per_pos", "segments", "per_segment",
+                     "n_resamples"), (lambda x: x >= 1, ">= 1")),
+    # training refuses such a model, and the mining bound needs the
+    # calibrated score to fall as the margin falls
+    "platt_a": (lambda x: x < 0.0, "negative"),
+    # older configs carry workers = 1; each mining direction has its own process
+    "workers": (lambda x: x == 1, "1 (there is no worker pool; drop the key)"),
+    **dict.fromkeys(("id", "indices", "d_ab", "d_cd", "d_ac", "d_bd"),
+                    (lambda x: type(x) is int, "an integer")),
+}
+
+
+def in_range(key: str, value, what: str = ""):
+    """``value`` if it passes ``key``'s test in RANGES, else ValueError
+    "{what or key} must be {words}, got {value!r}"."""
+    test, words = RANGES[key]
+    if not test(value):
+        raise ValueError(f"{what or key} must be {words}, got {value!r}")
+    return value
+
+
 def string_list(value, what: str) -> list[str]:
     """``value`` if it is a list of strings, as a list field of a file must be."""
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
@@ -464,7 +494,7 @@ def write_article_store(path, pairs: Iterable[ArticlePair]) -> None:
 
 def _article_pair(rec: dict) -> ArticlePair:
     return ArticlePair(
-        id=int(rec["id"]),
+        id=in_range("id", rec["id"]),
         src=Document(rec["src_lang"], rec["src_title"], rec["src_text"]),
         tgt=Document(rec["tgt_lang"], rec["tgt_title"], rec["tgt_text"]),
     )

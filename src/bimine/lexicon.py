@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator, Sequence
 
-from .corpus_io import BitextCorpus, iter_tsv, tokenize
+from .corpus_io import BitextCorpus, in_range, iter_tsv, tokenize
 
 
 class TranslationLexicon:
@@ -46,10 +46,8 @@ def train_lexicon(seed: BitextCorpus, iterations: int = 10,
     across rounds.  Entries below ``prune_below`` are dropped afterwards
     and each row renormalized.
     """
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    if not 0.0 <= prune_below <= 1.0:
-        raise ValueError(f"prune_below must be in [0, 1], got {prune_below}")
+    in_range("iterations", iterations)
+    in_range("prune_below", prune_below)
     if not seed.pairs:
         raise ValueError("seed corpus is empty")
 

@@ -18,6 +18,7 @@ from collections.abc import Callable, Sequence
 from functools import cached_property
 from itertools import repeat
 
+from .corpus_io import in_range
 from .editdistance import Pattern, token_bag_bound
 from .filtering import stem
 
@@ -434,8 +435,7 @@ def bootstrap_diff(sys_a: Sequence[EvalPair], sys_b: Sequence[EvalPair],
             f"system outputs differ in length: {len(sys_a)} vs {len(sys_b)}")
     if not sys_a:
         raise ValueError("cannot bootstrap an empty test set")
-    if n_resamples < 1:
-        raise ValueError(f"n_resamples must be >= 1, got {n_resamples}")
+    in_range("n_resamples", n_resamples)
     n = len(sys_a)
     observed = metric(sys_a) - metric(sys_b)
     rng = random.Random(seed)

@@ -24,7 +24,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from . import aligner, classifier as classifier_mod
+from . import classifier as classifier_mod
 from . import corpus_io, lexicon as lexicon_mod, miner
 
 # The analogy, filter and eval steps import their modules (bimine.analogy,
@@ -76,16 +76,17 @@ _TYPE_NAMES = {bool: "a boolean", int: "an integer", str: "a string"}
 def _typed(section: str, key: str, value, default):
     """``value`` as its default's type: a float takes any finite number and
     an int becomes a float, and a bool passes only for a bool.  A None
-    default (mining.threshold) takes a number or null."""
+    default (mining.threshold) takes a number or null.  A key listed in
+    ``corpus_io.RANGES`` must also lie in its range."""
     what = f"config key {section}.{key}"
     if default is None and value is None:
         return None
     if default is None or type(default) is float:
-        return float(corpus_io.json_number(value, what))
-    if type(value) is not type(default):
+        value = float(corpus_io.json_number(value, what))
+    elif type(value) is not type(default):
         raise ValueError(f"{what} must be {_TYPE_NAMES[type(default)]}, "
                          f"not {type(value).__name__}")
-    return value
+    return corpus_io.in_range(key, value, what) if key in corpus_io.RANGES else value
 
 
 class PipelineConfig:
@@ -141,11 +142,6 @@ class PipelineConfig:
                 raise ValueError(f"unknown keys {sorted(unknown)} in config section {key!r}")
             section.update({name: _typed(key, name, item, section[name])
                             for name, item in value.items()})
-        # older configs carry workers = 1; a bidirectional run puts each
-        # direction in its own process and takes no worker count
-        if config.mining["workers"] != 1:
-            raise ValueError(f"mining.workers = {config.mining['workers']!r} is not supported; "
-                             "there is no worker pool (drop the key or set 1)")
         return config
 
     def path(self, artifact: str) -> Path:
@@ -230,12 +226,7 @@ def train_classifier(seed, lexicon, out, src_lang: str, tgt_lang: str, *,
     """Train the similarity classifier for ``src_lang -> tgt_lang`` and write
     it with its mining threshold; ``flip`` reads the seed columns swapped.
     Returns the training counts."""
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
-    if not learning_rate > 0.0:
-        raise ValueError(f"learning_rate must be > 0, got {learning_rate}")
-    if not margin_reg >= 0.0:
-        raise ValueError(f"margin_reg must be >= 0, got {margin_reg}")
+    corpus_io.in_range("threshold", threshold)
     model = classifier_mod.train_model(
         corpus_io.read_bitext(seed, flip=flip), lexicon_mod.read_lexicon(lexicon),
         (src_lang, tgt_lang), neg_per_pos=neg_per_pos, epochs=epochs,
@@ -262,10 +253,10 @@ def mine(store, model, lexicon, out, *, gap_cost: float,
     similarity was computed, the lattice nodes whose cost was computed and
     the match edges skipped unscored.
     """
-    if threshold is not None and not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
-    aligner.check_gap_cost(gap_cost)
+    corpus_io.in_range("gap_cost", gap_cost)
     sim_model = classifier_mod.load_model(model)
+    threshold = corpus_io.in_range(
+        "threshold", sim_model.threshold if threshold is None else threshold)
     lex = lexicon_mod.read_lexicon(lexicon)
     if classifier_mod.lexicon_checksum(lex) != sim_model.lexicon_checksum:
         raise ValueError(f"lexicon {lexicon} is not the one model {model} was trained with")
@@ -273,8 +264,7 @@ def mine(store, model, lexicon, out, *, gap_cost: float,
     if flip:
         articles = (corpus_io.ArticlePair(p.id, p.tgt, p.src) for p in articles)
     corpus, article_log = miner.mine_corpus(
-        articles, sim_model, lex, gap_cost=gap_cost,
-        threshold=sim_model.threshold if threshold is None else threshold)
+        articles, sim_model, lex, gap_cost=gap_cost, threshold=threshold)
     corpus_io.write_bitext(out, corpus)
     if log:
         corpus_io.write_jsonl(log, article_log)

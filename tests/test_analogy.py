@@ -529,7 +529,12 @@ def test_read_quadruples_names_file_and_line(tmp_path):
     broken = {k: v for k, v in good.items() if k != "c"}
     for record, detail in ((broken, "missing field 'c'"),
                            ({**good, "a": "tea"}, "list of tokens"),
-                           ({**good, "indices": [0, 1]}, "4 indices")):
+                           ({**good, "indices": [0, 1]}, "4 indices"),
+                           # int() used to read 5.7, "5" and true as 5, 5 and 1
+                           *(({**good, field: [0, 1, 2, value] if field == "indices"
+                               else value}, rf"{field} must be an integer, got {value!r}$")
+                             for field in ("indices", "d_ab", "d_cd", "d_ac", "d_bd")
+                             for value in (5.7, "5", True))):
         _write_lines(path, [good, record])
         with pytest.raises(ValueError, match=f"quads.jsonl: line 2: .*{detail}"):
             read_quadruples(path)

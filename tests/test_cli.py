@@ -153,6 +153,17 @@ def test_classifier_train_refuses_a_step_size_that_cannot_train(workdir, tmp_pat
     assert not model_path.exists()
 
 
+@pytest.mark.parametrize("epochs", ["0", "-1"])
+def test_classifier_train_refuses_fewer_than_one_epoch(workdir, tmp_path, capsys, epochs):
+    # zero epochs used to train and fail in calibration, naming no setting
+    model_path = tmp_path / "model.json"
+    assert main(["classifier", "train", "--seed", str(workdir / "seed.tsv"),
+                 "--lexicon", str(workdir / "lexicon.tsv"), "--out", str(model_path),
+                 "--epochs", epochs]) == 1
+    assert capsys.readouterr().err == f"error: epochs must be >= 1, got {epochs}\n"
+    assert not model_path.exists()
+
+
 def test_mine_checks_threshold_and_gap_cost_before_the_store(workdir, tmp_path, capsys):
     # the aligner checked both once per article, so an empty store passed
     store = tmp_path / "store.jsonl"
@@ -862,18 +873,38 @@ def test_pipeline_refuses_a_nan_classifier_threshold(world, tmp_path, capsys):
     assert not workdir.exists()
 
 
-def test_pipeline_refuses_a_negative_margin_reg_at_the_classifier_stage(world, tmp_path,
-                                                                        capsys):
+def test_pipeline_refuses_a_negative_margin_reg_at_load(world, tmp_path, capsys):
+    # it used to be refused only at the classifier stage, after the lexicon
+    # stage had run, by a message naming neither the file nor the key
     config_path, workdir = _pipeline_config(tmp_path, world, bidirectional=False)
     doc = json.loads(config_path.read_text(encoding="utf-8"))
     doc["classifier"]["margin_reg"] = -1
     config_path.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["pipeline", "--config", str(config_path),
                  "--stages", "lexicon,classifier"]) == 1
-    err = capsys.readouterr().err
-    assert err.splitlines()[-1] == "error: margin_reg must be >= 0, got -1.0"
-    assert "Traceback" not in err
-    assert not (workdir / "classifier.json").exists()
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {config_path}: config key classifier.margin_reg must be >= 0, got -1.0"]
+    assert not workdir.exists()
+
+
+@pytest.mark.parametrize("section, key, value, words", [
+    ("classifier", "threshold", 1.5, "in [0, 1], got 1.5"),
+    ("lexicon", "prune_below", 2, "in [0, 1], got 2.0"),
+    ("classifier", "epochs", 0, ">= 1, got 0"),
+    ("classifier", "epochs", -1, ">= 1, got -1"),
+    ("mining", "gap_cost", 0.9, "in (0, 0.5], got 0.9"),
+    ("eval", "segments", 0, ">= 1, got 0"),
+])
+def test_pipeline_refuses_an_out_of_range_config_value_at_load(world, tmp_path, capsys,
+                                                              section, key, value, words):
+    config_path, workdir = _pipeline_config(tmp_path, world, bidirectional=False)
+    doc = json.loads(config_path.read_text(encoding="utf-8"))
+    doc.setdefault(section, {})[key] = value
+    config_path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["pipeline", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {config_path}: config key {section}.{key} must be {words}"]
+    assert not workdir.exists()
 
 
 def test_pipeline_rejects_unknown_stage(world, tmp_path):

@@ -498,6 +498,13 @@ def test_sample_too_small_reports_minimum():
         sample_test_set(_corpus(100), 200, 10, seed=0)
 
 
+@pytest.mark.parametrize("segments, per_segment, message", [
+    (0, 10, "segments must be >= 1, got 0"), (10, -1, "per_segment must be >= 1, got -1")])
+def test_sample_refuses_fewer_than_one_segment_or_draw(segments, per_segment, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        sample_test_set(_corpus(100), segments, per_segment, seed=0)
+
+
 def test_sample_covers_every_segment():
     # with one draw per segment, every segment contributes exactly one pair
     corpus = _corpus(100)
@@ -640,6 +647,19 @@ def test_article_store_bad_record_names_line(tmp_path):
         list(read_article_store(path))
 
 
+@pytest.mark.parametrize("value, shown", [("5.7", "5.7"), ('"5"', "'5'"), ("true", "True")])
+def test_article_store_refuses_an_id_that_is_not_an_integer(tmp_path, value, shown):
+    # int() used to read all three as an id: 5, 5 and 1
+    path = tmp_path / "store.jsonl"
+    path.write_text('{"id": 0, "src_lang": "pl", "tgt_lang": "en", "src_title": "", '
+                    '"tgt_title": "", "src_text": "", "tgt_text": ""}\n'
+                    f'{{"id": {value}, "src_lang": "pl", "tgt_lang": "en", "src_title": "", '
+                    '"tgt_title": "", "src_text": "", "tgt_text": ""}\n', encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 2: "
+                                         rf"id must be an integer, got {shown}$"):
+        list(read_article_store(path))
+
+
 def test_article_store_invalid_json_names_line(tmp_path):
     path = tmp_path / "store.jsonl"
     path.write_text("not json\n", encoding="utf-8")
@@ -726,7 +746,7 @@ def test_bitext_keeps_taking_extra_columns(tmp_path):
 @pytest.mark.parametrize("data, detail", [
     (b"[" * 100_000, "maximum recursion depth"),
     (b'{"id": 1e999, "src_lang": "pl", "tgt_lang": "en", "src_title": "", '
-     b'"tgt_title": "", "src_text": "", "tgt_text": ""}', "infinity"),
+     b'"tgt_title": "", "src_text": "", "tgt_text": ""}', "id must be an integer, got inf$"),
     # JSON reads a lone surrogate escape, but no UTF-8 file could hold it
     (b'{"id": 0, "src_lang": "pl", "tgt_lang": "en", "src_title": "Kot", '
      b'"tgt_title": "Cat", "src_text": "Kot \\ud800 pije.", "tgt_text": ""}',

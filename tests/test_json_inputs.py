@@ -6,6 +6,8 @@ by ``NaN``, ``Infinity``, ``-Infinity``, ``1e999``, a numeric string or a
 boolean, a lone ``\\ud800`` put in a string, or the whole document nested
 200 000 levels deep — makes the command that reads it exit 1 with one
 ``error:`` line naming the file, and (for ``pipeline``) create no workdir.
+So does a config value outside its key's range in ``corpus_io.RANGES``; a
+value inside it loads.
 """
 
 import contextlib
@@ -17,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from bimine.classifier import FEATURE_NAMES, SimilarityModel, load_model, save_model
 from bimine.cli import main
+from bimine.corpus_io import RANGES
 from bimine.filtering import read_cascade_config
 from bimine.pipeline import PipelineConfig
 
@@ -134,4 +137,44 @@ def test_a_hostile_document_fails_with_one_error_line_naming_it(root, name, data
     lines = err.getvalue().splitlines()
     assert code == 1 and len(lines) == 1, lines
     assert lines[0].startswith(f"error: {path}: "), lines
+    assert not (root / "out").exists()
+
+
+# (section, key, default) of every config key with a range
+RANGED = [(section, key, default)
+          for section, values in vars(PipelineConfig(workdir="")).items()
+          if isinstance(values, dict)
+          for key, default in values.items() if key in RANGES]
+# ints near every bound, then any finite float for a float key
+_INTS = st.one_of(st.sampled_from([-1, 0, 1, 2]), st.integers(-10 ** 6, 10 ** 6))
+_FLOATS = st.one_of(st.sampled_from([-0.5, -1e-9, 0.0, 1e-9, 0.4, 0.5, 0.5000001, 1.0,
+                                     1.0000001, 2.0]),
+                    st.floats(allow_nan=False, allow_infinity=False))
+
+
+def test_the_ranged_config_keys_are_found():
+    assert {f"{section}.{key}" for section, key, _ in RANGED} >= {
+        "lexicon.prune_below", "classifier.margin_reg", "classifier.epochs",
+        "mining.gap_cost", "mining.workers", "eval.segments"}
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a_config_value_is_refused_at_load_exactly_outside_its_range(root, data):
+    section, key, default = data.draw(st.sampled_from(RANGED), "key")
+    value = data.draw(_INTS if type(default) is int else st.one_of(_INTS, _FLOATS), "value")
+    loaded = value if type(default) is int else float(value)
+    doc = _config_doc(root)
+    doc.setdefault(section, {})[key] = value
+    path = root / "ranged-config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    if RANGES[key][0](value):
+        assert getattr(PipelineConfig.from_json(path), section)[key] == loaded
+        return
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["pipeline", "--config", str(path)])
+    lines = err.getvalue().splitlines()
+    assert code == 1 and lines == [f"error: {path}: config key {section}.{key} must be "
+                                   f"{RANGES[key][1]}, got {loaded!r}"], lines
     assert not (root / "out").exists()

@@ -10,7 +10,9 @@ and lambdas count), or positionally in a direct call of the function's name
 with enough arguments.  The exceptions are the named oracles below, kept as
 independent checks for the tests, and the listed parameters.
 
-Only ``corpus_io`` parses JSON.
+Only ``corpus_io`` parses JSON, and only ``corpus_io`` states a numeric
+range in an error: every other module checks a value through ``in_range``,
+and every entry of ``RANGES`` is a config key or is checked somewhere.
 
 Every run starts a fresh interpreter, so importing the CLI must not load the
 costly modules behind ``dataclasses`` and ``typing``, nor the stage modules
@@ -19,6 +21,7 @@ replace dataclasses keep their contracts.
 """
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,9 +29,10 @@ from pathlib import Path
 import pytest
 
 from bimine.analogy import AnalogyQuadruple, QuasiParallelEntry, RewritingModel
-from bimine.corpus_io import ArticlePair, BiSentence, Document, Sentence
+from bimine.corpus_io import RANGES, ArticlePair, BiSentence, Document, Sentence
 from bimine.metrics import BootstrapResult, EvalPair, _NgramRecord
 from bimine.miner import OverlapStats
+from bimine.pipeline import PipelineConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE_FILES = sorted((ROOT / "src" / "bimine").glob("*.py"))
@@ -96,6 +100,28 @@ def test_only_corpus_io_parses_json():
              or isinstance(node, ast.ImportFrom) and node.module == "json"
              and {alias.name for alias in node.names} & {"load", "loads"}]
     assert calls == []
+
+
+def test_only_corpus_io_states_a_numeric_range():
+    # a range written out next to its check would drift from corpus_io.RANGES
+    stated = re.compile(r"must be (>=?|in [\[(]|negative)")
+    raises = [f"{path.name}:{node.lineno}" for path in PACKAGE_FILES if path.stem != "corpus_io"
+              for text in [path.read_text(encoding="utf-8")]
+              for node in ast.walk(ast.parse(text)) if isinstance(node, ast.Raise)
+              and stated.search(ast.get_source_segment(text, node))]
+    assert raises == []
+
+
+def test_every_range_is_a_config_key_or_checked():
+    config_keys = {key for section in vars(PipelineConfig(workdir="")).values()
+                   if isinstance(section, dict) for key in section}
+    checked = {node.args[0].value for path in PACKAGE_FILES
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Call) and node.args
+               and isinstance(node.args[0], ast.Constant)
+               and (getattr(node.func, "id", None) == "in_range"
+                    or getattr(node.func, "attr", None) == "in_range")}
+    assert set(RANGES) - config_keys - checked == set()
 
 
 def _defaulted_parameters(tree: ast.Module, module: str):
