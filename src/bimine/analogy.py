@@ -99,11 +99,11 @@ _SYMMETRIES = (
 )
 
 
-def canonical_arrangement(quad: tuple[Tokens, Tokens, Tokens, Tokens],
-                          ) -> tuple[Tokens, Tokens, Tokens, Tokens]:
+def canonical_arrangement(quad: tuple) -> tuple:
     """Smallest of the eight symmetric forms of an analogy (pair swap,
     in-pair reversal, exchange of the means), so each analogy has one
-    representation."""
+    representation.  The four items are sentences, or tuples that start
+    with distinct sentences."""
     return min(tuple(quad[i] for i in perm) for perm in _SYMMETRIES)
 
 
@@ -162,14 +162,17 @@ def find_analogies(sentences: Sequence[Sequence[str]],
         d_ac = cross(a, c)
         if d_ac is None or d_ac != cross(b, d):
             return
-        canon = canonical_arrangement((uniq[a], uniq[b], uniq[c], uniq[d]))
+        # the sentences are distinct, so the indices ride along in the
+        # arrangement; a symmetry only permutes the pairs a/b, c/d, a/c and
+        # b/d, so their distances are all in dist
+        (ca, ia), (cb, ib), (cc, ic), (cd, id_) = canonical_arrangement(
+            ((uniq[a], a), (uniq[b], b), (uniq[c], c), (uniq[d], d)))
+        canon = (ca, cb, cc, cd)
         if canon in found:
             return
-        ca, cb, cc, cd = canon
         found[canon] = AnalogyQuadruple(
             a=ca, b=cb, c=cc, d=cd,
-            d_ab=word_levenshtein(ca, cb), d_cd=word_levenshtein(cc, cd),
-            d_ac=word_levenshtein(ca, cc), d_bd=word_levenshtein(cb, cd),
+            d_ab=cross(ia, ib), d_cd=cross(ic, id_), d_ac=cross(ia, ic), d_bd=cross(ib, id_),
             indices=tuple(first_index[t] for t in canon),
         )
 

@@ -8,15 +8,15 @@ estimates how likely two sentences are translations of each other.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 import random
 from collections import Counter
 from collections.abc import Callable, Sequence
 
-from .corpus_io import BitextCorpus, in_range, json_number, read_json, tokenize, write_json
-from .lexicon import TranslationLexicon
+from .corpus_io import (BitextCorpus, digest, in_range, json_number, read_json, tokenize,
+                        write_json)
+from .lexicon import TranslationLexicon, lexicon_text
 
 FEATURE_NAMES = ("len_ratio", "char_ratio", "cov_st", "cov_ts", "num_overlap")
 
@@ -472,11 +472,8 @@ def train_model(seed: BitextCorpus, lex: TranslationLexicon, direction: tuple[st
 
 
 def lexicon_checksum(lex: TranslationLexicon) -> str:
-    h = hashlib.sha256()
-    for s in sorted(lex.entries):
-        for t, p in lex.entries[s]:
-            h.update(f"{s}\t{t}\t{p:.12g}\n".encode("utf-8"))
-    return h.hexdigest()
+    """SHA-256 of the lexicon's file text, so a model names its lexicon."""
+    return digest(lexicon_text(lex).encode("utf-8"))
 
 
 def save_model(path, model: SimilarityModel) -> None:

@@ -1,10 +1,11 @@
 """Bilingual document and sentence corpus handling.
 
 Owns the readers of every text, TSV, JSON-lines and JSON input, their error
-contract, the rule for a JSON number and the range of each numeric setting
-(``iter_lines``, ``iter_tsv``, ``iter_jsonl``, ``read_json``, ``json_number``,
-``RANGES``) and the formats below; the lexicon, synonym, model, quadruple
-and rewriting-model layouts live elsewhere.
+contract, the rule for a JSON number, the range of each numeric setting,
+the SHA-256 digests of manifests and checksums (``iter_lines``,
+``iter_tsv``, ``iter_jsonl``, ``read_json``, ``json_number``, ``RANGES``,
+``digest``, ``file_digest``) and the formats below; the lexicon, synonym,
+model, quadruple and rewriting-model layouts live elsewhere.
 
 * article dump:        JSON lines, one ``{"title": ..., "text": ...}`` object per line
 * article-pair store:  JSON lines, one topic-aligned pair per line with fields
@@ -25,6 +26,17 @@ import re
 import sys
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Mapping
+
+# SHA-256 from CPython's built-in module, as random.py takes its SHA-512:
+# hashlib loads OpenSSL's libcrypto, about 3.5 MiB of resident memory in
+# every process, and the digests are the same
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:  # a build without the built-in hashes
+        from hashlib import sha256
 
 
 class Document(namedtuple("Document", "lang title body")):
@@ -350,6 +362,20 @@ def read_bitext(path, flip: bool = False) -> BitextCorpus:
     return BitextCorpus(list(iter_tsv(path, 2, pair, at_least=True)))
 
 
+def digest(data: bytes) -> str:
+    """Hex SHA-256 of ``data``."""
+    return sha256(data).hexdigest()
+
+
+def file_digest(path) -> str:
+    """Hex SHA-256 of a file's bytes, read in blocks."""
+    h = sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(65536), b""):
+            h.update(block)
+    return h.hexdigest()
+
+
 def write_json(path, doc) -> None:
     """Write a JSON report: two-space indent, sorted keys, final newline."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -451,9 +477,9 @@ RANGES = {
     **dict.fromkeys(("threshold", "prune_below"), (lambda x: 0.0 <= x <= 1.0, "in [0, 1]")),
     "gap_cost": (lambda x: 0.0 < x <= 0.5, "in (0, 0.5]"),
     "learning_rate": (lambda x: x > 0.0, "> 0"),
-    "margin_reg": (lambda x: x >= 0.0, ">= 0"),
+    **dict.fromkeys(("margin_reg", "max_distance", "min_chars"), (lambda x: x >= 0, ">= 0")),
     **dict.fromkeys(("iterations", "epochs", "neg_per_pos", "segments", "per_segment",
-                     "n_resamples"), (lambda x: x >= 1, ">= 1")),
+                     "n_resamples", "size_guard"), (lambda x: x >= 1, ">= 1")),
     # training refuses such a model, and the mining bound needs the
     # calibrated score to fall as the margin falls
     "platt_a": (lambda x: x < 0.0, "negative"),

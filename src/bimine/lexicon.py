@@ -160,12 +160,16 @@ def gloss_translate(lex: TranslationLexicon, tokens: Sequence[str]) -> list[str]
     return out
 
 
+def lexicon_text(lex: TranslationLexicon) -> str:
+    """The lexicon file's text: TSV ``source<TAB>target<TAB>prob`` lines
+    sorted by (source, -prob); a model's lexicon checksum hashes it."""
+    return "".join(f"{s}\t{t}\t{p:.12g}\n" for s in sorted(lex.entries)
+                   for t, p in lex.entries[s])
+
+
 def write_lexicon(path, lex: TranslationLexicon) -> None:
-    """TSV ``source<TAB>target<TAB>prob`` sorted by (source, -prob)."""
     with open(path, "w", encoding="utf-8") as fh:
-        for s in sorted(lex.entries):
-            for t, p in lex.entries[s]:
-                fh.write(f"{s}\t{t}\t{p:.12g}\n")
+        fh.write(lexicon_text(lex))
 
 
 def _entry(cols):

@@ -16,7 +16,6 @@ reproduces identical artifacts byte for byte.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import marshal
 import os
@@ -151,14 +150,6 @@ class PipelineConfig:
         return Path(self.store) if self.store else self.path("store.jsonl")
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(65536), b""):
-            h.update(block)
-    return h.hexdigest()
-
-
 def log_record(stage: str, outputs: list, counts: dict) -> None:
     """Print what a step did to stderr as one sort-keyed JSON line: its
     stage (or CLI command), its outputs and its counts."""
@@ -172,8 +163,8 @@ def _write_manifest(config: PipelineConfig, stage: str, params: dict,
     doc = {
         "stage": stage,
         "params": params,
-        "inputs": {p.name: _sha256(p) for p in inputs},
-        "outputs": {p.name: _sha256(p) for p in outputs},
+        "inputs": {p.name: corpus_io.file_digest(p) for p in inputs},
+        "outputs": {p.name: corpus_io.file_digest(p) for p in outputs},
         "counts": counts,
     }
     corpus_io.write_json(config.path(f"manifest.{stage}.json"), doc)
@@ -294,6 +285,8 @@ def analogy_find(seed, max_distance: int, size_guard: int) -> list:
     ``size_guard`` sentences, since the search is quadratic in their number.
     """
     from . import analogy as analogy_mod
+    corpus_io.in_range("max_distance", max_distance)
+    corpus_io.in_range("size_guard", size_guard)
     sentences = [corpus_io.tokenize(p.src) for p in corpus_io.read_bitext(seed).pairs]
     if len(sentences) > size_guard:
         raise PipelineError(f"analogy search over {len(sentences)} sentences exceeds "
@@ -333,6 +326,8 @@ def filter_bitext(infile, kept, report=None, *, min_chars: int | None = None,
     ``report`` when those are given; returns that report as a dict.
     """
     from . import filtering
+    if min_chars is not None:
+        corpus_io.in_range("min_chars", min_chars)
     corpus = corpus_io.read_bitext(infile)
     result = filtering.FilterReport(input_count=len(corpus.pairs))
     passes = []

@@ -887,6 +887,33 @@ def test_pipeline_refuses_a_negative_margin_reg_at_load(world, tmp_path, capsys)
     assert not workdir.exists()
 
 
+def test_pipeline_refuses_a_negative_max_distance_at_load(world, tmp_path, capsys):
+    # it used to load, and the analogy stage then found nothing
+    config_path, workdir = _pipeline_config(tmp_path, world, bidirectional=False)
+    doc = json.loads(config_path.read_text(encoding="utf-8"))
+    doc["analogy"]["max_distance"] = -1
+    config_path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["pipeline", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {config_path}: config key analogy.max_distance must be >= 0, got -1"]
+    assert not workdir.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analogy", "find", "--max-dist", "-1"], "max_distance must be >= 0, got -1"),
+    (["analogy", "find", "--size-guard", "0"], "size_guard must be >= 1, got 0"),
+    (["filter", "trivial", "--min-chars", "-1"], "min_chars must be >= 0, got -1"),
+])
+def test_cli_flags_apply_the_config_ranges(tmp_path, capsys, argv, message):
+    seed = tmp_path / "seed.tsv"
+    seed.write_text("Ala ma kota.\tAlice has a cat.\n", encoding="utf-8")
+    out = tmp_path / "out"
+    source = ["--seed"] if argv[0] == "analogy" else ["--in"]
+    assert main(argv + source + [str(seed), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("section, key, value, words", [
     ("classifier", "threshold", 1.5, "in [0, 1], got 1.5"),
     ("lexicon", "prune_below", 2, "in [0, 1], got 2.0"),

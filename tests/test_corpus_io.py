@@ -1,6 +1,10 @@
+import hashlib
 import random
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,6 +15,8 @@ from bimine.corpus_io import (
     BitextCorpus,
     clean_document,
     corpus_stats,
+    digest,
+    file_digest,
     pair_articles,
     read_article_dump,
     read_article_store,
@@ -784,3 +790,34 @@ def test_readers_return_or_name_file_and_line(tmp_path_factory, data):
             read(path)
         except ValueError as exc:
             assert str(exc).startswith(f"{path}: line "), (reader, str(exc))
+
+
+# ---------------------------------------------------------------------------
+# digests: CPython's built-in SHA-256, the same as hashlib's
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.binary(max_size=300), repeat=st.integers(0, 900))
+def test_digests_equal_hashlib_sha256(tmp_path_factory, data, repeat):
+    # up to 270 000 bytes: a file of several 65 536-byte read blocks
+    blob = data * repeat + data
+    path = tmp_path_factory.getbasetemp() / "digest.bin"
+    path.write_bytes(blob)
+    expected = hashlib.sha256(blob).hexdigest()
+    assert digest(blob) == expected
+    assert file_digest(path) == expected
+
+
+def test_digests_without_the_builtin_module_come_from_hashlib(tmp_path):
+    # as on a build without CPython's built-in hashes
+    blob = bytes(range(256)) * 600
+    path = tmp_path / "digest.bin"
+    path.write_bytes(blob)
+    code = ("import sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None; "
+            "sys.path.insert(0, sys.argv[1]); from bimine import corpus_io; "
+            "print(corpus_io.sha256.__module__ or '', '_hashlib' in sys.modules); "
+            "print(corpus_io.digest(b'kot')); print(corpus_io.file_digest(sys.argv[2]))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run([sys.executable, "-S", "-c", code, str(src), str(path)],
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.splitlines() == [
+        "_hashlib True", hashlib.sha256(b"kot").hexdigest(), hashlib.sha256(blob).hexdigest()]

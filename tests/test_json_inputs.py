@@ -155,7 +155,8 @@ _FLOATS = st.one_of(st.sampled_from([-0.5, -1e-9, 0.0, 1e-9, 0.4, 0.5, 0.5000001
 def test_the_ranged_config_keys_are_found():
     assert {f"{section}.{key}" for section, key, _ in RANGED} >= {
         "lexicon.prune_below", "classifier.margin_reg", "classifier.epochs",
-        "mining.gap_cost", "mining.workers", "eval.segments"}
+        "mining.gap_cost", "mining.workers", "eval.segments", "analogy.max_distance",
+        "analogy.size_guard", "filter.min_chars"}
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)

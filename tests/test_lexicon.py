@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from unittest import mock
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bimine import lexicon
+from bimine.classifier import lexicon_checksum
 from bimine.corpus_io import BiSentence, BitextCorpus
 from bimine.lexicon import (
     TranslationLexicon,
@@ -286,6 +288,13 @@ def test_lexicon_file_roundtrip(tmp_path, small_lexicon):
         for (t1, p1), (t2, p2) in zip(small_lexicon.entries[s], back.entries[s]):
             assert t1 == t2
             assert p1 == pytest.approx(p2, rel=1e-10)
+
+
+def test_lexicon_checksum_is_the_sha256_of_the_file(tmp_path, small_lexicon):
+    # a model names its lexicon by the file's bytes
+    path = tmp_path / "lex.tsv"
+    write_lexicon(path, small_lexicon)
+    assert lexicon_checksum(small_lexicon) == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_lexicon_file_sorted(tmp_path, small_lexicon):

@@ -16,11 +16,14 @@ and every entry of ``RANGES`` is a config key or is checked somewhere.
 
 Every run starts a fresh interpreter, so importing the CLI must not load the
 costly modules behind ``dataclasses`` and ``typing``, nor the stage modules
-that only the analogy, filter and eval stages use; the value records that
-replace dataclasses keep their contracts.
+that only the analogy, filter and eval stages use, nor ``hashlib``, which
+loads OpenSSL: digests come from CPython's built-in SHA-256, and only
+``corpus_io``'s fallback for a build without it imports ``hashlib``.  The
+value records that replace dataclasses keep their contracts.
 """
 
 import ast
+import json
 import re
 import subprocess
 import sys
@@ -209,6 +212,48 @@ def test_cli_start_loads_no_optional_stage_module(tmp_path):
     run = subprocess.run([sys.executable, "-S", "-c", code, str(ROOT / "src"), str(config)],
                          capture_output=True, text=True, check=True)
     assert run.stdout == "[]\n"
+
+
+def test_a_start_and_its_digests_load_no_hashlib(tmp_path):
+    # a start, a config, a manifest and a lexicon checksum: every digest a
+    # run computes
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"workdir": str(tmp_path)}), encoding="utf-8")
+    (tmp_path / "seed.tsv").write_text("Ala ma kota.\tAlice has a cat.\n", encoding="utf-8")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import bimine.cli; "
+            "from bimine import classifier, lexicon, pipeline; "
+            "config = pipeline.PipelineConfig.from_json(sys.argv[2]); "
+            "seed = config.path('seed.tsv'); "
+            "pipeline._write_manifest(config, 'probe', {}, [seed], [seed], {}); "
+            "classifier.lexicon_checksum(lexicon.TranslationLexicon({'kot': [('cat', 1.0)]})); "
+            "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-S", "-c", code, str(ROOT / "src"), str(config)],
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == "[]\n"
+    assert (tmp_path / "manifest.probe.json").exists()
+
+
+def _imports_hashlib(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] in ("hashlib", "_hashlib") for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and node.module in ("hashlib", "_hashlib")
+
+
+def test_only_the_digest_fallback_imports_hashlib():
+    # the fallback is an import inside an ``except ImportError`` handler
+    fallback = set()
+    imports = set()
+    for path in PACKAGE_FILES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if _imports_hashlib(node):
+                imports.add((path.name, node.lineno))
+            elif (isinstance(node, ast.ExceptHandler)
+                  and getattr(node.type, "id", "") == "ImportError"):
+                fallback.update((path.name, sub.lineno) for stmt in node.body
+                                for sub in ast.walk(stmt) if _imports_hashlib(sub))
+    assert len(imports) == 1 and imports == fallback
+    assert {name for name, _ in imports} == {"corpus_io.py"}
 
 
 _TOKENS = ("ala", "ma", "kota")
