@@ -20,12 +20,12 @@ from .lexicon import TranslationLexicon, lexicon_text
 
 FEATURE_NAMES = ("len_ratio", "char_ratio", "cov_st", "cov_ts", "num_overlap")
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class SimilarityModel:
     def __init__(self, weights: list[float], bias: float, platt_a: float, platt_b: float,
-                 direction: tuple[str, str], threshold: float = 0.5,
+                 direction: tuple[str, str],
                  lexicon_checksum: str = "", training_counts: dict[str, int] | None = None,
                  ) -> None:
         self.weights = weights
@@ -33,7 +33,6 @@ class SimilarityModel:
         self.platt_a = platt_a
         self.platt_b = platt_b
         self.direction = direction
-        self.threshold = threshold
         self.lexicon_checksum = lexicon_checksum
         # examples, held-out examples and hinge updates of the training run; the
         # classifier stage records them in its manifest, the model file does not
@@ -421,13 +420,15 @@ def train_model(seed: BitextCorpus, lex: TranslationLexicon, direction: tuple[st
     in_range("epochs", epochs)
     in_range("learning_rate", learning_rate)
     in_range("margin_reg", margin_reg)
-    if len(seed.pairs) < 100:
-        raise ValueError(f"need at least 100 seed pairs, got {len(seed.pairs)}")
-
-    rng = random.Random(seed_rng)
     tokenized = [(tokenize(p.src), tokenize(p.tgt)) for p in seed.pairs]
     tokenized = [(s, t) for s, t in tokenized if s and t]
     n = len(tokenized)
+    # the negatives of a pair are other pairs' targets, so one usable pair
+    # would make the sampling loop below draw forever
+    if n < 100:
+        raise ValueError(f"need at least 100 seed pairs with tokens on both sides, got {n}")
+
+    rng = random.Random(seed_rng)
     # a source meets its own and its negative targets in one iteration, so
     # only the target records are kept for the whole loop
     targets = [target_record(t) for _, t in tokenized]
@@ -484,7 +485,6 @@ def save_model(path, model: SimilarityModel) -> None:
         "bias": model.bias,
         "platt_a": model.platt_a,
         "platt_b": model.platt_b,
-        "threshold": model.threshold,
         "direction": list(model.direction),
         "lexicon_checksum": model.lexicon_checksum,
     }
@@ -493,8 +493,8 @@ def save_model(path, model: SimilarityModel) -> None:
 
 def load_model(path) -> SimilarityModel:
     """Read a model file; a malformed one, one with a number that is not
-    finite, one whose Platt slope is not negative or one whose threshold is
-    outside [0, 1] raises ValueError naming the file."""
+    finite or one whose Platt slope is not negative raises ValueError
+    naming the file."""
     return read_json(path, _model)
 
 
@@ -511,8 +511,7 @@ def _model(doc) -> SimilarityModel:
         raise ValueError(f"{len(weights)} weights for {len(FEATURE_NAMES)} features")
     src_lang, tgt_lang = doc["direction"]
     numbers = {key: float(json_number(doc[key], key))
-               for key in ("bias", "platt_a", "platt_b", "threshold")}
+               for key in ("bias", "platt_a", "platt_b")}
     in_range("platt_a", numbers["platt_a"])
-    in_range("threshold", numbers["threshold"])
     return SimilarityModel(weights=weights, direction=(src_lang, tgt_lang),
                            lexicon_checksum=doc["lexicon_checksum"], **numbers)

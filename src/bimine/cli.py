@@ -70,7 +70,7 @@ def _cmd_classifier_train(args) -> int:
         args.seed, args.lexicon, args.out, args.src_lang, args.tgt_lang,
         neg_per_pos=args.neg_per_pos, epochs=args.epochs,
         learning_rate=args.learning_rate, margin_reg=args.margin_reg,
-        seed_rng=args.seed_rng, threshold=args.threshold))
+        seed_rng=args.seed_rng))
 
 
 def _cmd_mine(args) -> int:
@@ -225,15 +225,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--learning-rate", type=float, default=clf["learning_rate"])
     p.add_argument("--margin-reg", type=float, default=clf["margin_reg"])
     p.add_argument("--seed-rng", type=int, default=clf["seed"])
-    p.add_argument("--threshold", type=float, default=clf["threshold"])
     p.set_defaults(func=_cmd_classifier_train)
 
     p = sub.add_parser("mine", help="mine parallel sentences from a store")
     p.add_argument("--store", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--lexicon", required=True)
-    p.add_argument("--threshold", type=float, default=defaults.mining["threshold"],
-                   help="default: the threshold stored in the model")
+    p.add_argument("--threshold", type=float, default=defaults.mining["threshold"])
     p.add_argument("--gap-cost", type=float, default=defaults.mining["gap_cost"])
     p.add_argument("--out", required=True)
     p.add_argument("--log")

@@ -78,6 +78,8 @@ class CascadeConfig:
         self.stop_words = DEFAULT_STOP_WORDS if stop_words is None else stop_words
         self.synonyms = {} if synonyms is None else synonyms
         self.stem_rules = DEFAULT_STEM_RULES if stem_rules is None else stem_rules
+        if not self.stages:
+            raise ValueError("cascade config key 'stages' lists no stage")
         for name, accept, reject in self.stages:
             if not 0.0 <= reject <= accept <= 1.0:  # NaN fails too
                 raise ValueError(f"stage {name!r}: thresholds must be 0 <= reject <= accept "
@@ -226,8 +228,6 @@ def filter_corpus(corpus: BitextCorpus, lex: TranslationLexicon,
     score reaches its accept threshold, rejected the moment a score falls
     below its reject threshold, and rejected if no stage decides.
     """
-    if not cascade.stages:
-        raise ValueError("cascade has no stages")
     report = FilterReport(input_count=len(corpus.pairs))
     kept: list[BiSentence] = []
     rejected: list[BiSentence] = []

@@ -74,13 +74,10 @@ _TYPE_NAMES = {bool: "a boolean", int: "an integer", str: "a string"}
 
 def _typed(section: str, key: str, value, default):
     """``value`` as its default's type: a float takes any finite number and
-    an int becomes a float, and a bool passes only for a bool.  A None
-    default (mining.threshold) takes a number or null.  A key listed in
-    ``corpus_io.RANGES`` must also lie in its range."""
+    an int becomes a float, and a bool passes only for a bool.  A key listed
+    in ``corpus_io.RANGES`` must also lie in its range."""
     what = f"config key {section}.{key}"
-    if default is None and value is None:
-        return None
-    if default is None or type(default) is float:
+    if type(default) is float:
         value = float(corpus_io.json_number(value, what))
     elif type(value) is not type(default):
         raise ValueError(f"{what} must be {_TYPE_NAMES[type(default)]}, "
@@ -101,9 +98,8 @@ class PipelineConfig:
         self.ingest = {"src_dump": "", "tgt_dump": "", "links": ""}
         self.lexicon = {"iterations": 10, "prune_below": 1e-4}
         self.classifier = {"neg_per_pos": 3, "epochs": 30, "learning_rate": 0.1,
-                           "margin_reg": 1e-4, "seed": 13, "threshold": 0.5}
-        # a null mining.threshold means the one the classifier stage stored
-        self.mining = {"threshold": None, "gap_cost": 0.4, "bidirectional": False, "workers": 1}
+                           "margin_reg": 1e-4, "seed": 13}
+        self.mining = {"threshold": 0.5, "gap_cost": 0.4, "bidirectional": False, "workers": 1}
         self.analogy = {"max_distance": 4, "size_guard": DEFAULT_SIZE_GUARD,
                         "allow_unknown": False, "check_target": False}
         self.filter = {"min_chars": 10, "cascade": ""}
@@ -212,17 +208,13 @@ def train_lexicon(seed, out, iterations: int, prune_below: float,
 
 def train_classifier(seed, lexicon, out, src_lang: str, tgt_lang: str, *,
                      neg_per_pos: int, epochs: int, learning_rate: float,
-                     margin_reg: float, seed_rng: int, threshold: float,
-                     flip: bool = False) -> dict:
+                     margin_reg: float, seed_rng: int, flip: bool = False) -> dict:
     """Train the similarity classifier for ``src_lang -> tgt_lang`` and write
-    it with its mining threshold; ``flip`` reads the seed columns swapped.
-    Returns the training counts."""
-    corpus_io.in_range("threshold", threshold)
+    it; ``flip`` reads the seed columns swapped.  Returns the training counts."""
     model = classifier_mod.train_model(
         corpus_io.read_bitext(seed, flip=flip), lexicon_mod.read_lexicon(lexicon),
         (src_lang, tgt_lang), neg_per_pos=neg_per_pos, epochs=epochs,
         learning_rate=learning_rate, margin_reg=margin_reg, seed_rng=seed_rng)
-    model.threshold = threshold
     classifier_mod.save_model(out, model)
     return model.training_counts
 
@@ -231,23 +223,22 @@ _MINE_WORK = ("src_sentences", "tgt_sentences", "lattice_cells", "cells_scored",
               "cells_pruned")
 
 
-def mine(store, model, lexicon, out, *, gap_cost: float,
-         threshold: float | None = None, log=None, flip: bool = False) -> dict:
+def mine(store, model, lexicon, out, *, gap_cost: float, threshold: float,
+         log=None, flip: bool = False) -> dict:
     """Mine parallel sentences from an article-pair store and write them.
 
     The lexicon must be the one the model was trained with; the model
-    stores its checksum.  A ``threshold`` of None means the one stored in
-    the model.  ``flip`` mines the reverse direction, reading each stored
-    pair target side first.  ``log`` gets one JSON line per article.
+    stores its checksum.  A pair is kept when its score reaches ``threshold``.
+    ``flip`` mines the reverse direction, reading each stored pair target
+    side first.  ``log`` gets one JSON line per article.
     Returns the counts: articles, mined pairs, the sums over the articles
     of the source and target sentences, the lattice cells, the cells whose
     similarity was computed, the lattice nodes whose cost was computed and
     the match edges skipped unscored.
     """
     corpus_io.in_range("gap_cost", gap_cost)
+    corpus_io.in_range("threshold", threshold)
     sim_model = classifier_mod.load_model(model)
-    threshold = corpus_io.in_range(
-        "threshold", sim_model.threshold if threshold is None else threshold)
     lex = lexicon_mod.read_lexicon(lexicon)
     if classifier_mod.lexicon_checksum(lex) != sim_model.lexicon_checksum:
         raise ValueError(f"lexicon {lexicon} is not the one model {model} was trained with")
@@ -328,6 +319,9 @@ def filter_bitext(infile, kept, report=None, *, min_chars: int | None = None,
     from . import filtering
     if min_chars is not None:
         corpus_io.in_range("min_chars", min_chars)
+    if lexicon is not None:  # a bad cascade config is refused before the input is read
+        rules = (filtering.read_cascade_config(cascade) if cascade
+                 else filtering.CascadeConfig())
     corpus = corpus_io.read_bitext(infile)
     result = filtering.FilterReport(input_count=len(corpus.pairs))
     passes = []
@@ -335,8 +329,6 @@ def filter_bitext(infile, kept, report=None, *, min_chars: int | None = None,
         corpus, trivial = filtering.remove_trivial(corpus, min_chars)
         passes.append(trivial)
     if lexicon is not None:
-        rules = (filtering.read_cascade_config(cascade) if cascade
-                 else filtering.CascadeConfig())
         corpus, dropped, cascaded = filtering.filter_corpus(
             corpus, lexicon_mod.read_lexicon(lexicon), rules)
         passes.append(cascaded)
@@ -464,7 +456,7 @@ def _stage_classifier(config: PipelineConfig) -> None:
         train_classifier, seed,
         neg_per_pos=params["neg_per_pos"], epochs=params["epochs"],
         learning_rate=params["learning_rate"], margin_reg=params["margin_reg"],
-        seed_rng=params["seed"], threshold=params["threshold"])
+        seed_rng=params["seed"])
     lexicon = _require(config, config.path("lexicon.tsv"))
     fwd_out, rev_out = config.path("classifier.json"), config.path("classifier.rev.json")
     counts, rev = _directions(

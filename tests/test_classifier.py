@@ -472,9 +472,10 @@ def test_similarity_separates_fixture_pairs(small_model, small_lexicon,
         true_tgt = tokenize(pair.tgt)
         other = tokenize(pairs[(i + 7) % len(pairs)].tgt)
         src_rec = source_record(src, small_lexicon)
-        if similarity(small_model, src_rec, target_record(true_tgt)) > small_model.threshold:
+        # 0.5 is the default mining threshold, mining.threshold
+        if similarity(small_model, src_rec, target_record(true_tgt)) > 0.5:
             good += 1
-        if similarity(small_model, src_rec, target_record(other)) < small_model.threshold:
+        if similarity(small_model, src_rec, target_record(other)) < 0.5:
             bad += 1
     assert good >= 45
     assert bad >= 45
@@ -544,18 +545,15 @@ def test_load_rejects_a_non_negative_platt_slope(tmp_path, small_model):
             load_model(path)
 
 
-def test_load_rejects_a_threshold_outside_zero_one(tmp_path, small_model):
+def test_load_refuses_a_version_1_model_naming_the_file(tmp_path, small_model):
+    # a version-1 file stored a mining threshold, which mining no longer reads
     path = tmp_path / "model.json"
     save_model(path, small_model)
     good = json.loads(path.read_text(encoding="utf-8"))
-    for threshold in (-0.5, 1.5):
-        path.write_text(json.dumps({**good, "threshold": threshold}), encoding="utf-8")
-        with pytest.raises(ValueError, match=rf"model.json: threshold must be in \[0, 1\], "
-                                             rf"got {threshold}$"):
-            load_model(path)
-    # Python's json writes and reads NaN; the number rule refuses it first
-    path.write_text(json.dumps({**good, "threshold": float("nan")}), encoding="utf-8")
-    with pytest.raises(ValueError, match=r"model.json: threshold is not a finite number: nan$"):
+    assert good["format_version"] == 2 and "threshold" not in good
+    path.write_text(json.dumps({**good, "format_version": 1, "threshold": 0.5}),
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match=r"model.json: unsupported model format 1$"):
         load_model(path)
 
 

@@ -111,28 +111,30 @@ def test_mine_produces_pairs(workdir):
     assert all(0.0 <= p.score <= 1.0 for p in corpus.pairs)
 
 
-def test_mine_defaults_to_model_threshold(workdir, tmp_path):
-    model_path = tmp_path / "strict.json"
-    assert main(["classifier", "train", "--seed", str(workdir / "seed.tsv"),
-                 "--lexicon", str(workdir / "lexicon.tsv"), "--out", str(model_path),
-                 "--epochs", "10", "--threshold", "0.9"]) == 0
+def test_mine_keeps_only_pairs_reaching_its_threshold(workdir, tmp_path):
     mined_path = tmp_path / "mined.tsv"
     assert main(["mine", "--store", str(workdir / "store.jsonl"),
-                 "--model", str(model_path), "--lexicon", str(workdir / "lexicon.tsv"),
-                 "--out", str(mined_path)]) == 0
+                 "--model", str(workdir / "model.json"),
+                 "--lexicon", str(workdir / "lexicon.tsv"),
+                 "--out", str(mined_path), "--threshold", "0.9"]) == 0
     scores = [p.score for p in read_bitext(mined_path).pairs]
     assert scores and min(scores) >= 0.9
+    assert len(scores) < len(read_bitext(workdir / "mined.tsv").pairs)
 
 
 @pytest.mark.parametrize("threshold", ["nan", "-0.1", "1.5"])
 def test_classifier_train_refuses_a_threshold_outside_zero_one(workdir, tmp_path, capsys,
                                                               threshold):
+    # the mining threshold is mining.threshold alone and a model stores none,
+    # so `classifier train` has no --threshold to take, in range or not; the
+    # range cases are checked on `mine --threshold`
     model_path = tmp_path / "model.json"
-    assert main(["classifier", "train", "--seed", str(workdir / "seed.tsv"),
-                 "--lexicon", str(workdir / "lexicon.tsv"), "--out", str(model_path),
-                 "--threshold", threshold]) == 1
-    assert capsys.readouterr().err == \
-        f"error: threshold must be in [0, 1], got {float(threshold)}\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["classifier", "train", "--seed", str(workdir / "seed.tsv"),
+              "--lexicon", str(workdir / "lexicon.tsv"), "--out", str(model_path),
+              "--threshold", threshold])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --threshold {threshold}" in capsys.readouterr().err
     assert not model_path.exists()
 
 
@@ -171,6 +173,7 @@ def test_mine_checks_threshold_and_gap_cost_before_the_store(workdir, tmp_path, 
     out = tmp_path / "mined.tsv"
     for option, value, message in (
             ("--threshold", "1.5", "threshold must be in [0, 1], got 1.5"),
+            ("--threshold", "-0.1", "threshold must be in [0, 1], got -0.1"),
             ("--threshold", "nan", "threshold must be in [0, 1], got nan"),
             ("--gap-cost", "0.9", "gap_cost must be in (0, 0.5], got 0.9")):
         assert main(["mine", "--store", str(store), "--model", str(workdir / "model.json"),
@@ -242,6 +245,21 @@ def test_filter_cascade_names_the_stop_words_line_that_is_not_utf8(workdir, tmp_
                  "--report", str(tmp_path / "report.json")]) == 1
     # the config that names the stop-words file comes first
     assert capsys.readouterr().err == f"error: {config}: {stops}: line 2: not UTF-8 text\n"
+
+
+def test_filter_cascade_refuses_an_empty_cascade_before_reading_the_input(workdir, tmp_path,
+                                                                          capsys):
+    # it used to read the input and then fail naming neither the file nor the key
+    config = tmp_path / "cascade.json"
+    config.write_text('{"stages": []}', encoding="utf-8")
+    kept = tmp_path / "kept.tsv"
+    assert main(["filter", "cascade", "--in", str(tmp_path / "absent.tsv"),
+                 "--lexicon", str(workdir / "lexicon.tsv"), "--config", str(config),
+                 "--kept", str(kept), "--rejected", str(tmp_path / "rejected.tsv"),
+                 "--report", str(tmp_path / "report.json")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {config}: cascade config key 'stages' lists no stage"]
+    assert not kept.exists()
 
 
 def test_analogy_commands(world, tmp_path):
@@ -443,8 +461,6 @@ def test_eval_compare_rejects_zero_resamples(tmp_path, capsys):
 
 
 def test_cli_defaults_are_the_pipeline_config_defaults():
-    # `mine --threshold` defaults to None, as mining.threshold does: the
-    # threshold stored in the model (test_mine_defaults_to_model_threshold)
     config = PipelineConfig(workdir="")
     clf = config.classifier
     cases = [
@@ -460,7 +476,7 @@ def test_cli_defaults_are_the_pipeline_config_defaults():
          {"src_lang": config.src_lang, "tgt_lang": config.tgt_lang,
           "neg_per_pos": clf["neg_per_pos"], "epochs": clf["epochs"],
           "learning_rate": clf["learning_rate"], "margin_reg": clf["margin_reg"],
-          "seed_rng": clf["seed"], "threshold": clf["threshold"]}),
+          "seed_rng": clf["seed"]}),
         (["mine", "--store", "s", "--model", "m", "--lexicon", "l", "--out", "o"],
          {"gap_cost": config.mining["gap_cost"], "threshold": config.mining["threshold"]}),
         (["analogy", "find", "--seed", "s", "--out", "o"],
@@ -833,7 +849,6 @@ def test_pipeline_stage_subset(world, tmp_path):
 def test_pipeline_mining_threshold_zero_is_kept(world, tmp_path, monkeypatch):
     config_path, _ = _pipeline_config(tmp_path, world, bidirectional=False)
     config = PipelineConfig.from_json(config_path)
-    config.classifier["threshold"] = 0.7
     run_pipeline(config, ["ingest", "lexicon", "classifier"])
     used = []
     real_mine_corpus = miner.mine_corpus
@@ -845,11 +860,11 @@ def test_pipeline_mining_threshold_zero_is_kept(world, tmp_path, monkeypatch):
     monkeypatch.setattr(miner, "mine_corpus", spy)
     assert "threshold" not in json.loads(config_path.read_text(encoding="utf-8"))["mining"]
     run_pipeline(config, ["mine"])
-    for configured in (0, None, 0.25):
+    for configured in (0.0, 0.25):
         config.mining["threshold"] = configured
         run_pipeline(config, ["mine"])
-    # an absent or null threshold falls back to the model's; 0 is kept
-    assert used == [0.7, 0.0, 0.7, 0.25]
+    # an absent threshold is the default, 0.5; 0 is kept
+    assert used == [0.5, 0.0, 0.25]
 
 
 def test_pipeline_refuses_an_empty_stage_list(world, tmp_path, capsys):
@@ -859,17 +874,22 @@ def test_pipeline_refuses_an_empty_stage_list(world, tmp_path, capsys):
     assert not workdir.exists()
 
 
-def test_pipeline_refuses_a_nan_classifier_threshold(world, tmp_path, capsys):
+@pytest.mark.parametrize("section, value, detail", [
     # Python's json reads NaN, so the config file can hold one
+    ("mining", float("nan"), "config key mining.threshold is not a finite number: nan"),
+    # null used to mean the model's threshold; a model stores none now
+    ("mining", None, "config key mining.threshold must be a number, not NoneType"),
+], ids=["nan", "null"])
+def test_pipeline_refuses_a_threshold_that_is_not_one_number(world, tmp_path, capsys,
+                                                             section, value, detail):
     config_path, workdir = _pipeline_config(tmp_path, world, bidirectional=False)
     doc = json.loads(config_path.read_text(encoding="utf-8"))
-    doc["classifier"]["threshold"] = float("nan")
+    doc[section]["threshold"] = value
     config_path.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["pipeline", "--config", str(config_path),
                  "--stages", "lexicon,classifier"]) == 1
     # refused at load, naming the file and the key, before any stage runs
-    assert capsys.readouterr().err.splitlines() == [
-        f"error: {config_path}: config key classifier.threshold is not a finite number: nan"]
+    assert capsys.readouterr().err.splitlines() == [f"error: {config_path}: {detail}"]
     assert not workdir.exists()
 
 
@@ -915,7 +935,9 @@ def test_cli_flags_apply_the_config_ranges(tmp_path, capsys, argv, message):
 
 
 @pytest.mark.parametrize("section, key, value, words", [
-    ("classifier", "threshold", 1.5, "in [0, 1], got 1.5"),
+    # the classifier's copy of the threshold is gone: the key is refused as unknown
+    ("classifier", "threshold", 1.5, "unknown keys ['threshold'] in config section 'classifier'"),
+    ("mining", "threshold", 1.5, "in [0, 1], got 1.5"),
     ("lexicon", "prune_below", 2, "in [0, 1], got 2.0"),
     ("classifier", "epochs", 0, ">= 1, got 0"),
     ("classifier", "epochs", -1, ">= 1, got -1"),
@@ -929,8 +951,9 @@ def test_pipeline_refuses_an_out_of_range_config_value_at_load(world, tmp_path, 
     doc.setdefault(section, {})[key] = value
     config_path.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["pipeline", "--config", str(config_path)]) == 1
-    assert capsys.readouterr().err.splitlines() == [
-        f"error: {config_path}: config key {section}.{key} must be {words}"]
+    detail = words if words.startswith("unknown") else \
+        f"config key {section}.{key} must be {words}"
+    assert capsys.readouterr().err.splitlines() == [f"error: {config_path}: {detail}"]
     assert not workdir.exists()
 
 
@@ -1077,12 +1100,20 @@ def test_pipeline_config_accepts_every_documented_key(tmp_path):
            "ingest": {"src_dump": "a", "tgt_dump": "b", "links": "c"}}
     for section in ("lexicon", "classifier", "mining", "analogy", "filter", "eval"):
         doc[section] = dict(getattr(defaults, section))
-    doc["mining"].update(workers=1, threshold=None)
+    doc["mining"].update(workers=1, threshold=0.75)
     path = tmp_path / "c.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     config = PipelineConfig.from_json(path)
-    assert config.mining["threshold"] is None
+    assert config.mining["threshold"] == 0.75
     assert config.ingest["links"] == "c"
+
+
+def test_every_pipeline_config_default_is_a_json_scalar():
+    # a setting is typed by its default, so a default of None or of a
+    # container would leave its key untyped
+    for name, value in vars(PipelineConfig(workdir="")).items():
+        for key, default in value.items() if isinstance(value, dict) else [(name, value)]:
+            assert type(default) in (str, bool, int, float), (name, key, default)
 
 
 def test_mine_rejects_a_lexicon_the_model_was_not_trained_with(world, tmp_path, capsys):

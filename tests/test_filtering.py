@@ -307,8 +307,8 @@ def test_cascade_config_validation():
         CascadeConfig(stages=[("fast", 0.5, 0.9)])
     with pytest.raises(ValueError, match="unknown"):
         CascadeConfig(stages=[("nope", 0.9, 0.1)])
-    with pytest.raises(ValueError, match="stages"):
-        filter_corpus(_corpus([]), _gloss_lex(), CascadeConfig(stages=[]))
+    with pytest.raises(ValueError, match="'stages' lists no stage"):
+        CascadeConfig(stages=[])
 
 
 
@@ -393,6 +393,7 @@ def test_cascade_config_errors_name_the_file(tmp_path):
     ('{"stop_words": ["the"], "stop_words_file": "stops.txt"}',
      "give 'stop_words' or 'stop_words_file', not both"),
     ('{"synonyms": {}, "synonyms_file": "syn.tsv"}', "give 'synonyms' or 'synonyms_file', not both"),
+    ('{"stages": []}', "cascade config key 'stages' lists no stage"),
 ])
 def test_cascade_config_means_what_it_says(tmp_path, text, detail):
     (tmp_path / "stops.txt").write_text("the\n", encoding="utf-8")

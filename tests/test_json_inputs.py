@@ -31,7 +31,7 @@ def _config_doc(root):
     return {"workdir": str(root / "out"), "seed_corpus": str(root / "seed.tsv"),
             "lexicon": {"iterations": 10, "prune_below": 1e-4},
             "classifier": {"neg_per_pos": 3, "epochs": 30, "learning_rate": 0.1,
-                           "margin_reg": 1e-4, "seed": 13, "threshold": 0.5},
+                           "margin_reg": 1e-4, "seed": 13},
             "mining": {"threshold": 0.5, "gap_cost": 0.4, "workers": 1},
             "analogy": {"max_distance": 4, "size_guard": 4000},
             "filter": {"min_chars": 10}, "eval": {"segments": 200, "per_segment": 10}}
@@ -47,7 +47,7 @@ def _model_doc(root):
     path = root / "valid.json"
     save_model(path, SimilarityModel(
         weights=[0.5] * len(FEATURE_NAMES), bias=-1.0, platt_a=-2.0, platt_b=0.25,
-        direction=("pl", "en"), threshold=0.5, lexicon_checksum="0" * 64))
+        direction=("pl", "en"), lexicon_checksum="0" * 64))
     return json.loads(path.read_text(encoding="utf-8"))
 
 
@@ -155,8 +155,8 @@ _FLOATS = st.one_of(st.sampled_from([-0.5, -1e-9, 0.0, 1e-9, 0.4, 0.5, 0.5000001
 def test_the_ranged_config_keys_are_found():
     assert {f"{section}.{key}" for section, key, _ in RANGED} >= {
         "lexicon.prune_below", "classifier.margin_reg", "classifier.epochs",
-        "mining.gap_cost", "mining.workers", "eval.segments", "analogy.max_distance",
-        "analogy.size_guard", "filter.min_chars"}
+        "mining.threshold", "mining.gap_cost", "mining.workers", "eval.segments",
+        "analogy.max_distance", "analogy.size_guard", "filter.min_chars"}
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)

@@ -228,10 +228,9 @@ def test_stage_mines_the_reverse_as_mine_corpus_on_flipped_pairs(small_seed_corp
     model = load_model(workdir / "classifier.rev.json")
     lexicon = read_lexicon(workdir / "lexicon.rev.tsv")
     flipped = [ArticlePair(p.id, p.tgt, p.src) for p in read_article_store(store)]
-    # mining.threshold is null, so the stage mines at the model's threshold
-    assert config.mining["threshold"] is None
+    assert config.mining["threshold"] == 0.5
     corpus, _ = mine_corpus(flipped, model, lexicon, gap_cost=config.mining["gap_cost"],
-                            threshold=model.threshold)
+                            threshold=config.mining["threshold"])
     assert corpus.pairs and model.direction == ("en", "pl")
     write_bitext(tmp_path / "expected.tsv", corpus)
     assert (workdir / "mined.rev.tsv").read_bytes() == \
