@@ -81,8 +81,8 @@ word_levenshtein = levenshtein
 
 def char_delta(a: Counter, b: Counter) -> CharDelta:
     """Nonzero items of the per-character count difference a - b, sorted."""
-    return tuple(sorted((ch, a[ch] - b[ch]) for ch in a.keys() | b.keys()
-                        if a[ch] != b[ch]))
+    changed = {ch for ch, _ in a.items() ^ b.items()}  # the (char, count) items differ
+    return tuple(sorted((ch, n) for ch in changed if (n := a.get(ch, 0) - b.get(ch, 0))))
 
 
 def char_profile_check(a: str, b: str, c: str, d: str) -> bool:
@@ -93,18 +93,17 @@ def char_profile_check(a: str, b: str, c: str, d: str) -> bool:
 # ---------------------------------------------------------------------------
 # analogy search
 
-_SYMMETRIES = (
-    (0, 1, 2, 3), (2, 3, 0, 1), (1, 0, 3, 2), (3, 2, 1, 0),
-    (0, 2, 1, 3), (1, 3, 0, 2), (2, 0, 3, 1), (3, 1, 2, 0),
-)
-
-
 def canonical_arrangement(quad: tuple) -> tuple:
     """Smallest of the eight symmetric forms of an analogy (pair swap,
     in-pair reversal, exchange of the means), so each analogy has one
     representation.  The four items are sentences, or tuples that start
-    with distinct sentences."""
-    return min(tuple(quad[i] for i in perm) for perm in _SYMMETRIES)
+    with distinct sentences.  Every form keeps the extremes A, D and the
+    means B, C as its outer and inner pair, so the smallest one starts with
+    the smallest item, ends with that item's partner and holds the other
+    pair, ascending, between them."""
+    a, b, c, d = quad
+    (first, last), inner = sorted((sorted((a, d)), sorted((b, c))))
+    return (first, *inner, last)
 
 
 def find_analogies(sentences: Sequence[Sequence[str]],
@@ -112,14 +111,21 @@ def find_analogies(sentences: Sequence[Sequence[str]],
     """All analogies among distinct sentences with both distances <= max_distance.
 
     Duplicate sentences are collapsed before the search (an analogy needs four
-    distinct sentences).  The pair pass computes the word distance of every
-    pair that survives two lower bounds, the length difference and
-    ``token_bag_bound``; both are exact filters.  Each pair (x, y) with x < y
-    within distance goes to the bucket of its distance and ``char_delta``.
-    The character-occurrence condition of Lepage & Denoual (2005) then holds
-    exactly for A:B::C:D between two pairs of one bucket, and for A:B::D:C
-    between a pair of bucket (d, delta) and one of bucket (d, -delta), so
-    only those combinations are tested for the cross distances.
+    distinct sentences).  The pair pass is a prefix-filter join (Chaudhuri,
+    Ganti & Kaushik 2006; Xiao et al. 2008, PPJoin).  A pair within distance
+    d whose longer side has L tokens shares at least L - d token occurrences,
+    since ``token_bag_bound`` never exceeds the distance.  So, with the
+    occurrences of every sentence in one rare-first order, a pair with
+    L > max_distance shares one among the first max_distance + 1 of each
+    side.  Only such pairs, and the pairs of sentences of at most
+    max_distance tokens, are candidates, and a candidate must still pass
+    ``token_bag_bound`` and the word distance: the filter is exact.  Each
+    pair (x, y) with x < y within distance goes to the bucket of its
+    distance and ``char_delta``.  The character-occurrence condition of
+    Lepage & Denoual (2005) then holds exactly for A:B::C:D between two
+    pairs of one bucket, and for A:B::D:C between a pair of bucket
+    (d, delta) and one of bucket (d, -delta), so only those combinations are
+    tested for the cross distances.
     """
     uniq: list[Tokens] = []
     first_index: dict[Tokens, int] = {}
@@ -130,18 +136,40 @@ def find_analogies(sentences: Sequence[Sequence[str]],
             uniq.append(key)
     profiles = [Counter(" ".join(s)) for s in uniq]
     bags = [Counter(s) for s in uniq]
+    # a token's rank: rarer first, by the number of sentences holding it
+    held_by = Counter(tok for bag in bags for tok in bag)
+    rank = {tok: r for r, tok in enumerate(sorted(held_by, key=lambda t: (held_by[t], t)))}
 
-    # all unordered pairs within distance, bucketed by (distance, char delta);
-    # sweeping by length visits only pairs within the length bound, and v
-    # is the longer of the two
+    # all unordered pairs within distance, bucketed by (distance, char delta).
+    # Sentences are probed in length order against the prefixes indexed so
+    # far, so v is the longer of a pair.  The k-th occurrence of a token is
+    # (rank, k), which makes each bag a set; two sets sharing t >= 1 items
+    # meet within the first len - t + 1 items of both.  With t = len(v) -
+    # max_distance that is v's whole prefix and u's first
+    # max_distance + 1 - (len(v) - len(u)) items, an empty range for u
+    # outside the length window.
     by_length = sorted(range(len(uniq)), key=lambda k: len(uniq[k]))
+    index: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    short: list[int] = []  # sentences of at most max_distance tokens
     dist: dict[tuple[int, int], int] = {}
     buckets: dict[tuple[int, CharDelta], list[tuple[int, int]]] = {}
-    for pos1, u in enumerate(by_length):
-        for v in by_length[pos1 + 1:]:
-            if len(uniq[v]) - len(uniq[u]) > max_distance:
-                break
-            if token_bag_bound(bags[u], bags[v], len(uniq[v])) > max_distance:
+    for v in by_length:
+        n_v = len(uniq[v])
+        prefix = sorted((rank[tok], k) for tok, count in bags[v].items()
+                        for k in range(count))[:max_distance + 1]
+        if n_v <= max_distance:  # needs no shared token
+            candidates = dict.fromkeys(short)
+            short.append(v)
+        else:
+            candidates = {}
+            for occ in prefix:
+                for u, pos in index.get(occ, ()):
+                    if pos <= max_distance - n_v + len(uniq[u]):
+                        candidates[u] = None
+        for pos, occ in enumerate(prefix):
+            index.setdefault(occ, []).append((v, pos))
+        for u in candidates:
+            if token_bag_bound(bags[u], bags[v], n_v) > max_distance:
                 continue
             d = levenshtein(uniq[u], uniq[v])
             if d > max_distance:

@@ -42,8 +42,8 @@ class OverlapStats(namedtuple("OverlapStats", "recognized overlapping")):
 
 
 def mine_pair(pair: ArticlePair, src: list[Sentence], tgt: list[Sentence],
-              model: SimilarityModel, lex: TranslationLexicon, gap_cost: float = 0.4,
-              threshold: float = 0.5) -> tuple[list[BiSentence], dict]:
+              model: SimilarityModel, lex: TranslationLexicon, *, gap_cost: float,
+              threshold: float) -> tuple[list[BiSentence], dict]:
     """Align the segmented sentences ``src`` and ``tgt`` of an article pair
     and keep the links scoring at least the threshold.
 
@@ -74,8 +74,8 @@ def mine_pair(pair: ArticlePair, src: list[Sentence], tgt: list[Sentence],
 
 
 def mine_corpus(store: Iterable[ArticlePair], model: SimilarityModel,
-                lex: TranslationLexicon, gap_cost: float = 0.4,
-                threshold: float = 0.5) -> tuple[BitextCorpus, list[dict]]:
+                lex: TranslationLexicon, *, gap_cost: float,
+                threshold: float) -> tuple[BitextCorpus, list[dict]]:
     """Mine every article pair of a streamed store with one model and lexicon.
 
     Returns the mined corpus ordered by article id plus a per-article log of
@@ -85,7 +85,7 @@ def mine_corpus(store: Iterable[ArticlePair], model: SimilarityModel,
     outcomes = sorted(
         ((pair.id, *mine_pair(pair, segment_sentences(pair.src.body),
                               segment_sentences(pair.tgt.body), model, lex,
-                              gap_cost, threshold))
+                              gap_cost=gap_cost, threshold=threshold))
          for pair in store), key=lambda item: item[0])
     pairs: list[BiSentence] = []
     log = []

@@ -55,17 +55,21 @@ class PipelineError(RuntimeError):
 
 
 # Largest seed, in sentences, the analogy search takes by default.  The pair
-# pass is quadratic in the sentence count and the number of quadruples grows
-# faster still.  find_analogies(_structured_corpus(Random(5), n), 4) from
-# tests/test_analogy.py on a 2-vCPU host with CPython 3.11:
-#      n     seconds   peak RSS
-#    300       0.35      45 MB
-#    600       1.24      60 MB
-#   1200       3.66     109 MB
-#   2400      15.5      314 MB
-#   3600      44.9      608 MB
-#   4800      80.3     1107 MB
-# At the guard the search takes about a minute.
+# pass compares only sentences that share a rare token, but the pairs within
+# distance, and the quadruples built from them, can still grow quadratically
+# and faster.  Seconds (the lower of two runs) and peak RSS of
+# find_analogies(sentences, 4) in a fresh interpreter, on a 2-vCPU host with
+# CPython 3.11; "structured" is _structured_corpus(Random(5), n) from
+# tests/test_analogy.py, "random" the source sides of
+# make_parallel(make_world(7), Random(5), n) from tests/synthdata.py:
+#      n    structured         random
+#    300    0.09 s    22 MB    0.04 s    18 MB
+#    600    0.35 s    37 MB    0.17 s    23 MB
+#   1200    1.29 s    85 MB    0.75 s    49 MB
+#   2400    6.7 s    283 MB    3.7 s    141 MB
+#   3600   16.8 s    585 MB    7.8 s    306 MB
+# At the guard, going by the growth from 2400 to 3600, the structured search
+# takes about 21 s and 0.7 GB, most of it the pairs within distance.
 DEFAULT_SIZE_GUARD = 4000
 
 

@@ -348,7 +348,7 @@ def test_criterion_10_determinism(mining_fixture, tmp_path):
     world, _corpus, lex, model, articles, _truth = mining_fixture
     blobs = []
     for run in (1, 2):
-        mined, _ = mine_corpus(articles[:60], model, lex)
+        mined, _ = mine_corpus(articles[:60], model, lex, gap_cost=0.4, threshold=0.5)
         path = tmp_path / f"mined-{run}.tsv"
         write_bitext(path, mined)
         blobs.append(path.read_bytes())

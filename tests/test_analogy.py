@@ -184,6 +184,16 @@ def test_planted_quadruple_found_exactly():
     assert quad.d_ac == quad.d_bd == 1
 
 
+def test_canonical_arrangement_is_the_smallest_symmetric_form():
+    # the eight forms: pair swap, in-pair reversal, exchange of the means
+    symmetries = [(0, 1, 2, 3), (2, 3, 0, 1), (1, 0, 3, 2), (3, 2, 1, 0),
+                  (0, 2, 1, 3), (1, 3, 0, 2), (2, 0, 3, 1), (3, 1, 2, 0)]
+    for quad in itertools.permutations("abcd"):
+        forms = [tuple(quad[i] for i in perm) for perm in symmetries]
+        assert canonical_arrangement(quad) == min(forms)
+        assert all(canonical_arrangement(form) == min(forms) for form in forms)
+
+
 def test_three_sentences_no_quadruple():
     sentences = [s.split() for s in ["ala ma kota", "zupa jest dobra", "pada deszcz"]]
     assert find_analogies(sentences, 4) == []
@@ -243,6 +253,46 @@ _OVERLAP_VOCAB = ["a", "b", "ab", "ba", "c", "ca"]
 # A:B::D:C only between mirrored nonzero-delta buckets
 @example([["b"], ["ab", "ba"], ["ab"], ["ab", "b"]], 2)
 def test_search_equals_brute_force_property(sentences, max_distance):
+    fast = [(q.a, q.b, q.c, q.d) for q in find_analogies(sentences, max_distance)]
+    assert fast == sorted(brute_force_analogies(sentences, max_distance))
+
+
+_REPEATING_VOCAB = ["ala", "ma", "kota", "psa", "i", "nie", "to", "jest"]
+
+
+@st.composite
+def _long_sentences(draw):
+    """Sentences of 6-12 tokens over 6-8 words, so tokens repeat: every head
+    joined to every tail, which makes analogies, plus a few free sentences."""
+    vocab = _REPEATING_VOCAB[:draw(st.integers(min_value=6, max_value=8))]
+    part = st.lists(st.sampled_from(vocab), min_size=3, max_size=6)
+    heads = draw(st.lists(part, min_size=1, max_size=3))
+    tails = draw(st.lists(part, min_size=1, max_size=3))
+    free = draw(st.lists(st.lists(st.sampled_from(vocab), min_size=6, max_size=12),
+                         max_size=3))
+    return [head + tail for head in heads for tail in tails] + free
+
+
+# A:B shares exactly L - d = 3 tokens, the three most frequent ones, so they
+# come last in the rare-first order and only the last of the d + 1
+# prefix occurrences meets; C:D meets the same way
+_SHARED_LAST = [s.split() for s in [
+    "ala ma zupa kot pies", "ala ma zupa mysz ryba",
+    "ala ma ser kot pies", "ala ma ser mysz ryba",
+    "zupa ala ma", "ma zupa ala"]]
+
+
+# sentences long enough that the search's prefix filter has to find their
+# pairs, which the short sentences above never need; the examples sit at its
+# edges: a prefix one occurrence short, and sentence lengths around d
+@settings(max_examples=150, deadline=None)
+@given(_long_sentences(), st.integers(min_value=0, max_value=4))
+@example(_SHARED_LAST, 2)
+# sentences of exactly d and d + 1 tokens: A and B share no token, C and D one
+@example([["ala", "ma"], ["kot", "pies"], ["ala", "ma", "psa"], ["kot", "pies", "psa"]], 2)
+# the empty sentence in an analogy: [] : [a] :: [b] : [ba]
+@example([[], ["a"], ["b"], ["ba"]], 1)
+def test_search_equals_brute_force_on_long_sentences(sentences, max_distance):
     fast = [(q.a, q.b, q.c, q.d) for q in find_analogies(sentences, max_distance)]
     assert fast == sorted(brute_force_analogies(sentences, max_distance))
 

@@ -20,9 +20,10 @@ from bimine.miner import OverlapStats, merge_bidirectional, mine_corpus, mine_pa
 from bimine.pipeline import PipelineConfig, run_pipeline
 
 
-def _mine_pair(pair, *args):
+def _mine_pair(pair, model, lex):
     return mine_pair(pair, segment_sentences(pair.src.body),
-                     segment_sentences(pair.tgt.body), *args)
+                     segment_sentences(pair.tgt.body), model, lex,
+                     gap_cost=0.4, threshold=0.5)
 
 
 def _pair(article_id, src_body, tgt_body):
@@ -50,7 +51,7 @@ def test_mine_pair_equals_composed_stages(small_model, small_lexicon,
                                           small_articles):
     articles, _truth = small_articles
     pair = articles[0]
-    mined, work = _mine_pair(pair, small_model, small_lexicon, 0.4, 0.5)
+    mined, work = _mine_pair(pair, small_model, small_lexicon)
     src = segment_sentences(pair.src.body)
     tgt = segment_sentences(pair.tgt.body)
     sim = lambda a, b: similarity(small_model, source_record(a.tokens, small_lexicon),
@@ -77,7 +78,7 @@ def test_mine_pair_recovers_planted_links(small_model, small_lexicon,
     recovered = set()
     emitted = 0
     for pair in articles:
-        for bs in _mine_pair(pair, small_model, small_lexicon, 0.4, 0.5)[0]:
+        for bs in _mine_pair(pair, small_model, small_lexicon)[0]:
             emitted += 1
             article_id, i, j, _ = bs.origin
             recovered.add((article_id, i, j))
@@ -125,10 +126,12 @@ def test_match_filter_passes_few_cells_beyond_the_floor(small_model, small_lexic
                     if similarity(small_model, sources[i], targets[j]) >= floor)
         assert passed <= 4 * above, name
 
-        mined, work = mine_pair(pair, src, tgt, small_model, small_lexicon, 0.4, 0.5)
+        mined, work = mine_pair(pair, src, tgt, small_model, small_lexicon,
+                                gap_cost=0.4, threshold=0.5)
         with monkeypatch.context() as patched:
             patched.setattr(miner_mod, "match_filter", lambda *args: None)
-            full_mined, _ = mine_pair(pair, src, tgt, small_model, small_lexicon, 0.4, 0.5)
+            full_mined, _ = mine_pair(pair, src, tgt, small_model, small_lexicon,
+                                      gap_cost=0.4, threshold=0.5)
         pruned, full = results[-2:]
         assert mined == full_mined, name
         assert (pruned.links, pruned.total_cost) == (full.links, full.total_cost), name
@@ -141,7 +144,8 @@ def test_match_filter_passes_few_cells_beyond_the_floor(small_model, small_lexic
 def test_mine_corpus_ordered_by_article_id(small_model, small_lexicon,
                                            small_articles):
     articles, _ = small_articles
-    corpus, log = mine_corpus(reversed(articles), small_model, small_lexicon)
+    corpus, log = mine_corpus(reversed(articles), small_model, small_lexicon,
+                              gap_cost=0.4, threshold=0.5)
     ids = [bs.origin[0] for bs in corpus.pairs]
     assert ids == sorted(ids)
     assert [entry["article_id"] for entry in log] == list(range(len(articles)))
@@ -160,7 +164,8 @@ def test_mine_corpus_logs_work_counts(small_model, small_lexicon, small_articles
 
     monkeypatch.setattr(miner_mod, "similarity", counting)
     articles, _ = small_articles
-    _, log = mine_corpus(articles[:10], small_model, small_lexicon)
+    _, log = mine_corpus(articles[:10], small_model, small_lexicon,
+                         gap_cost=0.4, threshold=0.5)
     for entry, pair in zip(log, articles):
         n = len(segment_sentences(pair.src.body))
         m = len(segment_sentences(pair.tgt.body))
@@ -190,9 +195,11 @@ def test_mine_corpus_same_output_without_the_match_filter(small_model, small_lex
     # five unrelated pairs, each source against the next article's target
     articles = articles + [ArticlePair(len(articles) + k, articles[k].src,
                                        articles[k + 1].tgt) for k in range(5)]
-    pruned_corpus, pruned_log = mine_corpus(articles, small_model, small_lexicon)
+    pruned_corpus, pruned_log = mine_corpus(articles, small_model, small_lexicon,
+                                            gap_cost=0.4, threshold=0.5)
     monkeypatch.setattr(miner_mod, "match_filter", lambda *args: None)
-    full_corpus, full_log = mine_corpus(articles, small_model, small_lexicon)
+    full_corpus, full_log = mine_corpus(articles, small_model, small_lexicon,
+                                        gap_cost=0.4, threshold=0.5)
     assert pruned_corpus == full_corpus
 
     def rest(log):
@@ -238,7 +245,7 @@ def test_stage_mines_the_reverse_as_mine_corpus_on_flipped_pairs(small_seed_corp
 
 
 def test_mine_corpus_empty_store(small_model, small_lexicon):
-    corpus, log = mine_corpus([], small_model, small_lexicon)
+    corpus, log = mine_corpus([], small_model, small_lexicon, gap_cost=0.4, threshold=0.5)
     assert corpus.pairs == [] and log == []
 
 
@@ -251,7 +258,7 @@ def test_mine_corpus_euronews_scale(world, small_model, small_lexicon):
     corpus = make_parallel(world, rng, 4498 * 3)
     articles, _ = make_articles(world, rng, corpus, n_articles=4498,
                                 sentences_per_article=3)
-    _, log = mine_corpus(articles, small_model, small_lexicon)
+    _, log = mine_corpus(articles, small_model, small_lexicon, gap_cost=0.4, threshold=0.5)
     assert len(log) == 4498
     assert [entry["article_id"] for entry in log] == list(range(4498))
 

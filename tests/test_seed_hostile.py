@@ -1,10 +1,11 @@
-"""Lexicon and classifier training on hostile seed corpora.
+"""Training and the analogy steps on hostile seed corpora.
 
 Seeds are built from pieces that break naive code: CR, U+2028 and NUL, lone
 combining marks, sides that tokenize to nothing, one-token corpora and
 all-duplicate pairs, with or without real translation pairs mixed in.
-``lexicon train`` and ``classifier train`` either exit 0 or print exactly
-one ``error:`` line, and neither runs on without end.
+``lexicon train``, ``classifier train`` and ``analogy find``, ``models`` and
+``generate`` either exit 0 or print exactly one ``error:`` line, and none
+runs on without end.
 """
 
 import contextlib
@@ -20,8 +21,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bimine.cli import main
+from bimine.corpus_io import ArticlePair, Document, write_article_store
+from bimine.lexicon import TranslationLexicon, write_lexicon
 
-from synthdata import make_parallel
+from synthdata import ANALOGY_TEMPLATES, make_parallel, template_pair
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -123,3 +126,65 @@ def test_classifier_train_on_one_usable_pair_stops(tmp_path):
     run = bimine("classifier", "train", "--seed", seed, "--lexicon", lexicon, "--out", model)
     assert (run.returncode, run.stderr.splitlines()) == (1, [ONE_USABLE_ERROR])
     assert not model.exists()
+
+
+@pytest.fixture(scope="module")
+def templates(world):
+    """Seed lines of the analogy templates filled with three slot words, which
+    make analogies, and the lexicon of those words and a fourth."""
+    words = [w for w in world.src_vocab if len(world.translations[w]) == 1][:4]
+    lines = ["\t".join(" ".join(side) for side in template_pair(t, w, world.primary(w)))
+             for t in ANALOGY_TEMPLATES for w in words[:3]]
+    return lines, words, TranslationLexicon(entries={w: [(world.primary(w), 1.0)]
+                                                     for w in words})
+
+
+@pytest.fixture(scope="module")
+def generate_inputs(root, templates):
+    """The lexicon and an article store for ``analogy generate``: each source
+    article is a template filled with the fourth word among hostile pieces."""
+    _, words, lex = templates
+    lexicon, store = root / "analogy_lexicon.tsv", root / "analogy_store.jsonl"
+    write_lexicon(lexicon, lex)
+    articles = []
+    for k, (piece, template) in enumerate(zip(PIECES, ANALOGY_TEMPLATES * 3)):
+        src = " ".join(template_pair(template, words[3], words[3])[0])
+        articles.append(ArticlePair(k, Document("pl", f"a{k}", f"{piece}{src}{piece}"),
+                                    Document("en", f"a{k}", piece)))
+    write_article_store(store, articles)
+    return lexicon, store
+
+
+def _one_line(code, err, *files):
+    """The command exited 0 or 1 with one stderr line; an error names one of
+    the files it read."""
+    assert code in (0, 1) and len(err) == 1, err
+    if code == 1:
+        assert err[0].startswith("error: ") and any(str(f) in err[0] for f in files), err
+    return code == 0
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(lines=_hostile_lines(), n_templates=st.sampled_from([0, 6, 15]))
+@example(lines=["kot\tcat"] * 130, n_templates=0)  # one token a side, all duplicates
+@example(lines=["Ala ma kota.\tAlice has a cat."] * 130, n_templates=15)
+@example(lines=["\t"] * 10, n_templates=0)  # both sides empty
+@example(lines=["\u0301\tfoo", "\x00 \u2028\t\r"], n_templates=6)
+def test_analogy_steps_on_a_hostile_seed_exit_0_or_print_one_error_line(
+        root, templates, generate_inputs, lines, n_templates):
+    seed, quads, models, out = (root / name for name in (
+        "analogy_seed.tsv", "quads.jsonl", "models.jsonl", "quasi.tsv"))
+    lexicon, store = generate_inputs
+    with open(seed, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(line + "\n" for line in lines + templates[0][:n_templates])
+    for path in (quads, models, out):
+        path.unlink(missing_ok=True)
+    if not _one_line(*_run(["analogy", "find", "--seed", str(seed), "--out", str(quads)]),
+                     seed):
+        return
+    if not _one_line(*_run(["analogy", "models", "--seed", str(seed), "--quads", str(quads),
+                            "--out", str(models)]), seed, quads):
+        return
+    assert _one_line(*_run(["analogy", "generate", "--models", str(models), "--store",
+                            str(store), "--lexicon", str(lexicon), "--out", str(out)]),
+                     models, store, lexicon)

@@ -20,9 +20,14 @@ that only the analogy, filter and eval stages use, nor ``hashlib``, which
 loads OpenSSL: digests come from CPython's built-in SHA-256, and only
 ``corpus_io``'s fallback for a build without it imports ``hashlib``.  The
 value records that replace dataclasses keep their contracts.
+
+Every function the benchmark's tracer patches exists under the name it
+patches, with the arguments its counters read.
 """
 
 import ast
+import importlib.util
+import inspect
 import json
 import re
 import subprocess
@@ -31,7 +36,8 @@ from pathlib import Path
 
 import pytest
 
-from bimine.analogy import AnalogyQuadruple, QuasiParallelEntry, RewritingModel
+from bimine import pipeline
+from bimine.analogy import AnalogyQuadruple, QuasiParallelEntry, RewritingModel, find_analogies
 from bimine.corpus_io import RANGES, ArticlePair, BiSentence, Document, Sentence
 from bimine.metrics import BootstrapResult, EvalPair, _NgramRecord
 from bimine.miner import OverlapStats
@@ -91,6 +97,29 @@ def test_every_definition_is_reached_outside_the_tests():
 def test_oracles_are_defined():
     definitions, _ = _scan()
     assert ORACLES <= {f"{module}.{name}" for module, name, _ in definitions}
+
+
+def _bench_tracing():
+    """``bench/tracing.py``, loaded by path: ``bench`` is not a package."""
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_site_the_benchmark_traces_exists():
+    # the tracer reports a site it cannot patch as a missing layer, and a
+    # hook reading a renamed argument fails the traced run
+    tracing = _bench_tracing()
+    for module_name, attr, _kind, _name, after in tracing.PATCHES:
+        fn = getattr(importlib.import_module(module_name), attr, None)
+        assert callable(fn), f"{module_name}.{attr}"
+        if after is not None:
+            read = re.findall(r'args\["(\w+)"\]', inspect.getsource(after))
+            assert set(read) <= set(inspect.signature(fn).parameters), \
+                f"{module_name}.{attr}"
+    assert set(tracing.STAGES) <= set(pipeline._STAGE_FUNCS)
+    assert "sentences" in inspect.signature(find_analogies).parameters
 
 
 def test_only_corpus_io_parses_json():
