@@ -173,8 +173,7 @@ def _walk_bound(n: int, m: int, gap_cost: float,
 
 
 def align(src: Sequence, tgt: Sequence, sim: Callable[[object, object], float],
-          gap_cost: float = 0.4,
-          can_match: Callable[[int, int], bool] | None = None) -> AlignmentResult:
+          gap_cost: float, can_match: Callable[[int, int], bool] | None) -> AlignmentResult:
     """The minimum-cost monotone alignment, equal to ``align_bruteforce``'s
     bit for bit.
 
@@ -284,7 +283,7 @@ def align(src: Sequence, tgt: Sequence, sim: Callable[[object, object], float],
 
 def align_bruteforce(src: Sequence, tgt: Sequence,
                      sim: Callable[[object, object], float],
-                     gap_cost: float = 0.4) -> AlignmentResult:
+                     gap_cost: float) -> AlignmentResult:
     """Full-lattice dynamic program; the classical method, kept as oracle."""
     in_range("gap_cost", gap_cost)
     n, m = len(src), len(tgt)
@@ -311,7 +310,7 @@ def align_bruteforce(src: Sequence, tgt: Sequence,
 
 def threshold_filter(result: AlignmentResult, threshold: float,
                      src: Sequence[Sentence], tgt: Sequence[Sentence],
-                     article_id: int = -1, direction: str = "") -> list[BiSentence]:
+                     article_id: int, direction: str) -> list[BiSentence]:
     """Keep links scoring at least ``threshold`` as provenance-tagged pairs."""
     kept = []
     for i, j, score in result.links:

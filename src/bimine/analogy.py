@@ -107,7 +107,7 @@ def canonical_arrangement(quad: tuple) -> tuple:
 
 
 def find_analogies(sentences: Sequence[Sequence[str]],
-                   max_distance: int = 4) -> list[AnalogyQuadruple]:
+                   max_distance: int) -> list[AnalogyQuadruple]:
     """All analogies among distinct sentences with both distances <= max_distance.
 
     Duplicate sentences are collapsed before the search (an analogy needs four
@@ -268,8 +268,8 @@ def extract_rewriting_model(pair1: tuple[Sequence[str], Sequence[str]],
 
 
 def models_from_quadruples(quadruples: Sequence[AnalogyQuadruple],
-                           seed: BitextCorpus,
-                           check_target_side: bool = False) -> list[RewritingModel]:
+                           seed: BitextCorpus, *,
+                           check_target_side: bool) -> list[RewritingModel]:
     """Build rewriting models from each analogy pair, using the seed corpus
     targets of the quadruple's source sentences; deduplicated, stable order.
 
@@ -324,7 +324,7 @@ def _target_side_holds(targets: Sequence[Tokens]) -> bool:
 
 
 def apply_model(model: RewritingModel, sentence: Sequence[str],
-                lex: TranslationLexicon, allow_unknown: bool = False) -> BiSentence | None:
+                lex: TranslationLexicon, allow_unknown: bool) -> BiSentence | None:
     """Apply a rewriting model to a sentence carrying its prefix and suffix.
 
     The variable middle is gloss-translated; with ``allow_unknown`` false a
@@ -354,8 +354,8 @@ def apply_model(model: RewritingModel, sentence: Sequence[str],
 
 def generate_corpus(models: Sequence[RewritingModel],
                     articles: Iterable[ArticlePair],
-                    lex: TranslationLexicon,
-                    allow_unknown: bool = False) -> QuasiParallelCorpus:
+                    lex: TranslationLexicon, *,
+                    allow_unknown: bool) -> QuasiParallelCorpus:
     """Test every source-side article sentence against every model.
 
     Models are indexed by the first prefix token so only plausible templates

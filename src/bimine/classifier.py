@@ -25,8 +25,8 @@ FORMAT_VERSION = 2
 
 class SimilarityModel:
     def __init__(self, weights: list[float], bias: float, platt_a: float, platt_b: float,
-                 direction: tuple[str, str],
-                 lexicon_checksum: str = "", training_counts: dict[str, int] | None = None,
+                 direction: tuple[str, str], *,
+                 lexicon_checksum: str, training_counts: dict[str, int] | None = None,
                  ) -> None:
         self.weights = weights
         self.bias = bias
@@ -403,10 +403,9 @@ def _fit_hinge(training: Sequence[tuple[tuple[float, ...], int]], rng: random.Ra
     return [w0, w1, w2, w3, w4], bias, hinge_updates
 
 
-def train_model(seed: BitextCorpus, lex: TranslationLexicon, direction: tuple[str, str],
-                neg_per_pos: int = 3, epochs: int = 30,
-                learning_rate: float = 0.1, margin_reg: float = 1e-4,
-                seed_rng: int = 0) -> SimilarityModel:
+def train_model(seed: BitextCorpus, lex: TranslationLexicon, direction: tuple[str, str], *,
+                neg_per_pos: int, epochs: int, learning_rate: float, margin_reg: float,
+                seed_rng: int) -> SimilarityModel:
     """Train the similarity classifier for the language pair ``direction``
     (source, target) from a parallel seed corpus.
 

@@ -39,9 +39,7 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    corpus = corpus_io.read_bitext(args.corpus)
-    test, train = corpus_io.sample_test_set(
-        corpus, args.segments, args.per_segment, args.seed)
+    test, train = pipeline.sample(args.corpus, args.segments, args.per_segment, args.seed)
     corpus_io.write_bitext(args.test, test)
     corpus_io.write_bitext(args.train, train)
     return _report(args, [args.test, args.train],
@@ -134,13 +132,28 @@ def _read_eval_pairs(hyp_path, ref_paths) -> list:
         if len(column) != len(columns[0]):
             raise ValueError(f"reference file {ref_path} has {len(column)} lines, "
                              f"hypothesis file {hyp_path} has {len(columns[0])}")
+    if not columns[0]:
+        raise ValueError(f"hypothesis file {hyp_path} is empty: no segment to score")
     return [metrics.EvalPair(hypothesis=hyp, references=tuple(refs))
             for hyp, *refs in zip(*columns)]
 
 
+def _score(pairs: list, metric: str, ref_paths) -> float:
+    """``pipeline.score`` of the segments read by ``_read_eval_pairs``.  TER
+    and METEOR refuse a segment whose references are all blank; that error
+    names the reference files and the segment's line."""
+    try:
+        return pipeline.score(pairs, metric)
+    except ValueError as exc:
+        line = next((n for n, pair in enumerate(pairs, 1) if not any(pair.references)), None)
+        if line is None:
+            raise
+        raise ValueError(f"{', '.join(map(str, ref_paths))}: line {line}: {exc}") from None
+
+
 def _cmd_eval_score(args) -> int:
     pairs = _read_eval_pairs(args.hyp, args.ref)
-    score = pipeline.score(pairs, args.metric)
+    score = _score(pairs, args.metric, args.ref)
     if args.json:
         print(json.dumps({"metric": args.metric, "score": score,
                           "score_x100": score * 100.0, "segments": len(pairs)},
@@ -155,7 +168,7 @@ def _cmd_eval_compare(args) -> int:
     pairs_a = _read_eval_pairs(args.hyp_a, args.ref)
     pairs_b = _read_eval_pairs(args.hyp_b, args.ref)
     result = metrics.bootstrap_diff(
-        pairs_a, pairs_b, lambda c: pipeline.score(list(c), args.metric),
+        pairs_a, pairs_b, lambda c: _score(list(c), args.metric, args.ref),
         n_resamples=args.resamples, seed=args.seed)
     print(json.dumps({"metric": args.metric, **result._asdict()}, sort_keys=True))
     return 0

@@ -89,20 +89,29 @@ class BitextCorpus:
 # ---------------------------------------------------------------------------
 # cleaning
 
+# (pattern, replacement, closed): ``closed`` matches the text up to the end
+# of the pattern's last closer.  Every match of a comment or reference
+# block ends there, so the pattern is applied to that text alone, and an
+# opener with no closer after it is not rescanned to the end of the text
+# (which made such text quadratic).  ``closed`` uses the pattern's own flags
+# rather than an index into a lowered copy, which can be longer:
+# "İ".lower() is two characters.
 _CLEAN_STEPS = [
-    (re.compile(r"<!--.*?-->", re.DOTALL), " "),
-    (re.compile(r"<ref[^<>]*/>", re.IGNORECASE), " "),
-    (re.compile(r"<ref[^<>]*>.*?</ref>", re.IGNORECASE | re.DOTALL), " "),
+    (re.compile(r"<!--.*?-->", re.DOTALL), " ", re.compile(r".*-->", re.DOTALL)),
+    (re.compile(r"<ref[^<>]*/>", re.IGNORECASE), " ", None),
+    (re.compile(r"<ref[^<>]*>.*?</ref>", re.IGNORECASE | re.DOTALL), " ",
+     re.compile(r".*</ref>", re.IGNORECASE | re.DOTALL)),
     # table and template blocks, innermost first; the fixpoint loop below
     # peels nested levels one at a time
-    (re.compile(r"\{\|(?:(?!\{\|).)*?\|\}", re.DOTALL), " "),
-    (re.compile(r"\{\{(?:(?!\{\{).)*?\}\}", re.DOTALL), " "),
-    (re.compile(r"\[\[(?:file|image|plik|grafika):(?:(?!\[\[).)*?\]\]", re.IGNORECASE | re.DOTALL), " "),
-    (re.compile(r"\[\[[^\[\]|]*\|([^\[\]]*)\]\]"), r"\1"),
-    (re.compile(r"\[\[([^\[\]]*)\]\]"), r"\1"),
-    (re.compile(r"'{2,}"), " "),
-    (re.compile(r"^=+ *(.*?) *=+ *$", re.MULTILINE), r"\1"),
-    (re.compile(r"<[^<>]+>"), " "),
+    (re.compile(r"\{\|(?:(?!\{\|).)*?\|\}", re.DOTALL), " ", None),
+    (re.compile(r"\{\{(?:(?!\{\{).)*?\}\}", re.DOTALL), " ", None),
+    (re.compile(r"\[\[(?:file|image|plik|grafika):(?:(?!\[\[).)*?\]\]",
+                re.IGNORECASE | re.DOTALL), " ", None),
+    (re.compile(r"\[\[[^\[\]|]*\|([^\[\]]*)\]\]"), r"\1", None),
+    (re.compile(r"\[\[([^\[\]]*)\]\]"), r"\1", None),
+    (re.compile(r"'{2,}"), " ", None),
+    (re.compile(r"^=+ *(.*?) *=+ *$", re.MULTILINE), r"\1", None),
+    (re.compile(r"<[^<>]+>"), " ", None),
 ]
 
 _ENTITIES = [
@@ -133,8 +142,11 @@ def clean_document(raw: str) -> str:
     text = raw
     while True:
         prev = text
-        for pattern, repl in _CLEAN_STEPS:
-            text = pattern.sub(repl, text)
+        for pattern, repl, closed in _CLEAN_STEPS:
+            if closed is None:
+                text = pattern.sub(repl, text)
+            elif (upto := closed.match(text)) is not None:
+                text = pattern.sub(repl, upto.group()) + text[upto.end():]
         for entity, char in _ENTITIES:
             text = text.replace(entity, char)
         text = normalize_space(text)
@@ -281,8 +293,8 @@ def pair_articles(src_articles: Mapping[str, str],
 # ---------------------------------------------------------------------------
 # test-set sampling
 
-def sample_test_set(corpus: BitextCorpus, n_segments: int = 200,
-                    per_segment: int = 10, seed: int = 0) -> tuple[BitextCorpus, BitextCorpus]:
+def sample_test_set(corpus: BitextCorpus, n_segments: int, per_segment: int,
+                    seed: int) -> tuple[BitextCorpus, BitextCorpus]:
     """Split a corpus into a sampled test set and the remaining training set.
 
     The corpus is cut into ``n_segments`` contiguous segments (the first

@@ -86,12 +86,15 @@ class CascadeConfig:
                                  f"<= 1, got reject {reject} and accept {accept}")
             if name not in _STAGE_FUNCTIONS:
                 raise ValueError(f"unknown cascade stage {name!r}")
+        for suffix, repl in self.stem_rules:
+            if not suffix:  # every word ends with "", so stem() would append repl
+                raise ValueError(f"stem rule {[suffix, repl]!r} has an empty suffix")
 
 
 # ---------------------------------------------------------------------------
 # trivial filtering
 
-def remove_trivial(corpus: BitextCorpus, min_chars: int = 10,
+def remove_trivial(corpus: BitextCorpus, min_chars: int,
                    ) -> tuple[BitextCorpus, FilterReport]:
     """Drop duplicate pairs, pairs with a side under ``min_chars`` characters,
     and pairs where a side contains no letters."""
@@ -151,18 +154,20 @@ def _dice(a: set[str], b: set[str]) -> float:
 
 
 def similarity_fast(a_tokens: Sequence[str], b_tokens: Sequence[str],
-                    stop_words: frozenset[str] = DEFAULT_STOP_WORDS) -> float:
-    """Dice coefficient over content-token sets after stop-word removal."""
+                    config: CascadeConfig) -> float:
+    """Dice coefficient over content-token sets after removing the config's
+    stop words."""
+    stop_words = config.stop_words
     return _dice(_content_tokens(a_tokens, stop_words),
                  _content_tokens(b_tokens, stop_words))
 
 
 def similarity_stem(a_tokens: Sequence[str], b_tokens: Sequence[str],
-                    stop_words: frozenset[str] = DEFAULT_STOP_WORDS,
-                    stemmer: StemRules = DEFAULT_STEM_RULES) -> float:
-    """similarity_fast over stemmed content tokens."""
-    a = {stem(t, stemmer) for t in _content_tokens(a_tokens, stop_words)}
-    b = {stem(t, stemmer) for t in _content_tokens(b_tokens, stop_words)}
+                    config: CascadeConfig) -> float:
+    """similarity_fast over content tokens stemmed by the config's rules."""
+    stop_words, rules = config.stop_words, config.stem_rules
+    a = {stem(t, rules) for t in _content_tokens(a_tokens, stop_words)}
+    b = {stem(t, rules) for t in _content_tokens(b_tokens, stop_words)}
     return _dice(a, b)
 
 
@@ -181,20 +186,19 @@ def _variants(tokens: Sequence[str],
 
 
 def similarity_synonym(a_tokens: Sequence[str], b_tokens: Sequence[str],
-                       stop_words: frozenset[str] = DEFAULT_STOP_WORDS,
-                       stemmer: StemRules = DEFAULT_STEM_RULES,
-                       synonyms: Mapping[str, frozenset[str]] | None = None) -> float:
-    """Best similarity_stem over synonym-substituted variants of both sides.
+                       config: CascadeConfig) -> float:
+    """Best similarity_stem over variants of both sides substituted with the
+    config's synonyms.
 
     At most 64 variants per sentence are generated (many-to-many
     comparison); the excess is truncated deterministically.
     """
-    synonyms = synonyms or {}
+    synonyms = config.synonyms
     b_variants = _variants(b_tokens, synonyms)
     best = 0.0
     for va in _variants(a_tokens, synonyms):
         for vb in b_variants:
-            score = similarity_stem(va, vb, stop_words, stemmer)
+            score = similarity_stem(va, vb, config)
             if score > best:
                 best = score
             if best == 1.0:
@@ -202,17 +206,9 @@ def similarity_synonym(a_tokens: Sequence[str], b_tokens: Sequence[str],
     return best
 
 
-_STAGE_FUNCTIONS = ("fast", "stem", "synonym")
-
-
-def _stage_score(name: str, a: Sequence[str], b: Sequence[str],
-                 config: CascadeConfig) -> float:
-    if name == "fast":
-        return similarity_fast(a, b, config.stop_words)
-    if name == "stem":
-        return similarity_stem(a, b, config.stop_words, config.stem_rules)
-    return similarity_synonym(a, b, config.stop_words, config.stem_rules,
-                              config.synonyms)
+# cascade stage name -> its comparison
+_STAGE_FUNCTIONS = {"fast": similarity_fast, "stem": similarity_stem,
+                    "synonym": similarity_synonym}
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +231,7 @@ def filter_corpus(corpus: BitextCorpus, lex: TranslationLexicon,
         trans_tokens = gloss_translate(lex, tokenize(pair.src))
         tgt_tokens = tokenize(pair.tgt)
         for name, accept, reject in cascade.stages:
-            score = _stage_score(name, trans_tokens, tgt_tokens, cascade)
+            score = _STAGE_FUNCTIONS[name](trans_tokens, tgt_tokens, cascade)
             if score >= accept:
                 kept.append(pair)
                 report.accept(name)
@@ -307,6 +303,9 @@ def _cascade_config(doc: dict, base) -> CascadeConfig:
     if "stop_words_file" in doc:
         stop_words = read_stop_words(base / doc["stop_words_file"])
     if "synonyms" in doc:
+        if not isinstance(doc["synonyms"], dict):
+            raise ValueError(f"'synonyms' is an object of word lists, "
+                             f"not {type(doc['synonyms']).__name__}")
         synonyms = {
             w.lower(): frozenset(x.lower() for x in string_list(syns, f"synonyms of {w!r}"))
             for w, syns in doc["synonyms"].items()}

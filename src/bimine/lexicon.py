@@ -37,8 +37,8 @@ def _token_pairs(seed: BitextCorpus) -> Iterator[tuple[list[str], list[str]]]:
             yield src, tgt
 
 
-def train_lexicon(seed: BitextCorpus, iterations: int = 10,
-                  prune_below: float = 1e-4) -> TranslationLexicon:
+def train_lexicon(seed: BitextCorpus, iterations: int,
+                  prune_below: float) -> TranslationLexicon:
     """Estimate t(target|source) by EM over tokenized sentence pairs.
 
     Starts from a uniform distribution over co-occurring target tokens and

@@ -420,7 +420,7 @@ class BootstrapResult(namedtuple(
 
 def bootstrap_diff(sys_a: Sequence[EvalPair], sys_b: Sequence[EvalPair],
                    metric: Callable[[Sequence[EvalPair]], float],
-                   n_resamples: int = 1000, seed: int = 0) -> BootstrapResult:
+                   *, n_resamples: int, seed: int) -> BootstrapResult:
     """Bootstrap the metric difference between two systems on a shared test set.
 
     Sentence indices are resampled with replacement; reports the mean

@@ -349,6 +349,19 @@ def filter_bitext(infile, kept, report=None, *, min_chars: int | None = None,
     return result.as_dict()
 
 
+def sample(corpus, n_segments: int, per_segment: int, seed: int) -> tuple:
+    """Split a bitext file into a sampled test set and the remaining pairs
+    (``corpus_io.sample_test_set``); a corpus too small for the sample is
+    refused naming the file."""
+    corpus_io.in_range("segments", n_segments)
+    corpus_io.in_range("per_segment", per_segment)
+    bitext = corpus_io.read_bitext(corpus)
+    try:
+        return corpus_io.sample_test_set(bitext, n_segments, per_segment, seed)
+    except ValueError as exc:
+        raise ValueError(f"{corpus}: {exc}") from None
+
+
 # metric name -> scorer in bimine.metrics, looked up when called
 METRICS = {"bleu": "bleu", "nist": "nist", "ter": "corpus_ter",
            "meteor": "corpus_meteor"}
@@ -552,9 +565,8 @@ def _stage_eval(config: PipelineConfig) -> None:
     params = config.eval
     filtered_path = _require(config, config.path("filtered.tsv"))
     lex = lexicon_mod.read_lexicon(_require(config, config.path("lexicon.tsv")))
-    corpus = corpus_io.read_bitext(filtered_path)
-    test, _train = corpus_io.sample_test_set(
-        corpus, params["segments"], params["per_segment"], params["seed"])
+    test, _train = sample(filtered_path, params["segments"], params["per_segment"],
+                          params["seed"])
     pairs = []
     for bs in test.pairs:
         hyp = tuple(lexicon_mod.gloss_translate(lex, corpus_io.tokenize(bs.src)))
@@ -583,8 +595,9 @@ _STAGE_FUNCS = {
 }
 
 
-def run_pipeline(config: PipelineConfig, stages: list[str] | None = None) -> None:
-    """Run the requested stages in dependency order."""
+def run_pipeline(config: PipelineConfig, stages: list[str] | None) -> None:
+    """Run the requested stages in dependency order; ``stages`` None runs
+    them all, skipping ingest when no ingest path is set."""
     requested = list(STAGES) if stages is None else list(stages)
     unknown = [s for s in requested if s not in STAGES]
     if unknown:

@@ -37,12 +37,13 @@ def small_seed_corpus(world):
 
 @pytest.fixture(scope="session")
 def small_lexicon(small_seed_corpus):
-    return train_lexicon(small_seed_corpus, iterations=6)
+    return train_lexicon(small_seed_corpus, iterations=6, prune_below=1e-4)
 
 
 @pytest.fixture(scope="session")
 def small_model(small_seed_corpus, small_lexicon):
-    return train_model(small_seed_corpus, small_lexicon, ("pl", "en"), epochs=12, seed_rng=5)
+    return train_model(small_seed_corpus, small_lexicon, ("pl", "en"), neg_per_pos=3,
+                       epochs=12, learning_rate=0.1, margin_reg=1e-4, seed_rng=5)
 
 
 @pytest.fixture(scope="session")

@@ -53,8 +53,9 @@ def _report(number, text):
 def mining_fixture():
     world = make_world(seed=7)
     corpus = make_parallel(world, random.Random(1001), 5000)
-    lex = train_lexicon(corpus, iterations=10)
-    model = train_model(corpus, lex, ("pl", "en"), epochs=30, seed_rng=13)
+    lex = train_lexicon(corpus, iterations=10, prune_below=1e-4)
+    model = train_model(corpus, lex, ("pl", "en"), neg_per_pos=3, epochs=30,
+                        learning_rate=0.1, margin_reg=1e-4, seed_rng=13)
     articles, truth = make_articles(
         world, random.Random(1002), corpus, n_articles=200,
         sentences_per_article=25, delete_prob=0.15, insert_prob=0.15,
@@ -76,7 +77,7 @@ def _random_alignments():
 def test_criterion_01_aligner_oracle_equality():
     started = time.time()
     for n, m, sim, gap in _random_alignments():
-        fast = align(list(range(n)), list(range(m)), sim, gap)
+        fast = align(list(range(n)), list(range(m)), sim, gap, can_match=None)
         slow = align_bruteforce(list(range(n)), list(range(m)), sim, gap)
         assert fast.total_cost == slow.total_cost  # exact, not approximate
         assert fast.links == slow.links
@@ -91,7 +92,7 @@ def test_criterion_01_aligner_oracle_equality():
 def test_criterion_02_alignment_invariants():
     violations = 0
     for n, m, sim, gap in _random_alignments():
-        result = align(list(range(n)), list(range(m)), sim, gap)
+        result = align(list(range(n)), list(range(m)), sim, gap, can_match=None)
         src_idx = [i for i, _, _ in result.links]
         tgt_idx = [j for _, j, _ in result.links]
         if src_idx != sorted(set(src_idx)) or tgt_idx != sorted(set(tgt_idx)):
@@ -202,7 +203,7 @@ def test_criterion_06_rewriting_model_round_trip():
         model = extract_rewriting_model(pair1, pair2)
         assert model is not None
         for src, tgt in (pair1, pair2):
-            made = apply_model(model, src, lex)
+            made = apply_model(model, src, lex, allow_unknown=False)
             assert made is not None and made.tgt.split() == tgt
             round_trips += 1
     assert round_trips == 200
@@ -211,7 +212,7 @@ def test_criterion_06_rewriting_model_round_trip():
         ("Poproszę koc .".split(), "A blanket , please .".split()),
         ("Poproszę poduszkę .".split(), "A pillow , please .".split()))
     one_entry = TranslationLexicon(entries={"bilet": [("ticket", 1.0)]})
-    made = apply_model(blanket, "Poproszę bilet .".split(), one_entry)
+    made = apply_model(blanket, "Poproszę bilet .".split(), one_entry, allow_unknown=False)
     assert made.tgt.split() == "A ticket , please .".split()
     _report(6, "100 fixture clusters round-trip on both supports (200/200); "
                "'Poproszę bilet .' -> 'A ticket , please .' token-for-token")
@@ -329,7 +330,7 @@ def test_criterion_09_lexicon_em():
             idx = [rng.randrange(6) for _ in range(rng.randint(1, 5))]
             pairs.append(BiSentence(" ".join(src_vocab[i] for i in idx),
                                     " ".join(tgt_vocab[i] for i in idx)))
-        lex = train_lexicon(BitextCorpus(pairs), iterations=10)
+        lex = train_lexicon(BitextCorpus(pairs), iterations=10, prune_below=1e-4)
         lls = lex.iteration_log_likelihood
         assert len(lls) == 10
         for earlier, later in zip(lls, lls[1:]):
@@ -338,7 +339,7 @@ def test_criterion_09_lexicon_em():
             assert sum(p for _, p in row) == pytest.approx(1.0, abs=1e-9)
     das = train_lexicon(BitextCorpus([BiSentence("das haus", "the house"),
                                       BiSentence("das buch", "the book")]),
-                        iterations=10)
+                        iterations=10, prune_below=1e-4)
     assert das.entries["das"][0][0] == "the"
     _report(9, "EM log-likelihood non-decreasing on 100 random corpora; "
                "rows sum to 1 +/- 1e-9; argmax(das) = 'the'")

@@ -27,7 +27,7 @@ def _random_instance(rng, max_side=12):
 
 def test_identical_documents_align_diagonally():
     docs = _sentences(["A one.", "B two.", "C three.", "D four.", "E five."])
-    result = align(docs, docs, _equal_text_sim, 0.4)
+    result = align(docs, docs, _equal_text_sim, 0.4, can_match=None)
     assert [(i, j) for i, j, _ in result.links] == [(i, i) for i in range(5)]
     assert result.total_cost == 0.0
     assert result.gaps_src == set() and result.gaps_tgt == set()
@@ -36,7 +36,7 @@ def test_identical_documents_align_diagonally():
 def test_inserted_sentence_becomes_target_gap():
     src = _sentences(["A.", "B.", "C.", "D."])
     tgt = _sentences(["A.", "B.", "X.", "C.", "D."])
-    result = align(src, tgt, _equal_text_sim, 0.4)
+    result = align(src, tgt, _equal_text_sim, 0.4, can_match=None)
     oracle = align_bruteforce(src, tgt, _equal_text_sim, 0.4)
     assert result.links == oracle.links
     assert result.gaps_tgt == {2}
@@ -45,34 +45,34 @@ def test_inserted_sentence_becomes_target_gap():
 
 
 def test_empty_side_all_gaps():
-    result = align([], _sentences(["A.", "B.", "C."]), _equal_text_sim, 0.4)
+    result = align([], _sentences(["A.", "B.", "C."]), _equal_text_sim, 0.4, can_match=None)
     assert result.links == []
     assert result.gaps_tgt == {0, 1, 2}
     assert result.total_cost == pytest.approx(1.2)
 
 
 def test_one_by_one_match_beats_gaps():
-    result = align([0], [0], lambda a, b: 0.9, 0.4)
+    result = align([0], [0], lambda a, b: 0.9, 0.4, can_match=None)
     assert [(i, j) for i, j, _ in result.links] == [(0, 0)]
     assert result.total_cost == pytest.approx(0.1)
 
 
 def test_one_by_one_gaps_beat_poor_match():
-    result = align([0], [0], lambda a, b: 0.1, 0.4)
+    result = align([0], [0], lambda a, b: 0.1, 0.4, can_match=None)
     assert result.links == []
     assert result.total_cost == pytest.approx(0.8)
 
 
 def test_gap_cost_validation():
     with pytest.raises(ValueError):
-        align([0], [0], lambda a, b: 1.0, 0.0)
+        align([0], [0], lambda a, b: 1.0, 0.0, can_match=None)
     with pytest.raises(ValueError):
-        align([0], [0], lambda a, b: 1.0, 0.7)
+        align([0], [0], lambda a, b: 1.0, 0.7, can_match=None)
 
 
 def test_bruteforce_guard():
     with pytest.raises(ValueError, match="guard"):
-        align_bruteforce(list(range(101)), list(range(101)), lambda a, b: 0.5)
+        align_bruteforce(list(range(101)), list(range(101)), lambda a, b: 0.5, gap_cost=0.4)
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +83,7 @@ def test_oracle_equality_random_instances():
     for _ in range(400):
         src, tgt, sim = _random_instance(rng)
         gap = rng.choice([0.2, 0.4, 0.5])
-        fast = align(src, tgt, sim, gap)
+        fast = align(src, tgt, sim, gap, can_match=None)
         slow = align_bruteforce(src, tgt, sim, gap)
         assert fast.total_cost == slow.total_cost
         assert fast.links == slow.links
@@ -107,7 +107,7 @@ def test_non_crossing_and_partition_invariants():
     rng = random.Random(11)
     for _ in range(200):
         src, tgt, sim = _random_instance(rng)
-        result = align(src, tgt, sim, 0.4)
+        result = align(src, tgt, sim, 0.4, can_match=None)
         _check_structure(result, len(src), len(tgt))
 
 
@@ -142,7 +142,7 @@ def test_similarity_memoized_once_per_node():
         calls[(a, b)] = calls.get((a, b), 0) + 1
         return 0.5
 
-    result = align(list(range(8)), list(range(8)), counting_sim, 0.4)
+    result = align(list(range(8)), list(range(8)), counting_sim, 0.4, can_match=None)
     assert all(count == 1 for count in calls.values())
     assert len(calls) <= 64
     assert result.cells_scored == len(calls)
@@ -160,7 +160,7 @@ def test_astar_explores_less_than_full_lattice():
         return 1.0 if a == b else 0.0
 
     n = 30
-    align(list(range(n)), list(range(n)), sim, 0.4)
+    align(list(range(n)), list(range(n)), sim, 0.4, can_match=None)
     assert len(calls) < n * n / 2
 
 
@@ -171,7 +171,7 @@ def test_oracle_equality_property(n, m, seed):
     matrix = [[rng.random() for _ in range(m)] for _ in range(n)]
     sim = lambda a, b: matrix[a][b]
     gap = rng.choice([0.2, 0.4, 0.5])
-    fast = align(list(range(n)), list(range(m)), sim, gap)
+    fast = align(list(range(n)), list(range(m)), sim, gap, can_match=None)
     slow = align_bruteforce(list(range(n)), list(range(m)), sim, gap)
     assert fast.total_cost == slow.total_cost
     assert fast.links == slow.links
@@ -268,7 +268,7 @@ def test_align_equals_bruteforce_bit_for_bit_on_acceptance_instances():
     for n, m, sim, gap in _random_alignments():
         src, tgt = list(range(n)), list(range(m))
         slow = align_bruteforce(src, tgt, sim, gap)
-        plain = align(src, tgt, sim, gap)
+        plain = align(src, tgt, sim, gap, can_match=None)
         _same_as_oracle(plain, slow)
         assert plain.cells_pruned == 0
         assert 0 < plain.nodes <= (n + 1) * (m + 1)
@@ -365,12 +365,12 @@ def _scored_result():
 
 def test_threshold_zero_keeps_all():
     result, src, tgt = _scored_result()
-    assert len(threshold_filter(result, 0.0, src, tgt)) == 3
+    assert len(threshold_filter(result, 0.0, src, tgt, article_id=-1, direction="")) == 3
 
 
 def test_threshold_one_keeps_only_perfect():
     result, src, tgt = _scored_result()
-    assert threshold_filter(result, 1.0, src, tgt) == []
+    assert threshold_filter(result, 1.0, src, tgt, article_id=-1, direction="") == []
 
 
 def test_threshold_half_keeps_two():
@@ -385,7 +385,8 @@ def test_threshold_monotonicity():
     result, src, tgt = _scored_result()
     previous = None
     for tau in [0.0, 0.3, 0.5, 0.8, 1.0]:
-        kept = {(p.src, p.tgt) for p in threshold_filter(result, tau, src, tgt)}
+        kept = {(p.src, p.tgt)
+                for p in threshold_filter(result, tau, src, tgt, article_id=-1, direction="")}
         if previous is not None:
             assert kept <= previous
         previous = kept

@@ -151,7 +151,8 @@ def test_features_equal_reference_formula_bit_for_bit(entries, src, tgt):
 
 # every weight of either sign; platt_a < 0 as training and load_model enforce
 _MODELS = st.builds(
-    lambda weights, bias, a, b: SimilarityModel(list(weights), bias, a, b, ("pl", "en")),
+    lambda weights, bias, a, b: SimilarityModel(list(weights), bias, a, b, ("pl", "en"),
+                                                lexicon_checksum=""),
     st.tuples(*[st.floats(min_value=-8.0, max_value=8.0)] * 5),
     st.floats(min_value=-8.0, max_value=8.0),
     st.floats(min_value=-6.0, max_value=-0.01), st.floats(min_value=-4.0, max_value=4.0))
@@ -204,10 +205,12 @@ _CREDIT_LEXICONS = st.dictionaries(
        st.lists(st.lists(st.sampled_from(_FEW_TGT), min_size=1, max_size=6),
                 min_size=1, max_size=3))
 @example({"ka": [("ben", 0.8), ("dor", 0.7)], "7": [("7", 1.0)]},
-         SimilarityModel([1.0, -1.0, 4.0, 3.0, 0.5], -2.0, -2.0, 0.5, ("pl", "en")),
+         SimilarityModel([1.0, -1.0, 4.0, 3.0, 0.5], -2.0, -2.0, 0.5, ("pl", "en"),
+                         lexicon_checksum=""),
          [["ka", "ka", "7"]], [["ben", "dor", "ben", "7"]])
 @example({"ka": [("ben", 0.9)]},
-         SimilarityModel([0.0, 0.0, -3.0, 5.0, 0.0], 0.0, -1.0, 0.0, ("pl", "en")),
+         SimilarityModel([0.0, 0.0, -3.0, 5.0, 0.0], 0.0, -1.0, 0.0, ("pl", "en"),
+                         lexicon_checksum=""),
          [["ka", "to"]], [["ben", "ben", "ben", "dor"]])
 def test_match_filter_second_tier_never_below_similarity(entries, model, src_sents,
                                                          tgt_sents):
@@ -343,7 +346,8 @@ def _perceptron_separable(examples, epochs=200):
 
 def test_train_accuracy_on_separable_fixture():
     corpus, lex = _separable_corpus()
-    model = train_model(corpus, lex, ("pl", "en"), epochs=15, seed_rng=7)
+    model = train_model(corpus, lex, ("pl", "en"), neg_per_pos=3, epochs=15,
+                        learning_rate=0.1, margin_reg=1e-4, seed_rng=7)
     rng = random.Random(7)
     examples = []
     tokenized = [(p.src.split(), p.tgt.split()) for p in corpus.pairs]
@@ -362,8 +366,10 @@ def test_train_accuracy_on_separable_fixture():
 
 def test_train_deterministic():
     corpus, lex = _separable_corpus()
-    m1 = train_model(corpus, lex, ("pl", "en"), epochs=5, seed_rng=3)
-    m2 = train_model(corpus, lex, ("pl", "en"), epochs=5, seed_rng=3)
+    m1 = train_model(corpus, lex, ("pl", "en"), neg_per_pos=3, epochs=5,
+                     learning_rate=0.1, margin_reg=1e-4, seed_rng=3)
+    m2 = train_model(corpus, lex, ("pl", "en"), neg_per_pos=3, epochs=5,
+                     learning_rate=0.1, margin_reg=1e-4, seed_rng=3)
     assert m1.weights == m2.weights
     assert m1.bias == m2.bias
     assert (m1.platt_a, m1.platt_b) == (m2.platt_a, m2.platt_b)
@@ -449,13 +455,15 @@ def test_seeded_model_weights_pinned(small_model):
 def test_train_neg_per_pos_zero_error():
     corpus, lex = _separable_corpus()
     with pytest.raises(ValueError):
-        train_model(corpus, lex, ("pl", "en"), neg_per_pos=0)
+        train_model(corpus, lex, ("pl", "en"), neg_per_pos=0, epochs=30,
+                    learning_rate=0.1, margin_reg=1e-4, seed_rng=0)
 
 
 def test_train_minimum_corpus_size():
     corpus, lex = _separable_corpus(n=50)
     with pytest.raises(ValueError, match="100"):
-        train_model(corpus, lex, ("pl", "en"))
+        train_model(corpus, lex, ("pl", "en"), neg_per_pos=3, epochs=30,
+                    learning_rate=0.1, margin_reg=1e-4, seed_rng=0)
 
 
 # ---------------------------------------------------------------------------

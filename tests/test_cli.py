@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import shutil
 from pathlib import Path
 
@@ -526,6 +527,45 @@ def test_eval_counts_blank_lines_as_segments(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["segments"] == 4
 
 
+@pytest.mark.parametrize("command, metric, name", [
+    ("score", "ter", "TER"), ("score", "meteor", "METEOR"), ("compare", "ter", "TER")])
+def test_eval_names_the_blank_reference_line(tmp_path, capsys, command, metric, name):
+    hyp, ref = tmp_path / "hyp.txt", tmp_path / "ref.txt"
+    hyp.write_text("the cat sat\ndogs run\n", encoding="utf-8")
+    ref.write_text("the cat sat\n\n", encoding="utf-8")
+    hyps = ["--hyp", str(hyp)] if command == "score" else \
+        ["--hyp-a", str(hyp), "--hyp-b", str(hyp), "--resamples", "5"]
+    assert main(["eval", command, *hyps, "--ref", str(ref), "--metric", metric]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == \
+        f"error: {ref}: line 2: {name} needs at least one non-empty reference\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["score", "compare"])
+def test_eval_names_the_empty_hypothesis_file(tmp_path, capsys, command):
+    hyp, ref = tmp_path / "hyp.txt", tmp_path / "ref.txt"
+    hyp.write_text("", encoding="utf-8")
+    ref.write_text("", encoding="utf-8")
+    hyps = ["--hyp", str(hyp)] if command == "score" else \
+        ["--hyp-a", str(hyp), "--hyp-b", str(hyp)]
+    assert main(["eval", command, *hyps, "--ref", str(ref)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: hypothesis file {hyp} is empty: no segment to score\n"
+    assert captured.out == ""
+
+
+def test_sample_names_the_corpus_too_small_to_sample(tmp_path, capsys):
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text("Ala ma kota.\tAlice has a cat.\n", encoding="utf-8")
+    test_path, train_path = tmp_path / "test.tsv", tmp_path / "train.tsv"
+    assert main(["sample", "--corpus", str(corpus), "--test", str(test_path),
+                 "--train", str(train_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {corpus}: corpus has 1 pairs; sampling 200 segments x 10 needs at least 2000\n")
+    assert not test_path.exists() and not train_path.exists()
+
+
 # ---------------------------------------------------------------------------
 # pipeline
 
@@ -820,6 +860,19 @@ def test_benchmark_hook_points(world, tmp_path, monkeypatch):
     assert report["scores"]["bleu"] == 0.25
 
 
+def test_eval_stage_names_the_filtered_corpus_too_small_to_sample(tmp_path):
+    workdir = tmp_path / "out"
+    workdir.mkdir()
+    (workdir / "lexicon.tsv").write_text("kota\tcat\t1.0\n", encoding="utf-8")
+    (workdir / "filtered.tsv").write_text("Ala ma kota.\tAlice has a cat.\t1.0\n",
+                                          encoding="utf-8")
+    config = PipelineConfig(workdir=str(workdir))
+    filtered = re.escape(str(workdir / "filtered.tsv"))
+    with pytest.raises(ValueError, match=rf"^{filtered}: corpus has 1 pairs; sampling 200 "):
+        run_pipeline(config, ["eval"])
+    assert not (workdir / "eval_report.json").exists()
+
+
 def test_pipeline_config_accepts_only_one_worker(tmp_path):
     path = tmp_path / "c.json"
     path.write_text('{"workdir": "x", "mining": {"workers": 1}}', encoding="utf-8")
@@ -1053,12 +1106,12 @@ def test_pipeline_runs_ingest_only_when_an_ingest_path_is_set(tmp_path, monkeypa
                             lambda config, stage=stage: ran.append(stage))
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"workdir": str(tmp_path / "out")}), encoding="utf-8")
-    run_pipeline(PipelineConfig.from_json(path))
+    run_pipeline(PipelineConfig.from_json(path), stages=None)
     assert ran == list(pipeline.STAGES[1:])
     ran.clear()
     path.write_text(json.dumps({"workdir": str(tmp_path / "out"),
                                 "ingest": {"links": "l.tsv"}}), encoding="utf-8")
-    run_pipeline(PipelineConfig.from_json(path))
+    run_pipeline(PipelineConfig.from_json(path), stages=None)
     assert ran == list(pipeline.STAGES)
 
 

@@ -28,7 +28,8 @@ from bimine.corpus_io import (
     write_article_store,
     write_bitext,
 )
-from bimine.corpus_io import ArticlePair, Document, _flatten
+from bimine.corpus_io import (_CLEAN_STEPS, _ENTITIES, ArticlePair, Document, _flatten,
+                              normalize_space)
 from bimine.filtering import read_synonyms
 from bimine.lexicon import read_lexicon
 
@@ -179,6 +180,55 @@ def test_clean_idempotent_on_fixture():
     for doc in FIXTURE_DOCS:
         once = clean_document(doc)
         assert clean_document(once) == once
+
+
+def _clean_whole_text(raw):
+    """clean_document with every pattern applied to the whole text, as it
+    was before comment and reference blocks were cut at their last closer."""
+    text = raw
+    while True:
+        prev = text
+        for pattern, repl, _closed in _CLEAN_STEPS:
+            text = pattern.sub(repl, text)
+        for entity, char in _ENTITIES:
+            text = text.replace(entity, char)
+        text = normalize_space(text)
+        if text == prev:
+            return text
+
+
+# pieces of comment and reference markup, closed and not, in mixed case and
+# with characters whose lowercase form is longer ("İ") or folds ("K")
+_MARKUP_PIECES = st.sampled_from([
+    "<!--", "-->", "<!-->", "--", "<ref>", "</ref>", "<REF name=a>", "</Ref>", "<ref/>",
+    "<ref ", "</ref", "<", ">", "/>", "İ", "\u212a", "ref", "x", " ", "\n", "{{", "}}",
+    "&amp;", "<b>"])
+
+
+@settings(max_examples=300)
+@example("<!--a--> <!--b")
+@example("<ref>a</REF> İ<ref>b")
+@example("<ref name=x/> a </ref> <!--")
+@given(st.lists(_MARKUP_PIECES, max_size=30).map("".join))
+def test_clean_equals_the_whole_text_loop(text):
+    assert clean_document(text) == _clean_whole_text(text)
+
+
+@pytest.mark.parametrize("opener", ["<ref>x", "<!--x"])
+def test_clean_unclosed_openers_in_linear_time(opener):
+    # in a child process with a timeout: every opener with no closer after
+    # it used to be rescanned to the end of the text, which took minutes at
+    # this size (500 KB and more)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from bimine.corpus_io import clean_document; "
+            "sys.stdout.write(clean_document(sys.argv[2] * 100_000))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run([sys.executable, "-c", code, str(src), opener],
+                         capture_output=True, text=True, check=True, timeout=30)
+    # a reference opener is a tag, dropped as any other; a comment opener
+    # without its closer is text
+    assert run.stdout == (" ".join(["x"] * 100_000) if opener == "<ref>x"
+                          else opener * 100_000)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ def _corpus(rows):
 
 def test_duplicate_dropped():
     corpus = _corpus([("ala ma kota dzis", "the cat is here now")] * 2)
-    kept, report = remove_trivial(corpus)
+    kept, report = remove_trivial(corpus, min_chars=10)
     assert len(kept.pairs) == 1
     assert report.rejections == {"duplicate": 1}
     assert report.kept_count == 1
@@ -46,14 +46,14 @@ def test_short_pair_dropped():
 
 
 def test_letter_free_pair_dropped():
-    kept, report = remove_trivial(_corpus([("1234567890 12", "42 42 42 42")]))
+    kept, report = remove_trivial(_corpus([("1234567890 12", "42 42 42 42")]), min_chars=10)
     assert kept.pairs == []
     assert report.rejections == {"non-letter": 1}
 
 
 def test_good_pair_kept():
     kept, report = remove_trivial(
-        _corpus([("ala ma kota w domu", "the cat lives at home")]))
+        _corpus([("ala ma kota w domu", "the cat lives at home")]), min_chars=10)
     assert len(kept.pairs) == 1
     assert report.rejected_count == 0
 
@@ -64,7 +64,7 @@ def test_report_reconciles():
             ("krotki", "short"),
             ("1234567890 123", "9876543210 98"),
             ("zupa pomidorowa jest dobra", "tomato soup is good")]
-    kept, report = remove_trivial(_corpus(rows))
+    kept, report = remove_trivial(_corpus(rows), min_chars=10)
     assert report.input_count == 5
     assert report.kept_count == len(kept.pairs) == 2
     assert report.kept_count + report.rejected_count == report.input_count
@@ -103,54 +103,57 @@ def test_stem_custom_rules():
 # similarity functions
 
 STOPS = frozenset({"this", "is", "it", "the", "a"})
+# the resources of a cascade with the stop words STOPS
+STOPPED = CascadeConfig(stop_words=STOPS)
 
 
 def test_fast_identical():
-    assert similarity_fast("the cat sat".split(), "the cat sat".split(), STOPS) == 1.0
+    assert similarity_fast("the cat sat".split(), "the cat sat".split(), STOPPED) == 1.0
 
 
 def test_fast_disjoint():
-    assert similarity_fast("cat dog".split(), "bird fish".split(), STOPS) == 0.0
+    assert similarity_fast("cat dog".split(), "bird fish".split(), STOPPED) == 0.0
 
 
 def test_fast_origami_example():
     a = "This is origami .".split()
     b = "It is origami .".split()
-    assert similarity_fast(a, b, frozenset({"this", "is", "it"})) == 1.0
+    assert similarity_fast(a, b, CascadeConfig(stop_words=frozenset({"this", "is", "it"}))) \
+        == 1.0
 
 
 def test_fast_both_sides_all_stop_words():
-    assert similarity_fast(["this", "is"], ["it", "the"], STOPS) == 1.0
+    assert similarity_fast(["this", "is"], ["it", "the"], STOPPED) == 1.0
 
 
 def test_stem_similarity_plural_match():
-    assert similarity_stem("boys play".split(), "boy plays".split(),
-                           frozenset(), DEFAULT_STEM_RULES) == 1.0
+    assert similarity_stem("boys play".split(), "boy plays".split(), CascadeConfig(
+        stop_words=frozenset(), stem_rules=DEFAULT_STEM_RULES)) == 1.0
 
 
 def test_stem_similarity_identical():
-    assert similarity_stem("cat sat".split(), "cat sat".split(), STOPS) == 1.0
+    assert similarity_stem("cat sat".split(), "cat sat".split(), STOPPED) == 1.0
 
 
 def test_stem_similarity_disjoint():
-    assert similarity_stem("cats run".split(), "dogo walked".split(), STOPS) == 0.0
+    assert similarity_stem("cats run".split(), "dogo walked".split(), STOPPED) == 0.0
 
 
 def test_synonym_similarity_substitution():
     synonyms = {"big": frozenset({"large"}), "large": frozenset({"big"})}
-    assert similarity_synonym("big dog".split(), "large dog".split(),
-                              frozenset(), DEFAULT_STEM_RULES, synonyms) == 1.0
+    assert similarity_synonym("big dog".split(), "large dog".split(), CascadeConfig(
+        stop_words=frozenset(), stem_rules=DEFAULT_STEM_RULES, synonyms=synonyms)) == 1.0
 
 
 def test_synonym_without_table_equals_stem():
     a, b = "boys eat bread".split(), "boy eats rice".split()
-    assert similarity_synonym(a, b, STOPS, DEFAULT_STEM_RULES, {}) == \
-        similarity_stem(a, b, STOPS, DEFAULT_STEM_RULES)
+    config = CascadeConfig(stop_words=STOPS, stem_rules=DEFAULT_STEM_RULES, synonyms={})
+    assert similarity_synonym(a, b, config) == similarity_stem(a, b, config)
 
 
 def test_synonym_identical():
-    assert similarity_synonym("a b c".split(), "a b c".split(),
-                              frozenset(), DEFAULT_STEM_RULES, {}) == 1.0
+    assert similarity_synonym("a b c".split(), "a b c".split(), CascadeConfig(
+        stop_words=frozenset(), stem_rules=DEFAULT_STEM_RULES, synonyms={})) == 1.0
 
 
 @settings(max_examples=150)
@@ -159,15 +162,13 @@ def test_synonym_identical():
        st.lists(st.sampled_from(["cat", "dog", "boy", "runs", "it", "42", "."]),
                 max_size=6))
 def test_similarity_functions_symmetric_and_bounded(a, b):
-    stops = frozenset({"the", "it"})
-    for fn in (lambda x, y: similarity_fast(x, y, stops),
-               lambda x, y: similarity_stem(x, y, stops, DEFAULT_STEM_RULES),
-               lambda x, y: similarity_synonym(x, y, stops, DEFAULT_STEM_RULES,
-                                               {"cat": frozenset({"dog"})})):
-        left, right = fn(a, b), fn(b, a)
+    config = CascadeConfig(stop_words=frozenset({"the", "it"}), stem_rules=DEFAULT_STEM_RULES,
+                           synonyms={"cat": frozenset({"dog"})})
+    for fn in (similarity_fast, similarity_stem, similarity_synonym):
+        left, right = fn(a, b, config), fn(b, a, config)
         assert left == right
         assert 0.0 <= left <= 1.0
-    assert similarity_fast(a, a, stops) == 1.0
+    assert similarity_fast(a, a, config) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +395,8 @@ def test_cascade_config_errors_name_the_file(tmp_path):
      "give 'stop_words' or 'stop_words_file', not both"),
     ('{"synonyms": {}, "synonyms_file": "syn.tsv"}', "give 'synonyms' or 'synonyms_file', not both"),
     ('{"stages": []}', "cascade config key 'stages' lists no stage"),
+    ('{"stem_rules": [["", "x"]]}', r"stem rule \['', 'x'\] has an empty suffix"),
+    ('{"synonyms": [["big", "large"]]}', "'synonyms' is an object of word lists, not list"),
 ])
 def test_cascade_config_means_what_it_says(tmp_path, text, detail):
     (tmp_path / "stops.txt").write_text("the\n", encoding="utf-8")

@@ -63,14 +63,14 @@ def _tokenized(corpus):
 # ---------------------------------------------------------------------------
 
 def test_single_cooccurrence_forces_certainty():
-    lex = train_lexicon(BitextCorpus([BiSentence("a", "x")]))
+    lex = train_lexicon(BitextCorpus([BiSentence("a", "x")]), iterations=10, prune_below=1e-4)
     assert lex.entries["a"] == [("x", 1.0)]
 
 
 def test_das_haus_argmax():
     seed = BitextCorpus([BiSentence("das haus", "the house"),
                          BiSentence("das buch", "the book")])
-    lex = train_lexicon(seed, iterations=10)
+    lex = train_lexicon(seed, iterations=10, prune_below=1e-4)
     assert lex.entries["das"][0][0] == "the"
 
 
@@ -178,7 +178,7 @@ def test_seeded_log_likelihoods_pinned(small_lexicon):
 
 def test_zero_iterations_error():
     with pytest.raises(ValueError):
-        train_lexicon(BitextCorpus([BiSentence("a", "x")]), iterations=0)
+        train_lexicon(BitextCorpus([BiSentence("a", "x")]), iterations=0, prune_below=1e-4)
 
 
 @pytest.mark.parametrize("prune_below", [math.nan, -0.1, 1.5])
@@ -186,17 +186,17 @@ def test_prune_below_outside_zero_one_is_refused(prune_below):
     # no probability is >= nan: every row would keep only its best entry
     with pytest.raises(ValueError, match=rf"^prune_below must be in \[0, 1\], "
                                          rf"got {prune_below}$"):
-        train_lexicon(BitextCorpus([BiSentence("a", "x")]), prune_below=prune_below)
+        train_lexicon(BitextCorpus([BiSentence("a", "x")]), prune_below=prune_below, iterations=10)
 
 
 def test_empty_corpus_error():
     with pytest.raises(ValueError):
-        train_lexicon(BitextCorpus([]))
+        train_lexicon(BitextCorpus([]), iterations=10, prune_below=1e-4)
 
 
 def test_side_without_tokens_error():
     with pytest.raises(ValueError):
-        train_lexicon(BitextCorpus([BiSentence("a", "")]))
+        train_lexicon(BitextCorpus([BiSentence("a", "")]), iterations=10, prune_below=1e-4)
 
 
 def _random_corpus(rng, n_pairs):
@@ -215,7 +215,7 @@ def test_log_likelihood_nondecreasing_on_random_corpora():
     rng = random.Random(17)
     for _ in range(25):
         corpus = _random_corpus(rng, rng.randint(3, 12))
-        lex = train_lexicon(corpus, iterations=8)
+        lex = train_lexicon(corpus, iterations=8, prune_below=1e-4)
         lls = lex.iteration_log_likelihood
         assert len(lls) == 8
         for earlier, later in zip(lls, lls[1:]):
@@ -235,17 +235,17 @@ def test_rows_normalized_after_pruning():
 
 
 def test_entries_hold_best_translation_first():
-    lex = train_lexicon(BitextCorpus([BiSentence("a", "x")]))
+    lex = train_lexicon(BitextCorpus([BiSentence("a", "x")]), iterations=10, prune_below=1e-4)
     assert lex.entries["a"][:1] == [("x", 1.0)]
 
 
 def test_entries_omit_unseen_source_word():
-    lex = train_lexicon(BitextCorpus([BiSentence("a", "x")]))
+    lex = train_lexicon(BitextCorpus([BiSentence("a", "x")]), iterations=10, prune_below=1e-4)
     assert "qq" not in lex.entries
 
 
 def test_entries_row_holds_every_cooccurring_target():
-    lex = train_lexicon(BitextCorpus([BiSentence("a b", "x y")]))
+    lex = train_lexicon(BitextCorpus([BiSentence("a b", "x y")]), iterations=10, prune_below=1e-4)
     assert len(lex.entries["a"]) == 2
 
 
@@ -272,7 +272,7 @@ def test_gloss_passthrough_punctuation_and_digits():
 
 def test_gloss_length_preserving():
     rng = random.Random(3)
-    lex = train_lexicon(_random_corpus(rng, 10))
+    lex = train_lexicon(_random_corpus(rng, 10), iterations=10, prune_below=1e-4)
     for _ in range(20):
         tokens = [rng.choice(["ka", "to", "qq", ".", "7"])
                   for _ in range(rng.randint(0, 8))]

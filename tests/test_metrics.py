@@ -415,11 +415,11 @@ def test_bootstrap_planted_advantage_excludes_zero():
 def test_bootstrap_mismatched_lengths_error():
     sys_a, sys_b = _toy_systems()
     with pytest.raises(ValueError, match="length"):
-        bootstrap_diff(sys_a, sys_b[:-1], bleu)
+        bootstrap_diff(sys_a, sys_b[:-1], bleu, n_resamples=1000, seed=0)
 
 
 @pytest.mark.parametrize("n_resamples", [0, -3])
 def test_bootstrap_needs_a_resample(n_resamples):
     sys_a, sys_b = _toy_systems()
     with pytest.raises(ValueError, match="n_resamples must be >= 1"):
-        bootstrap_diff(sys_a, sys_b, bleu, n_resamples=n_resamples)
+        bootstrap_diff(sys_a, sys_b, bleu, n_resamples=n_resamples, seed=0)

@@ -56,7 +56,7 @@ def test_mine_pair_equals_composed_stages(small_model, small_lexicon,
     tgt = segment_sentences(pair.tgt.body)
     sim = lambda a, b: similarity(small_model, source_record(a.tokens, small_lexicon),
                                   target_record(b.tokens))
-    result = align(src, tgt, sim, 0.4)
+    result = align(src, tgt, sim, 0.4, can_match=None)
     expected = threshold_filter(result, 0.5, src, tgt, pair.id, "pl-en")
     assert mined == expected
     sources = [source_record(s.tokens, small_lexicon) for s in src]

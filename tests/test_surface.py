@@ -8,7 +8,11 @@ function defined in ``src/bimine`` must be set by some call in the package
 or in ``bench/``: passed as a keyword to any call (so ``functools.partial``
 and lambdas count), or positionally in a direct call of the function's name
 with enough arguments.  The exceptions are the named oracles below, kept as
-independent checks for the tests, and the listed parameters.
+independent checks for the tests, and the listed parameters.  Every such
+default must also be relied on: some call in the package or in ``bench/``
+leaves the parameter out, or the package refers to the function other than
+by calling it.  So a setting's default is stated once, in ``PipelineConfig``,
+and library functions take their settings from the caller.
 
 Only ``corpus_io`` parses JSON, and only ``corpus_io`` states a numeric
 range in an error: every other module checks a value through ``in_range``,
@@ -157,63 +161,126 @@ def test_every_range_is_a_config_key_or_checked():
 
 
 def _defaulted_parameters(tree: ast.Module, module: str):
-    """(function, parameter, position) of every parameter with a default of a
-    function defined in ``tree``; position is the index among the arguments
-    of a call (a method's ``self`` counts), None for a keyword-only
-    parameter."""
-    for node in ast.walk(tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        args = node.args
-        positional = args.posonlyargs + args.args
-        for index in range(len(positional) - len(args.defaults), len(positional)):
-            yield f"{module}.{node.name}", positional[index].arg, index
-        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
-            if default is not None:
-                yield f"{module}.{node.name}", arg.arg, None
+    """(function, called name, parameter, position) of every parameter with a
+    default of a function defined in ``tree``.  A class's ``__init__`` is
+    called by the class's name.  The position is the index among a call's
+    positional arguments (a method's ``self`` is not one), None for a
+    keyword-only parameter."""
+    def visit(body, owner):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                yield from visit(node.body, node.name)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                bound = owner is not None  # self or cls, which no call passes
+                called = owner if node.name == "__init__" else node.name
+                function = f"{module}.{owner + '.' if owner else ''}{node.name}"
+                for index in range(len(positional) - len(args.defaults), len(positional)):
+                    yield function, called, positional[index].arg, index - bound
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        yield function, called, arg.arg, None
+                yield from visit(node.body, None)
+    yield from visit(tree.body, None)
 
 
-def _setting_calls():
-    """The keyword names passed in any call, and for each called name the
-    largest number of positional arguments a call passes (a starred
-    argument counts as any number)."""
-    keywords: set[str] = set()
-    positional: dict[str, float] = {}
+def _resolver(tree: ast.Module, module: str | None):
+    """A function giving the name a ``Name`` or ``Attribute`` node refers to:
+    ``module.name`` for a name the file defines at top level or an attribute
+    of a package module it imports (``from . import lexicon as lexicon_mod``),
+    else the bare name.  So ``pipeline.train_lexicon`` and
+    ``lexicon.train_lexicon`` are told apart."""
+    defined = {node.name for node in tree.body if isinstance(
+        node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    modules = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+               for alias in node.names}
+
+    def resolve(node) -> str | None:
+        if isinstance(node, ast.Name):
+            return f"{module}.{node.id}" if module and node.id in defined else node.id
+        if isinstance(node, ast.Attribute):
+            owner = modules.get(getattr(node.value, "id", None))
+            return f"{owner}.{node.attr}" if owner else node.attr
+        return None
+    return resolve
+
+
+def _calls_and_references():
+    """For each called name (resolved as ``_resolver`` does), the calls in the
+    package or ``bench/`` as (positional count, keyword names); a starred
+    argument counts as any number.  Also the names the package refers to
+    other than as the function of a call or in an annotation, and the string
+    constants it holds."""
+    calls: dict[str, list[tuple[float, set]]] = {}
+    referred: set[str] = set()
     for path in PACKAGE_FILES + BENCH_FILES:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if not isinstance(node, ast.Call):
-                continue
-            keywords.update(k.arg for k in node.keywords if k.arg is not None)
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else \
-                func.attr if isinstance(func, ast.Attribute) else None
-            if name is None:
-                continue
-            count = float("inf") if any(isinstance(a, ast.Starred) for a in node.args) \
-                else len(node.args)
-            positional[name] = max(positional.get(name, 0), count)
-    return keywords, positional
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        module = path.stem if path in PACKAGE_FILES else None
+        resolve = _resolver(tree, module)
+        skipped = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = resolve(node.func)
+                if name is not None:
+                    skipped.add(id(node.func))
+                    count = float("inf") if any(isinstance(a, ast.Starred) for a in node.args) \
+                        else len(node.args)
+                    calls.setdefault(name, []).append((count, {k.arg for k in node.keywords}))
+            annotations = [getattr(node, "returns", None), getattr(node, "annotation", None)]
+            skipped.update(id(sub) for root in annotations if root is not None
+                           for sub in ast.walk(root))
+        if module is None:
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                referred.add(node.value)
+            elif id(node) not in skipped and (name := resolve(node)) is not None:
+                referred.add(name)
+    return calls, referred
 
 
 def test_every_default_is_set_outside_the_tests():
-    keywords, positional = _setting_calls()
+    calls, _ = _calls_and_references()
+    keywords = {keyword for found in calls.values() for _, names in found for keyword in names}
     unset = []
     for path in PACKAGE_FILES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        for function, parameter, index in _defaulted_parameters(tree, path.stem):
+        for function, called, parameter, position in _defaulted_parameters(tree, path.stem):
             if function in ORACLES or f"{function}.{parameter}" in UNSET_DEFAULTS:
                 continue
-            name = function.rsplit(".", 1)[1]
-            if parameter in keywords or (
-                    index is not None and positional.get(name, 0) > index):
+            found = calls.get(f"{path.stem}.{called}", []) + calls.get(called, [])
+            if parameter in keywords or position is not None and any(
+                    count > position for count, _ in found):
                 continue
             unset.append(f"{function}.{parameter}")
     assert unset == []
 
 
+def test_every_default_is_relied_on_outside_the_tests():
+    # a default that every package and benchmark call overrides is a second
+    # statement of a setting, which only the tests read and which can drift
+    # from the config's; a function the package refers to other than by
+    # calling it (functools.partial, a lookup by name) may be called with
+    # its defaults
+    calls, referred = _calls_and_references()
+    unused = []
+    for path in PACKAGE_FILES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function, called, parameter, position in _defaulted_parameters(tree, path.stem):
+            names = (f"{path.stem}.{called}", called)
+            if referred.intersection(names) or any(
+                    parameter not in keywords and (position is None or count <= position)
+                    for name in names for count, keywords in calls.get(name, [])):
+                continue
+            unused.append(f"{function}.{parameter}")
+    assert not unused, f"defaults only the tests rely on: {unused}"
+
+
 def test_unset_defaults_exist():
     found = {f"{function}.{parameter}" for path in PACKAGE_FILES
-             for function, parameter, _ in _defaulted_parameters(
+             for function, _, parameter, _ in _defaulted_parameters(
                  ast.parse(path.read_text(encoding="utf-8")), path.stem)}
     assert set(UNSET_DEFAULTS) <= found
 
