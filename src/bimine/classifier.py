@@ -14,9 +14,8 @@ import random
 from collections import Counter
 from collections.abc import Callable, Sequence
 
-from .corpus_io import (BitextCorpus, digest, in_range, json_number, read_json, tokenize,
-                        write_json)
-from .lexicon import TranslationLexicon, lexicon_text
+from .corpus_io import BitextCorpus, digest, in_range, json_number, read_json, write_json
+from .lexicon import TranslationLexicon, lexicon_text, token_pairs
 
 FEATURE_NAMES = ("len_ratio", "char_ratio", "cov_st", "cov_ts", "num_overlap")
 
@@ -419,8 +418,7 @@ def train_model(seed: BitextCorpus, lex: TranslationLexicon, direction: tuple[st
     in_range("epochs", epochs)
     in_range("learning_rate", learning_rate)
     in_range("margin_reg", margin_reg)
-    tokenized = [(tokenize(p.src), tokenize(p.tgt)) for p in seed.pairs]
-    tokenized = [(s, t) for s, t in tokenized if s and t]
+    tokenized = list(token_pairs(seed))
     n = len(tokenized)
     # the negatives of a pair are other pairs' targets, so one usable pair
     # would make the sampling loop below draw forever

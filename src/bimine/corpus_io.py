@@ -4,8 +4,8 @@ Owns the readers of every text, TSV, JSON-lines and JSON input, their error
 contract, the rule for a JSON number, the range of each numeric setting,
 the SHA-256 digests of manifests and checksums (``iter_lines``,
 ``iter_tsv``, ``iter_jsonl``, ``read_json``, ``json_number``, ``RANGES``,
-``digest``, ``file_digest``) and the formats below; the lexicon, synonym,
-model, quadruple and rewriting-model layouts live elsewhere.
+``digest``, ``file_digest``) and the formats below; the lexicon, model,
+quadruple and rewriting-model layouts live elsewhere.
 
 * article dump:        JSON lines, one ``{"title": ..., "text": ...}`` object per line
 * article-pair store:  JSON lines, one topic-aligned pair per line with fields

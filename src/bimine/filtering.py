@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping, Sequence
-from pathlib import Path
 
-from .corpus_io import (BiSentence, BitextCorpus, iter_lines, iter_tsv, json_number,
-                        normalize_space, read_json, string_list, tokenize)
+from .corpus_io import (BiSentence, BitextCorpus, json_number, normalize_space, read_json,
+                        string_list, tokenize)
 from .lexicon import TranslationLexicon, gloss_translate
 
 StemRules = Sequence[tuple[str, str]]
@@ -246,73 +245,51 @@ def filter_corpus(corpus: BitextCorpus, lex: TranslationLexicon,
     return BitextCorpus(kept), BitextCorpus(rejected), report
 
 
-# ---------------------------------------------------------------------------
-# resource files
-
-def read_stop_words(path) -> frozenset[str]:
-    """One token per line; whitespace-only lines are skipped."""
-    return frozenset(iter_lines(path, str.isspace, str.strip, str.lower))
-
-
-def read_synonyms(path) -> dict[str, frozenset[str]]:
-    """TSV ``word<TAB>synonym``; stored symmetrically."""
-    table: dict[str, set[str]] = {}
-    for a, b in iter_tsv(path, 2, tuple):
-        a, b = a.lower(), b.lower()
-        table.setdefault(a, set()).add(b)
-        table.setdefault(b, set()).add(a)
-    return {word: frozenset(syns) for word, syns in table.items()}
-
-
 # top-level keys of a cascade config, and the keys of one stage entry
-_CASCADE_KEYS = {"stages", "stop_words", "stop_words_file", "synonyms",
-                 "synonyms_file", "stem_rules"}
+_CASCADE_KEYS = {"stages", "stop_words", "synonyms", "stem_rules"}
 _STAGE_KEYS = {"fn", "accept", "reject"}
 
 
 def read_cascade_config(path) -> CascadeConfig:
-    """Cascade JSON; lexical resources either inline or as file paths
-    (``stop_words_file``, ``synonyms_file``) relative to the config, not
-    both.  A malformed config, an unknown key or a resource given both ways
-    raises ValueError naming the file."""
-    return read_json(path, lambda doc: _cascade_config(doc, Path(path).parent))
+    """Cascade JSON with its lexical resources inline.  A malformed config
+    or an unknown key raises ValueError naming the file."""
+    return read_json(path, _cascade_config)
 
 
-def _cascade_config(doc: dict, base) -> CascadeConfig:
-    if not isinstance(doc, dict):
-        raise ValueError("a cascade config holds one JSON object")
-    unknown = set(doc) - _CASCADE_KEYS
+def _of_type(value, kind: type, what: str):
+    """``value`` if it is a ``kind``; else ValueError "{what}, not {type}"."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what}, not {type(value).__name__}")
+    return value
+
+
+def _cascade_config(doc: dict) -> CascadeConfig:
+    unknown = set(_of_type(doc, dict, "a cascade config holds one JSON object")) - _CASCADE_KEYS
     if unknown:
         raise ValueError(f"unknown cascade config keys {sorted(unknown)}")
-    for inline in ("stop_words", "synonyms"):
-        if inline in doc and f"{inline}_file" in doc:
-            raise ValueError(f"give {inline!r} or {inline + '_file'!r}, not both")
     stages = stop_words = synonyms = stem_rules = None
     if "stages" in doc:
-        for stage in doc["stages"]:
-            if not isinstance(stage, dict):
-                raise ValueError(f"a stage is an object, not {stage!r}")
+        for stage in _of_type(doc["stages"], list, "'stages' is a list of stage objects"):
+            _of_type(stage, dict, "a stage is an object")
             unknown = set(stage) - _STAGE_KEYS
             if unknown:
                 raise ValueError(f"unknown keys {sorted(unknown)} in stage {stage!r}")
+            _of_type(stage["fn"], str, "stage fn must be a string")
         stages = [(s["fn"], json_number(s["accept"], "stage accept"),
                    json_number(s["reject"], "stage reject")) for s in doc["stages"]]
     if "stop_words" in doc:
         stop_words = frozenset(
             w.lower() for w in string_list(doc["stop_words"], "stop words"))
-    if "stop_words_file" in doc:
-        stop_words = read_stop_words(base / doc["stop_words_file"])
     if "synonyms" in doc:
-        if not isinstance(doc["synonyms"], dict):
-            raise ValueError(f"'synonyms' is an object of word lists, "
-                             f"not {type(doc['synonyms']).__name__}")
         synonyms = {
             w.lower(): frozenset(x.lower() for x in string_list(syns, f"synonyms of {w!r}"))
-            for w, syns in doc["synonyms"].items()}
-    if "synonyms_file" in doc:
-        synonyms = read_synonyms(base / doc["synonyms_file"])
+            for w, syns in _of_type(doc["synonyms"], dict,
+                                    "'synonyms' is an object of word lists").items()}
     if "stem_rules" in doc:
-        rules = [string_list(rule, "stem rule strings") for rule in doc["stem_rules"]]
-        stem_rules = [(a, b) for a, b in rules]
+        stem_rules = []
+        for rule in _of_type(doc["stem_rules"], list, "'stem_rules' is a list of stem rules"):
+            if len(string_list(rule, "stem rule strings")) != 2:
+                raise ValueError(f"stem rule {rule!r} is not a [suffix, replacement] pair")
+            stem_rules.append(tuple(rule))
     return CascadeConfig(stages=stages, stop_words=stop_words, synonyms=synonyms,
                          stem_rules=stem_rules)

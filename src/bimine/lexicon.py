@@ -28,8 +28,9 @@ class TranslationLexicon:
         return len(self.entries)
 
 
-def _token_pairs(seed: BitextCorpus) -> Iterator[tuple[list[str], list[str]]]:
-    """The tokenized pairs with tokens on both sides, one at a time."""
+def token_pairs(seed: BitextCorpus) -> Iterator[tuple[list[str], list[str]]]:
+    """The tokenized seed pairs with tokens on both sides, one at a time: the
+    usable pairs of lexicon and classifier training."""
     for bs in seed.pairs:
         src = tokenize(bs.src)
         tgt = tokenize(bs.tgt)
@@ -64,7 +65,7 @@ def train_lexicon(seed: BitextCorpus, iterations: int,
     # instead would park thousands of small tuples on CPython's tuple free
     # lists after training, memory the later stages cannot reuse.
     plan = []
-    for src, tgt in _token_pairs(seed):
+    for src, tgt in token_pairs(seed):
         rows = []
         for s in src:
             r = row_ids.get(s)

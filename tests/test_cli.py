@@ -233,21 +233,6 @@ def test_filter_commands(workdir, tmp_path):
     assert doc["kept_count"] > 0
 
 
-def test_filter_cascade_names_the_stop_words_line_that_is_not_utf8(workdir, tmp_path,
-                                                                    capsys):
-    stops = tmp_path / "stops.txt"
-    stops.write_bytes(b"the\nis\xff\nit\n")
-    config = tmp_path / "cascade.json"
-    config.write_text('{"stop_words_file": "stops.txt"}', encoding="utf-8")
-    assert main(["filter", "cascade", "--in", str(workdir / "mined.tsv"),
-                 "--lexicon", str(workdir / "lexicon.tsv"), "--config", str(config),
-                 "--kept", str(tmp_path / "kept.tsv"),
-                 "--rejected", str(tmp_path / "rejected.tsv"),
-                 "--report", str(tmp_path / "report.json")]) == 1
-    # the config that names the stop-words file comes first
-    assert capsys.readouterr().err == f"error: {config}: {stops}: line 2: not UTF-8 text\n"
-
-
 def test_filter_cascade_refuses_an_empty_cascade_before_reading_the_input(workdir, tmp_path,
                                                                           capsys):
     # it used to read the input and then fail naming neither the file nor the key

@@ -30,7 +30,6 @@ from bimine.corpus_io import (
 )
 from bimine.corpus_io import (_CLEAN_STEPS, _ENTITIES, ArticlePair, Document, _flatten,
                               normalize_space)
-from bimine.filtering import read_synonyms
 from bimine.lexicon import read_lexicon
 
 
@@ -751,7 +750,6 @@ READERS = {
     "bitext-flipped": (lambda path: read_bitext(path, flip=True), b"a\tb\n"),
     "links": (read_links, b"Kot\tCat\n"),
     "lexicon": (read_lexicon, b"kot\tcat\t1\n"),
-    "synonyms": (read_synonyms, b"big\tlarge\n"),
     "article dump": (read_article_dump, b'{"title": "Kot", "text": "x"}\n'),
     "article store": (lambda path: list(read_article_store(path)),
                       b'{"id": 0, "src_lang": "pl", "tgt_lang": "en", "src_title": "Kot", '

@@ -11,8 +11,6 @@ from bimine.filtering import (
     DEFAULT_STEM_RULES,
     filter_corpus,
     read_cascade_config,
-    read_stop_words,
-    read_synonyms,
     remove_trivial,
     similarity_fast,
     similarity_stem,
@@ -330,33 +328,7 @@ def test_cascade_thresholds_lie_in_zero_one(tmp_path, accept, reject):
 
 
 # ---------------------------------------------------------------------------
-# resource files
-
-def test_stop_words_file(tmp_path):
-    path = tmp_path / "stops.txt"
-    path.write_text("The\nis\n\nit\n", encoding="utf-8")
-    assert read_stop_words(path) == {"the", "is", "it"}
-
-
-def test_synonyms_file(tmp_path):
-    path = tmp_path / "syn.tsv"
-    path.write_text("big\tlarge\nfast\tquick\n", encoding="utf-8")
-    table = read_synonyms(path)
-    assert table["big"] == {"large"}
-    assert table["large"] == {"big"}
-    assert table["quick"] == {"fast"}
-
-
-def test_cascade_config_resource_files(tmp_path):
-    (tmp_path / "stops.txt").write_text("the\nit\n", encoding="utf-8")
-    (tmp_path / "syn.tsv").write_text("big\tlarge\n", encoding="utf-8")
-    path = tmp_path / "cascade.json"
-    path.write_text('{"stop_words_file": "stops.txt", '
-                    '"synonyms_file": "syn.tsv"}', encoding="utf-8")
-    config = read_cascade_config(path)
-    assert config.stop_words == {"the", "it"}
-    assert config.synonyms["large"] == {"big"}
-
+# cascade config files
 
 def test_cascade_config_file(tmp_path):
     path = tmp_path / "cascade.json"
@@ -392,15 +364,23 @@ def test_cascade_config_errors_name_the_file(tmp_path):
     ('{"stages": [["fast", 0.9, 0.1]]}', "a stage is an object"),
     ('["stages"]', "a cascade config holds one JSON object"),
     ('{"stop_words": ["the"], "stop_words_file": "stops.txt"}',
-     "give 'stop_words' or 'stop_words_file', not both"),
-    ('{"synonyms": {}, "synonyms_file": "syn.tsv"}', "give 'synonyms' or 'synonyms_file', not both"),
+     r"unknown cascade config keys \['stop_words_file'\]$"),
+    ('{"synonyms": {}, "synonyms_file": "syn.tsv"}',
+     r"unknown cascade config keys \['synonyms_file'\]$"),
     ('{"stages": []}', "cascade config key 'stages' lists no stage"),
     ('{"stem_rules": [["", "x"]]}', r"stem rule \['', 'x'\] has an empty suffix"),
     ('{"synonyms": [["big", "large"]]}', "'synonyms' is an object of word lists, not list"),
+    ('{"stages": 3}', "'stages' is a list of stage objects, not int$"),
+    ('{"stages": "fast"}', "'stages' is a list of stage objects, not str$"),
+    ('{"stem_rules": 5}', "'stem_rules' is a list of stem rules, not int$"),
+    ('{"stem_rules": "es"}', "'stem_rules' is a list of stem rules, not str$"),
+    ('{"stem_rules": [["a"]]}', r"stem rule \['a'\] is not a \[suffix, replacement\] pair$"),
+    ('{"stem_rules": [["a", "b", "c"]]}',
+     r"stem rule \['a', 'b', 'c'\] is not a \[suffix, replacement\] pair$"),
+    ('{"stages": [{"fn": ["x"], "accept": 1, "reject": 0}]}',
+     "stage fn must be a string, not list$"),
 ])
 def test_cascade_config_means_what_it_says(tmp_path, text, detail):
-    (tmp_path / "stops.txt").write_text("the\n", encoding="utf-8")
-    (tmp_path / "syn.tsv").write_text("big\tlarge\n", encoding="utf-8")
     path = tmp_path / "cascade.json"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ValueError, match=f"cascade.json: {detail}"):
@@ -430,6 +410,53 @@ def test_cascade_config_takes_no_string_for_a_threshold(tmp_path, key, value):
     with pytest.raises(ValueError, match=rf"cascade.json: stage {key} must be a number, "
                                          rf"not {type(value).__name__}$"):
         read_cascade_config(path)
+
+
+# a value of each JSON type, by type name
+_JSON_VALUES = {
+    "null": st.none(), "bool": st.booleans(), "int": st.integers(),
+    "float": st.floats(allow_nan=False, allow_infinity=False),
+    "string": st.text(max_size=4),
+    "list": st.lists(st.one_of(st.none(), st.integers(), st.text(max_size=2)), max_size=3),
+    "object": st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+}
+_STAGE = {"fn": "fast", "accept": 0.9, "reject": 0.1}
+# each place a cascade config holds a value: the config with the value
+# there, the JSON types the place takes and the words its error names
+_PLACES = {
+    "stages": (lambda v: {"stages": v}, {"list"}, "stage"),
+    "stage": (lambda v: {"stages": [v]}, {"object"}, "stage"),
+    **{key: (lambda v, key=key: {"stages": [{**_STAGE, key: v}]},
+             {"string"} if key == "fn" else {"int", "float"}, "stage")
+       for key in _STAGE},
+    "stop_words": (lambda v: {"stop_words": v}, {"list"}, "stop words"),
+    "stop word": (lambda v: {"stop_words": [v]}, {"string"}, "stop words"),
+    "synonyms": (lambda v: {"synonyms": v}, {"object"}, "synonyms"),
+    "synonyms of a word": (lambda v: {"synonyms": {"big": v}}, {"list"}, "synonyms"),
+    "synonym": (lambda v: {"synonyms": {"big": [v]}}, {"string"}, "synonyms"),
+    "stem_rules": (lambda v: {"stem_rules": v}, {"list"}, "stem rule"),
+    "stem rule": (lambda v: {"stem_rules": [v]}, {"list"}, "stem rule"),
+    "stem rule string": (lambda v: {"stem_rules": [[v, ""]]}, {"string"}, "stem rule"),
+}
+
+
+def test_every_cascade_key_is_fuzzed():
+    assert filtering._CASCADE_KEYS | filtering._STAGE_KEYS <= set(_PLACES)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_cascade_config_names_the_key_of_a_value_of_the_wrong_type(tmp_path_factory, data):
+    place = data.draw(st.sampled_from(sorted(_PLACES)), "place")
+    doc_of, takes, words = _PLACES[place]
+    value = data.draw(st.sampled_from(sorted(set(_JSON_VALUES) - takes)).flatmap(
+        _JSON_VALUES.__getitem__), "value")
+    path = tmp_path_factory.getbasetemp() / "cascade.json"
+    path.write_text(json.dumps(doc_of(value)), encoding="utf-8")
+    with pytest.raises(ValueError) as refused:
+        read_cascade_config(path)
+    message = str(refused.value)
+    assert message.startswith(f"{path}: ") and words in message, message
 
 
 def _content_tokens_by_scan(tokens, stop_words):

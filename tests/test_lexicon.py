@@ -97,7 +97,7 @@ def dict_rows_em(seed, iterations):
     """The earlier EM loop, which kept the table, the counts and the totals
     in dicts keyed by token; returns the table handed to ``_finalize`` and
     the log-likelihood of each round."""
-    pairs = list(lexicon._token_pairs(seed))
+    pairs = list(lexicon.token_pairs(seed))
     cooc = {}
     for src, tgt in pairs:
         for s in src:

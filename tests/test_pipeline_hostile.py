@@ -1,10 +1,12 @@
-"""The pipeline from ingest to filter on hostile article dumps.
+"""The pipeline from ingest to eval on hostile article dumps.
 
 Tiny dumps and links files are built from pieces that break naive code:
 wiki markup fragments, control and combining characters, duplicate titles,
 links to missing titles, and empty and one-sentence articles.  Every run
 either succeeds or stops with one ``error:`` line that names the file at
-fault; reruns write the same bytes, and so does a run that cannot fork.
+fault, an input or an artifact of the workdir (a filtered corpus too small
+to sample, say); reruns write the same bytes, and so does a run that cannot
+fork.
 """
 
 import contextlib
@@ -24,7 +26,7 @@ from bimine.corpus_io import write_bitext
 
 from synthdata import make_parallel
 
-STAGES = "ingest,mine,merge,filter"
+STAGES = "ingest,mine,merge,analogy,filter,eval"
 TRAINED = ["lexicon.tsv", "lexicon.rev.tsv", "classifier.json", "classifier.rev.json"]
 
 MARKUP = ["{{", "}}", "{{cite|", "{|", "|}", "[[", "]]", "[[Plik:x.png|", "<ref>",
@@ -37,7 +39,8 @@ PUNCTUATION = [". ", "? ", "! ", " ", "...", "\n", "\n\n"]
 
 @pytest.fixture(scope="module")
 def trained(world, tmp_path_factory):
-    """The lexicons and models of both directions, trained once."""
+    """The seed corpus, and the lexicons and models of both directions
+    trained from it once."""
     tmp_path = tmp_path_factory.mktemp("trained")
     seed = tmp_path / "seed.tsv"
     write_bitext(seed, make_parallel(world, random.Random(83), 300))
@@ -50,7 +53,7 @@ def trained(world, tmp_path_factory):
     with contextlib.redirect_stderr(io.StringIO()):
         assert main(["pipeline", "--config", str(config),
                      "--stages", "lexicon,classifier"]) == 0
-    return {name: (tmp_path / name).read_bytes() for name in TRAINED}
+    return seed, {name: (tmp_path / name).read_bytes() for name in TRAINED}
 
 
 def _article_pair(world):
@@ -92,11 +95,12 @@ def _directory_bytes(path):
 def _run(root, trained, dumps, links, ascii_only):
     """Write the inputs and run the stages in a fresh workdir; return the
     exit code, stderr and the bytes of every file the run left there."""
+    seed, models = trained
     workdir = root / "out"
     if workdir.exists():
         shutil.rmtree(workdir)
     workdir.mkdir()
-    for name, blob in trained.items():
+    for name, blob in models.items():
         (workdir / name).write_bytes(blob)
     paths = {}
     for side, dump in zip(("src", "tgt"), dumps):
@@ -108,9 +112,10 @@ def _run(root, trained, dumps, links, ascii_only):
     config = root / "config.json"
     config.write_text(json.dumps({
         "workdir": str(workdir), "src_lang": "pl", "tgt_lang": "en",
+        "seed_corpus": str(seed),
         "ingest": {"src_dump": str(paths["src"]), "tgt_dump": str(paths["tgt"]),
                    "links": str(paths["links"])},
-        "mining": {"bidirectional": True},
+        "mining": {"bidirectional": True}, "eval": {"segments": 1, "per_segment": 1},
     }), encoding="utf-8")
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
@@ -129,15 +134,17 @@ def test_pipeline_on_hostile_dumps(world, trained, data):
         # the process may run on two CPUs, so the mine stage forks
         patch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         first = _run(root, trained, (src_dump, tgt_dump), links, ascii_only)
-        code, err, _, paths = first
+        code, err, artifacts, paths = first
         assert "Traceback" not in err
         errors = [line for line in err.split("\n") if line.startswith("error:")]
         if code == 0:
             assert errors == []
             assert "filtered.tsv" in first[2]
+            assert "eval_report.json" in artifacts
         else:
             assert code == 1 and len(errors) == 1, err
-            assert any(str(path) in errors[0] for path in paths.values()), errors[0]
+            named = [*paths.values(), *(root / "out" / name for name in artifacts)]
+            assert any(str(path) in errors[0] for path in named), errors[0]
         assert _run(root, trained, (src_dump, tgt_dump), links, ascii_only) == first
         patch.delattr(pipeline.os, "fork")
         assert _run(root, trained, (src_dump, tgt_dump), links, ascii_only) == first
