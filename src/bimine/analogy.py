@@ -22,10 +22,13 @@ import itertools
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Sequence
 
-from .corpus_io import (ArticlePair, BiSentence, BitextCorpus, in_range, iter_jsonl,
-                        segment_sentences, string_list, tokenize, write_jsonl)
+from .corpus_io import (BiSentence, SegmentedPair, in_range, iter_jsonl, string_list,
+                        write_jsonl)
+# generate_corpus takes segmented articles; the benchmark's tracer still
+# patches this name, so it stays importable from here
+from .corpus_io import segment_sentences  # noqa: F401
 from .editdistance import levenshtein, token_bag_bound
-from .lexicon import UNKNOWN, TranslationLexicon, gloss_translate
+from .lexicon import UNKNOWN, TokenPair, TranslationLexicon, gloss_translate
 
 Tokens = tuple[str, ...]
 CharDelta = tuple[tuple[str, int], ...]
@@ -268,42 +271,33 @@ def extract_rewriting_model(pair1: tuple[Sequence[str], Sequence[str]],
 
 
 def models_from_quadruples(quadruples: Sequence[AnalogyQuadruple],
-                           seed: BitextCorpus, *,
+                           seed: Sequence[TokenPair], *,
                            check_target_side: bool) -> list[RewritingModel]:
     """Build rewriting models from each analogy pair, using the seed corpus
     targets of the quadruple's source sentences; deduplicated, stable order.
+    ``seed`` holds the tokens of each seed pair (``lexicon.seed_tokens``).
 
     Analogies are detected on the source side; ``check_target_side``
     additionally requires the two distance equalities to hold between the
     corresponding target sentences before a quadruple contributes models.
-    Each seed pair is tokenized once, on first use, and each ordered index
-    pair gives a model once: quadruples share pairs.
+    Each ordered index pair gives a model once: quadruples share pairs.
     """
-    tokenized: dict[int, tuple[Tokens, Tokens]] = {}
-
-    def tokens(index: int) -> tuple[Tokens, Tokens]:
-        """(source, target) tokens of seed pair ``index``."""
-        if index not in tokenized:
-            pair = seed.pairs[index]
-            tokenized[index] = (tuple(tokenize(pair.src)), tuple(tokenize(pair.tgt)))
-        return tokenized[index]
-
     seen: set[tuple] = set()
     extracted: set[tuple[int, int]] = set()
     models = []
     for quad in quadruples:
         ia, ib, ic, id_ = quad.indices
         if check_target_side and not (
-                all(0 <= idx < len(seed.pairs) for idx in quad.indices)
-                and _target_side_holds([tokens(idx)[1] for idx in quad.indices])):
+                all(0 <= idx < len(seed) for idx in quad.indices)
+                and _target_side_holds([seed[idx][1] for idx in quad.indices])):
             continue
         for i1, i2 in ((ia, ib), (ic, id_)):
             if (i1, i2) in extracted:
                 continue
             extracted.add((i1, i2))
-            if not (0 <= i1 < len(seed.pairs) and 0 <= i2 < len(seed.pairs)):
+            if not (0 <= i1 < len(seed) and 0 <= i2 < len(seed)):
                 continue
-            model = extract_rewriting_model(tokens(i1), tokens(i2))
+            model = extract_rewriting_model(seed[i1], seed[i2])
             if model is None:
                 continue
             key = (model.src_prefix, model.src_suffix,
@@ -353,10 +347,11 @@ def apply_model(model: RewritingModel, sentence: Sequence[str],
 
 
 def generate_corpus(models: Sequence[RewritingModel],
-                    articles: Iterable[ArticlePair],
+                    articles: Iterable[SegmentedPair],
                     lex: TranslationLexicon, *,
                     allow_unknown: bool) -> QuasiParallelCorpus:
-    """Test every source-side article sentence against every model.
+    """Test every source-side sentence of the segmented article pairs
+    (``miner.segment_articles``) against every model.
 
     Models are indexed by the first prefix token so only plausible templates
     are tried per sentence (same result as the naive scan).  A generated pair
@@ -372,9 +367,9 @@ def generate_corpus(models: Sequence[RewritingModel],
             open_prefix.append((model_id, model))
 
     entries: list[QuasiParallelEntry] = []
-    for article in articles:
-        tgt_texts = {" ".join(s.tokens) for s in segment_sentences(article.tgt.body)}
-        for sent in segment_sentences(article.src.body):
+    for article, src_sentences, tgt_sentences in articles:
+        tgt_texts = {" ".join(s.tokens) for s in tgt_sentences}
+        for sent in src_sentences:
             if not sent.tokens:
                 continue
             candidates = by_first.get(sent.tokens[0], []) + open_prefix

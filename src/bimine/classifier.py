@@ -14,8 +14,8 @@ import random
 from collections import Counter
 from collections.abc import Callable, Sequence
 
-from .corpus_io import BitextCorpus, digest, in_range, json_number, read_json, write_json
-from .lexicon import TranslationLexicon, lexicon_text, token_pairs
+from .corpus_io import digest, in_range, json_number, read_json, write_json
+from .lexicon import TokenPair, TranslationLexicon, lexicon_text, token_pairs
 
 FEATURE_NAMES = ("len_ratio", "char_ratio", "cov_st", "cov_ts", "num_overlap")
 
@@ -402,11 +402,12 @@ def _fit_hinge(training: Sequence[tuple[tuple[float, ...], int]], rng: random.Ra
     return [w0, w1, w2, w3, w4], bias, hinge_updates
 
 
-def train_model(seed: BitextCorpus, lex: TranslationLexicon, direction: tuple[str, str], *,
-                neg_per_pos: int, epochs: int, learning_rate: float, margin_reg: float,
-                seed_rng: int) -> SimilarityModel:
+def train_model(seed: Sequence[TokenPair], lex: TranslationLexicon,
+                direction: tuple[str, str], *, neg_per_pos: int, epochs: int,
+                learning_rate: float, margin_reg: float, seed_rng: int) -> SimilarityModel:
     """Train the similarity classifier for the language pair ``direction``
-    (source, target) from a parallel seed corpus.
+    (source, target) from the tokenized pairs of a parallel seed corpus
+    (``lexicon.seed_tokens``).
 
     Positives are the aligned seed pairs.  For each positive, ``neg_per_pos``
     negatives pair the same source with other targets; the target at the

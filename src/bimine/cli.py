@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from . import corpus_io, pipeline
+from . import corpus_io, lexicon as lexicon_mod, pipeline
 # imported by name: replacing bimine.cli.run_pipeline hooks `bimine pipeline`
 from .pipeline import run_pipeline
 
@@ -60,20 +60,22 @@ def _cmd_stats(args) -> int:
 
 def _cmd_lexicon_train(args) -> int:
     return _report(args, [args.out], pipeline.train_lexicon(
-        args.seed, args.out, args.iters, args.prune_below))
+        pipeline.read_seed(args.seed), args.out, args.iters, args.prune_below))
 
 
 def _cmd_classifier_train(args) -> int:
     return _report(args, [args.out], pipeline.train_classifier(
-        args.seed, args.lexicon, args.out, args.src_lang, args.tgt_lang,
-        neg_per_pos=args.neg_per_pos, epochs=args.epochs,
+        pipeline.read_seed(args.seed), lexicon_mod.read_lexicon(args.lexicon), args.out,
+        args.src_lang, args.tgt_lang, neg_per_pos=args.neg_per_pos, epochs=args.epochs,
         learning_rate=args.learning_rate, margin_reg=args.margin_reg,
         seed_rng=args.seed_rng))
 
 
 def _cmd_mine(args) -> int:
+    lex = lexicon_mod.read_lexicon(args.lexicon)
+    model = pipeline.load_model(args.model, args.lexicon, lex)
     return _report(args, [args.out, args.log], pipeline.mine(
-        args.store, args.model, args.lexicon, args.out,
+        pipeline.read_store(args.store), model, lex, args.out,
         gap_cost=args.gap_cost, threshold=args.threshold, log=args.log))
 
 
@@ -88,7 +90,8 @@ def _cmd_merge_bidi(args) -> int:
 def _cmd_analogy_find(args) -> int:
     from . import analogy as analogy_mod
     try:
-        quads = pipeline.analogy_find(args.seed, args.max_dist, args.size_guard)
+        quads = pipeline.analogy_find(pipeline.read_seed(args.seed), args.max_dist,
+                                      args.size_guard)
     except pipeline.PipelineError as exc:  # the size guard
         _log(f"error: {exc}")
         return 2
@@ -99,15 +102,17 @@ def _cmd_analogy_find(args) -> int:
 def _cmd_analogy_models(args) -> int:
     from . import analogy as analogy_mod
     models = pipeline.analogy_models(analogy_mod.read_quadruples(args.quads),
-                                     args.seed, args.out, args.check_target)
+                                     pipeline.read_seed(args.seed), args.out,
+                                     args.check_target)
     return _report(args, [args.out], {"models": len(models)})
 
 
 def _cmd_analogy_generate(args) -> int:
     from . import analogy as analogy_mod
+    models = analogy_mod.read_models(args.models)
+    lex = lexicon_mod.read_lexicon(args.lexicon)
     return _report(args, [args.out], pipeline.analogy_generate(
-        analogy_mod.read_models(args.models), args.store, args.lexicon, args.out,
-        args.allow_unknown))
+        models, pipeline.read_store(args.store), lex, args.out, args.allow_unknown))
 
 
 def _cmd_filter_trivial(args) -> int:
@@ -117,8 +122,8 @@ def _cmd_filter_trivial(args) -> int:
 
 def _cmd_filter_cascade(args) -> int:
     return _report(args, [args.kept, args.rejected, args.report], pipeline.filter_bitext(
-        args.infile, args.kept, args.report, lexicon=args.lexicon, cascade=args.config,
-        rejected=args.rejected))
+        args.infile, args.kept, args.report, lexicon=lexicon_mod.read_lexicon(args.lexicon),
+        cascade=args.config, rejected=args.rejected))
 
 
 def _read_eval_pairs(hyp_path, ref_paths) -> list:

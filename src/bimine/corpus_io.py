@@ -62,6 +62,10 @@ class Sentence(namedtuple("Sentence", "text tokens index")):
     index: int
 
 
+# an article pair with the sentences of its source and target sides
+SegmentedPair = tuple[ArticlePair, list[Sentence], list[Sentence]]
+
+
 class BiSentence(namedtuple("BiSentence", "src tgt score origin", defaults=(1.0, None))):
     """One mined or generated sentence pair with score and provenance.
 

@@ -281,10 +281,11 @@ def _cascade_config(doc: dict) -> CascadeConfig:
         stop_words = frozenset(
             w.lower() for w in string_list(doc["stop_words"], "stop words"))
     if "synonyms" in doc:
-        synonyms = {
-            w.lower(): frozenset(x.lower() for x in string_list(syns, f"synonyms of {w!r}"))
-            for w, syns in _of_type(doc["synonyms"], dict,
-                                    "'synonyms' is an object of word lists").items()}
+        synonyms = {}  # keys that lowercase alike pool their lists
+        for w, syns in _of_type(doc["synonyms"], dict,
+                                "'synonyms' is an object of word lists").items():
+            synonyms[w.lower()] = synonyms.get(w.lower(), frozenset()) | {
+                x.lower() for x in string_list(syns, f"synonyms of {w!r}")}
     if "stem_rules" in doc:
         stem_rules = []
         for rule in _of_type(doc["stem_rules"], list, "'stem_rules' is a list of stem rules"):

@@ -28,19 +28,29 @@ class TranslationLexicon:
         return len(self.entries)
 
 
-def token_pairs(seed: BitextCorpus) -> Iterator[tuple[list[str], list[str]]]:
-    """The tokenized seed pairs with tokens on both sides, one at a time: the
-    usable pairs of lexicon and classifier training."""
-    for bs in seed.pairs:
-        src = tokenize(bs.src)
-        tgt = tokenize(bs.tgt)
-        if src and tgt:
-            yield src, tgt
+TokenPair = tuple[tuple[str, ...], tuple[str, ...]]
 
 
-def train_lexicon(seed: BitextCorpus, iterations: int,
+def seed_tokens(seed: BitextCorpus) -> list[TokenPair]:
+    """The (source, target) tokens of each seed pair, in corpus order; the
+    pairs share one string per distinct token."""
+    words: dict[str, str] = {}
+
+    def tokens(text: str) -> tuple[str, ...]:
+        return tuple([words.setdefault(t, t) for t in tokenize(text)])
+    return [(tokens(bs.src), tokens(bs.tgt)) for bs in seed.pairs]
+
+
+def token_pairs(seed: Sequence[TokenPair]) -> Iterator[TokenPair]:
+    """The tokenized seed pairs (``seed_tokens``) with tokens on both sides:
+    the usable pairs of lexicon and classifier training."""
+    return ((src, tgt) for src, tgt in seed if src and tgt)
+
+
+def train_lexicon(seed: Sequence[TokenPair], iterations: int,
                   prune_below: float) -> TranslationLexicon:
-    """Estimate t(target|source) by EM over tokenized sentence pairs.
+    """Estimate t(target|source) by EM over the tokenized seed pairs
+    (``seed_tokens``).
 
     Starts from a uniform distribution over co-occurring target tokens and
     runs ``iterations`` EM rounds; corpus log-likelihood is non-decreasing
@@ -49,7 +59,7 @@ def train_lexicon(seed: BitextCorpus, iterations: int,
     """
     in_range("iterations", iterations)
     in_range("prune_below", prune_below)
-    if not seed.pairs:
+    if not seed:
         raise ValueError("seed corpus is empty")
 
     # number each co-occurring (source, target) cell once, in the (pair, t,

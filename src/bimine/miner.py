@@ -1,7 +1,7 @@
 """Mining orchestration over an article-pair store.
 
-Mines a stream of article pairs with one similarity model and lexicon and
-orders the results by article id.  Also merges forward- and
+Segments a store's article pairs once, mines them with one similarity model
+and lexicon and orders the results by article id.  Also merges forward- and
 reverse-direction mining runs and reports their overlap statistics.
 """
 
@@ -14,7 +14,7 @@ from collections.abc import Iterable
 from .aligner import align, match_floor, threshold_filter
 from .classifier import (SimilarityModel, match_filter, similarity, source_record,
                          target_record)
-from .corpus_io import (ArticlePair, BiSentence, BitextCorpus, Sentence,
+from .corpus_io import (ArticlePair, BiSentence, BitextCorpus, SegmentedPair, Sentence,
                         normalize_space, segment_sentences, write_json)
 from .lexicon import TranslationLexicon
 
@@ -73,20 +73,30 @@ def mine_pair(pair: ArticlePair, src: list[Sentence], tgt: list[Sentence],
                    "cells_pruned": result.cells_pruned}
 
 
-def mine_corpus(store: Iterable[ArticlePair], model: SimilarityModel,
+def segment_articles(articles: Iterable[ArticlePair]) -> list[SegmentedPair]:
+    """Each article pair with both its sides segmented.  The sentences share
+    one string per distinct token, which keeps a store about half the size."""
+    words: dict[str, str] = {}
+
+    def segment(body: str) -> list[Sentence]:
+        return [Sentence(s.text, tuple([words.setdefault(t, t) for t in s.tokens]), s.index)
+                for s in segment_sentences(body)]
+    return [(pair, segment(pair.src.body), segment(pair.tgt.body)) for pair in articles]
+
+
+def mine_corpus(store: Iterable[SegmentedPair], model: SimilarityModel,
                 lex: TranslationLexicon, *, gap_cost: float,
                 threshold: float) -> tuple[BitextCorpus, list[dict]]:
-    """Mine every article pair of a streamed store with one model and lexicon.
+    """Mine every segmented article pair (``segment_articles``) of a store
+    with one model and lexicon.
 
     Returns the mined corpus ordered by article id plus a per-article log of
-    the mined count and the work counts of ``mine_pair``.  Each article is
-    segmented here.
+    the mined count and the work counts of ``mine_pair``.
     """
     outcomes = sorted(
-        ((pair.id, *mine_pair(pair, segment_sentences(pair.src.body),
-                              segment_sentences(pair.tgt.body), model, lex,
-                              gap_cost=gap_cost, threshold=threshold))
-         for pair in store), key=lambda item: item[0])
+        ((pair.id, *mine_pair(pair, src, tgt, model, lex, gap_cost=gap_cost,
+                              threshold=threshold))
+         for pair, src, tgt in store), key=lambda item: item[0])
     pairs: list[BiSentence] = []
     log = []
     for article_id, mined, work in outcomes:

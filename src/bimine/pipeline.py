@@ -1,14 +1,19 @@
 """End-to-end pipeline: ingest -> lexicon -> classifier -> mine -> merge ->
 analogy -> filter -> eval.
 
-Each step is one function that reads its inputs from explicit paths,
+Each step is one function that takes its shared inputs loaded (the seed's
+tokens from ``read_seed``, a lexicon, a model from ``load_model``, the
+segmented store from ``read_store``) and its other inputs as paths,
 computes, writes its artifacts and returns its counts; the CLI subcommands
-call the same functions.  A stage resolves its paths in the work directory
-(or configured paths), calls its step once per mining direction and writes a
+load with the same readers and call the same functions.  A run reads,
+tokenizes and segments each shared input once, in ``RunInputs``, and hands
+it to every stage.  A stage resolves its paths in the work directory (or
+configured paths), calls its step once per mining direction and writes a
 JSON run manifest (inputs, checksums, parameters, counts).  Each stage, and
 each CLI command that writes files, prints one ``log_record`` line.  In a
 bidirectional run the lexicon, classifier and mine stages run the reverse
-direction's step in a forked child while the forward one runs.  Stages are
+direction's step in a forked child while the forward one runs; the two
+share the read-only inputs loaded before the fork.  Stages are
 deterministic given the config seeds: re-running with identical inputs
 reproduces identical artifacts byte for byte.
 """
@@ -196,24 +201,47 @@ def ingest(src_dump, tgt_dump, links, out, src_lang: str, tgt_lang: str) -> dict
     return {"article_pairs": len(pairs)}
 
 
-def train_lexicon(seed, out, iterations: int, prune_below: float,
+def read_seed(path) -> list[lexicon_mod.TokenPair]:
+    """The tokens of each pair of a seed bitext file, in file order."""
+    return lexicon_mod.seed_tokens(corpus_io.read_bitext(path))
+
+
+def read_store(path) -> list[corpus_io.SegmentedPair]:
+    """Each article pair of a store with both its sides segmented."""
+    return miner.segment_articles(corpus_io.read_article_store(path))
+
+
+def load_model(path, lexicon, lex) -> classifier_mod.SimilarityModel:
+    """The similarity model at ``path``, refused unless it was trained with
+    ``lex``, the lexicon read from ``lexicon``."""
+    model = classifier_mod.load_model(path)
+    if classifier_mod.lexicon_checksum(lex) != model.lexicon_checksum:
+        raise ValueError(f"lexicon {lexicon} is not the one model {path} was trained with")
+    return model
+
+
+def _swap(pairs: list) -> list:
+    return [(b, a) for a, b in pairs]
+
+
+def train_lexicon(seed: list, out, iterations: int, prune_below: float,
                   flip: bool = False) -> dict:
-    """Train the EM lexicon on a seed bitext and write it; ``flip`` trains
-    the reverse direction (target to source)."""
-    lex = lexicon_mod.train_lexicon(corpus_io.read_bitext(seed, flip=flip),
-                                    iterations, prune_below)
+    """Train the EM lexicon on a seed (``read_seed``) and write it; ``flip``
+    trains the reverse direction (target to source)."""
+    lex = lexicon_mod.train_lexicon(_swap(seed) if flip else seed, iterations, prune_below)
     lexicon_mod.write_lexicon(out, lex)
     return {"entries": len(lex), "cells": lex.cells,
             "iteration_log_likelihood": lex.iteration_log_likelihood}
 
 
-def train_classifier(seed, lexicon, out, src_lang: str, tgt_lang: str, *,
+def train_classifier(seed: list, lex, out, src_lang: str, tgt_lang: str, *,
                      neg_per_pos: int, epochs: int, learning_rate: float,
                      margin_reg: float, seed_rng: int, flip: bool = False) -> dict:
-    """Train the similarity classifier for ``src_lang -> tgt_lang`` and write
-    it; ``flip`` reads the seed columns swapped.  Returns the training counts."""
+    """Train the similarity classifier for ``src_lang -> tgt_lang`` on a seed
+    (``read_seed``) and a lexicon and write it; ``flip`` swaps the seed's
+    sides.  Returns the training counts."""
     model = classifier_mod.train_model(
-        corpus_io.read_bitext(seed, flip=flip), lexicon_mod.read_lexicon(lexicon),
+        _swap(seed) if flip else seed, lex,
         (src_lang, tgt_lang), neg_per_pos=neg_per_pos, epochs=epochs,
         learning_rate=learning_rate, margin_reg=margin_reg, seed_rng=seed_rng)
     classifier_mod.save_model(out, model)
@@ -224,14 +252,15 @@ _MINE_WORK = ("src_sentences", "tgt_sentences", "lattice_cells", "cells_scored",
               "cells_pruned")
 
 
-def mine(store, model, lexicon, out, *, gap_cost: float, threshold: float,
+def mine(store: list, model, lex, out, *, gap_cost: float, threshold: float,
          log=None, flip: bool = False) -> dict:
-    """Mine parallel sentences from an article-pair store and write them.
+    """Mine parallel sentences from a segmented store (``read_store``) and
+    write them.
 
-    The lexicon must be the one the model was trained with; the model
-    stores its checksum.  A pair is kept when its score reaches ``threshold``.
-    ``flip`` mines the reverse direction, reading each stored pair target
-    side first.  ``log`` gets one JSON line per article.
+    The lexicon must be the one the model was trained with (``load_model``).
+    A pair is kept when its score reaches ``threshold``.  ``flip`` mines the
+    reverse direction, taking each stored pair target side first.  ``log``
+    gets one JSON line per article.
     Returns the counts: articles, mined pairs, the sums over the articles
     of the source and target sentences, the lattice cells, the cells whose
     similarity was computed, the lattice nodes whose cost was computed and
@@ -239,15 +268,10 @@ def mine(store, model, lexicon, out, *, gap_cost: float, threshold: float,
     """
     corpus_io.in_range("gap_cost", gap_cost)
     corpus_io.in_range("threshold", threshold)
-    sim_model = classifier_mod.load_model(model)
-    lex = lexicon_mod.read_lexicon(lexicon)
-    if classifier_mod.lexicon_checksum(lex) != sim_model.lexicon_checksum:
-        raise ValueError(f"lexicon {lexicon} is not the one model {model} was trained with")
-    articles = corpus_io.read_article_store(store)
     if flip:
-        articles = (corpus_io.ArticlePair(p.id, p.tgt, p.src) for p in articles)
+        store = [(corpus_io.ArticlePair(p.id, p.tgt, p.src), tgt, src) for p, src, tgt in store]
     corpus, article_log = miner.mine_corpus(
-        articles, sim_model, lex, gap_cost=gap_cost, threshold=threshold)
+        store, model, lex, gap_cost=gap_cost, threshold=threshold)
     corpus_io.write_bitext(out, corpus)
     if log:
         corpus_io.write_jsonl(log, article_log)
@@ -269,8 +293,8 @@ def merge(fwd, rev, out, stats) -> dict:
     return {"merged": len(merged.pairs), **overlap.as_dict()}
 
 
-def analogy_find(seed, max_distance: int, size_guard: int) -> list:
-    """Search the source side of a seed bitext for analogies.
+def analogy_find(seed: list, max_distance: int, size_guard: int) -> list:
+    """Search the source side of a seed (``read_seed``) for analogies.
 
     Returns the quadruples rather than writing them: the pipeline hands them
     to ``analogy_models`` in memory.  Refuses a seed of more than
@@ -279,30 +303,28 @@ def analogy_find(seed, max_distance: int, size_guard: int) -> list:
     from . import analogy as analogy_mod
     corpus_io.in_range("max_distance", max_distance)
     corpus_io.in_range("size_guard", size_guard)
-    sentences = [corpus_io.tokenize(p.src) for p in corpus_io.read_bitext(seed).pairs]
+    sentences = [src for src, _ in seed]
     if len(sentences) > size_guard:
         raise PipelineError(f"analogy search over {len(sentences)} sentences exceeds "
                             f"the size guard ({size_guard}); raise the guard to override")
     return analogy_mod.find_analogies(sentences, max_distance)
 
 
-def analogy_models(quads, seed, out, check_target: bool) -> list:
-    """Extract rewriting models from analogy quadruples of the seed and write
-    them; returns them for ``analogy_generate``."""
+def analogy_models(quads, seed: list, out, check_target: bool) -> list:
+    """Extract rewriting models from analogy quadruples of the seed
+    (``read_seed``) and write them; returns them for ``analogy_generate``."""
     from . import analogy as analogy_mod
-    models = analogy_mod.models_from_quadruples(
-        quads, corpus_io.read_bitext(seed), check_target_side=check_target)
+    models = analogy_mod.models_from_quadruples(quads, seed, check_target_side=check_target)
     analogy_mod.write_models(out, models)
     return models
 
 
-def analogy_generate(models, store, lexicon, out, allow_unknown: bool) -> dict:
-    """Apply rewriting models to the store's source sentences and write the
-    quasi-parallel pairs; returns the generated and confirmed counts."""
+def analogy_generate(models, store: list, lex, out, allow_unknown: bool) -> dict:
+    """Apply rewriting models to the source sentences of a segmented store
+    (``read_store``) and write the quasi-parallel pairs; returns the
+    generated and confirmed counts."""
     from . import analogy as analogy_mod
-    quasi = analogy_mod.generate_corpus(
-        models, corpus_io.read_article_store(store),
-        lexicon_mod.read_lexicon(lexicon), allow_unknown=allow_unknown)
+    quasi = analogy_mod.generate_corpus(models, store, lex, allow_unknown=allow_unknown)
     corpus_io.write_bitext(out, corpus_io.BitextCorpus([e.pair for e in quasi.entries]))
     return quasi.report()
 
@@ -312,7 +334,7 @@ def filter_bitext(infile, kept, report=None, *, min_chars: int | None = None,
     """Filter a bitext file and write the kept pairs.
 
     Runs the trivial pass when ``min_chars`` is given, then the
-    translation-similarity cascade when ``lexicon`` is given, with the rules
+    translation-similarity cascade when a ``lexicon`` is given, with the rules
     of the ``cascade`` config file or the built-in ones.  Writes the pairs
     the cascade rejects to ``rejected`` and the report of both passes to
     ``report`` when those are given; returns that report as a dict.
@@ -331,7 +353,7 @@ def filter_bitext(infile, kept, report=None, *, min_chars: int | None = None,
         passes.append(trivial)
     if lexicon is not None:
         corpus, dropped, cascaded = filtering.filter_corpus(
-            corpus, lexicon_mod.read_lexicon(lexicon), rules)
+            corpus, lexicon, rules)
         passes.append(cascaded)
         if rejected:
             corpus_io.write_bitext(rejected, dropped)
@@ -374,17 +396,49 @@ def score(pairs: list, metric: str) -> float:
 # ---------------------------------------------------------------------------
 # stages
 
-def _stage_ingest(config: PipelineConfig) -> None:
+class RunInputs:
+    """The inputs the stages of one run share, each read, tokenized or
+    segmented on first use and dropped after the last stage that reads it
+    (``_READERS``): the seed's tokens, the forward lexicon and the segmented
+    store.  A stage touches what its reverse direction needs before
+    ``_directions`` forks, so the child inherits it.  No stage rewrites a
+    file after an earlier stage read it, so nothing here goes stale within
+    a run."""
+
+    def __init__(self, config: PipelineConfig) -> None:
+        self.config = config
+
+    @functools.cached_property
+    def seed(self) -> list:
+        return read_seed(_seed_path(self.config))
+
+    @functools.cached_property
+    def lexicon(self) -> lexicon_mod.TranslationLexicon:
+        return lexicon_mod.read_lexicon(_require(self.config, self.config.path("lexicon.tsv")))
+
+    @functools.cached_property
+    def store(self) -> list:
+        return read_store(_require(self.config, self.config.store_path()))
+
+
+# the stages that read each shared input: a run drops an input when none of
+# them is left to run
+_READERS = {"seed": {"lexicon", "classifier", "analogy"},
+            "lexicon": {"classifier", "mine", "analogy", "filter", "eval"},
+            "store": {"mine", "analogy"}}
+
+
+def _stage_ingest(config: PipelineConfig, inputs: RunInputs) -> None:
     spec = config.ingest
     for key in ("src_dump", "tgt_dump", "links"):
         if not spec[key]:
             raise PipelineError(f"ingest stage needs config.ingest.{key}")
         if not Path(spec[key]).exists():
             raise PipelineError(f"ingest input {spec[key]} does not exist")
-    inputs = [Path(spec[key]) for key in ("src_dump", "tgt_dump", "links")]
+    dumps = [Path(spec[key]) for key in ("src_dump", "tgt_dump", "links")]
     out = config.store_path()
-    counts = ingest(*inputs, out, config.src_lang, config.tgt_lang)
-    _write_manifest(config, "ingest", spec, inputs, [out], counts)
+    counts = ingest(*dumps, out, config.src_lang, config.tgt_lang)
+    _write_manifest(config, "ingest", spec, dumps, [out], counts)
 
 
 def _seed_path(config: PipelineConfig) -> Path:
@@ -448,10 +502,10 @@ def _directions(config: PipelineConfig, stage: str, forward, reverse,
     raise pickle.loads(payload[1:])
 
 
-def _stage_lexicon(config: PipelineConfig) -> None:
+def _stage_lexicon(config: PipelineConfig, inputs: RunInputs) -> None:
     seed = _seed_path(config)
     params = config.lexicon
-    train = functools.partial(train_lexicon, seed, iterations=params["iterations"],
+    train = functools.partial(train_lexicon, inputs.seed, iterations=params["iterations"],
                               prune_below=params["prune_below"])
     fwd_out, rev_out = config.path("lexicon.tsv"), config.path("lexicon.rev.tsv")
     counts, rev = _directions(config, "lexicon", lambda: train(fwd_out),
@@ -463,21 +517,21 @@ def _stage_lexicon(config: PipelineConfig) -> None:
     _write_manifest(config, "lexicon", params, [seed], outputs, counts)
 
 
-def _stage_classifier(config: PipelineConfig) -> None:
+def _stage_classifier(config: PipelineConfig, inputs: RunInputs) -> None:
     seed = _seed_path(config)
     params = config.classifier
+    lexicon = _require(config, config.path("lexicon.tsv"))
     train = functools.partial(
-        train_classifier, seed,
+        train_classifier, inputs.seed,
         neg_per_pos=params["neg_per_pos"], epochs=params["epochs"],
         learning_rate=params["learning_rate"], margin_reg=params["margin_reg"],
         seed_rng=params["seed"])
-    lexicon = _require(config, config.path("lexicon.tsv"))
     fwd_out, rev_out = config.path("classifier.json"), config.path("classifier.rev.json")
     counts, rev = _directions(
         config, "classifier",
-        lambda: train(lexicon, fwd_out, config.src_lang, config.tgt_lang),
-        lambda: train(_require(config, config.path("lexicon.rev.tsv")), rev_out,
-                      config.tgt_lang, config.src_lang, flip=True))
+        lambda: train(inputs.lexicon, fwd_out, config.src_lang, config.tgt_lang),
+        lambda: train(lexicon_mod.read_lexicon(_require(config, config.path("lexicon.rev.tsv"))),
+                      rev_out, config.tgt_lang, config.src_lang, flip=True))
     outputs = [fwd_out]
     if rev is not None:
         outputs.append(rev_out)
@@ -485,19 +539,28 @@ def _stage_classifier(config: PipelineConfig) -> None:
     _write_manifest(config, "classifier", params, [seed, lexicon], outputs, counts)
 
 
-def _stage_mine(config: PipelineConfig) -> None:
+def _stage_mine(config: PipelineConfig, inputs: RunInputs) -> None:
     params = config.mining
     store = _require(config, config.store_path())
-    run = functools.partial(mine, store, gap_cost=params["gap_cost"],
-                            threshold=params["threshold"])
     fwd_out, log = config.path("mined.fwd.tsv"), config.path("mine_log.jsonl")
     rev_out = config.path("mined.rev.tsv")
-    fwd_inputs = (_require(config, config.path("classifier.json")),
-                  _require(config, config.path("lexicon.tsv")))
+    fwd_model, fwd_lexicon = (_require(config, config.path("classifier.json")),
+                              _require(config, config.path("lexicon.tsv")))
+    # segmented here, so the reverse direction's child inherits the store
+    run = functools.partial(mine, inputs.store, gap_cost=params["gap_cost"],
+                            threshold=params["threshold"])
+
+    def reverse():
+        model, lexicon = (_require(config, config.path("classifier.rev.json")),
+                          _require(config, config.path("lexicon.rev.tsv")))
+        lex = lexicon_mod.read_lexicon(lexicon)
+        return run(load_model(model, lexicon, lex), lex, rev_out, flip=True)
+
     fwd, rev = _directions(
-        config, "mine", lambda: run(*fwd_inputs, fwd_out, log=log),
-        lambda: run(_require(config, config.path("classifier.rev.json")),
-                    _require(config, config.path("lexicon.rev.tsv")), rev_out, flip=True))
+        config, "mine",
+        lambda: run(load_model(fwd_model, fwd_lexicon, inputs.lexicon), inputs.lexicon,
+                    fwd_out, log=log),
+        reverse)
     outputs = [fwd_out, log]
     keys = ("mined", *_MINE_WORK)
     counts = {"articles": fwd["articles"], **{f"{key}_fwd": fwd[key] for key in keys}}
@@ -507,7 +570,7 @@ def _stage_mine(config: PipelineConfig) -> None:
     _write_manifest(config, "mine", params, [store], outputs, counts)
 
 
-def _stage_merge(config: PipelineConfig) -> None:
+def _stage_merge(config: PipelineConfig, inputs: RunInputs) -> None:
     fwd = _require(config, config.path("mined.fwd.tsv"))
     rev = (_require(config, config.path("mined.rev.tsv"))
            if config.mining["bidirectional"] else None)
@@ -517,19 +580,19 @@ def _stage_merge(config: PipelineConfig) -> None:
                     [out, stats], counts)
 
 
-def _stage_analogy(config: PipelineConfig) -> None:
+def _stage_analogy(config: PipelineConfig, inputs: RunInputs) -> None:
     params = config.analogy
     seed = _seed_path(config)
     store = _require(config, config.store_path())
-    lexicon = _require(config, config.path("lexicon.tsv"))
-    quads = analogy_find(seed, params["max_distance"], params["size_guard"])
+    _require(config, config.path("lexicon.tsv"))
+    quads = analogy_find(inputs.seed, params["max_distance"], params["size_guard"])
     models_path = config.path("analogy_models.jsonl")
-    models = analogy_models(quads, seed, models_path, params["check_target"])
+    models = analogy_models(quads, inputs.seed, models_path, params["check_target"])
     quasi_path = config.path("quasi.tsv")
     by_distance = Counter(quad.d_ab for quad in quads)
     counts = {"quadruples": len(quads), "models": len(models),
               "quadruples_by_distance": {str(d): n for d, n in sorted(by_distance.items())},
-              **analogy_generate(models, store, lexicon, quasi_path,
+              **analogy_generate(models, inputs.store, inputs.lexicon, quasi_path,
                                  params["allow_unknown"])}
     report_path = config.path("quasi_report.json")
     corpus_io.write_json(report_path, counts)
@@ -537,31 +600,30 @@ def _stage_analogy(config: PipelineConfig) -> None:
                     [models_path, quasi_path, report_path], counts)
 
 
-def _stage_filter(config: PipelineConfig) -> None:
+def _stage_filter(config: PipelineConfig, inputs: RunInputs) -> None:
     params = config.filter
     mined = _require(config, config.path("mined.tsv"))
     run = functools.partial(filter_bitext, min_chars=params["min_chars"],
-                            lexicon=_require(config, config.path("lexicon.tsv")),
-                            cascade=params["cascade"])
+                            lexicon=inputs.lexicon, cascade=params["cascade"])
     kept, report, rejected = (config.path(name) for name in
                               ("filtered.tsv", "filter_report.json", "rejected.tsv"))
     counts = run(mined, kept, report, rejected=rejected)
-    inputs, outputs = [mined], [kept, report, rejected]
+    filtered, outputs = [mined], [kept, report, rejected]
     quasi = config.path("quasi.tsv")
     if quasi.exists():
         q_kept = config.path("quasi_filtered.tsv")
         q_report = config.path("quasi_filter_report.json")
         counts["quasi"] = run(quasi, q_kept, q_report)
-        inputs.append(quasi)
+        filtered.append(quasi)
         outputs += [q_kept, q_report]
-    _write_manifest(config, "filter", params, inputs, outputs, counts)
+    _write_manifest(config, "filter", params, filtered, outputs, counts)
 
 
-def _stage_eval(config: PipelineConfig) -> None:
+def _stage_eval(config: PipelineConfig, inputs: RunInputs) -> None:
     from . import metrics
     params = config.eval
     filtered_path = _require(config, config.path("filtered.tsv"))
-    lex = lexicon_mod.read_lexicon(_require(config, config.path("lexicon.tsv")))
+    lex = inputs.lexicon
     test, _train = sample(filtered_path, params["segments"], params["per_segment"],
                           params["seed"])
     pairs = []
@@ -605,6 +667,10 @@ def run_pipeline(config: PipelineConfig, stages: list[str] | None) -> None:
     if stages is None and not any(config.ingest.values()):
         requested.remove("ingest")
     Path(config.workdir).mkdir(parents=True, exist_ok=True)
-    for stage in STAGES:
-        if stage in requested:
-            _STAGE_FUNCS[stage](config)
+    inputs = RunInputs(config)
+    requested = [stage for stage in STAGES if stage in requested]
+    for done, stage in enumerate(requested, 1):
+        _STAGE_FUNCS[stage](config, inputs)
+        for name, readers in _READERS.items():
+            if not readers.intersection(requested[done:]):
+                vars(inputs).pop(name, None)

@@ -10,7 +10,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from synthdata import make_articles, make_parallel, make_world  # noqa: E402
 
 from bimine.classifier import train_model
-from bimine.lexicon import train_lexicon
+from bimine.lexicon import seed_tokens, train_lexicon
 
 
 @pytest.fixture(autouse=True)
@@ -37,12 +37,12 @@ def small_seed_corpus(world):
 
 @pytest.fixture(scope="session")
 def small_lexicon(small_seed_corpus):
-    return train_lexicon(small_seed_corpus, iterations=6, prune_below=1e-4)
+    return train_lexicon(seed_tokens(small_seed_corpus), iterations=6, prune_below=1e-4)
 
 
 @pytest.fixture(scope="session")
 def small_model(small_seed_corpus, small_lexicon):
-    return train_model(small_seed_corpus, small_lexicon, ("pl", "en"), neg_per_pos=3,
+    return train_model(seed_tokens(small_seed_corpus), small_lexicon, ("pl", "en"), neg_per_pos=3,
                        epochs=12, learning_rate=0.1, margin_reg=1e-4, seed_rng=5)
 
 

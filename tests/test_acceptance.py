@@ -26,10 +26,10 @@ from bimine.analogy import (
 from bimine.classifier import train_model
 from bimine.corpus_io import BiSentence, BitextCorpus, write_bitext
 from bimine.filtering import CascadeConfig, filter_corpus, remove_trivial
-from bimine.lexicon import TranslationLexicon, train_lexicon
+from bimine.lexicon import TranslationLexicon, seed_tokens, train_lexicon
 from bimine.metrics import EvalPair, bleu, bootstrap_diff, meteor_lite, ter
 from bimine.metrics import _ter_edits
-from bimine.miner import OverlapStats, merge_bidirectional, mine_corpus
+from bimine.miner import OverlapStats, merge_bidirectional, mine_corpus, segment_articles
 
 from synthdata import (
     make_analogy_clusters,
@@ -53,8 +53,8 @@ def _report(number, text):
 def mining_fixture():
     world = make_world(seed=7)
     corpus = make_parallel(world, random.Random(1001), 5000)
-    lex = train_lexicon(corpus, iterations=10, prune_below=1e-4)
-    model = train_model(corpus, lex, ("pl", "en"), neg_per_pos=3, epochs=30,
+    lex = train_lexicon(seed_tokens(corpus), iterations=10, prune_below=1e-4)
+    model = train_model(seed_tokens(corpus), lex, ("pl", "en"), neg_per_pos=3, epochs=30,
                         learning_rate=0.1, margin_reg=1e-4, seed_rng=13)
     articles, truth = make_articles(
         world, random.Random(1002), corpus, n_articles=200,
@@ -110,7 +110,7 @@ def test_criterion_02_alignment_invariants():
 def test_criterion_03_synthetic_mining_end_to_end(mining_fixture):
     _world, _corpus, lex, model, articles, truth = mining_fixture
     started = time.time()
-    mined, log = mine_corpus(articles, model, lex, gap_cost=0.4, threshold=0.5)
+    mined, log = mine_corpus(segment_articles(articles), model, lex, gap_cost=0.4, threshold=0.5)
     elapsed = time.time() - started
     recovered = {(p.origin[0], p.origin[1], p.origin[2]) for p in mined.pairs}
     true_positives = len(recovered & truth)
@@ -132,7 +132,7 @@ _CRITERION_03_SHA256 = "8f6ea29d317b5f7ce6b0a0ff05d37af578d6d23fc5c0ce40a5fdbec4
 
 def test_criterion_03_mined_output_pinned_digest(mining_fixture):
     _world, _corpus, lex, model, articles, _truth = mining_fixture
-    mined, _ = mine_corpus(articles, model, lex, gap_cost=0.4, threshold=0.5)
+    mined, _ = mine_corpus(segment_articles(articles), model, lex, gap_cost=0.4, threshold=0.5)
     assert len(mined.pairs) == 3963
     blob = json.dumps([[p.src, p.tgt, p.score, list(p.origin)] for p in mined.pairs],
                       ensure_ascii=False)
@@ -330,15 +330,15 @@ def test_criterion_09_lexicon_em():
             idx = [rng.randrange(6) for _ in range(rng.randint(1, 5))]
             pairs.append(BiSentence(" ".join(src_vocab[i] for i in idx),
                                     " ".join(tgt_vocab[i] for i in idx)))
-        lex = train_lexicon(BitextCorpus(pairs), iterations=10, prune_below=1e-4)
+        lex = train_lexicon(seed_tokens(BitextCorpus(pairs)), iterations=10, prune_below=1e-4)
         lls = lex.iteration_log_likelihood
         assert len(lls) == 10
         for earlier, later in zip(lls, lls[1:]):
             assert later >= earlier - 1e-9
         for row in lex.entries.values():
             assert sum(p for _, p in row) == pytest.approx(1.0, abs=1e-9)
-    das = train_lexicon(BitextCorpus([BiSentence("das haus", "the house"),
-                                      BiSentence("das buch", "the book")]),
+    das = train_lexicon(seed_tokens(BitextCorpus([BiSentence("das haus", "the house"),
+                                      BiSentence("das buch", "the book")])),
                         iterations=10, prune_below=1e-4)
     assert das.entries["das"][0][0] == "the"
     _report(9, "EM log-likelihood non-decreasing on 100 random corpora; "
@@ -349,7 +349,8 @@ def test_criterion_10_determinism(mining_fixture, tmp_path):
     world, _corpus, lex, model, articles, _truth = mining_fixture
     blobs = []
     for run in (1, 2):
-        mined, _ = mine_corpus(articles[:60], model, lex, gap_cost=0.4, threshold=0.5)
+        mined, _ = mine_corpus(segment_articles(articles[:60]), model, lex, gap_cost=0.4,
+                               threshold=0.5)
         path = tmp_path / f"mined-{run}.tsv"
         write_bitext(path, mined)
         blobs.append(path.read_bytes())

@@ -25,7 +25,8 @@ from bimine.analogy import (
     write_quadruples,
 )
 from bimine.corpus_io import ArticlePair, BiSentence, BitextCorpus, Document, tokenize
-from bimine.lexicon import TranslationLexicon
+from bimine.lexicon import TranslationLexicon, seed_tokens
+from bimine.miner import segment_articles
 
 from synthdata import ANALOGY_TEMPLATES, make_analogy_clusters, make_world, template_pair
 
@@ -335,12 +336,12 @@ def test_size_guard(tmp_path):
     seed = tmp_path / "seed.tsv"
     seed.write_text("".join(f"zdanie {i}\tsentence {i}\n" for i in range(10)),
                     encoding="utf-8")
-    assert pipeline.analogy_find(seed, 4, 10) == []
+    assert pipeline.analogy_find(pipeline.read_seed(seed), 4, 10) == []
     with open(seed, "a", encoding="utf-8") as fh:
         fh.write("zdanie 10\tsentence 10\n")
     with pytest.raises(pipeline.PipelineError, match=r"^analogy search over 11 sentences "
                        r"exceeds the size guard \(10\); raise the guard to override$"):
-        pipeline.analogy_find(seed, 4, 10)
+        pipeline.analogy_find(pipeline.read_seed(seed), 4, 10)
 
 
 def test_duplicates_collapsed_before_search():
@@ -438,7 +439,7 @@ def test_models_from_quadruples(world):
     seed = BitextCorpus(pairs)
     quads = find_analogies([p.src.split() for p in pairs], 6)
     assert len(quads) == 1
-    models = models_from_quadruples(quads, seed, check_target_side=False)
+    models = models_from_quadruples(quads, seed_tokens(seed), check_target_side=False)
     assert models
     for model in models:
         for src_tokens, tgt_tokens in model.support:
@@ -472,7 +473,7 @@ def test_models_from_quadruples_extracts_each_pair_once(world, monkeypatch):
         return extract_rewriting_model(pair1, pair2)
 
     monkeypatch.setattr(analogy, "extract_rewriting_model", counted)
-    models = models_from_quadruples(quads, seed, check_target_side=False)
+    models = models_from_quadruples(quads, seed_tokens(seed), check_target_side=False)
     assert len(calls) == len(set(sides))
     assert models == list(unskipped.values()) != []
 
@@ -489,8 +490,8 @@ def test_target_side_check_filters_quadruples(world):
     seed_ok = BitextCorpus(pairs)
     seed_broken = BitextCorpus(broken)
     quads = find_analogies([p.src.split() for p in pairs], 6)
-    assert models_from_quadruples(quads, seed_ok, check_target_side=True)
-    assert models_from_quadruples(quads, seed_broken, check_target_side=True) == []
+    assert models_from_quadruples(quads, seed_tokens(seed_ok), check_target_side=True)
+    assert models_from_quadruples(quads, seed_tokens(seed_broken), check_target_side=True) == []
 
 
 def test_single_template_distinct_slots_rejected(world):
@@ -529,7 +530,7 @@ def test_generate_corpus_planted_matches(world):
             Document("en", f"a{article_id}", "Nothing relevant here.")))
         planted = 7
 
-    quasi = generate_corpus(models, articles, lex, allow_unknown=False)
+    quasi = generate_corpus(models, segment_articles(articles), lex, allow_unknown=False)
     assert len(quasi.entries) == planted
 
     # direct scan oracle: every sentence against every model
@@ -553,7 +554,7 @@ def test_generate_corpus_confirmed_flag(world):
         0,
         Document("pl", "a", " ".join(src_tokens).capitalize()),
         Document("en", "a", " ".join(tgt_tokens).capitalize()))
-    quasi = generate_corpus([model], [article], lex, allow_unknown=False)
+    quasi = generate_corpus([model], segment_articles([article]), lex, allow_unknown=False)
     assert len(quasi.entries) == 1
     assert quasi.entries[0].confirmed
     assert quasi.report() == {"generated": 1, "confirmed": 1}
@@ -564,14 +565,15 @@ def test_generate_no_matches_empty(world):
     models = [extract_rewriting_model(*clusters[0])]
     article = ArticlePair(0, Document("pl", "a", "Zupa pomidorowa dobra."),
                           Document("en", "a", "Tomato soup is good."))
-    quasi = generate_corpus(models, [article], lex, allow_unknown=False)
+    quasi = generate_corpus(models, segment_articles([article]), lex, allow_unknown=False)
     assert quasi.entries == []
 
 
 def test_generate_without_models_is_empty():
     article = ArticlePair(0, Document("pl", "a", "Zupa pomidorowa dobra."),
                           Document("en", "a", "Tomato soup is good."))
-    quasi = generate_corpus([], [article], TranslationLexicon(entries={}), allow_unknown=False)
+    quasi = generate_corpus([], segment_articles([article]), TranslationLexicon(entries={}),
+                            allow_unknown=False)
     assert quasi.entries == []
     assert quasi.report() == {"generated": 0, "confirmed": 0}
 

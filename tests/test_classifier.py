@@ -21,7 +21,7 @@ from bimine.classifier import (
     train_model,
 )
 from bimine.corpus_io import BiSentence, BitextCorpus
-from bimine.lexicon import TranslationLexicon
+from bimine.lexicon import TranslationLexicon, seed_tokens
 
 
 def _lex(mapping):
@@ -346,7 +346,7 @@ def _perceptron_separable(examples, epochs=200):
 
 def test_train_accuracy_on_separable_fixture():
     corpus, lex = _separable_corpus()
-    model = train_model(corpus, lex, ("pl", "en"), neg_per_pos=3, epochs=15,
+    model = train_model(seed_tokens(corpus), lex, ("pl", "en"), neg_per_pos=3, epochs=15,
                         learning_rate=0.1, margin_reg=1e-4, seed_rng=7)
     rng = random.Random(7)
     examples = []
@@ -366,9 +366,9 @@ def test_train_accuracy_on_separable_fixture():
 
 def test_train_deterministic():
     corpus, lex = _separable_corpus()
-    m1 = train_model(corpus, lex, ("pl", "en"), neg_per_pos=3, epochs=5,
+    m1 = train_model(seed_tokens(corpus), lex, ("pl", "en"), neg_per_pos=3, epochs=5,
                      learning_rate=0.1, margin_reg=1e-4, seed_rng=3)
-    m2 = train_model(corpus, lex, ("pl", "en"), neg_per_pos=3, epochs=5,
+    m2 = train_model(seed_tokens(corpus), lex, ("pl", "en"), neg_per_pos=3, epochs=5,
                      learning_rate=0.1, margin_reg=1e-4, seed_rng=3)
     assert m1.weights == m2.weights
     assert m1.bias == m2.bias
@@ -455,14 +455,14 @@ def test_seeded_model_weights_pinned(small_model):
 def test_train_neg_per_pos_zero_error():
     corpus, lex = _separable_corpus()
     with pytest.raises(ValueError):
-        train_model(corpus, lex, ("pl", "en"), neg_per_pos=0, epochs=30,
+        train_model(seed_tokens(corpus), lex, ("pl", "en"), neg_per_pos=0, epochs=30,
                     learning_rate=0.1, margin_reg=1e-4, seed_rng=0)
 
 
 def test_train_minimum_corpus_size():
     corpus, lex = _separable_corpus(n=50)
     with pytest.raises(ValueError, match="100"):
-        train_model(corpus, lex, ("pl", "en"), neg_per_pos=3, epochs=30,
+        train_model(seed_tokens(corpus), lex, ("pl", "en"), neg_per_pos=3, epochs=30,
                     learning_rate=0.1, margin_reg=1e-4, seed_rng=0)
 
 

@@ -741,6 +741,68 @@ def test_reverse_direction_same_bytes_without_fork(world, tmp_path, monkeypatch,
     assert _directory_bytes(workdir) == forked
 
 
+@pytest.mark.parametrize("fork", [True, False], ids=["fork", "no-fork"])
+def test_stage_at_a_time_equals_one_full_run(world, tmp_path, monkeypatch, two_cpus, fork):
+    # a run keeps what it loads for its own stages only: a stage run on its
+    # own loads what the earlier runs wrote, and within one run no stage
+    # reads a copy that a later write made stale
+    if not fork:
+        monkeypatch.delattr(pipeline.os, "fork")
+    config_path, workdir = _pipeline_config(tmp_path, world)
+    assert main(["pipeline", "--config", str(config_path)]) == 0
+    doc = json.loads(config_path.read_text(encoding="utf-8"))
+    doc["workdir"] = str(tmp_path / "staged")
+    staged = tmp_path / "staged.json"
+    staged.write_text(json.dumps(doc), encoding="utf-8")
+    for stage in pipeline.STAGES:
+        assert main(["pipeline", "--config", str(staged), "--stages", stage]) == 0
+    assert _directory_bytes(tmp_path / "staged") == _directory_bytes(workdir)
+
+
+def test_a_run_loads_each_input_once(world, tmp_path, monkeypatch):
+    # the stages and both directions share one tokenized seed, one forward
+    # lexicon and one segmented store; only the reverse lexicon is read by
+    # each step that needs it
+    from bimine import analogy, corpus_io, lexicon
+    config_path, workdir = _pipeline_config(tmp_path, world)
+    seed = json.loads(config_path.read_text(encoding="utf-8"))["seed_corpus"]
+    monkeypatch.delattr(pipeline.os, "fork")
+    seen = {"seed": 0, "lexicon.tsv": 0, "lexicon.rev.tsv": 0, "segmented": 0,
+            "segmented_in_generate": 0}
+    generating = []
+
+    def count(module, name, key):
+        real = getattr(module, name)
+
+        def counted(path, *args, **kwargs):
+            if key(path) in seen:
+                seen[key(path)] += 1
+                if generating and key(path) == "segmented":
+                    seen["segmented_in_generate"] += 1
+            return real(path, *args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    def generate(*args, **kwargs):
+        generating.append(True)
+        try:
+            return real_generate(*args, **kwargs)
+        finally:
+            generating.pop()
+
+    count(corpus_io, "read_bitext", lambda path: "seed" if str(path) == seed else None)
+    count(lexicon, "read_lexicon", lambda path: Path(path).name)
+    for module in (miner, analogy, corpus_io):
+        count(module, "segment_sentences", lambda body: "segmented")
+    real_generate = analogy.generate_corpus
+    monkeypatch.setattr(analogy, "generate_corpus", generate)
+    assert main(["pipeline", "--config", str(config_path)]) == 0
+    articles = json.loads((workdir / "manifest.ingest.json").read_text(
+        encoding="utf-8"))["counts"]["article_pairs"]
+    assert articles > 0
+    assert seen == {"seed": 1, "lexicon.tsv": 1, "lexicon.rev.tsv": 2,
+                    "segmented": 2 * articles, "segmented_in_generate": 0}
+
+
 @pytest.mark.parametrize("cpus", [{0, 1}, {0}], ids=["two-cpus", "one-cpu"])
 def test_bidirectional_stages_run_the_reverse_in_a_child(world, tmp_path, monkeypatch, cpus):
     # the reverse direction runs in a child only where a second CPU can take it
@@ -1088,7 +1150,7 @@ def test_pipeline_runs_ingest_only_when_an_ingest_path_is_set(tmp_path, monkeypa
     ran = []
     for stage in pipeline.STAGES:
         monkeypatch.setitem(pipeline._STAGE_FUNCS, stage,
-                            lambda config, stage=stage: ran.append(stage))
+                            lambda config, inputs, stage=stage: ran.append(stage))
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"workdir": str(tmp_path / "out")}), encoding="utf-8")
     run_pipeline(PipelineConfig.from_json(path), stages=None)

@@ -345,6 +345,16 @@ def test_cascade_config_file(tmp_path):
     assert config.stem_rules == [("s", "")]
 
 
+def test_cascade_config_merges_synonyms_of_words_that_differ_in_case(tmp_path):
+    # the keys were lowercased into a dict, so the last list silently won
+    path = tmp_path / "cascade.json"
+    path.write_text('{"synonyms": {"Big": ["large"], "big": ["huge"]}}', encoding="utf-8")
+    config = read_cascade_config(path)
+    assert config.synonyms == {"big": frozenset({"large", "huge"})}
+    for other in ("large", "huge"):
+        assert similarity_synonym(["big", "car"], [other, "car"], config) == 1.0
+
+
 def test_cascade_config_errors_name_the_file(tmp_path):
     path = tmp_path / "cascade.json"
     for text, detail in (('{"stages": [{"accept": 0.9, "reject": 0.1}]}', "missing field 'fn'"),

@@ -13,6 +13,7 @@ from bimine.lexicon import (
     TranslationLexicon,
     gloss_translate,
     read_lexicon,
+    seed_tokens,
     train_lexicon,
     write_lexicon,
 )
@@ -60,17 +61,22 @@ def _tokenized(corpus):
     return [(p.src.lower().split(), p.tgt.lower().split()) for p in corpus.pairs]
 
 
+def _seed(*pairs):
+    """The tokenized seed of the (source, target) text pairs."""
+    return seed_tokens(BitextCorpus([BiSentence(src, tgt) for src, tgt in pairs]))
+
+
 # ---------------------------------------------------------------------------
 
 def test_single_cooccurrence_forces_certainty():
-    lex = train_lexicon(BitextCorpus([BiSentence("a", "x")]), iterations=10, prune_below=1e-4)
+    lex = train_lexicon(_seed(("a", "x")), iterations=10, prune_below=1e-4)
     assert lex.entries["a"] == [("x", 1.0)]
 
 
 def test_das_haus_argmax():
     seed = BitextCorpus([BiSentence("das haus", "the house"),
                          BiSentence("das buch", "the book")])
-    lex = train_lexicon(seed, iterations=10, prune_below=1e-4)
+    lex = train_lexicon(seed_tokens(seed), iterations=10, prune_below=1e-4)
     assert lex.entries["das"][0][0] == "the"
 
 
@@ -83,7 +89,7 @@ def test_em_matches_naive_oracle():
         BiSentence("das haus ist klein", "the house is small"),
     ])
     iterations = 7
-    lex = train_lexicon(seed, iterations=iterations, prune_below=0.0)
+    lex = train_lexicon(seed_tokens(seed), iterations=iterations, prune_below=0.0)
     oracle = naive_em(_tokenized(seed), iterations)
     for s, row in lex.entries.items():
         for t, p in row:
@@ -97,7 +103,7 @@ def dict_rows_em(seed, iterations):
     """The earlier EM loop, which kept the table, the counts and the totals
     in dicts keyed by token; returns the table handed to ``_finalize`` and
     the log-likelihood of each round."""
-    pairs = list(lexicon.token_pairs(seed))
+    pairs = list(lexicon.token_pairs(lexicon.seed_tokens(seed)))
     cooc = {}
     for src, tgt in pairs:
         for s in src:
@@ -160,7 +166,7 @@ def test_em_equals_dict_rows_loop_bit_for_bit(sides, iterations, prune_below):
         return real_finalize(table, *args)
 
     with mock.patch.object(lexicon, "_finalize", spy):
-        lex = train_lexicon(corpus, iterations, prune_below)
+        lex = train_lexicon(seed_tokens(corpus), iterations, prune_below)
     table, likelihoods = dict_rows_em(corpus, iterations)
     assert [x.hex() for x in lex.iteration_log_likelihood] == [x.hex() for x in likelihoods]
     assert _hex_rows(handed[0]) == _hex_rows(table)
@@ -178,7 +184,7 @@ def test_seeded_log_likelihoods_pinned(small_lexicon):
 
 def test_zero_iterations_error():
     with pytest.raises(ValueError):
-        train_lexicon(BitextCorpus([BiSentence("a", "x")]), iterations=0, prune_below=1e-4)
+        train_lexicon(_seed(("a", "x")), iterations=0, prune_below=1e-4)
 
 
 @pytest.mark.parametrize("prune_below", [math.nan, -0.1, 1.5])
@@ -186,17 +192,17 @@ def test_prune_below_outside_zero_one_is_refused(prune_below):
     # no probability is >= nan: every row would keep only its best entry
     with pytest.raises(ValueError, match=rf"^prune_below must be in \[0, 1\], "
                                          rf"got {prune_below}$"):
-        train_lexicon(BitextCorpus([BiSentence("a", "x")]), prune_below=prune_below, iterations=10)
+        train_lexicon(_seed(("a", "x")), prune_below=prune_below, iterations=10)
 
 
 def test_empty_corpus_error():
     with pytest.raises(ValueError):
-        train_lexicon(BitextCorpus([]), iterations=10, prune_below=1e-4)
+        train_lexicon(_seed(), iterations=10, prune_below=1e-4)
 
 
 def test_side_without_tokens_error():
     with pytest.raises(ValueError):
-        train_lexicon(BitextCorpus([BiSentence("a", "")]), iterations=10, prune_below=1e-4)
+        train_lexicon(_seed(("a", "")), iterations=10, prune_below=1e-4)
 
 
 def _random_corpus(rng, n_pairs):
@@ -215,7 +221,7 @@ def test_log_likelihood_nondecreasing_on_random_corpora():
     rng = random.Random(17)
     for _ in range(25):
         corpus = _random_corpus(rng, rng.randint(3, 12))
-        lex = train_lexicon(corpus, iterations=8, prune_below=1e-4)
+        lex = train_lexicon(seed_tokens(corpus), iterations=8, prune_below=1e-4)
         lls = lex.iteration_log_likelihood
         assert len(lls) == 8
         for earlier, later in zip(lls, lls[1:]):
@@ -226,7 +232,7 @@ def test_rows_normalized_after_pruning():
     rng = random.Random(31)
     for _ in range(10):
         corpus = _random_corpus(rng, rng.randint(5, 15))
-        lex = train_lexicon(corpus, iterations=5, prune_below=1e-2)
+        lex = train_lexicon(seed_tokens(corpus), iterations=5, prune_below=1e-2)
         for s, row in lex.entries.items():
             mass = sum(p for _, p in row)
             assert mass == pytest.approx(1.0, abs=1e-9)
@@ -235,17 +241,17 @@ def test_rows_normalized_after_pruning():
 
 
 def test_entries_hold_best_translation_first():
-    lex = train_lexicon(BitextCorpus([BiSentence("a", "x")]), iterations=10, prune_below=1e-4)
+    lex = train_lexicon(_seed(("a", "x")), iterations=10, prune_below=1e-4)
     assert lex.entries["a"][:1] == [("x", 1.0)]
 
 
 def test_entries_omit_unseen_source_word():
-    lex = train_lexicon(BitextCorpus([BiSentence("a", "x")]), iterations=10, prune_below=1e-4)
+    lex = train_lexicon(_seed(("a", "x")), iterations=10, prune_below=1e-4)
     assert "qq" not in lex.entries
 
 
 def test_entries_row_holds_every_cooccurring_target():
-    lex = train_lexicon(BitextCorpus([BiSentence("a b", "x y")]), iterations=10, prune_below=1e-4)
+    lex = train_lexicon(_seed(("a b", "x y")), iterations=10, prune_below=1e-4)
     assert len(lex.entries["a"]) == 2
 
 
@@ -272,7 +278,7 @@ def test_gloss_passthrough_punctuation_and_digits():
 
 def test_gloss_length_preserving():
     rng = random.Random(3)
-    lex = train_lexicon(_random_corpus(rng, 10), iterations=10, prune_below=1e-4)
+    lex = train_lexicon(seed_tokens(_random_corpus(rng, 10)), iterations=10, prune_below=1e-4)
     for _ in range(20):
         tokens = [rng.choice(["ka", "to", "qq", ".", "7"])
                   for _ in range(rng.randint(0, 8))]
@@ -332,7 +338,7 @@ def test_written_fixture_lexicon_loads(tmp_path, small_lexicon):
        st.sampled_from([0.0, 1e-4, 0.3, 1.0]))
 def test_every_trained_lexicon_loads_after_writing(tmp_path_factory, sides, iterations,
                                                    prune_below):
-    lex = train_lexicon(BitextCorpus([BiSentence(" ".join(s), " ".join(t)) for s, t in sides]),
+    lex = train_lexicon(_seed(*((" ".join(s), " ".join(t)) for s, t in sides)),
                         iterations, prune_below)
     path = tmp_path_factory.mktemp("lex") / "lex.tsv"
     write_lexicon(path, lex)

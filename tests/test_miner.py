@@ -16,7 +16,8 @@ from bimine.corpus_io import (
     write_bitext,
 )
 from bimine.lexicon import read_lexicon
-from bimine.miner import OverlapStats, merge_bidirectional, mine_corpus, mine_pair
+from bimine.miner import (OverlapStats, merge_bidirectional, mine_corpus, mine_pair,
+                          segment_articles)
 from bimine.pipeline import PipelineConfig, run_pipeline
 
 
@@ -144,7 +145,7 @@ def test_match_filter_passes_few_cells_beyond_the_floor(small_model, small_lexic
 def test_mine_corpus_ordered_by_article_id(small_model, small_lexicon,
                                            small_articles):
     articles, _ = small_articles
-    corpus, log = mine_corpus(reversed(articles), small_model, small_lexicon,
+    corpus, log = mine_corpus(segment_articles(reversed(articles)), small_model, small_lexicon,
                               gap_cost=0.4, threshold=0.5)
     ids = [bs.origin[0] for bs in corpus.pairs]
     assert ids == sorted(ids)
@@ -164,7 +165,7 @@ def test_mine_corpus_logs_work_counts(small_model, small_lexicon, small_articles
 
     monkeypatch.setattr(miner_mod, "similarity", counting)
     articles, _ = small_articles
-    _, log = mine_corpus(articles[:10], small_model, small_lexicon,
+    _, log = mine_corpus(segment_articles(articles[:10]), small_model, small_lexicon,
                          gap_cost=0.4, threshold=0.5)
     for entry, pair in zip(log, articles):
         n = len(segment_sentences(pair.src.body))
@@ -195,10 +196,10 @@ def test_mine_corpus_same_output_without_the_match_filter(small_model, small_lex
     # five unrelated pairs, each source against the next article's target
     articles = articles + [ArticlePair(len(articles) + k, articles[k].src,
                                        articles[k + 1].tgt) for k in range(5)]
-    pruned_corpus, pruned_log = mine_corpus(articles, small_model, small_lexicon,
+    pruned_corpus, pruned_log = mine_corpus(segment_articles(articles), small_model, small_lexicon,
                                             gap_cost=0.4, threshold=0.5)
     monkeypatch.setattr(miner_mod, "match_filter", lambda *args: None)
-    full_corpus, full_log = mine_corpus(articles, small_model, small_lexicon,
+    full_corpus, full_log = mine_corpus(segment_articles(articles), small_model, small_lexicon,
                                         gap_cost=0.4, threshold=0.5)
     assert pruned_corpus == full_corpus
 
@@ -236,7 +237,8 @@ def test_stage_mines_the_reverse_as_mine_corpus_on_flipped_pairs(small_seed_corp
     lexicon = read_lexicon(workdir / "lexicon.rev.tsv")
     flipped = [ArticlePair(p.id, p.tgt, p.src) for p in read_article_store(store)]
     assert config.mining["threshold"] == 0.5
-    corpus, _ = mine_corpus(flipped, model, lexicon, gap_cost=config.mining["gap_cost"],
+    corpus, _ = mine_corpus(segment_articles(flipped), model, lexicon,
+                            gap_cost=config.mining["gap_cost"],
                             threshold=config.mining["threshold"])
     assert corpus.pairs and model.direction == ("en", "pl")
     write_bitext(tmp_path / "expected.tsv", corpus)
@@ -258,7 +260,8 @@ def test_mine_corpus_euronews_scale(world, small_model, small_lexicon):
     corpus = make_parallel(world, rng, 4498 * 3)
     articles, _ = make_articles(world, rng, corpus, n_articles=4498,
                                 sentences_per_article=3)
-    _, log = mine_corpus(articles, small_model, small_lexicon, gap_cost=0.4, threshold=0.5)
+    _, log = mine_corpus(segment_articles(articles), small_model, small_lexicon, gap_cost=0.4,
+                         threshold=0.5)
     assert len(log) == 4498
     assert [entry["article_id"] for entry in log] == list(range(4498))
 

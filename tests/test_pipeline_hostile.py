@@ -148,3 +148,28 @@ def test_pipeline_on_hostile_dumps(world, trained, data):
         assert _run(root, trained, (src_dump, tgt_dump), links, ascii_only) == first
         patch.delattr(pipeline.os, "fork")
         assert _run(root, trained, (src_dump, tgt_dump), links, ascii_only) == first
+
+
+# about 100 KB of unclosed reference and comment openers, which the cleaner
+# used to rescan to the end of the text from each one, and templates nested
+# 300 deep, which it peels one level per pass
+HUGE = {"unclosed-ref": "<ref>x" * 17_000, "unclosed-comment": "<!--x" * 20_000,
+        "nested-templates": "{{a " * 300 + "}}" * 300}
+
+
+@pytest.mark.parametrize("piece", list(HUGE.values()), ids=list(HUGE))
+def test_pipeline_on_huge_markup(world, trained, tmp_path, piece):
+    rng = random.Random(5)
+    pairs = make_parallel(world, rng, 12).pairs
+    src = " ".join(p.src for p in pairs[:6]) + piece + " ".join(p.src for p in pairs[6:])
+    tgt = " ".join(p.tgt for p in pairs[:6]) + piece + " ".join(p.tgt for p in pairs[6:])
+    dumps = ([{"title": "Kot", "text": src}], [{"title": "en-Kot", "text": tgt}])
+    first = _run(tmp_path, trained, dumps, [("Kot", "en-Kot")], False)
+    code, err, artifacts, paths = first
+    errors = [line for line in err.split("\n") if line.startswith("error:")]
+    if code == 0:
+        assert errors == [] and "eval_report.json" in artifacts
+    else:
+        named = [*paths.values(), *(tmp_path / "out" / name for name in artifacts)]
+        assert code == 1 and len(errors) == 1 and any(str(p) in errors[0] for p in named), err
+    assert _run(tmp_path, trained, dumps, [("Kot", "en-Kot")], False) == first
