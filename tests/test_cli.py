@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import random
@@ -6,6 +8,7 @@ import shutil
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bimine import cli, metrics, miner, pipeline
 from bimine.cli import main
@@ -538,6 +541,41 @@ def test_eval_names_the_empty_hypothesis_file(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.err == f"error: hypothesis file {hyp} is empty: no segment to score\n"
     assert captured.out == ""
+
+
+# lines with no letter or digit: combining marks alone, Unicode line and
+# paragraph separators, no-break, zero-width and ideographic spaces, a byte
+# order mark and NEL, or nothing at all
+_UNICODE_LINE = st.text(st.sampled_from(
+    ["\u0301", "\u0308", "\u2028", "\u2029", "\u00a0", "\u200b", "\u3000", "\ufeff",
+     "\x85", " "]), max_size=6)
+# three files of as many such lines
+_UNICODE_FILES = st.integers(0, 4).flatmap(lambda n: st.tuples(
+    *[st.lists(_UNICODE_LINE, min_size=n, max_size=n).map("\n".join)] * 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_UNICODE_FILES)
+def test_eval_on_unicode_only_files(tmp_path_factory, texts):
+    # every metric, both commands: a score, or one error line naming a file
+    root = tmp_path_factory.mktemp("eval")
+    files = {name: root / f"{name}.txt" for name in ("hyp_a", "hyp_b", "ref")}
+    for path, text in zip(files.values(), texts):
+        path.write_text(text, encoding="utf-8", newline="")
+    hyp_a, hyp_b, ref = (str(path) for path in files.values())
+    for metric in pipeline.METRICS:
+        for argv in (["eval", "score", "--hyp", hyp_a, "--ref", ref],
+                     ["eval", "compare", "--hyp-a", hyp_a, "--hyp-b", hyp_b, "--ref", ref,
+                      "--resamples", "3"]):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main([*argv, "--metric", metric])
+            lines = err.getvalue().splitlines()
+            if code == 0:
+                assert lines == [], (argv, metric)
+            else:
+                assert code == 1 and len(lines) == 1 and lines[0].startswith("error: "), lines
+                assert any(path in lines[0] for path in (hyp_a, hyp_b, ref)), lines
 
 
 def test_sample_names_the_corpus_too_small_to_sample(tmp_path, capsys):

@@ -28,8 +28,7 @@ from bimine.corpus_io import (
     write_article_store,
     write_bitext,
 )
-from bimine.corpus_io import (_CLEAN_STEPS, _ENTITIES, ArticlePair, Document, _flatten,
-                              normalize_space)
+from bimine.corpus_io import ArticlePair, Document, _flatten
 from bimine.lexicon import read_lexicon
 
 
@@ -181,17 +180,37 @@ def test_clean_idempotent_on_fixture():
         assert clean_document(once) == once
 
 
-def _clean_whole_text(raw):
-    """clean_document with every pattern applied to the whole text, as it
-    was before comment and reference blocks were cut at their last closer."""
+# The cleaner before the bracket scan, kept as the oracle: each rule applied
+# to the whole text in this order, innermost table and template first, and
+# the passes repeated to a fixpoint.  A pass peels one nesting level, so the
+# oracle is quadratic in the depth: small inputs only.
+_ORACLE_STEPS = [
+    (re.compile(r"<!--.*?-->", re.DOTALL), " "),
+    (re.compile(r"<ref[^<>]*/>", re.IGNORECASE), " "),
+    (re.compile(r"<ref[^<>]*>.*?</ref>", re.IGNORECASE | re.DOTALL), " "),
+    (re.compile(r"\{\|(?:(?!\{\|).)*?\|\}", re.DOTALL), " "),
+    (re.compile(r"\{\{(?:(?!\{\{).)*?\}\}", re.DOTALL), " "),
+    (re.compile(r"\[\[(?:file|image|plik|grafika):(?:(?!\[\[).)*?\]\]",
+                re.IGNORECASE | re.DOTALL), " "),
+    (re.compile(r"\[\[[^\[\]|]*\|([^\[\]]*)\]\]"), r"\1"),
+    (re.compile(r"\[\[([^\[\]]*)\]\]"), r"\1"),
+    (re.compile(r"'{2,}"), " "),
+    (re.compile(r"^=+ *(.*?) *=+ *$", re.MULTILINE), r"\1"),
+    (re.compile(r"<[^<>]+>"), " "),
+]
+_ORACLE_ENTITIES = [("&nbsp;", " "), ("&quot;", '"'), ("&#39;", "'"), ("&lt;", "<"),
+                    ("&gt;", ">"), ("&amp;", "&")]
+
+
+def oracle_clean(raw):
     text = raw
     while True:
         prev = text
-        for pattern, repl, _closed in _CLEAN_STEPS:
+        for pattern, repl in _ORACLE_STEPS:
             text = pattern.sub(repl, text)
-        for entity, char in _ENTITIES:
+        for entity, char in _ORACLE_ENTITIES:
             text = text.replace(entity, char)
-        text = normalize_space(text)
+        text = re.sub(r"\s+", " ", text).strip()
         if text == prev:
             return text
 
@@ -210,7 +229,7 @@ _MARKUP_PIECES = st.sampled_from([
 @example("<ref name=x/> a </ref> <!--")
 @given(st.lists(_MARKUP_PIECES, max_size=30).map("".join))
 def test_clean_equals_the_whole_text_loop(text):
-    assert clean_document(text) == _clean_whole_text(text)
+    assert clean_document(text) == oracle_clean(text)
 
 
 @pytest.mark.parametrize("opener", ["<ref>x", "<!--x"])
@@ -228,6 +247,94 @@ def test_clean_unclosed_openers_in_linear_time(opener):
     # without its closer is text
     assert run.stdout == (" ".join(["x"] * 100_000) if opener == "<ref>x"
                           else opener * 100_000)
+
+
+# Well-nested markup: templates, tables, file links, wiki links, references,
+# comments, bold runs and tags nest in one another, with headings between
+# them and plain entities at the leaves.
+_WORD = st.sampled_from(["alfa", "Beta", "gamma", "zeta", "wiki", "Kraków", "İzmir"])
+_WORDS = st.lists(_WORD, min_size=1, max_size=3).map(" ".join)
+_LEAF = st.one_of(
+    _WORDS,
+    _WORD.map(lambda w: f"'''{w}'''"),
+    _WORD.map(lambda w: f"''{w}''"),
+    _WORD.map(lambda w: f"[[{w}]]"),
+    st.tuples(_WORD, _WORDS).map(lambda p: f"[[{p[0]}|{p[1]}]]"),
+    st.sampled_from(["&amp;", "&quot;", "&nbsp;", "&lt;", "&gt;", "<br />", '<ref name="n" />']),
+)
+
+
+# what a reference or comment holds: it ends at its first closer, so neither
+# nests in itself
+_OPAQUE = st.lists(st.one_of(_LEAF, _WORDS.map(lambda w: f"{{{{cite | {w} }}}}")),
+                   min_size=1, max_size=3).map(" ".join)
+
+
+def _nested(inner):
+    body = st.lists(inner, min_size=1, max_size=3).map(" ".join)
+    return st.one_of(
+        st.tuples(_WORD, body).map(lambda p: f"{{{{{p[0]} | {p[1]} }}}}"),
+        st.tuples(body, _WORD).map(
+            lambda p: f'\n{{| class="wikitable"\n|-\n| {p[0]} || {p[1]}\n|}}\n'),
+        st.tuples(_WORD, body).map(lambda p: f"[[File:{p[0]}.png|thumb|{p[1]}]]"),
+        st.tuples(_WORD, body).map(lambda p: f"[[{p[0]}|{p[1]}]]"),
+        _OPAQUE.map(lambda b: f"<ref>{b}</ref>"),
+        _OPAQUE.map(lambda b: f"<!-- {b} -->"),
+        body.map(lambda b: f"<b>{b}</b>"),
+        body.map(lambda b: f'<span class="x">{b}</span>'),
+        body.map(lambda b: f"'''{b}'''"),
+    )
+
+
+_WELL_NESTED = st.lists(
+    st.one_of(st.recursive(_LEAF, _nested, max_leaves=12),
+              _WORDS.map(lambda h: f"\n== {h} ==\n")),
+    max_size=8).map(" ".join)
+
+
+@settings(max_examples=300)
+@example("x " + "{{a " * 20 + "}}" * 20 + " y")
+@example("[[a|[[b|c]]]] [[File:x.png|thumb|[[d|e]]]]")
+@example("<b>{{a | {{b | c }} }}</b> [[File:x.png|thumb|{| d |}]]")
+@given(_WELL_NESTED)
+def test_clean_equals_the_oracle_on_well_nested_markup(text):
+    assert clean_document(text) == oracle_clean(text)
+
+
+@settings(max_examples=200)
+@given(_WELL_NESTED)
+def test_clean_leaves_no_block_or_link_bracket_of_well_nested_markup(text):
+    cleaned = clean_document(text)
+    assert [mark for mark in ("{{", "}}", "{|", "|}", "[[", "]]") if mark in cleaned] == []
+
+
+_DEEP = 50_000
+_DEEP_MARKUP = {
+    "templates": ("x " + "{{a " * _DEEP + "}}" * _DEEP + " y", "x y"),
+    "tables": ("x " + "{|a " * _DEEP + "|}" * _DEEP + " y", "x y"),
+    # the old loop left the text of every second level of file links nested
+    # in one another: its plain-link step read the level its file-link step
+    # had just bared
+    "file-links": ("x " + "[[File:a " * _DEEP + "]]" * _DEEP + " y", "x File:a y"),
+    "mixed": ("x " + "{{a {|b [[File:c " * (_DEEP // 3) + "]] |} }}" * (_DEEP // 3) + " y",
+              "x y"),
+    "entity-chain": ("x &" + "amp;" * _DEEP + "lt; y", "x < y"),
+}
+
+
+@pytest.mark.parametrize("raw, cleaned", list(_DEEP_MARKUP.values()), ids=list(_DEEP_MARKUP))
+def test_clean_deep_nesting_in_linear_time(raw, cleaned):
+    # in a child process with a timeout: the old loop removed one nesting
+    # level, or decoded one "&amp;", per pass over the whole text, which took
+    # hours at this depth
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from bimine.corpus_io import clean_document; "
+            "sys.stdout.write(clean_document(sys.stdin.read()))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run([sys.executable, "-c", code, str(src)], input=raw,
+                         capture_output=True, text=True, check=True, timeout=30)
+    assert run.stdout == cleaned
+
 
 
 # ---------------------------------------------------------------------------

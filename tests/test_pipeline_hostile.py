@@ -151,10 +151,13 @@ def test_pipeline_on_hostile_dumps(world, trained, data):
 
 
 # about 100 KB of unclosed reference and comment openers, which the cleaner
-# used to rescan to the end of the text from each one, and templates nested
-# 300 deep, which it peels one level per pass
+# used to rescan to the end of the text from each one, and templates, file
+# links and tables nested 20 000 deep, which it used to peel one level per
+# pass over the whole text
 HUGE = {"unclosed-ref": "<ref>x" * 17_000, "unclosed-comment": "<!--x" * 20_000,
-        "nested-templates": "{{a " * 300 + "}}" * 300}
+        "nested-templates": "{{a " * 20_000 + "}}" * 20_000,
+        "nested-file-links": "[[File:a.png|" * 20_000 + "]]" * 20_000,
+        "nested-tables": "{| a " * 20_000 + "|}" * 20_000}
 
 
 @pytest.mark.parametrize("piece", list(HUGE.values()), ids=list(HUGE))
