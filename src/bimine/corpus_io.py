@@ -15,9 +15,8 @@ quadruple and rewriting-model layouts live elsewhere.
 * links file:          TSV ``src_title<TAB>tgt_title``
 
 Also provides document cleaning (wiki markup removed in runs linear in the
-text, with the output of the earlier fixpoint cleaner), sentence
-segmentation, tokenization, article pairing, test-set sampling and corpus
-statistics.
+text), sentence segmentation, tokenization, article pairing, test-set
+sampling and corpus statistics.
 """
 
 from __future__ import annotations
@@ -107,6 +106,11 @@ _FLAT_BLOCKS = [
     (re.compile(r"<ref[^<>]*>.*?</ref>", re.IGNORECASE | re.DOTALL),
      re.compile(r".*</ref>", re.IGNORECASE | re.DOTALL)),
 ]
+# what the block scan stops at: a run of template braces, a table opener, a
+# run of link brackets, the three closers and a run of bold/italic quotes
+_MARKER = re.compile(r"\{\{+|\{\||\[\[+|\}\}|\|\}|\]\]|''+")
+_FILE_LINK = re.compile(r"(?:file|image|plik|grafika):", re.IGNORECASE)
+_TAG = re.compile(r"<[^<>]+>")
 _ANGLE = re.compile(r"[<>]")
 # an entity, or a chain of "&amp;" spelling one, decoded at once
 _ENTITY = re.compile(r"&(?:amp;)*(?:(nbsp|quot|#39|lt|gt);|amp;)")
@@ -124,16 +128,19 @@ def normalize_space(text: str) -> str:
 def clean_document(raw: str) -> str:
     """Strip markup tags and drop table/reference/figure blocks from text.
 
-    The output is what the earlier cleaner gave: eleven patterns applied in
-    a fixed order to the whole text, passes repeated to a fixpoint, one
-    nesting level per pass.  Here one run (``_clean_once``) removes
-    comments, references, tables, templates and file links at every depth,
-    renders wiki links, drops quotes, headings and tags, decodes entities
-    and normalises whitespace, in time linear in the text.  A run's output
-    can still hold markup that the run made, such as a tag spelled with
-    entities, so runs repeat while the text holds a markup character and
-    changes; the result is a fixpoint, so the function is idempotent.  A run
-    that changes normalised text shortens it, so the loop ends.
+    One run (``_clean_once``) drops comments, references, tables,
+    templates and file links at any depth, renders wiki links, drops
+    quotes, headings and tags, decodes entities and normalises whitespace,
+    in time linear in the text.  A run's output can still hold markup that
+    the run made, such as a tag spelled with entities, so runs repeat while
+    the text holds a markup character and changes; the result is a
+    fixpoint, so the function is idempotent.  A run that changes normalised
+    text shortens it, so the loop ends.
+
+    On well-nested markup the output equals that of the rule-by-rule
+    fixpoint cleaner kept as the oracle in ``tests/test_corpus_io.py``,
+    which took one nesting level per pass; README's fidelity notes name the
+    malformed inputs where the two differ.
     """
     text = _clean_once(raw)
     while text.startswith("=") or any(mark in text for mark in _MARKUP):
@@ -145,15 +152,16 @@ def clean_document(raw: str) -> str:
 
 
 def _clean_once(text: str) -> str:
-    if "<" in text:
-        for pattern, upto in _FLAT_BLOCKS:
-            if upto is None:
-                text = pattern.sub(" ", text)
-            elif (closed := upto.match(text)) is not None:
-                text = pattern.sub(" ", closed.group()) + text[closed.end():]
-    text = _drop_brackets(text)
+    # the innermost blocks, then the tags, as the oracle's first pass takes
+    # them, so a tag that crosses a nested block takes that block's bracket
+    # as there; then every block and tag left, at any depth
+    text = _drop_blocks(_drop_flat_blocks(text), innermost=True)
     if "=" in text:
         text = "\n".join(map(_heading, text.split("\n")))
+    if "<" in text:
+        text = _TAG.sub(" ", text)
+    if "{{" in text or "{|" in text or "[[" in text:
+        text = _drop_blocks(_drop_flat_blocks(text), innermost=False)
     if "<" in text:
         text = _drop_tags(text)
     if "&" in text:
@@ -161,355 +169,93 @@ def _clean_once(text: str) -> str:
     return normalize_space(text)
 
 
-# The old cleaner applied its rules in one order on each pass over the text
-# and repeated passes until nothing changed, so a bracket pair went at the
-# first pass after every pair of its kind inside it had gone.  The scan
-# gives each pair that time, pass * _STEPS + step, with the steps in the old
-# order; where brackets of two kinds cross, the pair with the earlier time
-# takes the other's bracket with it, as the loop did.
-_SELF_REF, _TABLE, _TEMPLATE, _FILE, _PIPED, _PLAIN, _TAG = range(7)
-_STEPS = 7
-_NEVER = 1 << 62
-# the kinds of bracket, 0 to 3: tables, templates, links and tags
-_OPENERS = ("{|", "{{", "[[", "<")
-_CLOSER_KIND = {"|}": 0, "}}": 1, "]]": 2, ">": 3}
-# What the bracket scan stops at: a run of template braces, the table, link
-# and template brackets, a run of bold/italic quotes and a tag bracket.
-_MARKER = re.compile(r"\{\{+|\{\||\}\}|\|\}|\[\[+|\]\]|''+|[<>]")
-_FILE_LINK = re.compile(r"(?:file|image|plik|grafika):", re.IGNORECASE)
-_REF_NAME = re.compile("ref", re.IGNORECASE)
-# a race with more open brackets above its closer's own than this is not
-# weighed; the most scans of one text, after races that went the wrong way
-_RACE_DEPTH = 16
-_MAX_SCANS = 64
-# where an open bracket, a list, keeps the time by which every bracket of a
-# kind inside it has gone, and the races that wait on it
-_INNER = 3
-_SLOTS = range(_INNER, _INNER + 4)
-_RACES = 7
+def _drop_flat_blocks(text: str) -> str:
+    """Comments, self-closing references and reference blocks become one
+    space each."""
+    if "<" in text:
+        for pattern, upto in _FLAT_BLOCKS:
+            if upto is None:
+                text = pattern.sub(" ", text)
+            elif (closed := upto.match(text)) is not None:
+                text = pattern.sub(" ", closed.group()) + text[closed.end():]
+    return text
 
 
-class _Race:
-    """A closer at ``pos`` that an open bracket above its own may remove
-    before ``time``, its own bracket's time.  The scan goes on as if one of
-    the ``waiting`` brackets does; if none does, the race fails."""
-
-    __slots__ = ("pos", "time", "waiting", "settled")
-
-    def __init__(self, pos: int, time: int, waiting: int) -> None:
-        self.pos = pos
-        self.time = time
-        self.waiting = waiting
-        self.settled = False
-
-
-def _time(inner: int, step: int) -> int:
-    """The first time at ``step`` after ``inner``."""
-    if not inner and step:
-        return _STEPS + step
-    if inner >= _NEVER:
-        return _NEVER
-    if step == _SELF_REF:
-        # a self-closing reference that the first step left waits a pass
-        inner = max(inner, _STEPS)
-    return max(1, inner // _STEPS + (inner % _STEPS >= step)) * _STEPS + step
-
-
-def _drop_brackets(text: str) -> str:
+def _drop_blocks(text: str, innermost: bool) -> str:
     """Tables, templates and file links become one space each, with all
     they hold; a wiki link becomes its text after the first "|", or all of
-    it; a run of quotes becomes one space.  Tags stay for ``_drop_tags``,
-    but where one crosses a block, the earlier of the two goes first.
+    it; a run of quotes becomes one space.  With ``innermost``, a block or
+    link that holds one of its kind stays.
 
-    A scan keeps each open bracket on a stack, so it is linear in the text.
-    A race that went the wrong way costs one more scan; text without
-    crossing brackets has no race.
+    Open brackets wait on a stack, and a closer closes the last one open if
+    that is of its kind and is text otherwise, so every block goes at its
+    outermost closer.  A link that held a link renders as all its text, so
+    no text is joined twice and the scan is linear in the text.
     """
-    out = _scan_nested(text)
-    if out is not None:
-        return out
-    kept: set[int] = set()
-    for _ in range(_MAX_SCANS):
-        out, failed = _scan_brackets(text, kept)
-        if failed is None:
-            break
-        kept = {pos for pos in kept if pos < failed} | {failed}
-    return out
-
-
-def _scan_nested(text: str) -> str | None:
-    """``_scan_brackets`` for text whose brackets nest, without the times:
-    None at a tag bracket, a closer whose own bracket is not the last one
-    open, or a link inside a link, where a time could matter."""
     out: list[str] = []
-    stack: list[tuple[int, int]] = []
-    opened = [0, 0, 0]
+    # each open bracket: its closer, the index of its opener in ``out``,
+    # whether it held one of its kind, and for a link, where its text starts
+    # (None for a block)
+    stack: list[list] = []
     at = 0
     while (m := _MARKER.search(text, at)) is not None:
-        start = m.start()
-        if start > at:
-            out.append(text[at:start])
-        at = m.end()
-        mark = m.group()
+        start, end = m.span()
+        out.append(text[at:start])
+        at = end
+        mark = m[0]
         first = mark[0]
         if first == "'":
             out.append(" ")
         elif mark == "{|":
-            opened[0] += 1
-            stack.append((0, len(out)))
+            stack.append(["|}", len(out), False, None])
             out.append(mark)
         elif first == "{":
+            # a run of braces as the oracle's innermost-first pattern reads
+            # it: from the right, each three are an opener and a brace of
+            # its text
             n, rest = divmod(len(mark), 3)
             if rest == 1:
                 out.append("{")
             elif rest == 2:
-                opened[1] += 1
-                stack.append((1, len(out)))
+                stack.append(["}}", len(out), False, None])
                 out.append("{{")
             for _ in range(n):
-                opened[1] += 1
-                stack.append((1, len(out)))
+                stack.append(["}}", len(out), False, None])
                 out.append("{{")
-                out.append("{")
-        elif first == "[":
-            if opened[2] or len(mark) > 3:
-                return None
-            if len(mark) == 3:
-                out.append("[")
-            opened[2] = 1
-            stack.append((2, len(out)))
-            out.append("[[")
-        elif first in "<>":
-            return None
-        else:
-            kind = _CLOSER_KIND[mark]
-            if not stack or stack[-1][0] != kind:
-                if opened[kind]:
-                    return None
-                if mark == "|}":  # its "}" may still close a template
-                    mark = "|"
-                    at = start + 1
-                out.append(mark)
-                continue
-            index = stack.pop()[1]
-            opened[kind] -= 1
-            if kind < 2:
-                del out[index:]
-                out.append(" ")
-                continue
-            content = "".join(out[index + 1:])
-            if _FILE_LINK.match(content) and "[[" not in content:
-                block = " "
-            elif "[" in content or "]" in content:
-                block = f"[[{content}]]"
-            else:
-                block = content.partition("|")[2] if "|" in content else content
-            del out[index:]
-            out.append(block)
-    out.append(text[at:])
-    return "".join(out)
-
-
-def _scan_brackets(text: str, kept: set[int]) -> tuple[str, int | None]:
-    """The scan of ``_drop_brackets``, and the position of the last race that
-    went the wrong way, if any.  A closer at a position in ``kept`` closes
-    its own bracket whatever lies above it.
-
-    An open bracket is a list: its kind, the index of its opener in ``out``,
-    the step that removes it, for each kind the time by which every bracket
-    of that kind inside it has gone (``_INNER + kind``), and the races that
-    wait on it (``_RACES``).
-    """
-    out: list[str] = []
-    stack: list[list] = []
-    by_kind: tuple[list[int], ...] = ([], [], [], [])
-    failed: list[int] = []
-    last = [text.rfind(closer) for closer in _CLOSER_KIND]
-
-    def push(kind: int, step: int) -> None:
-        by_kind[kind].append(len(stack))
-        stack.append([kind, len(out), step, 0, 0, 0, 0, None])
-        out.append(_OPENERS[kind])
-
-    def pop() -> list:
-        bracket = stack.pop()
-        by_kind[bracket[0]].pop()
-        return bracket
-
-    def settle(races: list[_Race], time: int) -> None:
-        for race in races:
-            if race.settled:
-                continue
-            if time < race.time:
-                race.settled = True
-            else:
-                race.waiting -= 1
-                if not race.waiting:
-                    race.settled = True
-                    failed.append(race.pos)
-
-    def gone(bracket: list, time: int) -> None:
-        # the bracket and all it holds leave the text at ``time``
-        if bracket[_RACES]:
-            settle(bracket[_RACES], time)
-        if stack:
-            below = stack[-1]
-            if bracket[3] or bracket[4] or bracket[5] or bracket[6]:
-                for slot in _SLOTS:
-                    below[slot] = max(below[slot], min(bracket[slot], time))
-            slot = _INNER + bracket[0]
-            below[slot] = max(below[slot], time)
-
-    def stays(bracket: list, time: int = _NEVER, into: list | None = None) -> None:
-        # the bracket's text stays, in ``into`` or the bracket below it; its
-        # own brackets go at ``time``
-        into = into or (stack[-1] if stack else None)
-        if into is None:
-            if bracket[_RACES]:
-                settle(bracket[_RACES], _NEVER)
-            return
-        for slot in _SLOTS:
-            into[slot] = max(into[slot], bracket[slot])
-        slot = _INNER + bracket[0]
-        into[slot] = max(into[slot], time)
-        if not into[_RACES]:
-            into[_RACES] = bracket[_RACES]
-        elif bracket[_RACES]:
-            into[_RACES].extend(bracket[_RACES])
-
-    def text_piece(piece: str, kind: int) -> None:
-        # a bracket that closes nothing, here or later
-        out.append(piece)
-        if stack:
-            stack[-1][_INNER + kind] = _NEVER
-
-    def taken(start: int, time: int, above: list[list]) -> bool:
-        # whether a bracket above may remove the closer at ``start`` before
-        # its own bracket's ``time``: then it stays as text, for now
-        if start in kept:
-            return False
-        takers = [b for b in above if b[2] != _PIPED and last[b[0]] > start
-                  and _time(b[_INNER + b[0]], b[2]) < time]
-        if not takers:
-            return False
-        race = _Race(start, time, len(takers))
-        for bracket in takers:
-            if bracket[_RACES] is None:
-                bracket[_RACES] = []
-            bracket[_RACES].append(race)
-        return True
-
-    at = 0
-    while (m := _MARKER.search(text, at)) is not None:
-        start = m.start()
-        if start > at:
-            out.append(text[at:start])
-        at = m.end()
-        mark = m.group()
-        first = mark[0]
-        if first == "'":
-            out.append(" ")
-        elif mark == "{|":
-            push(0, _TABLE)
-        elif first == "{":
-            # as the innermost-first pattern read a run of braces: from the
-            # right, the last three are an opener and a brace of its content
-            n, rest = divmod(len(mark), 3)
-            if rest == 1:
-                out.append("{")
-            elif rest == 2:
-                push(1, _TEMPLATE)
-            for _ in range(n):
-                push(1, _TEMPLATE)
                 out.append("{")
         elif first == "[":
             # the innermost link takes the last two of a run
-            n, rest = divmod(len(mark), 2)
+            rest = len(mark) % 2
             if rest:
                 out.append("[")
-            for _ in range(n - 1):
-                push(2, _PIPED)
-            push(2, _FILE if _FILE_LINK.match(text, at) else _PIPED)
-        elif mark == "<":
-            push(3, _SELF_REF if _REF_NAME.match(text, at) else _TAG)
-        else:
-            kind = _CLOSER_KIND[mark]
-            if not by_kind[kind]:
-                if mark == "|}":  # its "}" may still close a template
-                    out.append("|")
-                    at = start + 1
-                else:
-                    text_piece(mark, kind)
-                continue
-            index = by_kind[kind][-1]
-            own = stack[index]
-            # the brackets opened after the closer's own, weighed up to a
-            # depth; deeper ones are taken as closed with it
-            above = stack[index + 1:] if len(stack) - index - 1 <= _RACE_DEPTH else []
-            step = own[2]
-            if kind == 3:
-                if any(b[2] == _PIPED for b in above):
-                    # a link renders before the tag's step; its text may
-                    # close the tag then
-                    out.append(mark)
-                    continue
-                if index + 1 == len(stack) and len(out) == own[1] + 1:
-                    # "<>": neither bracket is ever part of a tag
-                    pop()
-                    stays(own)
-                    text_piece(mark, kind)
-                    continue
-                if step == _SELF_REF:
-                    # only a tag ending in "/" reads as a reference
-                    last_piece = len(out) - 1
-                    while last_piece > own[1] and not out[last_piece]:
-                        last_piece -= 1
-                    if not out[last_piece].endswith("/"):
-                        step = _TAG
-            slot = _INNER + kind
-            inner = max(own[slot], *(b[slot] for b in above)) if above else own[slot]
-            time = _time(inner, step)
-            if time >= _NEVER or above and taken(start, time, above):
-                if mark == "|}":
-                    out.append("|")
-                    at = start + 1
-                else:
-                    text_piece(mark, kind)
-                continue
-            while len(stack) > index + 1:
-                stays(pop(), into=own)
-            pop()
-            if kind == 3:
+            for after in range(start + rest + 2, at + 1, 2):
+                stack.append(["]]", len(out), False, after])
+                out.append("[[")
+        elif stack and stack[-1][0] == mark:
+            _, index, held, after = stack.pop()
+            if stack and stack[-1][0] == mark:
+                stack[-1][2] = True
+            if innermost and held:
                 out.append(mark)
-                gone(own, time)
-            elif kind < 2:
-                del out[own[1]:]
+            elif after is None or _FILE_LINK.match(text, after):
+                del out[index:]
                 out.append(" ")
-                gone(own, time)
+            elif held:
+                out[index] = ""
             else:
-                content = "".join(out[own[1] + 1:])
-                inner = own[slot]
-                # the first of the file, piped and plain link steps that reads it
-                bare = "[" not in content and "]" not in content
-                file = (_time(inner, _FILE) if _FILE_LINK.match(content) and "[[" not in content
-                        else _NEVER)
-                piped = _time(inner, _PIPED) if bare and "|" in content else _NEVER
-                time = min(file, piped, _time(inner, _PLAIN) if bare else _NEVER)
-                if time >= _NEVER:
-                    out.append(mark)
-                    stays(own)
-                    continue
-                del out[own[1]:]
-                if time == file:
-                    out.append(" ")
-                    gone(own, time)
+                content = "".join(out[index + 1:])
+                del out[index:]
+                if "[" in content or "]" in content:
+                    out.append(f"[[{content}]]")
                 else:
-                    out.append(content.partition("|")[2] if time == piped else content)
-                    stays(own, time)
+                    out.append(content.partition("|")[2] if "|" in content else content)
+        elif mark == "|}":  # its "}" may still close a template
+            out.append("|")
+            at = start + 1
+        else:
+            out.append(mark)
     out.append(text[at:])
-    while stack:
-        stays(pop())
-    return "".join(out), (max(failed) if failed else None)
+    return "".join(out)
 
 
 def _heading(line: str) -> str:

@@ -545,10 +545,11 @@ def test_eval_names_the_empty_hypothesis_file(tmp_path, capsys, command):
 
 # lines with no letter or digit: combining marks alone, Unicode line and
 # paragraph separators, no-break, zero-width and ideographic spaces, a byte
-# order mark and NEL, or nothing at all
+# order mark, NEL, the ASCII vertical tab, form feed and file separator, a
+# carriage return (a line end in text mode), or nothing at all
 _UNICODE_LINE = st.text(st.sampled_from(
     ["\u0301", "\u0308", "\u2028", "\u2029", "\u00a0", "\u200b", "\u3000", "\ufeff",
-     "\x85", " "]), max_size=6)
+     "\x85", "\x0b", "\x0c", "\x1c", "\r", " "]), max_size=6)
 # three files of as many such lines
 _UNICODE_FILES = st.integers(0, 4).flatmap(lambda n: st.tuples(
     *[st.lists(_UNICODE_LINE, min_size=n, max_size=n).map("\n".join)] * 3))

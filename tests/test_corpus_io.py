@@ -180,10 +180,10 @@ def test_clean_idempotent_on_fixture():
         assert clean_document(once) == once
 
 
-# The cleaner before the bracket scan, kept as the oracle: each rule applied
-# to the whole text in this order, innermost table and template first, and
-# the passes repeated to a fixpoint.  A pass peels one nesting level, so the
-# oracle is quadratic in the depth: small inputs only.
+# The oracle for clean_document: each rule applied to the whole text in this
+# order, innermost table and template first, and the passes repeated to a
+# fixpoint.  A pass peels one nesting level, so the oracle is quadratic in
+# the depth: small inputs only.
 _ORACLE_STEPS = [
     (re.compile(r"<!--.*?-->", re.DOTALL), " "),
     (re.compile(r"<ref[^<>]*/>", re.IGNORECASE), " "),
@@ -249,35 +249,40 @@ def test_clean_unclosed_openers_in_linear_time(opener):
                           else opener * 100_000)
 
 
-# Well-nested markup: templates, tables, file links, wiki links, references,
-# comments, bold runs and tags nest in one another, with headings between
-# them and plain entities at the leaves.
+# Well-nested markup: templates, tables, references, comments, bold runs and
+# tags nest in one another, with headings between them.  Wiki and file links
+# hold text, quotes, plain entities and tags around them, as in articles;
+# the oracle renders a link inside a link in its own way (see the README).
 _WORD = st.sampled_from(["alfa", "Beta", "gamma", "zeta", "wiki", "Kraków", "İzmir"])
 _WORDS = st.lists(_WORD, min_size=1, max_size=3).map(" ".join)
-_LEAF = st.one_of(
-    _WORDS,
-    _WORD.map(lambda w: f"'''{w}'''"),
-    _WORD.map(lambda w: f"''{w}''"),
+
+
+def _joined(part):
+    return st.lists(part, min_size=1, max_size=3).map(" ".join)
+
+
+_TEXT = st.recursive(
+    st.one_of(_WORDS, _WORD.map(lambda w: f"'''{w}'''"), _WORD.map(lambda w: f"''{w}''"),
+              st.sampled_from(["&amp;", "&quot;", "&nbsp;", "<br />"])),
+    lambda inner: st.one_of(_joined(inner).map(lambda b: f"<b>{b}</b>"),
+                            _joined(inner).map(lambda b: f"''{b}''")),
+    max_leaves=4)
+_LINK = st.one_of(
     _WORD.map(lambda w: f"[[{w}]]"),
-    st.tuples(_WORD, _WORDS).map(lambda p: f"[[{p[0]}|{p[1]}]]"),
-    st.sampled_from(["&amp;", "&quot;", "&nbsp;", "&lt;", "&gt;", "<br />", '<ref name="n" />']),
-)
-
-
+    st.tuples(_WORD, _joined(_TEXT)).map(lambda p: f"[[{p[0]}|{p[1]}]]"),
+    st.tuples(_WORD, _joined(_TEXT)).map(lambda p: f"[[File:{p[0]}.png|thumb|{p[1]}]]"))
 # what a reference or comment holds: it ends at its first closer, so neither
 # nests in itself
-_OPAQUE = st.lists(st.one_of(_LEAF, _WORDS.map(lambda w: f"{{{{cite | {w} }}}}")),
-                   min_size=1, max_size=3).map(" ".join)
+_OPAQUE = _joined(st.one_of(_TEXT, _LINK, _WORDS.map(lambda w: f"{{{{cite | {w} }}}}"),
+                            st.just('<ref name="n" />')))
 
 
 def _nested(inner):
-    body = st.lists(inner, min_size=1, max_size=3).map(" ".join)
+    body = _joined(inner)
     return st.one_of(
         st.tuples(_WORD, body).map(lambda p: f"{{{{{p[0]} | {p[1]} }}}}"),
         st.tuples(body, _WORD).map(
             lambda p: f'\n{{| class="wikitable"\n|-\n| {p[0]} || {p[1]}\n|}}\n'),
-        st.tuples(_WORD, body).map(lambda p: f"[[File:{p[0]}.png|thumb|{p[1]}]]"),
-        st.tuples(_WORD, body).map(lambda p: f"[[{p[0]}|{p[1]}]]"),
         _OPAQUE.map(lambda b: f"<ref>{b}</ref>"),
         _OPAQUE.map(lambda b: f"<!-- {b} -->"),
         body.map(lambda b: f"<b>{b}</b>"),
@@ -287,15 +292,14 @@ def _nested(inner):
 
 
 _WELL_NESTED = st.lists(
-    st.one_of(st.recursive(_LEAF, _nested, max_leaves=12),
+    st.one_of(st.recursive(st.one_of(_TEXT, _LINK), _nested, max_leaves=12),
               _WORDS.map(lambda h: f"\n== {h} ==\n")),
     max_size=8).map(" ".join)
 
 
 @settings(max_examples=300)
 @example("x " + "{{a " * 20 + "}}" * 20 + " y")
-@example("[[a|[[b|c]]]] [[File:x.png|thumb|[[d|e]]]]")
-@example("<b>{{a | {{b | c }} }}</b> [[File:x.png|thumb|{| d |}]]")
+@example("<b>{{a | {{b | c }} }}</b> {{d | [[File:x.png|thumb|{| e |}]] }}")
 @given(_WELL_NESTED)
 def test_clean_equals_the_oracle_on_well_nested_markup(text):
     assert clean_document(text) == oracle_clean(text)
@@ -308,14 +312,16 @@ def test_clean_leaves_no_block_or_link_bracket_of_well_nested_markup(text):
     assert [mark for mark in ("{{", "}}", "{|", "|}", "[[", "]]") if mark in cleaned] == []
 
 
+def test_clean_drops_a_file_link_whose_caption_holds_a_link():
+    # the oracle rendered such a link as text, "File:x.png|thumb|c d"
+    assert clean_document("a [[File:x.png|thumb|[[b|c]] d]] e") == "a e"
+
+
 _DEEP = 50_000
 _DEEP_MARKUP = {
     "templates": ("x " + "{{a " * _DEEP + "}}" * _DEEP + " y", "x y"),
     "tables": ("x " + "{|a " * _DEEP + "|}" * _DEEP + " y", "x y"),
-    # the old loop left the text of every second level of file links nested
-    # in one another: its plain-link step read the level its file-link step
-    # had just bared
-    "file-links": ("x " + "[[File:a " * _DEEP + "]]" * _DEEP + " y", "x File:a y"),
+    "file-links": ("x " + "[[File:a " * _DEEP + "]]" * _DEEP + " y", "x y"),
     "mixed": ("x " + "{{a {|b [[File:c " * (_DEEP // 3) + "]] |} }}" * (_DEEP // 3) + " y",
               "x y"),
     "entity-chain": ("x &" + "amp;" * _DEEP + "lt; y", "x < y"),
@@ -334,7 +340,6 @@ def test_clean_deep_nesting_in_linear_time(raw, cleaned):
     run = subprocess.run([sys.executable, "-c", code, str(src)], input=raw,
                          capture_output=True, text=True, check=True, timeout=30)
     assert run.stdout == cleaned
-
 
 
 # ---------------------------------------------------------------------------
