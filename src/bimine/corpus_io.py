@@ -116,8 +116,9 @@ _ANGLE = re.compile(r"[<>]")
 _ENTITY = re.compile(r"&(?:amp;)*(?:(nbsp|quot|#39|lt|gt);|amp;)")
 _DECODED = {"nbsp": " ", "quot": '"', "#39": "'", "lt": "<", "gt": ">", None: "&"}
 # what a cleaning run can still change in whitespace-normalised text,
-# besides a leading "="
-_MARKUP = ("<", "&", "{{", "{|", "[[", "''")
+# besides a leading "=", a tag and an entity: a block, link or quote
+# opener, and a comment opener, which a "<>" inside can hide from ``_TAG``
+_MARKUP = ("{{", "{|", "[[", "''", "<!--")
 
 
 def normalize_space(text: str) -> str:
@@ -133,9 +134,10 @@ def clean_document(raw: str) -> str:
     quotes, headings and tags, decodes entities and normalises whitespace,
     in time linear in the text.  A run's output can still hold markup that
     the run made, such as a tag spelled with entities, so runs repeat while
-    the text holds a markup character and changes; the result is a
-    fixpoint, so the function is idempotent.  A run that changes normalised
-    text shortens it, so the loop ends.
+    the text holds markup that a run could change (``_may_change``; a plain
+    "&" or "<" is not) and changes; the result is a fixpoint, so the
+    function is idempotent.  A run that changes normalised text shortens
+    it, so the loop ends.
 
     On well-nested markup the output equals that of the rule-by-rule
     fixpoint cleaner kept as the oracle in ``tests/test_corpus_io.py``,
@@ -143,12 +145,20 @@ def clean_document(raw: str) -> str:
     malformed inputs where the two differ.
     """
     text = _clean_once(raw)
-    while text.startswith("=") or any(mark in text for mark in _MARKUP):
+    while _may_change(text):
         again = _clean_once(text)
         if again == text:
             break
         text = again
     return text
+
+
+def _may_change(text: str) -> bool:
+    """Whether a cleaning run could change ``text``, which has its
+    whitespace normalised: every step of ``_clean_once`` acts only on a
+    match of what this looks for."""
+    return (text.startswith("=") or any(mark in text for mark in _MARKUP)
+            or _TAG.search(text) is not None or _ENTITY.search(text) is not None)
 
 
 def _clean_once(text: str) -> str:

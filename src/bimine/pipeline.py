@@ -11,9 +11,8 @@ it to every stage.  A stage resolves its paths in the work directory (or
 configured paths), calls its step once per mining direction and writes a
 JSON run manifest (inputs, checksums, parameters, counts).  Each stage, and
 each CLI command that writes files, prints one ``log_record`` line.  In a
-bidirectional run the lexicon, classifier and mine stages run the reverse
-direction's step in a forked child while the forward one runs; the two
-share the read-only inputs loaded before the fork.  Stages are
+bidirectional run the lexicon, classifier and mine stages run the forward
+direction's step and then the reverse one's, in one process.  Stages are
 deterministic given the config seeds: re-running with identical inputs
 reproduces identical artifacts byte for byte.
 """
@@ -22,8 +21,6 @@ from __future__ import annotations
 
 import functools
 import json
-import marshal
-import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -399,11 +396,9 @@ def score(pairs: list, metric: str) -> float:
 class RunInputs:
     """The inputs the stages of one run share, each read, tokenized or
     segmented on first use and dropped after the last stage that reads it
-    (``_READERS``): the seed's tokens, the forward lexicon and the segmented
-    store.  A stage touches what its reverse direction needs before
-    ``_directions`` forks, so the child inherits it.  No stage rewrites a
-    file after an earlier stage read it, so nothing here goes stale within
-    a run."""
+    (``_READERS``): the seed's tokens, the forward and reverse lexicons and
+    the segmented store.  No stage rewrites a file after an earlier stage
+    read it, so nothing here goes stale within a run."""
 
     def __init__(self, config: PipelineConfig) -> None:
         self.config = config
@@ -417,6 +412,11 @@ class RunInputs:
         return lexicon_mod.read_lexicon(_require(self.config, self.config.path("lexicon.tsv")))
 
     @functools.cached_property
+    def lexicon_rev(self) -> lexicon_mod.TranslationLexicon:
+        return lexicon_mod.read_lexicon(
+            _require(self.config, self.config.path("lexicon.rev.tsv")))
+
+    @functools.cached_property
     def store(self) -> list:
         return read_store(_require(self.config, self.config.store_path()))
 
@@ -425,6 +425,7 @@ class RunInputs:
 # them is left to run
 _READERS = {"seed": {"lexicon", "classifier", "analogy"},
             "lexicon": {"classifier", "mine", "analogy", "filter", "eval"},
+            "lexicon_rev": {"classifier", "mine"},
             "store": {"mine", "analogy"}}
 
 
@@ -450,68 +451,15 @@ def _seed_path(config: PipelineConfig) -> Path:
     return path
 
 
-def _directions(config: PipelineConfig, stage: str, forward, reverse,
-                ) -> tuple[dict, dict | None]:
-    """Return ``forward()`` and, in a bidirectional run, ``reverse()``, else
-    None.  ``reverse`` runs in a forked child while ``forward`` runs here.
-
-    The directions share inputs and write their own artifacts.  The child
-    sends its counts (marshalled) or its exception (pickled, so pickle is
-    imported only on failure) over a pipe and leaves with ``os._exit``; the
-    parent reaps it before it returns or raises, and raises the child's
-    exception as its own.  Without ``os.fork``, or where the process may run
-    on one CPU only, both run here in turn: a child would then only take
-    turns with the parent and add its copy-on-write page faults.
-    """
-    if not config.mining["bidirectional"]:
-        return forward(), None
-    if not hasattr(os, "fork") or (hasattr(os, "sched_getaffinity")
-                                   and len(os.sched_getaffinity(0)) == 1):
-        return forward(), reverse()
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            try:
-                payload = b"r" + marshal.dumps(reverse())
-            except BaseException as exc:
-                import pickle
-                payload = b"e" + pickle.dumps(exc)
-            with os.fdopen(write_fd, "wb") as fh:
-                fh.write(payload)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    try:
-        fwd = forward()
-    finally:
-        try:
-            with os.fdopen(read_fd, "rb") as fh:
-                payload = fh.read()
-        finally:
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if status != 0 or not payload:
-        raise PipelineError(f"{stage}: the reverse direction's process ended "
-                            f"without a result (exit status {status})")
-    if payload[:1] == b"r":
-        return fwd, marshal.loads(payload[1:])
-    import pickle
-    raise pickle.loads(payload[1:])
-
-
 def _stage_lexicon(config: PipelineConfig, inputs: RunInputs) -> None:
     seed = _seed_path(config)
     params = config.lexicon
     train = functools.partial(train_lexicon, inputs.seed, iterations=params["iterations"],
                               prune_below=params["prune_below"])
     fwd_out, rev_out = config.path("lexicon.tsv"), config.path("lexicon.rev.tsv")
-    counts, rev = _directions(config, "lexicon", lambda: train(fwd_out),
-                              lambda: train(rev_out, flip=True))
-    outputs = [fwd_out]
-    if rev is not None:
+    counts, outputs = train(fwd_out), [fwd_out]
+    if config.mining["bidirectional"]:
+        rev = train(rev_out, flip=True)
         outputs.append(rev_out)
         counts.update({f"{key}_rev": value for key, value in rev.items()})
     _write_manifest(config, "lexicon", params, [seed], outputs, counts)
@@ -527,13 +475,9 @@ def _stage_classifier(config: PipelineConfig, inputs: RunInputs) -> None:
         learning_rate=params["learning_rate"], margin_reg=params["margin_reg"],
         seed_rng=params["seed"])
     fwd_out, rev_out = config.path("classifier.json"), config.path("classifier.rev.json")
-    counts, rev = _directions(
-        config, "classifier",
-        lambda: train(inputs.lexicon, fwd_out, config.src_lang, config.tgt_lang),
-        lambda: train(lexicon_mod.read_lexicon(_require(config, config.path("lexicon.rev.tsv"))),
-                      rev_out, config.tgt_lang, config.src_lang, flip=True))
-    outputs = [fwd_out]
-    if rev is not None:
+    counts, outputs = train(inputs.lexicon, fwd_out, config.src_lang, config.tgt_lang), [fwd_out]
+    if config.mining["bidirectional"]:
+        rev = train(inputs.lexicon_rev, rev_out, config.tgt_lang, config.src_lang, flip=True)
         outputs.append(rev_out)
         counts.update({f"{key}_rev": value for key, value in rev.items()})
     _write_manifest(config, "classifier", params, [seed, lexicon], outputs, counts)
@@ -544,27 +488,17 @@ def _stage_mine(config: PipelineConfig, inputs: RunInputs) -> None:
     store = _require(config, config.store_path())
     fwd_out, log = config.path("mined.fwd.tsv"), config.path("mine_log.jsonl")
     rev_out = config.path("mined.rev.tsv")
-    fwd_model, fwd_lexicon = (_require(config, config.path("classifier.json")),
-                              _require(config, config.path("lexicon.tsv")))
-    # segmented here, so the reverse direction's child inherits the store
+    model, lexicon = (_require(config, config.path("classifier.json")),
+                      _require(config, config.path("lexicon.tsv")))
     run = functools.partial(mine, inputs.store, gap_cost=params["gap_cost"],
                             threshold=params["threshold"])
-
-    def reverse():
-        model, lexicon = (_require(config, config.path("classifier.rev.json")),
-                          _require(config, config.path("lexicon.rev.tsv")))
-        lex = lexicon_mod.read_lexicon(lexicon)
-        return run(load_model(model, lexicon, lex), lex, rev_out, flip=True)
-
-    fwd, rev = _directions(
-        config, "mine",
-        lambda: run(load_model(fwd_model, fwd_lexicon, inputs.lexicon), inputs.lexicon,
-                    fwd_out, log=log),
-        reverse)
-    outputs = [fwd_out, log]
-    keys = ("mined", *_MINE_WORK)
+    fwd = run(load_model(model, lexicon, inputs.lexicon), inputs.lexicon, fwd_out, log=log)
+    outputs, keys = [fwd_out, log], ("mined", *_MINE_WORK)
     counts = {"articles": fwd["articles"], **{f"{key}_fwd": fwd[key] for key in keys}}
-    if rev is not None:
+    if params["bidirectional"]:
+        model = _require(config, config.path("classifier.rev.json"))
+        lex = inputs.lexicon_rev
+        rev = run(load_model(model, config.path("lexicon.rev.tsv"), lex), lex, rev_out, flip=True)
         outputs.append(rev_out)
         counts.update({f"{key}_rev": rev[key] for key in keys})
     _write_manifest(config, "mine", params, [store], outputs, counts)

@@ -1,10 +1,8 @@
 import contextlib
 import io
 import json
-import os
 import random
 import re
-import shutil
 from pathlib import Path
 
 import pytest
@@ -764,29 +762,10 @@ def test_analogy_and_filter_rerun_same_bytes_with_analogies(world, tmp_path):
     assert _directory_bytes(workdir) == first
 
 
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """The process may run on two CPUs, so a bidirectional stage forks."""
-    monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-
-
-def test_reverse_direction_same_bytes_without_fork(world, tmp_path, monkeypatch, two_cpus):
-    config_path, workdir = _pipeline_config(tmp_path, world)
-    assert main(["pipeline", "--config", str(config_path)]) == 0
-    forked = _directory_bytes(workdir)
-    shutil.rmtree(workdir)
-    monkeypatch.delattr(pipeline.os, "fork")
-    assert main(["pipeline", "--config", str(config_path)]) == 0
-    assert _directory_bytes(workdir) == forked
-
-
-@pytest.mark.parametrize("fork", [True, False], ids=["fork", "no-fork"])
-def test_stage_at_a_time_equals_one_full_run(world, tmp_path, monkeypatch, two_cpus, fork):
+def test_stage_at_a_time_equals_one_full_run(world, tmp_path):
     # a run keeps what it loads for its own stages only: a stage run on its
     # own loads what the earlier runs wrote, and within one run no stage
     # reads a copy that a later write made stale
-    if not fork:
-        monkeypatch.delattr(pipeline.os, "fork")
     config_path, workdir = _pipeline_config(tmp_path, world)
     assert main(["pipeline", "--config", str(config_path)]) == 0
     doc = json.loads(config_path.read_text(encoding="utf-8"))
@@ -799,13 +778,11 @@ def test_stage_at_a_time_equals_one_full_run(world, tmp_path, monkeypatch, two_c
 
 
 def test_a_run_loads_each_input_once(world, tmp_path, monkeypatch):
-    # the stages and both directions share one tokenized seed, one forward
-    # lexicon and one segmented store; only the reverse lexicon is read by
-    # each step that needs it
+    # the stages and both directions share one tokenized seed, one lexicon
+    # per direction and one segmented store
     from bimine import analogy, corpus_io, lexicon
     config_path, workdir = _pipeline_config(tmp_path, world)
     seed = json.loads(config_path.read_text(encoding="utf-8"))["seed_corpus"]
-    monkeypatch.delattr(pipeline.os, "fork")
     seen = {"seed": 0, "lexicon.tsv": 0, "lexicon.rev.tsv": 0, "segmented": 0,
             "segmented_in_generate": 0}
     generating = []
@@ -838,42 +815,8 @@ def test_a_run_loads_each_input_once(world, tmp_path, monkeypatch):
     articles = json.loads((workdir / "manifest.ingest.json").read_text(
         encoding="utf-8"))["counts"]["article_pairs"]
     assert articles > 0
-    assert seen == {"seed": 1, "lexicon.tsv": 1, "lexicon.rev.tsv": 2,
+    assert seen == {"seed": 1, "lexicon.tsv": 1, "lexicon.rev.tsv": 1,
                     "segmented": 2 * articles, "segmented_in_generate": 0}
-
-
-@pytest.mark.parametrize("cpus", [{0, 1}, {0}], ids=["two-cpus", "one-cpu"])
-def test_bidirectional_stages_run_the_reverse_in_a_child(world, tmp_path, monkeypatch, cpus):
-    # the reverse direction runs in a child only where a second CPU can take it
-    config_path, workdir = _pipeline_config(tmp_path, world)
-    pids = tmp_path / "pids.txt"
-
-    def spy(name, step):
-        def record(*args, flip=False, **kwargs):
-            with open(pids, "a", encoding="utf-8") as fh:
-                fh.write(f"{name} {flip} {os.getpid()}\n")
-            return step(*args, flip=flip, **kwargs)
-        return record
-
-    for name in ("train_lexicon", "train_classifier", "mine"):
-        monkeypatch.setattr(pipeline, name, spy(name, getattr(pipeline, name)))
-    stages = ["ingest", "lexicon", "classifier", "mine"]
-    monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: cpus, raising=False)
-    run_pipeline(PipelineConfig.from_json(config_path), stages)
-    runs = [line.split() for line in pids.read_text(encoding="utf-8").splitlines()]
-    assert sorted((name, flip) for name, flip, _ in runs) == sorted(
-        (name, flip) for name in ("mine", "train_classifier", "train_lexicon")
-        for flip in ("False", "True"))
-    for name, flip, pid in runs:
-        in_parent = flip == "False" or len(cpus) == 1
-        assert (int(pid) == os.getpid()) == in_parent, (name, flip)
-    # the other CPU count takes the other path to the same bytes
-    produced = _directory_bytes(workdir)
-    shutil.rmtree(workdir)
-    other = {0} if len(cpus) > 1 else {0, 1}
-    monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: other, raising=False)
-    run_pipeline(PipelineConfig.from_json(config_path), stages)
-    assert _directory_bytes(workdir) == produced
 
 
 @pytest.mark.parametrize("artifact, stage, text", [
@@ -881,20 +824,16 @@ def test_bidirectional_stages_run_the_reverse_in_a_child(world, tmp_path, monkey
     ("lexicon.rev.tsv", "classifier", "kot\tcat\tnan\n"),
     ("lexicon.rev.tsv", "mine", "kot\tcat\n"),
 ])
-def test_corrupt_reverse_artifact_same_error_with_and_without_fork(
-        world, tmp_path, monkeypatch, capsys, two_cpus, artifact, stage, text):
+def test_corrupt_reverse_artifact_is_named(world, tmp_path, capsys, artifact, stage, text):
     config_path, workdir = _pipeline_config(tmp_path, world)
     run_pipeline(PipelineConfig.from_json(config_path), ["ingest", "lexicon", "classifier"])
     (workdir / artifact).write_text(text, encoding="utf-8")
-    argv = ["pipeline", "--config", str(config_path), "--stages", stage]
     capsys.readouterr()
-    forked = main(argv), capsys.readouterr().err
-    monkeypatch.delattr(pipeline.os, "fork")
-    assert (main(argv), capsys.readouterr().err) == forked
-    assert forked[0] == 1 and f"{artifact}: " in forked[1]
+    assert main(["pipeline", "--config", str(config_path), "--stages", stage]) == 1
+    assert f"{artifact}: " in capsys.readouterr().err
 
 
-def test_failing_forward_direction_reaps_the_child(world, tmp_path, monkeypatch, two_cpus):
+def test_failing_forward_direction_stops_the_stage(world, tmp_path, monkeypatch):
     config_path, workdir = _pipeline_config(tmp_path, world)
     config = PipelineConfig.from_json(config_path)
     train = pipeline.train_lexicon
@@ -907,27 +846,8 @@ def test_failing_forward_direction_reaps_the_child(world, tmp_path, monkeypatch,
     monkeypatch.setattr(pipeline, "train_lexicon", forward_fails)
     with pytest.raises(ValueError, match="forward lexicon failed"):
         run_pipeline(config, ["lexicon"])
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    # the child ran to the end; no manifest names its output
-    assert (workdir / "lexicon.rev.tsv").exists()
-    assert not (workdir / "manifest.lexicon.json").exists()
-
-
-def test_child_without_a_result_names_stage_and_exit_status(world, tmp_path, monkeypatch,
-                                                           two_cpus):
-    config_path, workdir = _pipeline_config(tmp_path, world)
-    config = PipelineConfig.from_json(config_path)
-    train = pipeline.train_lexicon
-
-    def reverse_dies(*args, flip=False, **kwargs):
-        if flip:
-            os._exit(3)
-        return train(*args, flip=flip, **kwargs)
-
-    monkeypatch.setattr(pipeline, "train_lexicon", reverse_dies)
-    with pytest.raises(PipelineError, match=r"^lexicon: .*without a result \(exit status 3\)$"):
-        run_pipeline(config, ["lexicon"])
+    # the reverse direction never starts, and no manifest is written
+    assert not (workdir / "lexicon.rev.tsv").exists()
     assert not (workdir / "manifest.lexicon.json").exists()
 
 
@@ -1210,7 +1130,7 @@ def test_pipeline_ingest_names_a_missing_input_key(tmp_path, capsys):
 
 
 def test_pipeline_logs_one_json_line_per_stage(world, tmp_path, capfd):
-    # capfd, not capsys: a forked reverse direction must not log either
+    # capfd, not capsys: nothing may reach the stderr descriptor but the records
     config_path, workdir = _pipeline_config(tmp_path, world)
     capfd.readouterr()
     assert main(["pipeline", "--config", str(config_path)]) == 0

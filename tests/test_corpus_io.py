@@ -28,7 +28,8 @@ from bimine.corpus_io import (
     write_article_store,
     write_bitext,
 )
-from bimine.corpus_io import ArticlePair, Document, _flatten
+from bimine import corpus_io
+from bimine.corpus_io import ArticlePair, Document, _clean_once, _flatten, _may_change
 from bimine.lexicon import read_lexicon
 
 
@@ -178,6 +179,28 @@ def test_clean_idempotent_on_fixture():
     for doc in FIXTURE_DOCS:
         once = clean_document(doc)
         assert clean_document(once) == once
+
+
+@settings(max_examples=300)
+@example("a <!-- <>--> b")
+@example("Smith &amp; Wesson < 3")
+@given(st.text(alphabet="ab <>{}|[]'=&;ref!-\n.", max_size=80))
+def test_a_run_leaves_the_text_that_cannot_change(text):
+    # the raw text, whitespace normalised, and a run's output
+    for case in (" ".join(text.split()), _clean_once(text)):
+        if not _may_change(case):
+            assert _clean_once(case) == case
+
+
+def test_clean_runs_once_on_a_plain_ampersand(monkeypatch):
+    runs = []
+
+    def counted(text):
+        runs.append(text)
+        return _clean_once(text)
+    monkeypatch.setattr(corpus_io, "_clean_once", counted)
+    assert clean_document("Smith &amp; Wesson") == "Smith & Wesson"
+    assert runs == ["Smith &amp; Wesson"]
 
 
 # The oracle for clean_document: each rule applied to the whole text in this

@@ -5,8 +5,7 @@ wiki markup fragments, control and combining characters, duplicate titles,
 links to missing titles, and empty and one-sentence articles.  Every run
 either succeeds or stops with one ``error:`` line that names the file at
 fault, an input or an artifact of the workdir (a filtered corpus too small
-to sample, say); reruns write the same bytes, and so does a run that cannot
-fork.
+to sample, say); reruns write the same bytes.
 """
 
 import contextlib
@@ -20,7 +19,6 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from bimine import pipeline
 from bimine.cli import main
 from bimine.corpus_io import write_bitext
 
@@ -129,10 +127,8 @@ def _run(root, trained, dumps, links, ascii_only):
 def test_pipeline_on_hostile_dumps(world, trained, data):
     src_dump, tgt_dump, links = data.draw(_inputs(world), "inputs")
     ascii_only = data.draw(st.booleans(), "ascii_only")
-    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+    with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        # the process may run on two CPUs, so the mine stage forks
-        patch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         first = _run(root, trained, (src_dump, tgt_dump), links, ascii_only)
         code, err, artifacts, paths = first
         assert "Traceback" not in err
@@ -145,8 +141,6 @@ def test_pipeline_on_hostile_dumps(world, trained, data):
             assert code == 1 and len(errors) == 1, err
             named = [*paths.values(), *(root / "out" / name for name in artifacts)]
             assert any(str(path) in errors[0] for path in named), errors[0]
-        assert _run(root, trained, (src_dump, tgt_dump), links, ascii_only) == first
-        patch.delattr(pipeline.os, "fork")
         assert _run(root, trained, (src_dump, tgt_dump), links, ascii_only) == first
 
 

@@ -25,6 +25,9 @@ loads OpenSSL: digests come from CPython's built-in SHA-256, and only
 ``corpus_io``'s fallback for a build without it imports ``hashlib``.  The
 value records that replace dataclasses keep their contracts.
 
+No module starts a process or a thread: a run, both mining directions
+included, is one process on one thread, with no sharding and no async.
+
 Every function the benchmark's tracer patches exists under the name it
 patches, with the arguments its counters read.
 """
@@ -350,6 +353,33 @@ def test_only_the_digest_fallback_imports_hashlib():
                                 for sub in ast.walk(stmt) if _imports_hashlib(sub))
     assert len(imports) == 1 and imports == fallback
     assert {name for name, _ in imports} == {"corpus_io.py"}
+
+
+# modules that start processes or threads, and the os functions that do
+_CONCURRENT_MODULES = {"subprocess", "multiprocessing", "threading", "_thread", "concurrent",
+                       "asyncio"}
+_OS_STARTERS = re.compile(r"fork|pipe|spawn|system|popen")
+
+
+def test_no_module_starts_a_process_or_a_thread():
+    found = []
+    for path in PACKAGE_FILES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+                if node.module == "os":
+                    modules += [f"os.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "os":
+                modules = [f"os.{node.attr}"]
+            else:
+                continue
+            for name in modules:
+                head, _, attr = name.partition(".")
+                if head in _CONCURRENT_MODULES or head == "os" and _OS_STARTERS.search(attr):
+                    found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
 
 
 _TOKENS = ("ala", "ma", "kota")
