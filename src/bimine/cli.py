@@ -189,16 +189,10 @@ def _cmd_pipeline(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def build_parser() -> argparse.ArgumentParser:
-    # an option with a pipeline config counterpart takes that key's default
-    defaults = pipeline.PipelineConfig(workdir="")
-    parser = argparse.ArgumentParser(
-        prog="bimine",
-        description="Mine, generate, filter and evaluate parallel corpora "
-                    "from topic-aligned comparable document collections.")
-    sub = parser.add_subparsers(dest="command", required=True)
+# one function per command adds its options and subcommands; an option with a
+# pipeline config counterpart takes that key's default
 
-    p = sub.add_parser("ingest", help="pair article dumps into a store")
+def _ingest(p, defaults) -> None:
     p.add_argument("--src-dump", required=True)
     p.add_argument("--tgt-dump", required=True)
     p.add_argument("--links", required=True)
@@ -207,7 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tgt-lang", default=defaults.tgt_lang)
     p.set_defaults(func=_cmd_ingest)
 
-    p = sub.add_parser("sample", help="split a corpus into test and train")
+
+def _sample(p, defaults) -> None:
     p.add_argument("--corpus", required=True)
     p.add_argument("--segments", type=int, default=defaults.eval["segments"])
     p.add_argument("--per-segment", type=int, default=defaults.eval["per_segment"])
@@ -216,11 +211,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", required=True)
     p.set_defaults(func=_cmd_sample)
 
-    p = sub.add_parser("stats", help="corpus statistics report")
+
+def _stats(p, defaults) -> None:
     p.add_argument("--corpus", required=True)
     p.set_defaults(func=_cmd_stats)
 
-    p = sub.add_parser("lexicon", help="translation lexicon commands")
+
+def _lexicon(p, defaults) -> None:
     lex_sub = p.add_subparsers(dest="subcommand", required=True)
     p = lex_sub.add_parser("train", help="train a lexicon from a seed corpus")
     p.add_argument("--seed", required=True)
@@ -229,7 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_lexicon_train)
 
-    p = sub.add_parser("classifier", help="similarity classifier commands")
+
+def _classifier(p, defaults) -> None:
     clf_sub = p.add_subparsers(dest="subcommand", required=True)
     p = clf_sub.add_parser("train", help="train the similarity classifier")
     p.add_argument("--seed", required=True)
@@ -245,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed-rng", type=int, default=clf["seed"])
     p.set_defaults(func=_cmd_classifier_train)
 
-    p = sub.add_parser("mine", help="mine parallel sentences from a store")
+
+def _mine(p, defaults) -> None:
     p.add_argument("--store", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--lexicon", required=True)
@@ -255,14 +254,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log")
     p.set_defaults(func=_cmd_mine)
 
-    p = sub.add_parser("merge-bidi", help="merge forward and reverse mining runs")
+
+def _merge_bidi(p, defaults) -> None:
     p.add_argument("--fwd", required=True)
     p.add_argument("--rev", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--stats", required=True)
     p.set_defaults(func=_cmd_merge_bidi)
 
-    p = sub.add_parser("analogy", help="analogy detection and generation")
+
+def _analogy(p, defaults) -> None:
     ana_sub = p.add_subparsers(dest="subcommand", required=True)
     p = ana_sub.add_parser("find", help="find analogy quadruples in a seed corpus")
     p.add_argument("--seed", required=True)
@@ -285,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-unknown", action="store_true")
     p.set_defaults(func=_cmd_analogy_generate)
 
-    p = sub.add_parser("filter", help="corpus filtering")
+
+def _filter(p, defaults) -> None:
     fil_sub = p.add_subparsers(dest="subcommand", required=True)
     p = fil_sub.add_parser("trivial", help="drop duplicates, short and letter-free pairs")
     p.add_argument("--in", dest="infile", required=True)
@@ -302,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", required=True)
     p.set_defaults(func=_cmd_filter_cascade)
 
-    p = sub.add_parser("eval", help="score hypotheses against references")
+
+def _eval(p, defaults) -> None:
     eval_sub = p.add_subparsers(dest="subcommand", required=True)
     p = eval_sub.add_parser("score", help="score one system")
     p.add_argument("--hyp", required=True)
@@ -319,11 +322,41 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_eval_compare)
 
-    p = sub.add_parser("pipeline", help="run the end-to-end pipeline")
+
+def _pipeline(p, defaults) -> None:
     p.add_argument("--config", required=True)
     p.add_argument("--stages", help="comma-separated subset of stages")
     p.set_defaults(func=_cmd_pipeline)
 
+
+_COMMANDS = {
+    "ingest": ("pair article dumps into a store", _ingest),
+    "sample": ("split a corpus into test and train", _sample),
+    "stats": ("corpus statistics report", _stats),
+    "lexicon": ("translation lexicon commands", _lexicon),
+    "classifier": ("similarity classifier commands", _classifier),
+    "mine": ("mine parallel sentences from a store", _mine),
+    "merge-bidi": ("merge forward and reverse mining runs", _merge_bidi),
+    "analogy": ("analogy detection and generation", _analogy),
+    "filter": ("corpus filtering", _filter),
+    "eval": ("score hypotheses against references", _eval),
+    "pipeline": ("run the end-to-end pipeline", _pipeline),
+}
+
+
+def build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser of every command (``None``) or of ``command`` alone."""
+    defaults = pipeline.PipelineConfig(workdir="")
+    parser = argparse.ArgumentParser(
+        prog="bimine",
+        description="Mine, generate, filter and evaluate parallel corpora "
+                    "from topic-aligned comparable document collections.")
+    # a parser of one command still names every command in its usage line
+    sub = parser.add_subparsers(dest="command", required=True, metavar=(
+        None if command is None else "{" + ",".join(_COMMANDS) + "}"))
+    for name, (help_text, add_options) in _COMMANDS.items():
+        if command in (None, name):
+            add_options(sub.add_parser(name, help=help_text), defaults)
     return parser
 
 
@@ -332,8 +365,9 @@ def main(argv: list[str] | None = None) -> int:
     # allow `eval --hyp ...` as shorthand for `eval score --hyp ...`
     if argv and argv[0] == "eval" and (len(argv) == 1 or argv[1].startswith("-")):
         argv.insert(1, "score")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # each parser costs a start time, so build the named command's alone;
+    # `bimine`, `-h` and an unknown command get them all, to list every command
+    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, pipeline.PipelineError, OSError) as exc:

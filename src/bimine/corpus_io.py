@@ -338,7 +338,15 @@ def tokenize(text: str) -> list[str]:
     original text and lowercased afterwards; a listed abbreviation also
     matches in lowercase, so tokenizing the joined tokens gives them back.
     """
-    return [t.lower() for t in _TOKEN_RE.findall(text)]
+    tokens = []
+    # no token spans whitespace; a chunk of letters alone holds no period to
+    # end an abbreviation and no digit, so the regex would take it whole
+    for chunk in text.split():
+        if chunk.isalpha():
+            tokens.append(chunk.lower())
+        else:
+            tokens += [t.lower() for t in _TOKEN_RE.findall(chunk)]
+    return tokens
 
 
 # ---------------------------------------------------------------------------

@@ -448,10 +448,12 @@ def test_eval_compare_rejects_zero_resamples(tmp_path, capsys):
     assert captured.out == ""
 
 
-def test_cli_defaults_are_the_pipeline_config_defaults():
+def _defaulted_options():
+    """Command lines that leave every defaulted option out, each with the
+    defaults they must parse to."""
     config = PipelineConfig(workdir="")
     clf = config.classifier
-    cases = [
+    return [
         (["ingest", "--src-dump", "s", "--tgt-dump", "t", "--links", "l", "--out", "o"],
          {"src_lang": config.src_lang, "tgt_lang": config.tgt_lang}),
         (["sample", "--corpus", "c", "--test", "t", "--train", "r"],
@@ -478,10 +480,82 @@ def test_cli_defaults_are_the_pipeline_config_defaults():
         (["filter", "trivial", "--in", "i", "--out", "o"],
          {"min_chars": config.filter["min_chars"]}),
     ]
-    parser = cli.build_parser()
-    for argv, expected in cases:
+
+
+def test_cli_defaults_are_the_pipeline_config_defaults():
+    parser = cli.build_parser(None)
+    for argv, expected in _defaulted_options():
         args = vars(parser.parse_args(argv))
         assert {key: args[key] for key in expected} == expected, argv
+
+
+# one command line per leaf command
+LEAF_COMMANDS = [argv for argv, _ in _defaulted_options()] + [
+    ["stats", "--corpus", "c"],
+    ["merge-bidi", "--fwd", "f", "--rev", "r", "--out", "o", "--stats", "s"],
+    ["filter", "cascade", "--in", "i", "--lexicon", "l", "--kept", "k", "--rejected", "r",
+     "--report", "p"],
+    ["eval", "score", "--hyp", "h", "--ref", "r"],
+    ["eval", "compare", "--hyp-a", "a", "--hyp-b", "b", "--ref", "r"],
+    ["pipeline", "--config", "c"],
+]
+
+
+@pytest.mark.parametrize("argv", LEAF_COMMANDS, ids=" ".join)
+def test_the_parser_of_one_command_acts_as_the_parser_of_all(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    one, every = cli.build_parser(argv[0]), cli.build_parser(None)
+    assert vars(one.parse_args(argv)) == vars(every.parse_args(argv))
+    # -h prints the leaf's help; an unknown option, the usage line of all commands
+    for extra in (["-h"], ["--bogus"]):
+        printed = []
+        for parser in (one, every):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv + extra)
+            printed.append((exc.value.code, *capsys.readouterr()))
+        assert printed[0] == printed[1]
+        assert printed[0][1 if extra == ["-h"] else 2].startswith("usage: bimine ")
+
+
+_USAGE = ("usage: bimine [-h]\n"
+          "              {ingest,sample,stats,lexicon,classifier,mine,merge-bidi,analogy,"
+          "filter,eval,pipeline}\n"
+          "              ...\n")
+_HELP = _USAGE + """
+Mine, generate, filter and evaluate parallel corpora from topic-aligned
+comparable document collections.
+
+positional arguments:
+  {ingest,sample,stats,lexicon,classifier,mine,merge-bidi,analogy,filter,eval,pipeline}
+    ingest              pair article dumps into a store
+    sample              split a corpus into test and train
+    stats               corpus statistics report
+    lexicon             translation lexicon commands
+    classifier          similarity classifier commands
+    mine                mine parallel sentences from a store
+    merge-bidi          merge forward and reverse mining runs
+    analogy             analogy detection and generation
+    filter              corpus filtering
+    eval                score hypotheses against references
+    pipeline            run the end-to-end pipeline
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+
+@pytest.mark.parametrize("argv, expected", [
+    ([], (2, "", _USAGE + "bimine: error: the following arguments are required: command\n")),
+    (["-h"], (0, _HELP, "")),
+    (["nosuch"], (2, "", _USAGE + "bimine: error: argument command: invalid choice: 'nosuch' "
+                  "(choose from 'ingest', 'sample', 'stats', 'lexicon', 'classifier', 'mine', "
+                  "'merge-bidi', 'analogy', 'filter', 'eval', 'pipeline')\n")),
+])
+def test_a_start_without_a_command_lists_every_command(argv, expected, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert (exc.value.code, *capsys.readouterr()) == expected
 
 
 def test_eval_rejects_mismatched_files(tmp_path, capsys):

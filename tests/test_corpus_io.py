@@ -620,6 +620,23 @@ def test_tokenize_keeps_abbreviations_in_lowercase():
     assert tokenize("İstanbul") == ["i\u0307stanbul"]
 
 
+# what the regex treats specially: listed abbreviations, dotted i, a bare
+# combining dot, a digit that is no decimal, "_", digits with separators,
+# joiners, and whitespace beyond ASCII
+_TOKEN_PIECES = st.sampled_from(sorted(corpus_io.DEFAULT_ABBREVIATIONS) + [
+    "a", "B", "ż", "x", "\u0130", "i\u0307", "\u0307", "\u00b2", "_", "7", "3.5",
+    "1,0", ".", ",", "'", "’", "-", " ", "\x1c", "\x85", "\xa0", "\u2009", "\u3000"])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_TOKEN_PIECES, max_size=12).map("".join))
+@example("U.S.A. \u0130stanbul")
+@example("x9 ab.cd")
+@example("ab\x1c3.5")
+def test_tokenize_equals_the_whole_text_regex(text):
+    assert tokenize(text) == [t.lower() for t in corpus_io._TOKEN_RE.findall(text)]
+
+
 # ---------------------------------------------------------------------------
 # article pairing
 

@@ -304,13 +304,30 @@ def test_cli_start_loads_no_optional_stage_module(tmp_path):
     config = tmp_path / "config.json"
     config.write_text('{"workdir": "out", "analogy": {"max_distance": 3}}', encoding="utf-8")
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import bimine.cli; "
-            "bimine.cli.build_parser(); "
+            "bimine.cli.build_parser(None); "
             "bimine.cli.pipeline.PipelineConfig.from_json(sys.argv[2]); "
             "print(sorted({'bimine.analogy', 'bimine.filtering', 'bimine.metrics', "
             "'bimine.editdistance'} & set(sys.modules)))")
     run = subprocess.run([sys.executable, "-S", "-c", code, str(ROOT / "src"), str(config)],
                          capture_output=True, text=True, check=True)
     assert run.stdout == "[]\n"
+
+
+def test_a_start_builds_only_the_parser_of_its_command(tmp_path):
+    # argparse builds a parser per command and subcommand; `bimine pipeline`
+    # needs its own and the top-level one
+    config = tmp_path / "config.json"
+    config.write_text('{"workdir": "out"}', encoding="utf-8")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import argparse, bimine.cli; "
+            "built = []; init = argparse.ArgumentParser.__init__; "
+            "argparse.ArgumentParser.__init__ = "
+            "lambda self, *a, **k: built.append(1) or init(self, *a, **k); "
+            "bimine.cli.run_pipeline = lambda config, stages: None; "
+            "assert bimine.cli.main(['pipeline', '--config', sys.argv[2]]) == 0; "
+            "print(len(built))")
+    run = subprocess.run([sys.executable, "-S", "-c", code, str(ROOT / "src"), str(config)],
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == "2\n"
 
 
 def test_a_start_and_its_digests_load_no_hashlib(tmp_path):
